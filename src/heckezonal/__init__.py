@@ -13,7 +13,6 @@ from .scalars import (
     ExactScalar,
     LaurentPoly,
     NonInvertibleError,
-    Rational,
     format_rational,
     parse_rational,
 )
@@ -46,7 +45,6 @@ from .spherical import (
     SphericalTruncation,
     matrix_coefficient_scalar,
     psi0_coefficient,
-    psi0_truncation,
     support_check,
     verify_eigen_generator,
     verify_eigen_pi,

@@ -27,13 +27,9 @@ from fractions import Fraction
 from typing import Union
 
 __all__ = [
-    "Rational",
     "ExactScalar",
     "LaurentPoly",
     "NonInvertibleError",
-    "scalar_add",
-    "scalar_mul",
-    "scalar_neg",
     "scalar_inverse",
     "scalar_power",
     "evaluate",
@@ -41,11 +37,6 @@ __all__ = [
     "parse_rational",
     "scalar_to_json",
 ]
-
-# Exact rationals.  fractions.Fraction already guarantees the canonical
-# form we need: reduced, denominator > 0, zero stored as 0/1.
-Rational = Fraction
-
 
 class NonInvertibleError(ArithmeticError):
     """Inversion of a scalar that is not a unit ("NonInvertible")."""
@@ -62,9 +53,15 @@ def _as_fraction(x) -> Fraction:
 class LaurentPoly:
     """Laurent polynomial ``sum c_n * x**n`` with Fraction coefficients.
 
-    Instances are immutable by convention: the constructor normalizes
-    (drops zero coefficients) and no method mutates ``self``.  The
-    variable name is display-only; arithmetic keeps the left operand's.
+    Invariant: ``_coeffs`` maps ``int`` exponents to nonzero ``Fraction``
+    coefficients, so the zero polynomial is the empty dict and equal
+    polynomials have equal dicts.  The public constructor establishes it
+    from any int/Fraction input; the arithmetic results keep it and are
+    built through :meth:`_raw`, which trusts it.
+
+    Instances are immutable by convention: no method mutates ``self``.
+    The variable name is display-only; arithmetic keeps the left
+    operand's.
     """
 
     __slots__ = ("_coeffs", "var")
@@ -77,6 +74,14 @@ class LaurentPoly:
                 clean[int(n)] = c
         object.__setattr__(self, "_coeffs", clean)
         object.__setattr__(self, "var", var)
+
+    @classmethod
+    def _raw(cls, clean: dict[int, Fraction], var: str) -> "LaurentPoly":
+        """Wrap a dict that already satisfies the invariant, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_coeffs", clean)
+        object.__setattr__(self, "var", var)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -137,8 +142,12 @@ class LaurentPoly:
             return NotImplemented
         coeffs = dict(self._coeffs)
         for n, c in other._coeffs.items():
-            coeffs[n] = coeffs.get(n, Fraction(0)) + c
-        return LaurentPoly(coeffs, self.var)
+            c += coeffs.get(n, 0)
+            if c:
+                coeffs[n] = c
+            else:
+                del coeffs[n]
+        return LaurentPoly._raw(coeffs, self.var)
 
     __radd__ = __add__
 
@@ -155,27 +164,33 @@ class LaurentPoly:
         return other + (-self)
 
     def __neg__(self):
-        return LaurentPoly({n: -c for n, c in self._coeffs.items()}, self.var)
+        return LaurentPoly._raw({n: -c for n, c in self._coeffs.items()}, self.var)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return LaurentPoly._raw({}, self.var)
+            return LaurentPoly._raw({n: c * other for n, c in self._coeffs.items()}, self.var)
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         coeffs: dict[int, Fraction] = {}
         for n1, c1 in self._coeffs.items():
             for n2, c2 in other._coeffs.items():
                 n = n1 + n2
-                coeffs[n] = coeffs.get(n, Fraction(0)) + c1 * c2
-        return LaurentPoly(coeffs, self.var)
+                coeffs[n] = coeffs.get(n, 0) + c1 * c2
+        return LaurentPoly._raw({n: c for n, c in coeffs.items() if c}, self.var)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
+        if self.is_unit:
+            ((m, c),) = self._coeffs.items()
+            return LaurentPoly._raw({m * n: c**n}, self.var)
         if n < 0:
             return self.inverse() ** (-n)
-        result = LaurentPoly({0: 1}, self.var)
+        result = LaurentPoly._raw({0: Fraction(1)}, self.var)
         base = self
         while n:
             if n & 1:
@@ -190,7 +205,7 @@ class LaurentPoly:
                 "NonInvertible: only monomials are units in the Laurent ring"
             )
         ((n, c),) = self._coeffs.items()
-        return LaurentPoly({-n: Fraction(1) / c}, self.var)
+        return LaurentPoly._raw({-n: 1 / c}, self.var)
 
     # -- comparison / hashing -----------------------------------------
 
@@ -246,18 +261,6 @@ ExactScalar = Union[Fraction, LaurentPoly]
 
 
 # -- mode-agnostic helpers --------------------------------------------
-
-
-def scalar_add(a, b):
-    return a + b
-
-
-def scalar_mul(a, b):
-    return a * b
-
-
-def scalar_neg(a):
-    return -a
 
 
 def scalar_inverse(a):

@@ -1,0 +1,37 @@
+"""CLI stdout against committed golden files, byte for byte.
+
+The files under ``tests/golden/`` were recorded with ``python -m
+heckezonal`` before the scalar fast paths went in.  They are reference
+data: a speed-up that changes a single byte of a report fails here.
+"""
+
+import pathlib
+
+import pytest
+
+from heckezonal import cli
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "eigen_e3_L4_chi1.json": ["eigen", "--e", "3", "--L", "4", "--chi-pi=1"],
+    "eigen_e3_L4_chi2.json": ["eigen", "--e", "3", "--L", "4", "--chi-pi=2"],
+    "eigen_e3_L4_chim1_3.json": ["eigen", "--e", "3", "--L", "4", "--chi-pi=-1/3"],
+    "eigen_e4_L4_chi1.json": ["eigen", "--e", "4", "--L", "4", "--chi-pi=1"],
+    "eigen_e4_L4_chi2.json": ["eigen", "--e", "4", "--L", "4", "--chi-pi=2"],
+    "eigen_e4_L4_chim1_3.json": ["eigen", "--e", "4", "--L", "4", "--chi-pi=-1/3"],
+    "presentation_e3_seed3.json": ["presentation", "--e", "3", "--seed", "3"],
+    "presentation_e5_seed3.json": ["presentation", "--e", "5", "--seed", "3"],
+    "coefficient_e3_f2_q03_L4.json": ["coefficient", "--e", "3", "--f", "2", "--q0", "3", "--L", "4"],
+}
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_stdout_matches_golden(name, capsys):
+    assert cli.run(CASES[name]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / name).read_bytes()

@@ -106,3 +106,52 @@ def test_serialization():
     assert p.to_json() == {"-1": "-1/1", "2": "1/2"}
     assert scalar_to_json(Fraction(3, 4)) == "3/4"
     assert scalar_to_json(p) == p.to_json()
+
+
+def _random_monomial(rng: random.Random) -> LaurentPoly:
+    c = Fraction(rng.choice([-1, 1]) * rng.randrange(1, 7), rng.randrange(1, 6))
+    return LaurentPoly.term(c, rng.randrange(-4, 5))
+
+
+def _assert_invariant(p: LaurentPoly) -> None:
+    coeffs = p.coefficients()
+    assert all(type(n) is int for n in coeffs)
+    assert all(type(c) is Fraction and c != 0 for c in coeffs.values())
+    rebuilt = LaurentPoly(coeffs)
+    assert p == rebuilt and hash(p) == hash(rebuilt)
+
+
+def test_monomial_power_matches_repeated_product():
+    rng = random.Random(31)
+    for _ in range(100):
+        m = _random_monomial(rng)
+        for n in range(-6, 7):
+            factor = m if n >= 0 else m.inverse()
+            expected = LaurentPoly.constant(1)
+            for _ in range(abs(n)):
+                expected = expected * factor
+            assert m**n == expected, (m, n)
+            _assert_invariant(m**n)
+
+
+def test_scalar_product_matches_constant_product():
+    rng = random.Random(32)
+    scalars = [0, 1, -3, Fraction(0), Fraction(2, 5), Fraction(-7, 3)]
+    for _ in range(100):
+        p = _random_poly(rng)
+        for c in scalars:
+            expected = p * LaurentPoly.constant(c)
+            assert p * c == expected and c * p == expected, (p, c)
+            _assert_invariant(p * c)
+
+
+def test_cancelling_arithmetic_keeps_invariant():
+    q = LaurentPoly.variable()
+    assert ((q + 1) * (q - 1)).coefficients() == {2: 1, 0: -1}
+    assert (q + 1 - q).coefficients() == {0: 1}
+    rng = random.Random(33)
+    for _ in range(200):
+        a, b = _random_poly(rng), _random_poly(rng)
+        for result in (a + b, a - b, a * b, a - a, a + (-a), (a - b) * (a + b)):
+            _assert_invariant(result)
+        assert (a - a).is_zero and (a + (-a)).is_zero

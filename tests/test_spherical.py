@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import heckezonal.spherical as spherical
 from heckezonal.hecke import HeckeAlgebra
 from heckezonal.scalars import LaurentPoly, scalar_inverse, scalar_power
 from heckezonal.spherical import (
@@ -46,6 +47,45 @@ def test_truncation_coefficient_rule():
             p.chi_pi, -w.k
         )
         assert c == expected
+
+
+CHI_PIS = [Fraction(1), Fraction(2), Fraction(-1, 3)]
+
+
+@pytest.mark.parametrize("e", [3, 4])
+@pytest.mark.parametrize("chi_pi", CHI_PIS)
+def test_psi0_coefficient_oracle(e, chi_pi):
+    # the closed coefficient (-1/q1)**l * chi_pi**(-k), written down without
+    # the Laurent arithmetic under test; l is the BFS layer, not w.length()
+    generic = SphericalParams.generic(e, chi_pi=chi_pi)
+    numeric = SphericalParams.numeric(e, 2, 3, chi_pi=chi_pi)
+    q1 = Fraction(3) ** 4
+    for ell, layer in enumerate(enumerate_by_length(e, 4)):
+        for w0 in layer:
+            for k in range(-2, 3):
+                w = ExtendedWeylElement(k, w0)
+                unit = (-1) ** ell * chi_pi ** (-k)
+                assert psi0_coefficient(w, generic) == LaurentPoly.term(unit, -ell), w
+                assert psi0_coefficient(w, numeric) == unit / q1**ell, w
+
+
+@pytest.mark.parametrize("e", [3, 4])
+def test_eigen_checks_catch_one_wrong_coefficient(e, monkeypatch):
+    p = SphericalParams.generic(e, chi_pi=Fraction(2))
+    bad = generator(e, 1)
+    true_psi0 = spherical.psi0_coefficient
+
+    def psi0_wrong_at_bad(w, params):
+        value = true_psi0(w, params)
+        return 2 * value if w == bad else value
+
+    monkeypatch.setattr(spherical, "psi0_coefficient", psi0_wrong_at_bad)
+    witness = {"k": 0, "window": list(bad.w0.window)}
+    for i in range(e):
+        report = verify_eigen_generator(i, 3, p)
+        assert not report.ok and witness in report.failures, i
+    report = verify_eigen_pi(3, p, K=2)
+    assert not report.ok and witness in report.failures
 
 
 @pytest.mark.parametrize("e", [2, 3])
