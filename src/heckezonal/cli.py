@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from . import distinction as dst
 from . import gelfand as gf
-from .hecke import CharacterData, HeckeAlgebra, chi, verify_presentation
-from .scalars import LaurentPoly, format_rational, parse_rational, scalar_inverse, scalar_power
+from .hecke import HeckeAlgebra, verify_presentation
+from .scalars import LaurentPoly, format_rational, parse_rational, scalar_power
 from .spherical import SphericalParams, matrix_coefficient_scalar, verify_eigen_generator, verify_eigen_pi
 from .tensor import PlaceOperator, ev, t_operator
 from .weyl import (
@@ -72,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     poincare.add_argument(
         "--points",
         default=None,
-        help="comma-separated rationals in (-1,1); default scans -1/q0**f grids",
+        help="comma-separated rationals in (-1,1); default is the fixed grid 0 and "
+        "-1/q0**f for q0 in 2..5 and f in 1..2, whatever --q0 and --f are",
     )
     dist = sub.add_parser("distinction", parents=[common], help="truncated double-coset sum")
     dist.add_argument(
@@ -154,7 +155,7 @@ def cmd_eigen(args) -> tuple[int, dict]:
 
 def cmd_coefficient(args) -> tuple[int, dict]:
     p = SphericalParams.numeric(args.e, args.f, args.q0)
-    neg_inv_q1 = -scalar_inverse(p.q1)
+    neg_inv_q1 = p.neg_inv_q1()
     layers = enumerate_by_length(args.e, args.L)
     checked = mismatches = 0
     for ell, layer in enumerate(layers):
@@ -286,20 +287,11 @@ def cmd_gelfand(args) -> tuple[int, dict]:
 def cmd_all(args) -> tuple[int, dict]:
     sections = {}
     worst = EXIT_OK
-    for name, fn in (
-        ("presentation", cmd_presentation),
-        ("eigen", cmd_eigen),
-        ("coefficient", cmd_coefficient),
-        ("growth", cmd_growth),
-        ("poincare", cmd_poincare),
-        ("gelfand", cmd_gelfand),
-    ):
+    for name, fn in COMMANDS.items():
+        if name == "all" or (name == "distinction" and args.e % 2 == 0):
+            continue
         code, report = fn(args)
         sections[name] = report
-        worst = max(worst, code)
-    if args.e % 2 == 1:
-        code, report = cmd_distinction(args)
-        sections["distinction"] = report
         worst = max(worst, code)
     sections["ok"] = worst == EXIT_OK
     return worst, sections

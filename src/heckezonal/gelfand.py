@@ -9,23 +9,21 @@ a Gelfand pair with the representation distinguished on both sides that
 value is nonzero (rescaling the generators rescales it but cannot make
 it vanish).
 
-Shipped examples live in data/gelfand_catalog.json: standard and sign
-representations of small symmetric groups and the 2-dimensional
-representation of the dihedral group of order 8, each with a declared
-subgroup and expected outcome.  The Gelfand property of the shipped
-pairs is catalog metadata, not something verified here; irreducibility
-is checked exactly through the commutant.
+Shipped examples are built by load_catalog() from the constructors in
+this module: standard and sign representations of small symmetric
+groups and the 2-dimensional representation of the dihedral group of
+order 8, each with a declared subgroup and expected outcome.  The
+Gelfand property of the shipped pairs is catalog metadata, not something
+verified here; irreducibility is checked exactly through the commutant.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
-from .scalars import format_rational, parse_rational
+from .scalars import format_rational
 
 __all__ = [
     "FiniteRep",
@@ -38,7 +36,6 @@ __all__ = [
     "dihedral8_standard_rep",
     "subgroup_fixing_last_point",
     "load_catalog",
-    "catalog_from_builders",
 ]
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -322,28 +319,29 @@ def dihedral8_reflection_subgroup(rep: FiniteRep) -> list[int]:
 # -- catalog --------------------------------------------------------------
 
 
-def catalog_from_builders() -> dict:
-    """The shipped examples, rebuilt from the constructors."""
-    s3 = symmetric_group_standard_rep(3)
-    s3sign = symmetric_group_sign_rep(3)
-    s4 = symmetric_group_standard_rep(4)
+def load_catalog() -> list[dict]:
+    """The shipped examples, built from the constructors above.
+
+    Each item: name, rep (FiniteRep), subgroup (indices), expected
+    (dims and pairing verdict).
+    """
     d8 = dihedral8_standard_rep()
-    entries = [
+    return [
         {
             "name": "s3_standard_vs_s2",
-            "rep": s3,
+            "rep": symmetric_group_standard_rep(3),
             "subgroup": subgroup_fixing_last_point(3),
             "expected": {"dim_fixed": 1, "dim_fixed_dual": 1, "nonzero_pairing": True},
         },
         {
             "name": "s3_sign_vs_s2",
-            "rep": s3sign,
+            "rep": symmetric_group_sign_rep(3),
             "subgroup": subgroup_fixing_last_point(3),
             "expected": {"dim_fixed": 0, "dim_fixed_dual": 0, "nonzero_pairing": False},
         },
         {
             "name": "s4_standard_vs_s3",
-            "rep": s4,
+            "rep": symmetric_group_standard_rep(4),
             "subgroup": subgroup_fixing_last_point(4),
             "expected": {"dim_fixed": 1, "dim_fixed_dual": 1, "nonzero_pairing": True},
         },
@@ -354,48 +352,3 @@ def catalog_from_builders() -> dict:
             "expected": {"dim_fixed": 1, "dim_fixed_dual": 1, "nonzero_pairing": True},
         },
     ]
-    return {
-        "examples": [
-            {
-                "name": entry["name"],
-                "group": entry["rep"].name,
-                "dimension": entry["rep"].dimension,
-                "matrices": [
-                    [[format_rational(x) for x in row] for row in m]
-                    for m in entry["rep"].matrices
-                ],
-                "subgroup_indices": list(entry["subgroup"]),
-                "expected": entry["expected"],
-            }
-            for entry in entries
-        ]
-    }
-
-
-def _rep_from_entry(entry: dict) -> FiniteRep:
-    mats = tuple(
-        tuple(tuple(parse_rational(x) for x in row) for row in m)
-        for m in entry["matrices"]
-    )
-    return FiniteRep(entry["group"], entry["dimension"], mats)
-
-
-def load_catalog() -> list[dict]:
-    """Shipped examples from the packaged data file.
-
-    Each item: name, rep (FiniteRep), subgroup (indices), expected
-    (dims and pairing verdict).
-    """
-    text = resources.files("heckezonal").joinpath("data/gelfand_catalog.json").read_text()
-    data = json.loads(text)
-    out = []
-    for entry in data["examples"]:
-        out.append(
-            {
-                "name": entry["name"],
-                "rep": _rep_from_entry(entry),
-                "subgroup": list(entry["subgroup_indices"]),
-                "expected": dict(entry["expected"]),
-            }
-        )
-    return out

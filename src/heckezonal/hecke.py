@@ -82,9 +82,6 @@ class HeckeAlgebra:
     def generator_basis(self, i: int) -> "HeckeElement":
         return self.basis(generator(self.e, i))
 
-    def pi_basis(self, k: int = 1) -> "HeckeElement":
-        return self.basis(ExtendedWeylElement(k, ExtendedWeylElement.identity(self.e).w0))
-
     # -- multiplication ---------------------------------------------------
 
     def _left_generator(self, i: int, coeffs: dict) -> dict:

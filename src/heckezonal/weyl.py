@@ -168,10 +168,6 @@ class ExtendedWeylElement:
         return cls(0, AffinePermutation.identity(e))
 
     @classmethod
-    def from_w0(cls, w0: AffinePermutation) -> "ExtendedWeylElement":
-        return cls(0, w0)
-
-    @classmethod
     def from_full_window(cls, e: int, full: tuple[int, ...]) -> "ExtendedWeylElement":
         """Canonicalize an arbitrary-shift window into pi**k * w0."""
         shift, rem = divmod(sum(full) - e * (e + 1) // 2, e)
@@ -200,14 +196,8 @@ class ExtendedWeylElement:
         return ExtendedWeylElement.from_full_window(self.e, full)
 
     def inverse(self) -> "ExtendedWeylElement":
-        e = self.e
-        full = self.full_window()
-        win = [0] * e
-        by_residue = {((v - 1) % e): (j, v) for j, v in enumerate(full)}
-        for target in range(1, e + 1):
-            j, v = by_residue[(target - 1) % e]
-            win[target - 1] = (j + 1) + (target - v)
-        return ExtendedWeylElement.from_full_window(e, tuple(win))
+        # (pi**k w0)**-1 = pi**-k * (pi**k w0**-1 pi**-k)
+        return ExtendedWeylElement(-self.k, conjugate_by_pi(self.w0.inverse(), self.k))
 
     def __mul__(self, other):
         if isinstance(other, ExtendedWeylElement):
@@ -315,10 +305,10 @@ def enumerate_by_length(
                 u = s.compose(w)
                 if u not in seen:
                     frontier.add(u)
-        if len(seen) + len(frontier) > cap:
-            raise EnumerationCapExceeded(
-                f"enumeration cap exceeded ({ENUM_CAP_ENV}={cap})"
-            )
+                    if len(seen) + len(frontier) > cap:
+                        raise EnumerationCapExceeded(
+                            f"enumeration cap exceeded ({ENUM_CAP_ENV}={cap})"
+                        )
         seen |= frontier
         layers.append(sorted(frontier, key=lambda p: p.window))
     return layers

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from heckezonal.gelfand import (
-    catalog_from_builders,
     check_pairing,
     dihedral8_standard_rep,
     fixed_space,
@@ -100,18 +99,6 @@ def test_dihedral_example():
     report = check_pairing(rep, dihedral8_reflection_subgroup(rep))
     assert report.gelfand_multiplicity_ok
     assert report.pairing != 0
-
-
-def test_catalog_matches_builders():
-    from heckezonal.gelfand import _rep_from_entry
-
-    built = catalog_from_builders()
-    loaded = load_catalog()
-    assert [e["name"] for e in built["examples"]] == [e["name"] for e in loaded]
-    for entry, item in zip(built["examples"], loaded):
-        assert _rep_from_entry(entry) == item["rep"]
-        assert entry["subgroup_indices"] == item["subgroup"]
-        assert entry["expected"] == item["expected"]
 
 
 def test_catalog_expectations_hold():

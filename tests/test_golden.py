@@ -1,8 +1,11 @@
 """CLI stdout against committed golden files, byte for byte.
 
 The files under ``tests/golden/`` were recorded with ``python -m
-heckezonal`` before the scalar fast paths went in.  They are reference
-data: a speed-up that changes a single byte of a report fails here.
+heckezonal``: the eigen, presentation and coefficient files before the
+scalar fast paths went in, the growth, poincare, distinction, gelfand
+and all files before the Gelfand catalog moved from JSON to its
+builders.  They are reference data: a change that alters a single byte
+of a report fails here.
 """
 
 import pathlib
@@ -23,6 +26,14 @@ CASES = {
     "presentation_e3_seed3.json": ["presentation", "--e", "3", "--seed", "3"],
     "presentation_e5_seed3.json": ["presentation", "--e", "5", "--seed", "3"],
     "coefficient_e3_f2_q03_L4.json": ["coefficient", "--e", "3", "--f", "2", "--q0", "3", "--L", "4"],
+    "growth_e4_L8.json": ["growth", "--e", "4", "--L", "8"],
+    "growth_e3_L6.csv": ["growth", "--e", "3", "--L", "6", "--output", "csv"],
+    "poincare_e5.json": ["poincare", "--e", "5"],
+    "distinction_e3_f2_q03_L20.json": ["distinction", "--e", "3", "--f", "2", "--q0", "3", "--L", "20"],
+    "distinction_e5_L4.txt": ["distinction", "--e", "5", "--L", "4", "--output", "text"],
+    "gelfand.json": ["gelfand"],
+    "all_e3_L3.json": ["all", "--e", "3", "--L", "3"],
+    "all_e4_L3.json": ["all", "--e", "4", "--L", "3"],
 }
 
 

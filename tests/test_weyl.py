@@ -86,11 +86,15 @@ def test_pi_element_relations():
 def test_multiply_canonical_form():
     rng = random.Random(5)
     for _ in range(200):
-        e = rng.choice([2, 3, 4])
+        e = rng.choice([2, 3, 4, 5])
         a, b = random_element(e, rng), random_element(e, rng)
         prod = multiply(a, b)
         assert sum(prod.w0.window) == e * (e + 1) // 2
         assert multiply(a, inverse(a)).is_identity()
+        assert multiply(inverse(a), a).is_identity()
+        w0_inv = a.w0.inverse()
+        assert a.w0.compose(w0_inv).is_identity()
+        assert w0_inv.compose(a.w0).is_identity()
     # Coxeter order 3 for adjacent generators
     prod = multiply(generator(3, 1), generator(3, 2))
     assert multiply(multiply(prod, prod), prod).is_identity()
@@ -207,9 +211,23 @@ def test_enumerate_layers_visit_order_independent():
             assert frontier == set(layers[depth])
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
     with pytest.raises(EnumerationCapExceeded):
         enumerate_by_length(4, 10, max_elems=50)
+    # the cap is tested as the frontier grows: building layers 1 and 2
+    # whole before testing it would take 30 compose calls here
+    calls = 0
+    compose = AffinePermutation.compose
+
+    def counting_compose(self, other):
+        nonlocal calls
+        calls += 1
+        return compose(self, other)
+
+    monkeypatch.setattr(AffinePermutation, "compose", counting_compose)
+    with pytest.raises(EnumerationCapExceeded):
+        enumerate_by_length(5, 6, max_elems=7)
+    assert calls <= 15
 
 
 def test_project_to_finite():
