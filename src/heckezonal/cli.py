@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -54,7 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--e", type=int, default=3, help="rank (number of tensor places)")
     common.add_argument("--f", type=int, default=1, help="block size parameter")
-    common.add_argument("--q0", type=int, default=2, help="residue size, at least 2")
+    common.add_argument("--q0", type=int, default=2, help="residue field size, a prime power")
     common.add_argument("--L", type=int, default=8, help="length truncation")
     common.add_argument("--chi-pi", default="1", help="rational unit value for chi(pi)")
     common.add_argument(
@@ -91,8 +92,8 @@ def _validate(args) -> None:
         raise UsageError("--e must be at least 2")
     if args.f < 1:
         raise UsageError("--f must be at least 1")
-    if args.q0 < 2:
-        raise UsageError("--q0 must be at least 2")
+    if args.q0 < 2 or not _is_prime_power(args.q0):
+        raise UsageError("--q0 must be a prime power")
     if args.L < 0:
         raise UsageError("--L must be nonnegative")
     if args.samples < 0:
@@ -103,6 +104,11 @@ def _validate(args) -> None:
         raise UsageError(f"--chi-pi: {exc}") from exc
     if args.command == "distinction" and args.e % 2 == 0:
         raise UsageError("distinction requires odd --e")
+
+
+def _is_prime_power(n: int) -> bool:
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    return p ** round(math.log(n, p)) == n
 
 
 def _random_element(e: int, rng: random.Random, max_len: int = 4) -> ExtendedWeylElement:

@@ -99,10 +99,8 @@ class HeckeAlgebra:
         return out
 
     def _left_pi_power(self, k: int, coeffs: dict) -> dict:
-        if k == 0:
-            return dict(coeffs)
-        pk = ExtendedWeylElement(k, ExtendedWeylElement.identity(self.e).w0)
-        return {multiply(pk, w): c for w, c in coeffs.items()}
+        # pi**k * (pi**j w0) = pi**(j + k) w0
+        return {ExtendedWeylElement(w.k + k, w.w0): c for w, c in coeffs.items()}
 
     def product(self, h1: "HeckeElement", h2: "HeckeElement") -> "HeckeElement":
         if h1.algebra != self or h2.algebra != self:

@@ -31,7 +31,6 @@ from .scalars import ExactScalar, LaurentPoly, scalar_inverse, scalar_power
 from .weyl import (
     AffinePermutation,
     ExtendedWeylElement,
-    conjugate_by_pi,
     enumerate_by_length,
     generator,
     multiply,

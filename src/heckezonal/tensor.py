@@ -128,14 +128,15 @@ def ev(w: ExtendedWeylElement, p: SphericalParams) -> PlaceOperator:
     """
     if w.e != p.e:
         raise ValueError("rank mismatch")
-    w_left = conjugate_by_pi(w.w0, w.k)
-    word = w_left.reduced_word()
-    op = PlaceOperator.identity(p.e)
+    word = conjugate_by_pi(w.w0, w.k).reduced_word()
+    # right-composing with t_i swaps slots (i, i+1), or (1, e) for i = 0
+    perm = list(range(1, p.e + 1))
     for idx in word:
-        op = op.compose(t_operator(idx, p.e))
-    op = op.compose(gamma_operator(p.e).power(w.k))
-    exponent = -(p.f * (p.f - 1) // 2) * len(word)
-    return PlaceOperator(p.e, op.perm, p.q_power(exponent) * op.scale)
+        a = idx - 1 if idx else p.e - 1
+        perm[a], perm[idx] = perm[idx], perm[a]
+    gamma_k = gamma_operator(p.e).power(w.k)
+    scale = p.q_power(-(p.f * (p.f - 1) // 2) * len(word)) * gamma_k.scale
+    return PlaceOperator(p.e, perm_compose(tuple(perm), gamma_k.perm), scale)
 
 
 @dataclass(frozen=True)

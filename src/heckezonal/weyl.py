@@ -13,6 +13,11 @@ counted by affine inversions:
 
 Conjugation by pi lowers generator indices: pi s_i pi**-1 = s_{i-1 mod e}.
 
+Windows are validated where they enter (``AffinePermutation(e, window)``,
+``identity``, ``from_full_window``, ``from_json``).  W0 is closed under
+``compose``, ``inverse`` and ``conjugate_by_pi``, so their results and the
+simple reflections skip the checks through ``AffinePermutation._raw``.
+
 >>> s1 = generator(3, 1)
 >>> s1.w0.window
 (2, 1, 3)
@@ -24,6 +29,7 @@ True
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -73,6 +79,14 @@ class AffinePermutation:
             raise ValueError("window shift sum must be zero (not in W0)")
 
     @classmethod
+    def _raw(cls, e: int, window: tuple[int, ...]) -> "AffinePermutation":
+        """Wrap a window already known to lie in W0, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "window", window)
+        return self
+
+    @classmethod
     def identity(cls, e: int) -> "AffinePermutation":
         return cls(e, tuple(range(1, e + 1)))
 
@@ -85,18 +99,18 @@ class AffinePermutation:
         """Function composition self o other (other applied first)."""
         if self.e != other.e:
             raise ValueError("rank mismatch")
-        return AffinePermutation(
-            self.e, tuple(self.apply(other.apply(i)) for i in range(1, self.e + 1))
-        )
+        e, win = self.e, self.window
+        out = tuple([win[(v - 1) % e] + (v - 1) // e * e for v in other.window])
+        return AffinePermutation._raw(e, out)
 
     def inverse(self) -> "AffinePermutation":
+        # value v in slot j: self**-1(t) = j + t - v for t = v mod e in 1..e
         e = self.e
         win = [0] * e
-        by_residue = {((v - 1) % e): (j, v) for j, v in enumerate(self.window)}
-        for target in range(1, e + 1):
-            j, v = by_residue[(target - 1) % e]
-            win[target - 1] = (j + 1) + (target - v)
-        return AffinePermutation(e, tuple(win))
+        for j, v in enumerate(self.window, start=1):
+            r = (v - 1) % e
+            win[r] = j + r + 1 - v
+        return AffinePermutation._raw(e, tuple(win))
 
     def length(self) -> int:
         """Coxeter length, via the affine inversion count."""
@@ -114,23 +128,32 @@ class AffinePermutation:
         """True iff l(s_i * self) = l(self) - 1, for i in 0..e-1.
 
         Left descent at i means the value i appears after the value i+1,
-        i.e. self**-1(i) > self**-1(i+1).
+        i.e. self**-1(i) > self**-1(i+1).  Value v in slot j (from 0) gives
+        self**-1(v + m*e) = j + 1 + m*e, so at[r] = self**-1(i+r) - (i+r+1).
         """
-        inv = self.inverse()
-        return inv.apply(i) > inv.apply(i + 1)
+        e = self.e
+        at = {(v - i) % e: j - v for j, v in enumerate(self.window)}
+        return at[0] > at[1] + 1
 
     def reduced_word(self) -> list[int]:
-        """A reduced word [i_1, ..., i_l] with self = s_{i_1} ... s_{i_l}."""
+        """A reduced word [i_1, ..., i_l] with self = s_{i_1} ... s_{i_l}.
+
+        Each letter is the lowest-index left descent of what is left.  As
+        (s_i w)**-1 = w**-1 s_i, the inverse window is built once and each
+        letter swaps two of its slots.
+        """
+        e = self.e
+        inv = list(self.inverse().window)
+        done = list(range(1, e + 1))
         word: list[int] = []
-        w = self
-        while not w.is_identity():
-            for i in range(w.e):
-                if w.has_left_descent(i):
-                    word.append(i)
-                    w = _simple(w.e, i).compose(w)
-                    break
-            else:  # pragma: no cover - impossible for a non-identity element
-                raise AssertionError("non-identity element without descent")
+        while inv != done:
+            if inv[e - 1] - e > inv[0]:
+                i = 0
+                inv[0], inv[e - 1] = inv[e - 1] - e, inv[0] + e
+            else:
+                i = next(i for i in range(1, e) if inv[i - 1] > inv[i])
+                inv[i - 1], inv[i] = inv[i], inv[i - 1]
+            word.append(i)
         return word
 
     def __mul__(self, other):
@@ -139,8 +162,9 @@ class AffinePermutation:
         return NotImplemented
 
 
+@functools.lru_cache(maxsize=None)
 def _simple(e: int, i: int) -> AffinePermutation:
-    """The simple affine permutation s_i as an element of W0."""
+    """The simple affine permutation s_i as an element of W0, one per (e, i)."""
     if not 0 <= i <= e - 1:
         raise ValueError(f"generator index {i} out of range 0..{e - 1}")
     win = list(range(1, e + 1))
@@ -149,7 +173,7 @@ def _simple(e: int, i: int) -> AffinePermutation:
     else:
         win[0] = 0
         win[e - 1] = e + 1
-    return AffinePermutation(e, tuple(win))
+    return AffinePermutation._raw(e, tuple(win))
 
 
 @dataclass(frozen=True)
@@ -334,9 +358,7 @@ def perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 def conjugate_by_pi(w0: AffinePermutation, k: int) -> AffinePermutation:
     """pi**k * w0 * pi**-k, again in W0; preserves length."""
     e = w0.e
-    return AffinePermutation(
-        e, tuple(w0.apply(i + k) - k for i in range(1, e + 1))
-    )
+    return AffinePermutation._raw(e, tuple(w0.apply(i + k) - k for i in range(1, e + 1)))
 
 
 if __name__ == "__main__":

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+from heckezonal import cli
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
@@ -51,6 +53,15 @@ def test_usage_errors_exit_2():
     assert run_cli("nonsense").returncode == 2
     proc = run_cli("distinction", "--e", "2")
     assert b"odd" in proc.stderr
+
+
+def test_q0_must_be_prime_power():
+    proc = run_cli("coefficient", "--q0", "6", "--L", "2")
+    assert proc.returncode == 2
+    assert b"prime power" in proc.stderr
+    assert run_cli("coefficient", "--q0", "4", "--L", "2").returncode == 0
+    powers = [n for n in range(2, 30) if cli._is_prime_power(n)]
+    assert powers == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29]
 
 
 def test_check_failure_exits_1():

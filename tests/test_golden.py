@@ -1,10 +1,11 @@
 """CLI stdout against committed golden files, byte for byte.
 
 The files under ``tests/golden/`` were recorded with ``python -m
-heckezonal``: the eigen, presentation and coefficient files before the
-scalar fast paths went in, the growth, poincare, distinction, gelfand
-and all files before the Gelfand catalog moved from JSON to its
-builders.  They are reference data: a change that alters a single byte
+heckezonal``: the eigen, presentation and e = 3 coefficient files before
+the scalar fast paths went in, the growth, poincare, distinction,
+gelfand and all files before the Gelfand catalog moved from JSON to its
+builders, and the e = 4 and e = 5 coefficient files before the trusted
+Weyl constructor and the slot-swap ``ev`` went in.  They are reference data: a change that alters a single byte
 of a report fails here.
 """
 
@@ -26,6 +27,10 @@ CASES = {
     "presentation_e3_seed3.json": ["presentation", "--e", "3", "--seed", "3"],
     "presentation_e5_seed3.json": ["presentation", "--e", "5", "--seed", "3"],
     "coefficient_e3_f2_q03_L4.json": ["coefficient", "--e", "3", "--f", "2", "--q0", "3", "--L", "4"],
+    "coefficient_e5_f1_q02_L4.json": ["coefficient", "--e", "5", "--f", "1", "--q0", "2", "--L", "4"],
+    "coefficient_e4_f3_q05_L5_seed7.json": [
+        "coefficient", "--e", "4", "--f", "3", "--q0", "5", "--L", "5", "--seed", "7",
+    ],
     "growth_e4_L8.json": ["growth", "--e", "4", "--L", "8"],
     "growth_e3_L6.csv": ["growth", "--e", "3", "--L", "6", "--output", "csv"],
     "poincare_e5.json": ["poincare", "--e", "5"],

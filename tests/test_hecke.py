@@ -78,6 +78,23 @@ def test_pi_relabels_generators():
             assert p * A.generator_basis(i) == A.generator_basis(i - 1) * p
 
 
+def test_left_pi_power_shortcut_matches_multiply():
+    # pi**k * (pi**j w0) = pi**(j + k) w0, checked against full-window multiply
+    e = 4
+    A = generic_algebra(e)
+    coeffs = {
+        ExtendedWeylElement(j, w0): j + 4
+        for layer in enumerate_by_length(e, 4)
+        for w0 in layer
+        for j in range(-3, 4)
+    }
+    assert len(coeffs) == 483
+    for k in (-2, -1, 1, 3):
+        pk = ExtendedWeylElement(k, AffinePermutation.identity(e))
+        expect = {multiply(pk, w): c for w, c in coeffs.items()}
+        assert A._left_pi_power(k, coeffs) == expect
+
+
 def test_descent_case_by_hand():
     # e=2: [s0][s0 s1] = q1 [s1] + (q1-1) [s0 s1]
     A = generic_algebra(2)

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 import heckezonal.spherical as spherical
-from heckezonal.hecke import HeckeAlgebra
 from heckezonal.scalars import LaurentPoly, scalar_inverse, scalar_power
 from heckezonal.spherical import (
     RequiresTrivialChiPi,

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from heckezonal import cli
 from heckezonal.scalars import scalar_inverse, scalar_power
 from heckezonal.spherical import SphericalParams, matrix_coefficient_scalar
 from heckezonal.tensor import (
@@ -20,6 +21,7 @@ from heckezonal.weyl import (
     AffinePermutation,
     ExtendedWeylElement,
     all_reduced_words,
+    conjugate_by_pi,
     enumerate_by_length,
     generator,
     multiply,
@@ -119,6 +121,36 @@ def test_ev_braid_pair_agree():
     assert a == b
     assert word_operator([0, 1, 0], e) == word_operator([1, 0, 1], e)
     assert ev(a, p) == ev(b, p)
+
+
+def fold_ev(w, p):
+    """ev as a fold of t_operator compositions, one PlaceOperator per letter."""
+    word = conjugate_by_pi(w.w0, w.k).reduced_word()
+    op = word_operator(word, p.e).compose(gamma_operator(p.e).power(w.k))
+    exponent = -(p.f * (p.f - 1) // 2) * len(word)
+    return PlaceOperator(p.e, op.perm, p.q_power(exponent) * op.scale)
+
+
+def test_ev_matches_compose_fold():
+    rng = random.Random(91)
+    for e in range(2, 9):
+        p = SphericalParams.numeric(e, rng.choice([1, 2, 3]), rng.choice([2, 3, 5]))
+        for _ in range(30):
+            w = ExtendedWeylElement.identity(e)
+            for _ in range(rng.randrange(0, 11)):
+                w = multiply(generator(e, rng.randrange(e)), w)
+            w = ExtendedWeylElement(rng.randrange(-e, e + 1), w.w0)
+            assert ev(w, p) == fold_ev(w, p), (e, w)
+
+
+def test_coefficient_fails_on_non_reduced_word(monkeypatch):
+    # with f = 2 every letter scales by q**-1, so two extra letters that
+    # cancel in the group still change the operator scale
+    argv = ["coefficient", "--e", "3", "--f", "2", "--L", "3", "--samples", "2"]
+    assert cli.run(argv) == 0
+    honest = AffinePermutation.reduced_word
+    monkeypatch.setattr(AffinePermutation, "reduced_word", lambda self: honest(self) + [0, 0])
+    assert cli.run(argv) == 1
 
 
 def test_ev_perm_extends_projection_on_w0():

@@ -11,6 +11,7 @@ from heckezonal.weyl import (
     EnumerationCapExceeded,
     ExtendedWeylElement,
     all_reduced_words,
+    conjugate_by_pi,
     enumerate_by_length,
     generator,
     inverse,
@@ -142,6 +143,74 @@ def test_reduced_word():
         for i in word:
             acc = multiply(acc, generator(e, i))
         assert acc.w0 == a.w0
+
+
+def reference_inverse(w: AffinePermutation) -> AffinePermutation:
+    """w**-1 through the validating constructor, from a residue table."""
+    e = w.e
+    by_residue = {(v - 1) % e: (j, v) for j, v in enumerate(w.window)}
+    win = []
+    for target in range(1, e + 1):
+        j, v = by_residue[(target - 1) % e]
+        win.append((j + 1) + (target - v))
+    return AffinePermutation(e, tuple(win))
+
+
+def reference_reduced_word(w: AffinePermutation) -> list[int]:
+    """Lowest-index left descent first, rebuilding w**-1 for every index tried."""
+    word = []
+    while not w.is_identity():
+        for i in range(w.e):
+            inv = reference_inverse(w)
+            if inv.apply(i) > inv.apply(i + 1):
+                word.append(i)
+                w = generator(w.e, i).w0.compose(w)
+                break
+    return word
+
+
+def revalidated(w: AffinePermutation) -> AffinePermutation:
+    """The same window through the validating constructor (raises if invalid)."""
+    return AffinePermutation(w.e, w.window)
+
+
+def test_trusted_results_are_valid_windows():
+    rng = random.Random(61)
+    for e in range(2, 9):
+        for _ in range(40):
+            a, b = random_element(e, rng, max_len=10), random_element(e, rng, max_len=10)
+            ab = a.w0.compose(b.w0)
+            assert revalidated(ab) == ab
+            assert all(ab.apply(x) == a.w0.apply(b.w0.apply(x)) for x in range(-2 * e, 2 * e))
+            inv = a.w0.inverse()
+            assert revalidated(inv) == inv == reference_inverse(a.w0)
+            assert inv.compose(a.w0).is_identity()
+            for w in (multiply(a, b), a.inverse()):
+                assert revalidated(w.w0) == w.w0
+            for k in range(-e, e + 1):
+                c = conjugate_by_pi(a.w0, k)
+                assert revalidated(c) == c
+                assert c.length() == a.length()
+
+
+def test_has_left_descent_matches_length():
+    rng = random.Random(71)
+    for e in range(2, 9):
+        for _ in range(40):
+            a = random_element(e, rng, max_len=10, max_k=0)
+            for i in range(e):
+                shorter = length(multiply(generator(e, i), a)) < length(a)
+                assert a.w0.has_left_descent(i) == shorter, (a.w0.window, i)
+
+
+def test_reduced_word_matches_reference():
+    rng = random.Random(81)
+    for e in range(2, 9):
+        for _ in range(40):
+            w0 = random_element(e, rng, max_len=10).w0
+            word = w0.reduced_word()
+            assert word == reference_reduced_word(w0), w0.window
+            assert len(word) == w0.length()
 
 
 def test_all_reduced_words_multiply_back():
