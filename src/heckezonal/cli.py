@@ -14,7 +14,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import random
 import sys
 from fractions import Fraction
@@ -26,7 +25,6 @@ from .scalars import LaurentPoly, format_rational, parse_rational, scalar_power
 from .spherical import SphericalParams, matrix_coefficient_scalar, verify_eigen_generator, verify_eigen_pi
 from .tensor import PlaceOperator, ev, t_operator
 from .weyl import (
-    AffinePermutation,
     EnumerationCapExceeded,
     ExtendedWeylElement,
     all_reduced_words,
@@ -42,6 +40,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
+# Miller-Rabin with these bases decides primality exactly below Q0_LIMIT
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+Q0_LIMIT = 3_317_044_064_679_887_385_961_981
+
 
 class UsageError(ValueError):
     pass
@@ -55,7 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--e", type=int, default=3, help="rank (number of tensor places)")
     common.add_argument("--f", type=int, default=1, help="block size parameter")
-    common.add_argument("--q0", type=int, default=2, help="residue field size, a prime power")
+    common.add_argument(
+        "--q0", type=int, default=2, help="residue field size, a prime power below 3.3e24"
+    )
     common.add_argument("--L", type=int, default=8, help="length truncation")
     common.add_argument("--chi-pi", default="1", help="rational unit value for chi(pi)")
     common.add_argument(
@@ -92,6 +96,8 @@ def _validate(args) -> None:
         raise UsageError("--e must be at least 2")
     if args.f < 1:
         raise UsageError("--f must be at least 1")
+    if args.q0 >= Q0_LIMIT:
+        raise UsageError("--q0 too large")
     if args.q0 < 2 or not _is_prime_power(args.q0):
         raise UsageError("--q0 must be a prime power")
     if args.L < 0:
@@ -106,17 +112,60 @@ def _validate(args) -> None:
         raise UsageError("distinction requires odd --e")
 
 
+def _is_probable_prime(n: int) -> bool:
+    """Miller-Rabin to the prime bases up to 41: exact for n < Q0_LIMIT.
+
+    A False is always right; a True above Q0_LIMIT is unproven.
+    """
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by integer Newton steps from above."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        nxt = ((k - 1) * r + n // r ** (k - 1)) // k
+        if nxt >= r:
+            return r
+        r = nxt
+
+
 def _is_prime_power(n: int) -> bool:
-    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
-    return p ** round(math.log(n, p)) == n
+    """Whether n = p**m for a prime p and m >= 1; exact for n < Q0_LIMIT."""
+    for k in range(1, n.bit_length()):
+        r = _iroot(n, k)
+        if r**k == n and _is_probable_prime(r):
+            return True
+    return False
 
 
 def _random_element(e: int, rng: random.Random, max_len: int = 4) -> ExtendedWeylElement:
     w = ExtendedWeylElement.identity(e)
     for _ in range(rng.randrange(0, max_len + 1)):
         w = multiply(generator(e, rng.randrange(e)), w)
-    shift = ExtendedWeylElement(rng.randrange(-1, 2), AffinePermutation.identity(e))
-    return multiply(shift, w)
+    # pi**k w is the bijection x -> w(x) - k; sampled elements enter the
+    # checks through the validating constructor, so an invalid window from
+    # the trusted product raises here rather than inside the algebra
+    k = rng.randrange(-1, 2)
+    return ExtendedWeylElement.from_full_window(e, tuple(v - k for v in w.full_window()))
 
 
 def cmd_presentation(args) -> tuple[int, dict]:

@@ -8,9 +8,11 @@ two-case generator rule
     [s_i][w] = [s_i w]                     if l(s_i w) = l(w) + 1
     [s_i][w] = q1 [s_i w] + (q1 - 1) [w]   if l(s_i w) = l(w) - 1
 
-together with [pi]**k acting by relabeling ([pi][w] = [pi w]).  This
-recursion is the ground truth; verify_presentation() replays the defining
-relations through it as exact identities.
+together with [pi]**k acting by relabeling ([pi][w] = [pi w]).  The case
+is picked by a left-descent test on w (``weyl.is_length_increasing``,
+O(e)), not by computing both lengths.  This recursion is the ground
+truth; verify_presentation() replays the defining relations through it
+as exact identities.
 """
 
 from __future__ import annotations
@@ -19,7 +21,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import ExactScalar, LaurentPoly, evaluate, scalar_power
-from .weyl import ExtendedWeylElement, generator, multiply, pi_element
+from .weyl import (
+    ExtendedWeylElement,
+    generator,
+    is_length_increasing,
+    multiply,
+    pi_element,
+)
 
 __all__ = [
     "HeckeAlgebra",
@@ -91,7 +99,7 @@ class HeckeAlgebra:
         out: dict = {}
         for w, c in coeffs.items():
             sw = multiply(s, w)
-            if sw.length() == w.length() + 1:
+            if is_length_increasing(i, w):
                 _accumulate(out, sw, c)
             else:
                 _accumulate(out, sw, q1 * c)

@@ -12,6 +12,12 @@ identities coefficient by coefficient on a finite truncation; indices
 whose convolution preimage leaves the truncation are reported as
 unchecked boundary, never as failures.
 
+The coefficient depends on [pi**k w0] only through (l(w0), k), so
+``psi0_coefficient`` keeps its values in a table on the SphericalParams
+instance, keyed by (l(w0), k) and filled on first use: the Laurent powers
+are computed once per distinct pair, and the table lives and dies with
+the parameters it was computed for.
+
 In the trivial-chi_pi regime the normalized matrix coefficient at
 w0 * pi**k is the closed form
 
@@ -112,14 +118,24 @@ class SphericalParams:
     def neg_inv_q1(self) -> ExactScalar:
         return self._neg_inv_q1
 
+    @cached_property
+    def _psi0_table(self) -> dict:
+        # psi0 coefficients by (l(w0), k), filled by psi0_coefficient
+        return {}
+
     def algebra(self) -> HeckeAlgebra:
         return HeckeAlgebra(self.e, self.q1)
 
 
 def psi0_coefficient(w: ExtendedWeylElement, p: SphericalParams) -> ExactScalar:
     """Coefficient of the formal eigenvector at the basis index pi**k w0."""
-    value = scalar_power(p.neg_inv_q1(), w.length())
-    return value * scalar_power(p.chi_pi, -w.k)
+    key = (w.length(), w.k)
+    table = p._psi0_table
+    value = table.get(key)
+    if value is None:
+        value = scalar_power(p.neg_inv_q1(), key[0]) * scalar_power(p.chi_pi, -w.k)
+        table[key] = value
+    return value
 
 
 @dataclass

@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import ExactScalar
+from .scalars import ExactScalar, scalar_inverse, scalar_power
 from .spherical import SphericalParams
 from .weyl import ExtendedWeylElement, conjugate_by_pi, perm_compose
 
@@ -64,6 +64,15 @@ class PlaceOperator:
             raise ValueError("perm must be a permutation of 1..e in one-line form")
 
     @classmethod
+    def _raw(cls, e: int, perm: tuple[int, ...], scale: ExactScalar) -> "PlaceOperator":
+        """Wrap a perm already known to permute 1..e, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "scale", scale)
+        return self
+
+    @classmethod
     def identity(cls, e: int) -> "PlaceOperator":
         return cls(e, tuple(range(1, e + 1)))
 
@@ -71,21 +80,27 @@ class PlaceOperator:
         """self o other: other acts first; permutations compose, scales multiply."""
         if self.e != other.e:
             raise ValueError("rank mismatch")
-        return PlaceOperator(
+        return PlaceOperator._raw(
             self.e, perm_compose(self.perm, other.perm), self.scale * other.scale
         )
 
     def inverse(self) -> "PlaceOperator":
-        from .scalars import scalar_inverse
-
-        return PlaceOperator(self.e, _invert_perm(self.perm), scalar_inverse(self.scale))
+        return PlaceOperator._raw(self.e, _invert_perm(self.perm), scalar_inverse(self.scale))
 
     def power(self, n: int) -> "PlaceOperator":
-        base = self if n >= 0 else self.inverse()
-        result = PlaceOperator.identity(self.e)
-        for _ in range(abs(n)):
-            result = result.compose(base)
-        return result
+        """self**n for any integer n: each cycle of perm advances n steps."""
+        perm = self.perm
+        out = [0] * self.e
+        for start in perm:
+            if out[start - 1]:
+                continue
+            cycle = [start]
+            while (nxt := perm[cycle[-1] - 1]) != start:
+                cycle.append(nxt)
+            m = len(cycle)
+            for j, x in enumerate(cycle):
+                out[x - 1] = cycle[(j + n) % m]
+        return PlaceOperator._raw(self.e, tuple(out), scalar_power(self.scale, n))
 
     def __mul__(self, other):
         if isinstance(other, PlaceOperator):
@@ -136,7 +151,7 @@ def ev(w: ExtendedWeylElement, p: SphericalParams) -> PlaceOperator:
         perm[a], perm[idx] = perm[idx], perm[a]
     gamma_k = gamma_operator(p.e).power(w.k)
     scale = p.q_power(-(p.f * (p.f - 1) // 2) * len(word)) * gamma_k.scale
-    return PlaceOperator(p.e, perm_compose(tuple(perm), gamma_k.perm), scale)
+    return PlaceOperator._raw(p.e, perm_compose(tuple(perm), gamma_k.perm), scale)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ Windows are validated where they enter (``AffinePermutation(e, window)``,
 ``identity``, ``from_full_window``, ``from_json``).  W0 is closed under
 ``compose``, ``inverse`` and ``conjugate_by_pi``, so their results and the
 simple reflections skip the checks through ``AffinePermutation._raw``.
+So is the extended ``multiply``, which builds its canonical form from one
+``conjugate_by_pi`` and one ``compose``.
 
 >>> s1 = generator(3, 1)
 >>> s1.w0.window
@@ -214,10 +216,10 @@ class ExtendedWeylElement:
         return self.k == 0 and self.w0.is_identity()
 
     def multiply(self, other: "ExtendedWeylElement") -> "ExtendedWeylElement":
-        if self.e != other.e:
-            raise ValueError("rank mismatch")
-        full = tuple(self.apply(other.apply(i)) for i in range(1, self.e + 1))
-        return ExtendedWeylElement.from_full_window(self.e, full)
+        # (pi**a u)(pi**b v) = pi**(a + b) * (pi**-b u pi**b) * v
+        return ExtendedWeylElement(
+            self.k + other.k, conjugate_by_pi(self.w0, -other.k).compose(other.w0)
+        )
 
     def inverse(self) -> "ExtendedWeylElement":
         # (pi**k w0)**-1 = pi**-k * (pi**k w0**-1 pi**-k)
@@ -356,9 +358,16 @@ def perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def conjugate_by_pi(w0: AffinePermutation, k: int) -> AffinePermutation:
-    """pi**k * w0 * pi**-k, again in W0; preserves length."""
-    e = w0.e
-    return AffinePermutation._raw(e, tuple(w0.apply(i + k) - k for i in range(1, e + 1)))
+    """pi**k * w0 * pi**-k, again in W0; preserves length.
+
+    Its window is w0(i + k) - k for i = 1..e: with r = k mod e, the window
+    of w0 rotated left by r slots, the r wrapped values raised by e, and
+    every value lowered by r.
+    """
+    e, win = w0.e, w0.window
+    r = k % e
+    out = [v - r for v in win[r:]] + [v + e - r for v in win[:r]]
+    return AffinePermutation._raw(e, tuple(out))
 
 
 if __name__ == "__main__":

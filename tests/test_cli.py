@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 from heckezonal import cli
 
@@ -62,6 +63,36 @@ def test_q0_must_be_prime_power():
     assert run_cli("coefficient", "--q0", "4", "--L", "2").returncode == 0
     powers = [n for n in range(2, 30) if cli._is_prime_power(n)]
     assert powers == [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29]
+
+
+def trial_division_prime_power(n):
+    p = next(d for d in range(2, n + 1) if n % d == 0)
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def test_is_prime_power_is_exact_and_bounded():
+    assert [n for n in range(2, 10_000) if cli._is_prime_power(n)] == [
+        n for n in range(2, 10_000) if trial_division_prime_power(n)
+    ]
+    cases = {
+        2**61 - 1: True,
+        3**40: True,
+        (2**31 - 1) * (2**61 - 1): False,
+        (2**31 - 1) ** 3: True,
+        # a strong pseudoprime to every prime base up to 37
+        318_665_857_834_031_151_167_461: False,
+    }
+    for n, expect in cases.items():
+        start = time.perf_counter()
+        assert cli._is_prime_power(n) is expect, n
+        assert time.perf_counter() - start < 0.01, n
+
+
+def test_q0_above_exact_range_exits_2(capsys):
+    assert cli.run(["eigen", "--q0", str(cli.Q0_LIMIT), "--L", "1"]) == 2
+    assert "--q0 too large" in capsys.readouterr().err
 
 
 def test_check_failure_exits_1():

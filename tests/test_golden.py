@@ -4,9 +4,12 @@ The files under ``tests/golden/`` were recorded with ``python -m
 heckezonal``: the eigen, presentation and e = 3 coefficient files before
 the scalar fast paths went in, the growth, poincare, distinction,
 gelfand and all files before the Gelfand catalog moved from JSON to its
-builders, and the e = 4 and e = 5 coefficient files before the trusted
-Weyl constructor and the slot-swap ``ev`` went in.  They are reference data: a change that alters a single byte
-of a report fails here.
+builders, the e = 4 and e = 5 coefficient files before the trusted
+Weyl constructor and the slot-swap ``ev`` went in, and the e = 5 eigen
+and e = 8 presentation files before the trusted extended ``multiply``,
+the descent-test generator rule and the psi0 table went in.  They are
+reference data: a change that alters a single byte of a report fails
+here.
 """
 
 import pathlib
@@ -25,7 +28,9 @@ CASES = {
     "eigen_e4_L4_chi2.json": ["eigen", "--e", "4", "--L", "4", "--chi-pi=2"],
     "eigen_e4_L4_chim1_3.json": ["eigen", "--e", "4", "--L", "4", "--chi-pi=-1/3"],
     "presentation_e3_seed3.json": ["presentation", "--e", "3", "--seed", "3"],
+    "eigen_e5_L5_chim1_3.json": ["eigen", "--e", "5", "--L", "5", "--chi-pi=-1/3"],
     "presentation_e5_seed3.json": ["presentation", "--e", "5", "--seed", "3"],
+    "presentation_e8_seed1.json": ["presentation", "--e", "8", "--seed", "1"],
     "coefficient_e3_f2_q03_L4.json": ["coefficient", "--e", "3", "--f", "2", "--q0", "3", "--L", "4"],
     "coefficient_e5_f1_q02_L4.json": ["coefficient", "--e", "5", "--f", "1", "--q0", "2", "--L", "4"],
     "coefficient_e4_f3_q05_L5_seed7.json": [

@@ -10,6 +10,7 @@ from heckezonal.scalars import LaurentPoly
 from heckezonal.weyl import (
     AffinePermutation,
     ExtendedWeylElement,
+    conjugate_by_pi,
     enumerate_by_length,
     generator,
     multiply,
@@ -93,6 +94,50 @@ def test_left_pi_power_shortcut_matches_multiply():
         pk = ExtendedWeylElement(k, AffinePermutation.identity(e))
         expect = {multiply(pk, w): c for w, c in coeffs.items()}
         assert A._left_pi_power(k, coeffs) == expect
+
+
+def length_rule_left_generator(algebra, i, h):
+    """[s_i] h by the two-case rule, the case picked by comparing lengths."""
+    q1 = algebra.q1
+    s = generator(algebra.e, i)
+    out = algebra.zero()
+    for w, c in h.coeffs.items():
+        sw = multiply(s, w)
+        if sw.length() == w.length() + 1:
+            out = out + algebra.element({sw: c})
+        else:
+            out = out + algebra.element({sw: q1 * c, w: (q1 - 1) * c})
+    return out
+
+
+def test_left_generator_matches_length_rule():
+    rng = random.Random(131)
+    for e in range(2, 9):
+        A = generic_algebra(e)
+        for _ in range(10):
+            coeffs = {}
+            for _ in range(6):
+                w = ExtendedWeylElement(rng.randrange(-3, 4), AffinePermutation.identity(e))
+                for _ in range(rng.randrange(0, 9)):
+                    w = multiply(generator(e, rng.randrange(e)), w)
+                coeffs[w] = rng.randrange(1, 5)
+            h = A.element(coeffs)
+            for i in range(e):
+                got = A.element(A._left_generator(i, h.coeffs))
+                assert got == length_rule_left_generator(A, i, h), (e, i)
+
+
+def test_presentation_catches_flipped_conjugation(monkeypatch):
+    # (pi**a u)(pi**b v) needs pi**-b u pi**b; conjugating by pi**b instead
+    # sends [s_i][pi**b w0] to the wrong generator
+    assert verify_presentation(4).ok
+
+    def flipped(self, other):
+        w0 = conjugate_by_pi(self.w0, other.k).compose(other.w0)
+        return ExtendedWeylElement(self.k + other.k, w0)
+
+    monkeypatch.setattr(ExtendedWeylElement, "multiply", flipped)
+    assert not verify_presentation(4).ok
 
 
 def test_descent_case_by_hand():

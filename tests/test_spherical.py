@@ -68,6 +68,41 @@ def test_psi0_coefficient_oracle(e, chi_pi):
                 assert psi0_coefficient(w, numeric) == unit / q1**ell, w
 
 
+def test_psi0_table_matches_closed_formula():
+    # random elements at e = 2..8 and |k| <= 3, each looked up twice
+    rng = random.Random(141)
+    q1 = Fraction(5) ** 2
+    for e in range(2, 9):
+        chi_pi = rng.choice(CHI_PIS)
+        generic = SphericalParams.generic(e, chi_pi=chi_pi)
+        numeric = SphericalParams.numeric(e, 1, 5, chi_pi=chi_pi)
+        keys = set()
+        for _ in range(40):
+            w = ExtendedWeylElement.identity(e)
+            for _ in range(rng.randrange(0, 9)):
+                w = multiply(generator(e, rng.randrange(e)), w)
+            w = ExtendedWeylElement(rng.randrange(-3, 4), w.w0)
+            ell = len(w.w0.reduced_word())
+            unit = (-1) ** ell * chi_pi ** (-w.k)
+            keys.add((ell, w.k))
+            for _ in range(2):
+                assert psi0_coefficient(w, generic) == LaurentPoly.term(unit, -ell), w
+                assert psi0_coefficient(w, numeric) == unit / q1**ell, w
+        assert set(generic._psi0_table) == keys == set(numeric._psi0_table)
+
+
+def test_psi0_table_is_per_params():
+    # same (e, f, q0) and the same (length, k) keys, different chi_pi
+    e = 3
+    w = ExtendedWeylElement(1, generator(e, 1).w0)
+    a = SphericalParams.generic(e, chi_pi=Fraction(2))
+    b = SphericalParams.generic(e, chi_pi=Fraction(-1, 3))
+    assert psi0_coefficient(w, a) == LaurentPoly.term(Fraction(-1, 2), -1)
+    assert psi0_coefficient(w, b) == LaurentPoly.term(3, -1)
+    assert a._psi0_table is not b._psi0_table
+    assert a._psi0_table[(1, 1)] != b._psi0_table[(1, 1)]
+
+
 @pytest.mark.parametrize("e", [3, 4])
 def test_eigen_checks_catch_one_wrong_coefficient(e, monkeypatch):
     p = SphericalParams.generic(e, chi_pi=Fraction(2))

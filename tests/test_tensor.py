@@ -143,6 +143,30 @@ def test_ev_matches_compose_fold():
             assert ev(w, p) == fold_ev(w, p), (e, w)
 
 
+def compose_fold_power(op, n):
+    """op**n as |n| repeated compositions of op, or of its inverse for n < 0."""
+    base = op if n >= 0 else op.inverse()
+    result = PlaceOperator.identity(op.e)
+    for _ in range(abs(n)):
+        result = result.compose(base)
+    return result
+
+
+def test_power_matches_compose_fold():
+    rng = random.Random(151)
+    for e in range(2, 9):
+        ops = [gamma_operator(e), t_operator(0, e)]
+        for _ in range(4):
+            perm = list(range(1, e + 1))
+            rng.shuffle(perm)
+            ops.append(PlaceOperator(e, tuple(perm), Fraction(rng.choice([-3, 2, 5]), rng.choice([1, 4]))))
+        for op in ops:
+            for n in range(-2 * e, 2 * e + 1):
+                got = op.power(n)
+                assert got == compose_fold_power(op, n), (op, n)
+                assert PlaceOperator(e, got.perm, got.scale) == got
+
+
 def test_coefficient_fails_on_non_reduced_word(monkeypatch):
     # with f = 2 every letter scales by q**-1, so two extra letters that
     # cancel in the group still change the operator scale

@@ -193,6 +193,33 @@ def test_trusted_results_are_valid_windows():
                 assert c.length() == a.length()
 
 
+def reference_multiply(a: ExtendedWeylElement, b: ExtendedWeylElement) -> ExtendedWeylElement:
+    """a * b by evaluating the bijections on 1..e, through the validating constructor."""
+    full = tuple(a.apply(b.apply(x)) for x in range(1, a.e + 1))
+    return ExtendedWeylElement.from_full_window(a.e, full)
+
+
+def test_multiply_matches_full_window_reference():
+    rng = random.Random(111)
+    for e in range(2, 9):
+        for _ in range(30):
+            a, b, c = (random_element(e, rng, max_len=10, max_k=3) for _ in range(3))
+            ab = multiply(a, b)
+            assert ab == reference_multiply(a, b), (a, b)
+            assert ExtendedWeylElement.from_full_window(e, ab.full_window()) == ab
+            assert multiply(ab, c) == multiply(a, multiply(b, c))
+
+
+def test_conjugate_by_pi_matches_apply_formula():
+    rng = random.Random(121)
+    for e in range(2, 9):
+        for _ in range(20):
+            w0 = random_element(e, rng, max_len=10, max_k=0).w0
+            for k in range(-2 * e, 2 * e + 1):
+                expect = tuple(w0.apply(x + k) - k for x in range(1, e + 1))
+                assert conjugate_by_pi(w0, k).window == expect, (w0.window, k)
+
+
 def test_has_left_descent_matches_length():
     rng = random.Random(71)
     for e in range(2, 9):
