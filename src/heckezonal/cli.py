@@ -214,14 +214,17 @@ def cmd_coefficient(args) -> tuple[int, dict]:
     layers = enumerate_by_length(args.e, args.L)
     checked = mismatches = 0
     for ell, layer in enumerate(layers):
+        # the closed form reads w0 only through l(w0): one value per layer,
+        # and each element's inversion count is checked against the layer
+        closed = matrix_coefficient_scalar(layer[0], 0, p)
+        power = scalar_power(neg_inv_q1, ell)
         for w0 in layer:
-            closed = matrix_coefficient_scalar(w0, 0, p)
+            if w0.length() != ell:
+                mismatches += 1
             for k in range(args.e):
                 operator = ev(ExtendedWeylElement(k, w0), p)
                 checked += 1
-                if scalar_power(neg_inv_q1, ell) * operator.scale != closed:
-                    mismatches += 1
-                if matrix_coefficient_scalar(w0, k, p) != closed:
+                if power * operator.scale != closed:
                     mismatches += 1
     word_limit = min(args.L, 6)
     word_ok = True

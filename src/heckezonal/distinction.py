@@ -18,13 +18,16 @@ for the Poincare series P(X) = sum X**l(w0), computed as the product
 
 whose Maclaurin coefficients are cross-checked against breadth-first
 enumeration.  Every factor is positive on (-1, 1), so P never vanishes
-there.  All arithmetic is exact; truncation quality is reported through
-the exact tail bound e * sum_{l > L} N(l) (1/q0**f)**l rather than any
-floating tolerance.
+there.  As every term depends on w0 only through l(w0), the sum is
+taken once per BFS layer, and each element of a layer is checked to
+have the layer's length.  All arithmetic is exact; truncation quality
+is reported through the exact tail bound e * sum_{l > L} N(l)
+(1/q0**f)**l rather than any floating tolerance.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -97,11 +100,13 @@ def growth_bfs(e: int, max_length: int, max_elems: int | None = None) -> GrowthS
     return GrowthSeries(e, tuple(len(layer) for layer in layers), "BFS")
 
 
+@functools.lru_cache(maxsize=None)
 def poincare_closed_form(e: int) -> tuple[LaurentPoly, LaurentPoly]:
     """Numerator and denominator of the length generating function.
 
     The product form over the exponents m_i = i of the finite symmetric
-    group: prod (1 - X**(i+1)) / ((1 - X)(1 - X**i)).
+    group: prod (1 - X**(i+1)) / ((1 - X)(1 - X**i)).  Built once per e:
+    ``LaurentPoly`` is immutable, so callers share the result.
     """
     if e < 2:
         raise ValueError("rank e must be at least 2")
@@ -194,7 +199,11 @@ def distinction_integral(
     partial_sum = e * sum over l(w0) <= L of volume * coefficient,
     normalized by the vector pairing; the k-sum over the e rotation
     classes contributes the factor e because every term is
-    k-independent.  closed_form = e * P(-1/q0**f).  The exact tail
+    k-independent.  A term depends on w0 only through l(w0), so the sum
+    is taken per BFS layer: every element's inversion count is checked
+    against its layer index, and the layer adds len(layer) copies of
+    the term of its first element, itself checked against
+    (-1/q0**f)**l.  closed_form = e * P(-1/q0**f).  The exact tail
     bound dominates |partial_sum - closed_form| and shrinks
     geometrically with L.
     """
@@ -211,12 +220,12 @@ def distinction_integral(
     tail_partial = Fraction(0)
     per_term_ok = True
     for ell, layer in enumerate(layers):
-        expected = (-y) ** ell
-        for w0 in layer:
-            term = per_term_value(w0, f, q0)
-            if term != expected:
-                per_term_ok = False
-            inner += term
+        if any(w0.length() != ell for w0 in layer):
+            per_term_ok = False
+        term = per_term_value(layer[0], f, q0)
+        if term != (-y) ** ell:
+            per_term_ok = False
+        inner += len(layer) * term
         tail_partial += len(layer) * y**ell
     partial = e * inner
     closed = e * poincare_value(e, -y)

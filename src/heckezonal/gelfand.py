@@ -20,6 +20,8 @@ verified here; irreducibility is checked exactly through the commutant.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -52,10 +54,18 @@ def mat_identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, m, p = len(a), len(b), len(b[0])
+    # every Fraction product and sum reduces by a gcd; scaling each factor
+    # to an integer matrix by the lcm of its denominators leaves integer
+    # dot products and one reduction per output entry
+    da = math.lcm(*(x.denominator for row in a for x in row))
+    db = math.lcm(*(x.denominator for row in b for x in row))
+    ia = [[x.numerator * (da // x.denominator) for x in row] for row in a]
+    ib = [[x.numerator * (db // x.denominator) for x in row] for row in b]
+    cols = list(zip(*ib))
+    den = da * db
     return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(m)), Fraction(0)) for j in range(p))
-        for i in range(n)
+        tuple(Fraction(sum(map(operator.mul, row, col)), den) for col in cols)
+        for row in ia
     )
 
 

@@ -18,7 +18,8 @@ Windows are validated where they enter (``AffinePermutation(e, window)``,
 ``compose``, ``inverse`` and ``conjugate_by_pi``, so their results and the
 simple reflections skip the checks through ``AffinePermutation._raw``.
 So is the extended ``multiply``, which builds its canonical form from one
-``conjugate_by_pi`` and one ``compose``.
+``conjugate_by_pi`` and one ``compose``, and so are the layers of
+``enumerate_by_length``, whose search runs on raw window tuples.
 
 >>> s1 = generator(3, 1)
 >>> s1.w0.window
@@ -315,20 +316,22 @@ def enumerate_by_length(
     Layer l holds every w0 of length exactly l, each once, sorted by
     window, so the output is independent of hash or visit order.  The
     search multiplies by generators only and never consults length(),
-    which keeps it usable as an independent distance oracle.
+    which keeps it usable as an independent distance oracle.  It runs on
+    raw window tuples, s_i applied as in ``compose``, and wraps the
+    sorted layers through ``AffinePermutation._raw`` at the end.
     """
     if max_length < 0:
         raise ValueError("max_length must be nonnegative")
     cap = _enum_cap(max_elems)
-    gens = [_simple(e, i) for i in range(e)]
-    identity = AffinePermutation.identity(e)
+    identity = AffinePermutation.identity(e).window
+    gens = [_simple(e, i).window for i in range(e)]
     seen = {identity}
     layers = [[identity]]
     for _ in range(max_length):
         frontier = set()
         for w in layers[-1]:
             for s in gens:
-                u = s.compose(w)
+                u = tuple([s[(v - 1) % e] + (v - 1) // e * e for v in w])
                 if u not in seen:
                     frontier.add(u)
                     if len(seen) + len(frontier) > cap:
@@ -336,8 +339,9 @@ def enumerate_by_length(
                             f"enumeration cap exceeded ({ENUM_CAP_ENV}={cap})"
                         )
         seen |= frontier
-        layers.append(sorted(frontier, key=lambda p: p.window))
-    return layers
+        layers.append(sorted(frontier))
+    wrap = AffinePermutation._raw
+    return [[wrap(e, w) for w in layer] for layer in layers]
 
 
 def project_to_finite(a: ExtendedWeylElement) -> tuple[int, ...]:

@@ -8,6 +8,7 @@ import sys
 import time
 
 from heckezonal import cli
+from heckezonal.weyl import AffinePermutation, enumerate_by_length
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -133,3 +134,18 @@ def test_text_output():
     proc = run_cli("poincare", "--e", "3", "--output", "text")
     assert proc.returncode == 0
     assert b"all_positive: True" in proc.stdout
+
+
+def test_coefficient_wrong_length_on_one_element_exits_1(monkeypatch, capsys):
+    # off by one on the last element of layer 3: the closed value comes
+    # from the layer's first element, so only the per-element test sees it
+    target = enumerate_by_length(3, 3)[3][-1]
+    length = AffinePermutation.length
+
+    def patched(self):
+        return length(self) + (self == target)
+
+    monkeypatch.setattr(AffinePermutation, "length", patched)
+    assert cli.run(["coefficient", "--e", "3", "--L", "4"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["mismatches"] == 1 and report["ok"] is False

@@ -1,9 +1,11 @@
 """Growth series, Poincare values, and the truncated double-coset sum."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from heckezonal import cli
 from heckezonal.distinction import (
     GrowthSeries,
     RequiresOddE,
@@ -19,7 +21,7 @@ from heckezonal.distinction import (
 )
 from heckezonal.scalars import LaurentPoly
 from heckezonal.spherical import SphericalParams, matrix_coefficient_scalar
-from heckezonal.weyl import enumerate_by_length, generator, multiply
+from heckezonal.weyl import AffinePermutation, enumerate_by_length, generator, multiply
 
 
 def element_of_length(e, word):
@@ -151,6 +153,42 @@ def test_k_sum_is_e_times_single():
             for k in range(e):
                 explicit += coset_measure(w0, k, f, q0) * matrix_coefficient_scalar(w0, k, p)
     assert explicit == distinction_integral(e, f, q0, L).partial_sum
+
+
+def test_layer_sum_matches_per_element_sum():
+    # the per-layer sum against one term per coset, as the sum is defined
+    rng = random.Random(29)
+    for _ in range(12):
+        e = rng.choice((3, 5, 7))
+        f = rng.randint(1, 3)
+        q0 = rng.choice((2, 3, 4, 5, 7, 8, 9))
+        L = rng.randint(0, {3: 12, 5: 5, 7: 3}[e])
+        y = Fraction(1, q0**f)
+        inner = Fraction(0)
+        ok = True
+        for ell, layer in enumerate(enumerate_by_length(e, L)):
+            for w0 in layer:
+                term = per_term_value(w0, f, q0)
+                ok = ok and term == (-y) ** ell
+                inner += term
+        report = distinction_integral(e, f, q0, L)
+        assert report.partial_sum == e * inner, (e, f, q0, L)
+        assert report.per_term_ok is ok is True
+
+
+@pytest.mark.parametrize("position", [0, -1])
+def test_wrong_length_on_one_element_fails(monkeypatch, capsys, position):
+    # off by one on a single element of layer 3, first or last
+    target = enumerate_by_length(3, 3)[3][position]
+    length = AffinePermutation.length
+
+    def patched(self):
+        return length(self) + (self == target)
+
+    monkeypatch.setattr(AffinePermutation, "length", patched)
+    assert not distinction_integral(3, 1, 2, 5).per_term_ok
+    assert cli.run(["distinction", "--e", "3", "--L", "5"]) == 1
+    assert '"per_term_ok": false' in capsys.readouterr().out
 
 
 def test_nonvanishing_scan():

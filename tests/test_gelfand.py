@@ -1,5 +1,6 @@
 """Exact fixed spaces and invariant pairings for small finite groups."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -112,3 +113,23 @@ def test_catalog_expectations_hold():
         assert report.dim_fixed_dual == expected["dim_fixed_dual"]
         nonzero = report.pairing is not None and report.pairing != 0
         assert nonzero == expected["nonzero_pairing"]
+
+
+def test_mat_mul_matches_fraction_triple_loop():
+    rng = random.Random(41)
+
+    def random_matrix(rows, cols):
+        return tuple(
+            tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 7))) for _ in range(cols))
+            for _ in range(rows)
+        )
+
+    for _ in range(200):
+        n, m, p = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a, b = random_matrix(n, m), random_matrix(m, p)
+        naive = tuple(
+            tuple(sum((a[i][k] * b[k][j] for k in range(m)), Fraction(0)) for j in range(p))
+            for i in range(n)
+        )
+        assert mat_mul(a, b) == naive
+        assert all(type(x) is Fraction for row in mat_mul(a, b) for x in row)

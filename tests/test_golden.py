@@ -7,7 +7,10 @@ gelfand and all files before the Gelfand catalog moved from JSON to its
 builders, the e = 4 and e = 5 coefficient files before the trusted
 Weyl constructor and the slot-swap ``ev`` went in, and the e = 5 eigen
 and e = 8 presentation files before the trusted extended ``multiply``,
-the descent-test generator rule and the psi0 table went in.  They are
+the descent-test generator rule and the psi0 table went in, and the
+e = 3 L = 60 and e = 7 distinction, e = 7 poincare and e = 6 growth
+files before the per-layer coset sum, the tuple BFS and the
+common-denominator ``mat_mul`` went in.  They are
 reference data: a change that alters a single byte of a report fails
 here.
 """
@@ -42,6 +45,10 @@ CASES = {
     "distinction_e3_f2_q03_L20.json": ["distinction", "--e", "3", "--f", "2", "--q0", "3", "--L", "20"],
     "distinction_e5_L4.txt": ["distinction", "--e", "5", "--L", "4", "--output", "text"],
     "gelfand.json": ["gelfand"],
+    "distinction_e3_f1_q02_L60.json": ["distinction", "--e", "3", "--f", "1", "--q0", "2", "--L", "60"],
+    "distinction_e7_f2_q03_L5.json": ["distinction", "--e", "7", "--f", "2", "--q0", "3", "--L", "5"],
+    "poincare_e7.json": ["poincare", "--e", "7"],
+    "growth_e6_L5.json": ["growth", "--e", "6", "--L", "5"],
     "all_e3_L3.json": ["all", "--e", "3", "--L", "3"],
     "all_e4_L3.json": ["all", "--e", "4", "--L", "3"],
 }

@@ -50,8 +50,8 @@ def bfs_distance(target: ExtendedWeylElement) -> int:
 
 
 def test_doctests():
-    failures, _ = doctest.testmod(heckezonal.weyl)
-    assert failures == 0
+    failures, attempted = doctest.testmod(heckezonal.weyl)
+    assert failures == 0 and attempted > 0
 
 
 def test_generator_examples():
@@ -307,23 +307,57 @@ def test_enumerate_layers_visit_order_independent():
             assert frontier == set(layers[depth])
 
 
-def test_enumerate_cap(monkeypatch):
+def reference_enumerate(e, max_length):
+    """The object-based BFS: compose on AffinePermutation, objects in seen."""
+    gens = [generator(e, i).w0 for i in range(e)]
+    identity = AffinePermutation.identity(e)
+    seen = {identity}
+    layers = [[identity]]
+    for _ in range(max_length):
+        frontier = set()
+        for w in layers[-1]:
+            for s in gens:
+                u = s.compose(w)
+                if u not in seen:
+                    frontier.add(u)
+        seen |= frontier
+        layers.append(sorted(frontier, key=lambda p: p.window))
+    return layers
+
+
+@pytest.mark.parametrize("e, lengths", [
+    (2, (0, 1, 7, 20)), (3, (0, 2, 9)), (4, (1, 6)), (5, (3, 5)), (6, (2, 4)), (7, (1, 4)),
+])
+def test_enumerate_matches_object_bfs(e, lengths):
+    for L in lengths:
+        layers = enumerate_by_length(e, L)
+        reference = reference_enumerate(e, L)
+        assert [[w.window for w in layer] for layer in layers] == [
+            [w.window for w in layer] for layer in reference
+        ]
+        for layer in layers:
+            for w in layer:
+                assert w.e == e
+                AffinePermutation(e, w.window)  # the validating constructor
+
+
+def test_enumerate_cap():
     with pytest.raises(EnumerationCapExceeded):
         enumerate_by_length(4, 10, max_elems=50)
-    # the cap is tested as the frontier grows: building layers 1 and 2
-    # whole before testing it would take 30 compose calls here
-    calls = 0
-    compose = AffinePermutation.compose
 
-    def counting_compose(self, other):
-        nonlocal calls
-        calls += 1
-        return compose(self, other)
+    # the cap is tested as each element joins the frontier: `total > cap`
+    # tries the subclass's reflected __lt__ first, which records the total
+    class Cap(int):
+        largest = 0
 
-    monkeypatch.setattr(AffinePermutation, "compose", counting_compose)
+        def __lt__(self, total):
+            Cap.largest = max(Cap.largest, total)
+            return int(self) < total
+
     with pytest.raises(EnumerationCapExceeded):
-        enumerate_by_length(5, 6, max_elems=7)
-    assert calls <= 15
+        enumerate_by_length(5, 6, max_elems=Cap(7))
+    # testing it once per layer would first see 1 + 5 + 15 = 21
+    assert Cap.largest == 8
 
 
 def test_project_to_finite():
