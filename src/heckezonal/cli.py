@@ -23,7 +23,7 @@ from . import gelfand as gf
 from .hecke import HeckeAlgebra, verify_presentation
 from .scalars import LaurentPoly, format_rational, parse_rational, scalar_power
 from .spherical import SphericalParams, matrix_coefficient_scalar, verify_eigen_generator, verify_eigen_pi
-from .tensor import PlaceOperator, ev, t_operator
+from .tensor import PlaceOperator, ev, t_operator, word_perm
 from .weyl import (
     EnumerationCapExceeded,
     ExtendedWeylElement,
@@ -71,7 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("presentation", parents=[common], help="defining relations of the algebra")
     sub.add_parser("eigen", parents=[common], help="truncated eigen-equation of the spherical vector")
-    sub.add_parser("coefficient", parents=[common], help="operator model vs closed coefficient form")
+    sub.add_parser(
+        "coefficient",
+        parents=[common],
+        help="operator model vs closed coefficient form",
+        description="Operator model vs closed coefficient form on every w0 with "
+        "l(w0) <= L; the reduced-word independence check covers l(w0) <= min(L, 6).",
+    )
     sub.add_parser("growth", parents=[common], help="BFS growth counts vs closed-form series")
     poincare = sub.add_parser("poincare", parents=[common], help="exact Poincare series values")
     poincare.add_argument(
@@ -215,28 +221,35 @@ def cmd_coefficient(args) -> tuple[int, dict]:
     checked = mismatches = 0
     for ell, layer in enumerate(layers):
         # the closed form reads w0 only through l(w0): one value per layer,
-        # and each element's inversion count is checked against the layer
+        # and each element's inversion count is checked against the layer;
+        # (-1/q1)**ell * scale == closed is tested as scale == expected
         closed = matrix_coefficient_scalar(layer[0], 0, p)
-        power = scalar_power(neg_inv_q1, ell)
+        expected = closed / scalar_power(neg_inv_q1, ell)
         for w0 in layer:
             if w0.length() != ell:
                 mismatches += 1
             for k in range(args.e):
                 operator = ev(ExtendedWeylElement(k, w0), p)
                 checked += 1
-                if power * operator.scale != closed:
+                if operator.scale != expected:
                     mismatches += 1
+    # Matsumoto: any two reduced words are linked by braid moves, so all
+    # words of w0 give one perm exactly when the t_i satisfy the braid
+    # relations.  Each word's perm comes from slot swaps (word_perm, as in
+    # ev); the operator product of t_operator factors along the first
+    # word joins the same set, a cross-check independent of the swap rule
     word_limit = min(args.L, 6)
+    ts = [t_operator(i, args.e) for i in range(args.e)]
     word_ok = True
     words_checked = 0
-    for layer in enumerate_by_length(args.e, word_limit):
+    for layer in layers[: word_limit + 1]:
         for w0 in layer:
-            perms = set()
-            for word in all_reduced_words(w0):
-                op = PlaceOperator.identity(args.e)
-                for idx in word:
-                    op = op.compose(t_operator(idx, args.e))
-                perms.add(op.perm)
+            words = all_reduced_words(w0)
+            op = PlaceOperator.identity(args.e)
+            for idx in words[0]:
+                op = op.compose(ts[idx])
+            perms = {op.perm}
+            perms.update(word_perm(word, args.e) for word in words)
             words_checked += 1
             if len(perms) != 1:
                 word_ok = False

@@ -263,7 +263,7 @@ class RelationCheck:
         return self.passed == self.cases
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "name": self.name,
             "description": self.description,
             "cases": self.cases,
@@ -272,6 +272,10 @@ class RelationCheck:
             "axiom": self.axiom,
             "ok": self.ok,
         }
+        if not self.ok:
+            # the labels of the failing cases; absent on a pass
+            out["failures"] = list(self.failures)
+        return out
 
 
 @dataclass

@@ -123,6 +123,16 @@ class SphericalParams:
         # psi0 coefficients by (l(w0), k), filled by psi0_coefficient
         return {}
 
+    @cached_property
+    def _ev_gamma_table(self) -> dict:
+        # Gamma**r by r = k mod e, filled by tensor.ev
+        return {}
+
+    @cached_property
+    def _ev_scale_table(self) -> dict:
+        # ev's q-power scale by reduced-word length, filled by tensor.ev
+        return {}
+
     def algebra(self) -> HeckeAlgebra:
         return HeckeAlgebra(self.e, self.q1)
 

@@ -19,6 +19,12 @@ satisfy the same braid relations as the group generators.  Note the
 rotation runs against the group projection: conjugation by Gamma raises
 t-indices (Gamma o t_i o Gamma**-1 = t_{i+1 mod e}) while conjugation by
 pi lowers s-indices, so t_0 = Gamma**-1 o t_1 o Gamma.
+
+``word_perm`` builds the t-factor permutation by swapping slots of one
+list per letter.  Gamma**e is the identity with scale 1, so Gamma**k
+depends only on k mod e, and the q-power scale depends on the word only
+through its length: ``ev`` reads both from tables on the SphericalParams
+instance, filled on first use, which live and die with the parameters.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ __all__ = [
     "TensorVector",
     "t_operator",
     "gamma_operator",
+    "word_perm",
     "ev",
     "apply_operator",
     "pair",
@@ -132,6 +139,18 @@ def gamma_operator(e: int) -> PlaceOperator:
     return PlaceOperator(e, tuple((i % e) + 1 for i in range(1, e + 1)))
 
 
+def word_perm(word, e: int) -> tuple[int, ...]:
+    """The permutation of t_{i_1} o ... o t_{i_l} for word [i_1, ..., i_l].
+
+    Right-composing with t_i swaps slots (i, i+1), or (1, e) for i = 0.
+    """
+    perm = list(range(1, e + 1))
+    for idx in word:
+        a = idx - 1 if idx else e - 1
+        perm[a], perm[idx] = perm[idx], perm[a]
+    return tuple(perm)
+
+
 def ev(w: ExtendedWeylElement, p: SphericalParams) -> PlaceOperator:
     """Operator value of the dual spherical element at w = w_left * pi**k.
 
@@ -139,19 +158,23 @@ def ev(w: ExtendedWeylElement, p: SphericalParams) -> PlaceOperator:
     with w_left = pi**k w0 pi**-k (same length), whose reduced word
     supplies the t-factors; Gamma**k composes on the right.  Scale and
     all pairings against rotation-invariant vectors are identical for
-    either bracketing.
+    either bracketing.  Gamma**(k mod e) and the q-power of each word
+    length come from tables on ``p``; Gamma has scale 1, so that q-power
+    is the whole scale.
     """
     if w.e != p.e:
         raise ValueError("rank mismatch")
     word = conjugate_by_pi(w.w0, w.k).reduced_word()
-    # right-composing with t_i swaps slots (i, i+1), or (1, e) for i = 0
-    perm = list(range(1, p.e + 1))
-    for idx in word:
-        a = idx - 1 if idx else p.e - 1
-        perm[a], perm[idx] = perm[idx], perm[a]
-    gamma_k = gamma_operator(p.e).power(w.k)
-    scale = p.q_power(-(p.f * (p.f - 1) // 2) * len(word)) * gamma_k.scale
-    return PlaceOperator._raw(p.e, perm_compose(tuple(perm), gamma_k.perm), scale)
+    r = w.k % p.e
+    gammas = p._ev_gamma_table
+    gamma_k = gammas.get(r)
+    if gamma_k is None:
+        gamma_k = gammas[r] = gamma_operator(p.e).power(r)
+    scales = p._ev_scale_table
+    scale = scales.get(len(word))
+    if scale is None:
+        scale = scales[len(word)] = p.q_power(-(p.f * (p.f - 1) // 2) * len(word))
+    return PlaceOperator._raw(p.e, perm_compose(word_perm(word, p.e), gamma_k.perm), scale)
 
 
 @dataclass(frozen=True)

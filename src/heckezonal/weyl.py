@@ -274,24 +274,35 @@ def reduced_word(a) -> list[int]:
 
 
 def all_reduced_words(a) -> list[list[int]]:
-    """Every reduced word of the W0 part, by exhaustive descent recursion."""
-    w0 = a.w0 if isinstance(a, ExtendedWeylElement) else a
-    cache: dict[AffinePermutation, list[list[int]]] = {}
+    """Every reduced word of the W0 part, by exhaustive descent recursion.
 
-    def walk(w: AffinePermutation) -> list[list[int]]:
-        if w.is_identity():
-            return [[]]
-        if w in cache:
-            return cache[w]
+    The recursion runs on inverse windows and reads each node's left
+    descents from its window with the tests of ``reduced_word``: a descent
+    at i >= 1 iff w**-1(i) > w**-1(i+1), at 0 iff w**-1(e) - e > w**-1(1).
+    s_i w has the inverse window of w with those two slots swapped (and
+    shifted by e for i = 0).  Words are listed by first letter, lowest
+    first, then recursively by the rest.
+    """
+    w0 = a.w0 if isinstance(a, ExtendedWeylElement) else a
+    e = w0.e
+    cache: dict[tuple[int, ...], list[list[int]]] = {tuple(range(1, e + 1)): [[]]}
+
+    def walk(inv: tuple[int, ...]) -> list[list[int]]:
+        words = cache.get(inv)
+        if words is not None:
+            return words
         words = []
-        for i in range(w.e):
-            if w.has_left_descent(i):
-                for tail in walk(_simple(w.e, i).compose(w)):
-                    words.append([i] + tail)
-        cache[w] = words
+        if inv[e - 1] - e > inv[0]:
+            nxt = (inv[e - 1] - e,) + inv[1 : e - 1] + (inv[0] + e,)
+            words.extend([0] + tail for tail in walk(nxt))
+        for i in range(1, e):
+            if inv[i - 1] > inv[i]:
+                nxt = inv[: i - 1] + (inv[i], inv[i - 1]) + inv[i + 1 :]
+                words.extend([i] + tail for tail in walk(nxt))
+        cache[inv] = words
         return words
 
-    return walk(w0)
+    return walk(w0.inverse().window)
 
 
 def is_length_increasing(i: int, a: ExtendedWeylElement) -> bool:

@@ -149,3 +149,19 @@ def test_coefficient_wrong_length_on_one_element_exits_1(monkeypatch, capsys):
     assert cli.run(["coefficient", "--e", "3", "--L", "4"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["mismatches"] == 1 and report["ok"] is False
+
+
+def test_failing_presentation_names_its_cases(monkeypatch, capsys):
+    # pi**k applied as pi**-k breaks the pi relations; the report names
+    # each failing family's case labels, and passing families carry none
+    from heckezonal.hecke import HeckeAlgebra
+
+    honest = HeckeAlgebra._left_pi_power
+    monkeypatch.setattr(HeckeAlgebra, "_left_pi_power", lambda self, k, c: honest(self, -k, c))
+    assert cli.run(["presentation", "--e", "4"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["iv"]["ok"] is False
+    assert checks["iv"]["failures"] == ["i=2", "i=3"]
+    for c in checks.values():
+        assert ("failures" in c) == (not c["ok"])
+        assert len(c.get("failures", [])) == c["cases"] - c["passed"]

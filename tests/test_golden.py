@@ -10,8 +10,10 @@ and e = 8 presentation files before the trusted extended ``multiply``,
 the descent-test generator rule and the psi0 table went in, and the
 e = 3 L = 60 and e = 7 distinction, e = 7 poincare and e = 6 growth
 files before the per-layer coset sum, the tuple BFS and the
-common-denominator ``mat_mul`` went in.  They are
-reference data: a change that alters a single byte of a report fails
+common-denominator ``mat_mul`` went in, and the e = 3 L = 9 and e = 6
+coefficient files before the slot-swap reduced-word fold, the
+per-params ``ev`` tables and the one-window descent scan went in.  They
+are reference data: a change that alters a single byte of a report fails
 here.
 """
 
@@ -49,6 +51,8 @@ CASES = {
     "distinction_e7_f2_q03_L5.json": ["distinction", "--e", "7", "--f", "2", "--q0", "3", "--L", "5"],
     "poincare_e7.json": ["poincare", "--e", "7"],
     "growth_e6_L5.json": ["growth", "--e", "6", "--L", "5"],
+    "coefficient_e3_f2_q07_L9.json": ["coefficient", "--e", "3", "--f", "2", "--q0", "7", "--L", "9"],
+    "coefficient_e6_f2_q03_L4.json": ["coefficient", "--e", "6", "--f", "2", "--q0", "3", "--L", "4"],
     "all_e3_L3.json": ["all", "--e", "3", "--L", "3"],
     "all_e4_L3.json": ["all", "--e", "4", "--L", "3"],
 }

@@ -1,5 +1,6 @@
 """Place operators, the evaluation map, and the operator-model oracle."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from heckezonal.tensor import (
     gamma_operator,
     pair,
     t_operator,
+    word_perm,
 )
 from heckezonal.weyl import (
     AffinePermutation,
@@ -141,6 +143,82 @@ def test_ev_matches_compose_fold():
                 w = multiply(generator(e, rng.randrange(e)), w)
             w = ExtendedWeylElement(rng.randrange(-e, e + 1), w.w0)
             assert ev(w, p) == fold_ev(w, p), (e, w)
+
+
+def test_ev_matches_compose_fold_over_k_range():
+    # k over three full rotations each way: Gamma**k is read by k mod e
+    rng = random.Random(97)
+    for e in range(2, 8):
+        p = SphericalParams.numeric(e, rng.choice([2, 3]), rng.choice([2, 3, 5]))
+        for _ in range(8):
+            w0 = ExtendedWeylElement.identity(e)
+            for _ in range(rng.randrange(0, 8)):
+                w0 = multiply(generator(e, rng.randrange(e)), w0)
+            for k in range(-3 * e, 3 * e + 1):
+                w = ExtendedWeylElement(k, w0.w0)
+                assert ev(w, p) == fold_ev(w, p), (e, w)
+
+
+def test_ev_tables_once_per_params(monkeypatch):
+    import heckezonal.tensor as tensor
+
+    calls = []
+    real_gamma = tensor.gamma_operator
+    monkeypatch.setattr(tensor, "gamma_operator", lambda e: calls.append(e) or real_gamma(e))
+    e = 4
+    p = SphericalParams.numeric(e, 2, 3)
+    w0 = multiply(generator(e, 0), multiply(generator(e, 2), generator(e, 1))).w0
+    for k in range(-3 * e, 3 * e + 1):
+        ev(ExtendedWeylElement(k, w0), p)
+    # one Gamma power per residue k mod e, not one per k
+    assert calls == [e] * e
+    assert sorted(p._ev_gamma_table) == list(range(e))
+    # parameters differing only in f keep their own tables and scales
+    p1 = SphericalParams.numeric(e, 1, 3)
+    assert ev(ExtendedWeylElement(0, w0), p1).scale == 1
+    assert ev(ExtendedWeylElement(0, w0), p).scale == Fraction(1, 3**6)
+    assert p1._ev_scale_table == {3: 1}
+    assert p._ev_scale_table == {3: Fraction(1, 3**6)}
+
+
+@pytest.mark.parametrize("e", range(2, 8))
+def test_word_perm_matches_compose_fold(e):
+    # the slot-swap perms of all reduced words of an element form the
+    # same set as the t_operator/compose products along those words
+    for layer in enumerate_by_length(e, 5):
+        for w0 in layer:
+            words = all_reduced_words(w0)
+            swapped = {word_perm(word, e) for word in words}
+            folded = {word_operator(word, e).perm for word in words}
+            assert swapped == folded and len(swapped) == 1, w0.window
+
+
+def _word_check(capsys):
+    code = cli.run(["coefficient", "--e", "3", "--f", "2"])
+    return code, json.loads(capsys.readouterr().out)["reduced_word_independence"]
+
+
+def test_coefficient_word_check_fails_on_foreign_word(monkeypatch, capsys):
+    # s_1 s_0 gets the extra word [2, 0], a reduced word of s_2 s_0: the
+    # two slot-swap perms differ
+    assert _word_check(capsys) == (0, {"elements": 64, "ok": True})
+    target = multiply(generator(3, 1), generator(3, 0)).w0
+    honest = cli.all_reduced_words
+
+    def patched(w0):
+        words = honest(w0)
+        return words + [[2, 0]] if w0 == target else words
+
+    monkeypatch.setattr(cli, "all_reduced_words", patched)
+    assert _word_check(capsys) == (1, {"elements": 64, "ok": False})
+
+
+def test_coefficient_word_check_fails_on_wrong_t0(monkeypatch, capsys):
+    # t_0 swapping slots (1, 2) instead of (1, e) breaks the operator
+    # product along words that use it, not the slot-swap perms
+    honest = cli.t_operator
+    monkeypatch.setattr(cli, "t_operator", lambda i, e: honest(1 if i == 0 else i, e))
+    assert _word_check(capsys) == (1, {"elements": 64, "ok": False})
 
 
 def compose_fold_power(op, n):

@@ -254,6 +254,35 @@ def test_all_reduced_words_multiply_back():
             assert acc == a
 
 
+def reference_all_reduced_words(w0):
+    """The descent recursion on elements, one has_left_descent call per
+    generator and node, as all_reduced_words was first written."""
+    cache = {}
+
+    def walk(w):
+        if w.is_identity():
+            return [[]]
+        if w in cache:
+            return cache[w]
+        words = []
+        for i in range(w.e):
+            if w.has_left_descent(i):
+                for tail in walk(generator(w.e, i).w0.compose(w)):
+                    words.append([i] + tail)
+        cache[w] = words
+        return words
+
+    return walk(w0)
+
+
+@pytest.mark.parametrize("e", range(2, 8))
+def test_all_reduced_words_matches_descent_recursion(e):
+    # same words in the same order, on every element of length <= 5
+    for layer in enumerate_by_length(e, 5):
+        for w0 in layer:
+            assert all_reduced_words(w0) == reference_all_reduced_words(w0), w0.window
+
+
 def test_is_length_increasing():
     assert is_length_increasing(1, ExtendedWeylElement.identity(3))
     assert not is_length_increasing(1, generator(3, 1))
