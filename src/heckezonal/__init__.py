@@ -1,12 +1,17 @@
 """heckezonal: exact-arithmetic verification of affine Hecke algebra
 identities at desk scale.
 
-Subpackages cover exact scalars (rationals, Laurent polynomials), the
+The modules cover exact scalars (rationals, Laurent polynomials), the
 extended affine Weyl group in window notation, the generic Hecke algebra
 and its one-dimensional character, the spherical eigenvector and its
-explicit matrix-coefficient values, place-permutation operator models,
-growth and Poincare series with double-coset sums, and exact pairings of
-fixed vectors for finite groups.
+explicit matrix-coefficient values, the place-permutation operator model
+of those values, growth and Poincare series with double-coset sums, and
+exact pairings of fixed vectors for finite groups.  The ``heckezonal``
+command runs each of them as a verification suite; the names imported
+here are the library API.  Reference models that only the tests compare
+against (dense tensor vectors, the residue projection mod e,
+specialization of q1, a right-peeling Hecke product) are kept with the
+tests, not shipped.
 """
 
 from .scalars import (
@@ -23,13 +28,9 @@ from .weyl import (
     all_reduced_words,
     enumerate_by_length,
     generator,
-    inverse,
     is_length_increasing,
-    length,
     multiply,
     pi_element,
-    project_to_finite,
-    reduced_word,
 )
 from .hecke import (
     CharacterData,
@@ -45,11 +46,10 @@ from .spherical import (
     SphericalTruncation,
     matrix_coefficient_scalar,
     psi0_coefficient,
-    support_check,
     verify_eigen_generator,
     verify_eigen_pi,
 )
-from .tensor import PlaceOperator, TensorVector, apply_operator, ev, gamma_operator, pair, t_operator
+from .tensor import PlaceOperator, ev, gamma_operator, t_operator
 from .distinction import (
     GrowthSeries,
     IntegralReport,

@@ -299,7 +299,7 @@ def cmd_growth(args) -> tuple[int, dict]:
 
 
 def _poincare_points(args) -> list[Fraction]:
-    if getattr(args, "points", None):
+    if getattr(args, "points", None) is not None:
         return [parse_rational(tok) for tok in args.points.split(",")]
     points = [Fraction(0)]
     for q0 in (2, 3, 4, 5):

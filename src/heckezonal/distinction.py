@@ -57,11 +57,10 @@ class RequiresOddE(ValueError):
 
 @dataclass(frozen=True)
 class GrowthSeries:
-    """Counts N(0..L) of W0 elements by length, with their provenance."""
+    """Counts N(0..L) of W0 elements by length."""
 
     e: int
     counts: tuple[int, ...]
-    provenance: str  # "BFS" or "ClosedForm"
 
     def __post_init__(self):
         if not self.counts or self.counts[0] != 1:
@@ -70,9 +69,6 @@ class GrowthSeries:
             raise ValueError("N(1) must equal the number of generators e")
         if any(c < 0 for c in self.counts):
             raise ValueError("counts must be nonnegative")
-
-    def to_json(self) -> dict:
-        return {"e": self.e, "counts": list(self.counts), "provenance": self.provenance}
 
 
 def coset_measure(w0: AffinePermutation, k: int, f: int, q0) -> Fraction:
@@ -95,9 +91,9 @@ def per_term_value(w0: AffinePermutation, f: int, q0) -> Fraction:
     return coset_measure(w0, 0, f, q0) * matrix_coefficient_scalar(w0, 0, p)
 
 
-def growth_bfs(e: int, max_length: int, max_elems: int | None = None) -> GrowthSeries:
-    layers = enumerate_by_length(e, max_length, max_elems)
-    return GrowthSeries(e, tuple(len(layer) for layer in layers), "BFS")
+def growth_bfs(e: int, max_length: int) -> GrowthSeries:
+    layers = enumerate_by_length(e, max_length)
+    return GrowthSeries(e, tuple(len(layer) for layer in layers))
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,7 +142,7 @@ def growth_closed_form(e: int, max_length: int) -> GrowthSeries:
         if c.denominator != 1 or c < 0:
             raise ValueError("closed form produced a non-count coefficient")
         counts.append(int(c))
-    return GrowthSeries(e, tuple(counts), "ClosedForm")
+    return GrowthSeries(e, tuple(counts))
 
 
 def poincare_value(e: int, x) -> Fraction:
@@ -191,9 +187,7 @@ class IntegralReport:
         }
 
 
-def distinction_integral(
-    e: int, f: int, q0, L: int, max_elems: int | None = None
-) -> IntegralReport:
+def distinction_integral(e: int, f: int, q0, L: int) -> IntegralReport:
     """Truncated coset expansion of the invariant-pairing integral.
 
     partial_sum = e * sum over l(w0) <= L of volume * coefficient,
@@ -215,7 +209,7 @@ def distinction_integral(
     if L < 0:
         raise ValueError("truncation L must be nonnegative")
     y = Fraction(1) / q0**f
-    layers = enumerate_by_length(e, L, max_elems)
+    layers = enumerate_by_length(e, L)
     inner = Fraction(0)
     tail_partial = Fraction(0)
     per_term_ok = True

@@ -73,13 +73,6 @@ def mat_transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
-def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(
-        sum((a[i][j] * v[j] for j in range(len(v))), Fraction(0))
-        for i in range(len(a))
-    )
-
-
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form and pivot columns, in place on a copy."""
     rows = [list(r) for r in rows]

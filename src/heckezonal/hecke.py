@@ -18,9 +18,8 @@ as exact identities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .scalars import ExactScalar, LaurentPoly, evaluate, scalar_power
+from .scalars import ExactScalar, LaurentPoly, scalar_power
 from .weyl import (
     ExtendedWeylElement,
     generator,
@@ -60,9 +59,6 @@ class HeckeAlgebra:
             and self.e == other.e
             and self.q1 == other.q1
         )
-
-    def __repr__(self):
-        return f"HeckeAlgebra(e={self.e}, q1={self.q1!r})"
 
     # -- element constructors -------------------------------------------
 
@@ -124,13 +120,6 @@ class HeckeAlgebra:
                 _accumulate(result, w, cu * c)
         return self.element(result)
 
-    # -- specialization  ---------------------------------------------------
-
-    def specialize(self, h: "HeckeElement", x: Fraction) -> "HeckeElement":
-        """Evaluate generic coefficients at q1 = x, landing in a numeric algebra."""
-        target = HeckeAlgebra(self.e, evaluate(self.q1, x))
-        return target.element({w: evaluate(c, x) for w, c in h.coeffs.items()})
-
 
 def _is_zero(c) -> bool:
     if isinstance(c, LaurentPoly):
@@ -159,10 +148,6 @@ class HeckeElement:
 
     def support(self) -> set[ExtendedWeylElement]:
         return set(self.coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __add__(self, other):
         if not isinstance(other, HeckeElement):
@@ -195,21 +180,6 @@ class HeckeElement:
         if not isinstance(other, HeckeElement):
             return NotImplemented
         return self.algebra == other.algebra and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        items = sorted(self.coeffs.items(), key=lambda t: (t[0].length(), t[0].k, t[0].w0.window))
-        return " + ".join(f"({c!r})*[k={w.k},{w.w0.window}]" for w, c in items)
-
-    def to_json(self) -> list[dict]:
-        from .scalars import scalar_to_json
-
-        items = sorted(self.coeffs.items(), key=lambda t: (t[0].length(), t[0].k, t[0].w0.window))
-        return [
-            {"element": w.to_json(), "coefficient": scalar_to_json(c)}
-            for w, c in items
-        ]
 
 
 # -- the character of the generalized Steinberg module ------------------

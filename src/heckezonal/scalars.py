@@ -32,10 +32,8 @@ __all__ = [
     "NonInvertibleError",
     "scalar_inverse",
     "scalar_power",
-    "evaluate",
     "format_rational",
     "parse_rational",
-    "scalar_to_json",
 ]
 
 class NonInvertibleError(ArithmeticError):
@@ -105,9 +103,6 @@ class LaurentPoly:
     def coefficients(self) -> dict[int, Fraction]:
         return dict(self._coeffs)
 
-    def coefficient(self, n: int) -> Fraction:
-        return self._coeffs.get(n, Fraction(0))
-
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -116,16 +111,6 @@ class LaurentPoly:
     def is_unit(self) -> bool:
         """True iff the polynomial is a nonzero monomial."""
         return len(self._coeffs) == 1
-
-    def min_degree(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return min(self._coeffs)
-
-    def max_degree(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return max(self._coeffs)
 
     # -- ring operations ----------------------------------------------
 
@@ -236,12 +221,6 @@ class LaurentPoly:
             total += c * x**n
         return total
 
-    def to_json(self) -> dict[str, str]:
-        return {
-            str(n): format_rational(c)
-            for n, c in sorted(self._coeffs.items())
-        }
-
     def __repr__(self):
         if not self._coeffs:
             return "0"
@@ -282,13 +261,6 @@ def scalar_power(a, n: int):
     return scalar_inverse(a) ** (-n)
 
 
-def evaluate(p, x) -> Fraction:
-    """Specialize a scalar at a rational; rationals pass through."""
-    if isinstance(p, LaurentPoly):
-        return p.evaluate(x)
-    return _as_fraction(p)
-
-
 # -- serialization ----------------------------------------------------
 
 
@@ -301,12 +273,6 @@ def format_rational(x) -> str:
 def parse_rational(s: str) -> Fraction:
     """Parse "num/den" or a bare integer string."""
     return Fraction(s.strip())
-
-
-def scalar_to_json(x):
-    if isinstance(x, LaurentPoly):
-        return x.to_json()
-    return format_rational(x)
 
 
 if __name__ == "__main__":

@@ -52,7 +52,6 @@ __all__ = [
     "verify_eigen_generator",
     "verify_eigen_pi",
     "matrix_coefficient_scalar",
-    "support_check",
 ]
 
 
@@ -283,17 +282,3 @@ def matrix_coefficient_scalar(
     ell = w0.length()
     exponent = -(p.f * (p.f - 1) // 2) * ell
     return scalar_power(p.neg_inv_q1(), ell) * p.q_power(exponent)
-
-
-def support_check(g_descriptor) -> bool:
-    """Whether a coefficient query is defined at the given location.
-
-    Group elements index double cosets where the coefficient lives;
-    the literal string "outside" stands for any point off those cosets,
-    where the coefficient is 0 by the support contract.
-    """
-    if isinstance(g_descriptor, ExtendedWeylElement):
-        return True
-    if g_descriptor == "outside":
-        return False
-    raise TypeError("expected an ExtendedWeylElement or the string 'outside'")

@@ -4,8 +4,7 @@ model of the matrix-coefficient values.
 Operators are stored symbolically as (permutation, scalar) pairs: the
 permutation is in destination one-line form (the content of slot i moves
 to slot perm[i-1]), so composition of operators is ordinary composition
-of permutations and the scalar multiplies along.  Dense coordinate
-vectors exist only for spot-check applications and are capped in size.
+of permutations and the scalar multiplies along.
 
 The evaluation map sends a group element w0 * pi**k to
 
@@ -29,33 +28,20 @@ instance, filled on first use, which live and die with the parameters.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import ExactScalar, scalar_inverse, scalar_power
+from .scalars import ExactScalar, scalar_power
 from .spherical import SphericalParams
 from .weyl import ExtendedWeylElement, conjugate_by_pi, perm_compose
 
 __all__ = [
     "PlaceOperator",
-    "TensorVector",
     "t_operator",
     "gamma_operator",
     "word_perm",
     "ev",
-    "apply_operator",
-    "pair",
 ]
-
-DEFAULT_DIMENSION_CAP = 4096
-
-
-def _invert_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, image in enumerate(perm, start=1):
-        inv[image - 1] = i
-    return tuple(inv)
 
 
 @dataclass(frozen=True)
@@ -91,9 +77,6 @@ class PlaceOperator:
             self.e, perm_compose(self.perm, other.perm), self.scale * other.scale
         )
 
-    def inverse(self) -> "PlaceOperator":
-        return PlaceOperator._raw(self.e, _invert_perm(self.perm), scalar_inverse(self.scale))
-
     def power(self, n: int) -> "PlaceOperator":
         """self**n for any integer n: each cycle of perm advances n steps."""
         perm = self.perm
@@ -108,16 +91,6 @@ class PlaceOperator:
             for j, x in enumerate(cycle):
                 out[x - 1] = cycle[(j + n) % m]
         return PlaceOperator._raw(self.e, tuple(out), scalar_power(self.scale, n))
-
-    def __mul__(self, other):
-        if isinstance(other, PlaceOperator):
-            return self.compose(other)
-        return NotImplemented
-
-    def to_json(self) -> dict:
-        from .scalars import scalar_to_json
-
-        return {"perm": list(self.perm), "scale": scalar_to_json(self.scale)}
 
 
 def t_operator(i: int, e: int) -> PlaceOperator:
@@ -176,65 +149,3 @@ def ev(w: ExtendedWeylElement, p: SphericalParams) -> PlaceOperator:
         scale = scales[len(word)] = p.q_power(-(p.f * (p.f - 1) // 2) * len(word))
     return PlaceOperator._raw(p.e, perm_compose(word_perm(word, p.e), gamma_k.perm), scale)
 
-
-@dataclass(frozen=True)
-class TensorVector:
-    """Dense coordinate vector in the e-fold tensor power of a d-space."""
-
-    e: int
-    d: int
-    data: tuple
-
-    def __post_init__(self):
-        if len(self.data) != self.d**self.e:
-            raise ValueError("data length must be d**e")
-
-    @classmethod
-    def pure(cls, factors, cap: int = DEFAULT_DIMENSION_CAP) -> "TensorVector":
-        """The pure tensor v_1 (x) ... (x) v_e from per-slot coordinate lists."""
-        e = len(factors)
-        if e < 2:
-            raise ValueError("need at least two tensor slots")
-        d = len(factors[0])
-        if any(len(v) != d for v in factors):
-            raise ValueError("all slot vectors must share one dimension")
-        if d**e > cap:
-            raise ValueError(f"dimension cap exceeded: d**e = {d**e} > {cap}")
-        data = []
-        for index in itertools.product(range(d), repeat=e):
-            value = Fraction(1)
-            for slot, a in enumerate(index):
-                value = value * factors[slot][a]
-            data.append(value)
-        return cls(e, d, tuple(data))
-
-    def _flat(self, index: tuple[int, ...]) -> int:
-        flat = 0
-        for a in index:
-            flat = flat * self.d + a
-        return flat
-
-
-def apply_operator(op: PlaceOperator, v: TensorVector) -> TensorVector:
-    """Apply a place operator to a dense vector.
-
-    With destination permutation p, the output coordinate at multi-index
-    c is scale * v[b] where b_i = c_{p(i)}.
-    """
-    if op.e != v.e:
-        raise ValueError("rank mismatch")
-    out = []
-    for c in itertools.product(range(v.d), repeat=v.e):
-        b = tuple(c[op.perm[i] - 1] for i in range(v.e))
-        out.append(op.scale * v.data[v._flat(b)])
-    return TensorVector(v.e, v.d, tuple(out))
-
-
-def pair(v: TensorVector, vt: TensorVector) -> ExactScalar:
-    """Full coordinate contraction of a vector against a dual vector."""
-    if v.e != vt.e or v.d != vt.d:
-        raise ValueError("dimension mismatch")
-    total = Fraction(0)
-    for a, b in zip(v.data, vt.data):
-        total = total + a * b
-    return total

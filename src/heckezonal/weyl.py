@@ -14,7 +14,7 @@ counted by affine inversions:
 Conjugation by pi lowers generator indices: pi s_i pi**-1 = s_{i-1 mod e}.
 
 Windows are validated where they enter (``AffinePermutation(e, window)``,
-``identity``, ``from_full_window``, ``from_json``).  W0 is closed under
+``identity``, ``from_full_window``).  W0 is closed under
 ``compose``, ``inverse`` and ``conjugate_by_pi``, so their results and the
 simple reflections skip the checks through ``AffinePermutation._raw``.
 So is the extended ``multiply``, which builds its canonical form from one
@@ -26,7 +26,7 @@ So is the extended ``multiply``, which builds its canonical form from one
 (2, 1, 3)
 >>> multiply(s1, s1) == ExtendedWeylElement.identity(3)
 True
->>> length(multiply(pi_element(3), s1))
+>>> multiply(pi_element(3), s1).length()
 1
 """
 
@@ -43,13 +43,9 @@ __all__ = [
     "generator",
     "pi_element",
     "multiply",
-    "inverse",
-    "length",
-    "reduced_word",
     "all_reduced_words",
     "is_length_increasing",
     "enumerate_by_length",
-    "project_to_finite",
     "conjugate_by_pi",
     "perm_compose",
 ]
@@ -93,11 +89,6 @@ class AffinePermutation:
     def identity(cls, e: int) -> "AffinePermutation":
         return cls(e, tuple(range(1, e + 1)))
 
-    def apply(self, x: int) -> int:
-        """Evaluate the bijection at any integer via periodicity."""
-        j = (x - 1) % self.e
-        return self.window[j] + (x - 1 - j)
-
     def compose(self, other: "AffinePermutation") -> "AffinePermutation":
         """Function composition self o other (other applied first)."""
         if self.e != other.e:
@@ -123,9 +114,6 @@ class AffinePermutation:
             for j in range(i + 1, e):
                 total += abs((win[j] - win[i]) // e)
         return total
-
-    def is_identity(self) -> bool:
-        return self.window == tuple(range(1, self.e + 1))
 
     def has_left_descent(self, i: int) -> bool:
         """True iff l(s_i * self) = l(self) - 1, for i in 0..e-1.
@@ -158,11 +146,6 @@ class AffinePermutation:
                 inv[i - 1], inv[i] = inv[i], inv[i - 1]
             word.append(i)
         return word
-
-    def __mul__(self, other):
-        if isinstance(other, AffinePermutation):
-            return self.compose(other)
-        return NotImplemented
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,14 +190,9 @@ class ExtendedWeylElement:
         """Window of the underlying bijection, (pi**k w0)(x) = w0(x) - k."""
         return tuple(v - self.k for v in self.w0.window)
 
-    def apply(self, x: int) -> int:
-        return self.w0.apply(x) - self.k
-
     def length(self) -> int:
+        """Length of the W0 part; the pi power does not contribute."""
         return self.w0.length()
-
-    def is_identity(self) -> bool:
-        return self.k == 0 and self.w0.is_identity()
 
     def multiply(self, other: "ExtendedWeylElement") -> "ExtendedWeylElement":
         # (pi**a u)(pi**b v) = pi**(a + b) * (pi**-b u pi**b) * v
@@ -225,19 +203,6 @@ class ExtendedWeylElement:
     def inverse(self) -> "ExtendedWeylElement":
         # (pi**k w0)**-1 = pi**-k * (pi**k w0**-1 pi**-k)
         return ExtendedWeylElement(-self.k, conjugate_by_pi(self.w0.inverse(), self.k))
-
-    def __mul__(self, other):
-        if isinstance(other, ExtendedWeylElement):
-            return self.multiply(other)
-        return NotImplemented
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "window": list(self.w0.window)}
-
-    @classmethod
-    def from_json(cls, data: dict, e: int | None = None) -> "ExtendedWeylElement":
-        window = tuple(data["window"])
-        return cls(int(data["k"]), AffinePermutation(e or len(window), window))
 
 
 # -- the operations of the group interface -----------------------------
@@ -255,22 +220,6 @@ def pi_element(e: int) -> ExtendedWeylElement:
 
 def multiply(a: ExtendedWeylElement, b: ExtendedWeylElement) -> ExtendedWeylElement:
     return a.multiply(b)
-
-
-def inverse(a: ExtendedWeylElement) -> ExtendedWeylElement:
-    return a.inverse()
-
-
-def length(a: ExtendedWeylElement) -> int:
-    """Length of the W0 part; the pi power does not contribute."""
-    return a.length()
-
-
-def reduced_word(a) -> list[int]:
-    """Reduced word of the W0 part (the pi power is carried separately)."""
-    if isinstance(a, ExtendedWeylElement):
-        return a.w0.reduced_word()
-    return a.reduced_word()
 
 
 def all_reduced_words(a) -> list[list[int]]:
@@ -353,18 +302,6 @@ def enumerate_by_length(
         layers.append(sorted(frontier))
     wrap = AffinePermutation._raw
     return [[wrap(e, w) for w in layer] for layer in layers]
-
-
-def project_to_finite(a: ExtendedWeylElement) -> tuple[int, ...]:
-    """Reduction mod e: the induced permutation of residues {1..e}.
-
-    Returned in one-line notation, entry i-1 holding the image of i.
-    This is a group homomorphism sending s_i (i >= 1) to the
-    transposition (i, i+1), s_0 to (1, e), and pi to the e-cycle
-    i -> i-1, the slot cycle of the rotation operator on tensor places.
-    """
-    e = a.e
-    return tuple(((v - 1) % e) + 1 for v in a.full_window())
 
 
 def perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

@@ -1,0 +1,197 @@
+"""Reference models that the tests compare the package against.
+
+None of these runs on a path of the ``heckezonal`` command, so they are
+kept with the tests and not shipped.  Each is written independently of
+the code it checks:
+
+- ``TensorVector`` (with ``pure``), ``apply_operator`` and ``pair``: a
+  dense coordinate model of the e-fold tensor power of a d-space.
+  test_tensor.py checks the slot moves of ``t_operator`` and
+  ``gamma_operator``, that composing place operators matches applying
+  them in turn, and the pairing of ``ev`` values on rotation-invariant
+  pure tensors against the closed coefficient form.
+- ``project_to_finite``: reduction mod e of an extended Weyl element.
+  test_weyl.py checks that it is a homomorphism; test_tensor.py checks
+  that ``ev``'s permutation equals it on W0 and that Gamma's permutation
+  is its image of pi**-1.
+- ``apply``: an (extended) affine permutation evaluated at any integer.
+  test_weyl.py checks ``compose``, ``multiply``, ``conjugate_by_pi`` and
+  the reduced-word reference against it.
+- ``evaluate`` and ``specialize``: substitution of q1 by a rational.
+  test_hecke.py checks that specialization commutes with the product.
+- ``right_peeling_product``: the Hecke product by the right two-case
+  rule along the right factor's reduced word.  test_hecke.py compares
+  ``HeckeAlgebra.product``, which peels the left factor, with it.
+- ``mat_vec``: a matrix times a vector.  test_gelfand.py checks that the
+  computed fixed vectors are fixed with it.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+
+from heckezonal.hecke import HeckeAlgebra, HeckeElement
+from heckezonal.scalars import LaurentPoly
+from heckezonal.weyl import AffinePermutation, ExtendedWeylElement, generator, multiply
+
+
+# -- dense tensors ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class TensorVector:
+    """Dense coordinate vector in the e-fold tensor power of a d-space."""
+
+    e: int
+    d: int
+    data: tuple
+
+    def __post_init__(self):
+        if len(self.data) != self.d**self.e:
+            raise ValueError("data length must be d**e")
+
+    @classmethod
+    def pure(cls, factors) -> "TensorVector":
+        """The pure tensor v_1 (x) ... (x) v_e from per-slot coordinate lists."""
+        e = len(factors)
+        if e < 2:
+            raise ValueError("need at least two tensor slots")
+        d = len(factors[0])
+        if any(len(v) != d for v in factors):
+            raise ValueError("all slot vectors must share one dimension")
+        data = []
+        for index in itertools.product(range(d), repeat=e):
+            value = Fraction(1)
+            for slot, a in enumerate(index):
+                value = value * factors[slot][a]
+            data.append(value)
+        return cls(e, d, tuple(data))
+
+    def _flat(self, index: tuple[int, ...]) -> int:
+        flat = 0
+        for a in index:
+            flat = flat * self.d + a
+        return flat
+
+
+def apply_operator(op, v: TensorVector) -> TensorVector:
+    """Apply a place operator to a dense vector.
+
+    With destination permutation p, the output coordinate at multi-index
+    c is scale * v[b] where b_i = c_{p(i)}.
+    """
+    if op.e != v.e:
+        raise ValueError("rank mismatch")
+    out = []
+    for c in itertools.product(range(v.d), repeat=v.e):
+        b = tuple(c[op.perm[i] - 1] for i in range(v.e))
+        out.append(op.scale * v.data[v._flat(b)])
+    return TensorVector(v.e, v.d, tuple(out))
+
+
+def pair(v: TensorVector, vt: TensorVector):
+    """Full coordinate contraction of a vector against a dual vector."""
+    if v.e != vt.e or v.d != vt.d:
+        raise ValueError("dimension mismatch")
+    total = Fraction(0)
+    for a, b in zip(v.data, vt.data):
+        total = total + a * b
+    return total
+
+
+# -- the affine Weyl group -------------------------------------------------
+
+
+def apply(w, x: int) -> int:
+    """w(x) for an AffinePermutation or an ExtendedWeylElement, any integer x.
+
+    The window gives w on 1..e and w(x + e) = w(x) + e gives the rest;
+    (pi**k w0)(x) = w0(x) - k.
+    """
+    if isinstance(w, ExtendedWeylElement):
+        return apply(w.w0, x) - w.k
+    j = (x - 1) % w.e
+    return w.window[j] + (x - 1 - j)
+
+
+def project_to_finite(a: ExtendedWeylElement) -> tuple[int, ...]:
+    """Reduction mod e: the induced permutation of residues {1..e}.
+
+    Returned in one-line notation, entry i-1 holding the image of i.
+    This is a group homomorphism sending s_i (i >= 1) to the
+    transposition (i, i+1), s_0 to (1, e), and pi to the e-cycle
+    i -> i-1, the slot cycle of the rotation operator on tensor places.
+    """
+    e = a.e
+    return tuple(((v - 1) % e) + 1 for v in a.full_window())
+
+
+# -- the Hecke algebra -----------------------------------------------------
+
+
+def evaluate(p, x) -> Fraction:
+    """Specialize a scalar at a rational; rationals pass through."""
+    if isinstance(p, LaurentPoly):
+        return p.evaluate(x)
+    return Fraction(p)
+
+
+def specialize(h: HeckeElement, x) -> HeckeElement:
+    """Evaluate generic coefficients at q1 = x, landing in a numeric algebra."""
+    target = HeckeAlgebra(h.algebra.e, evaluate(h.algebra.q1, x))
+    return target.element({w: evaluate(c, x) for w, c in h.coeffs.items()})
+
+
+def _has_right_descent(x: ExtendedWeylElement, j: int) -> bool:
+    # l(x s_j) < l(x) iff x(j) > x(j+1); x(0) = x(e) - e, and the pi
+    # power shifts every value alike
+    win = x.w0.window
+    if j == 0:
+        return win[-1] - len(win) > win[0]
+    return win[j - 1] > win[j]
+
+
+def right_peeling_product(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
+    """h1 * h2 from the right two-case rule, peeling the right factor.
+
+    For a term [pi**k v0] of h2, every [x] of h1 is first relabeled to
+    [x pi**k]; then, along a reduced word j_1 ... j_l of v0,
+
+        [x][s_j] = [x s_j]                     if l(x s_j) = l(x) + 1
+        [x][s_j] = q1 [x s_j] + (q1 - 1) [x]   if l(x s_j) = l(x) - 1
+
+    with the case read from a right descent of x's window.
+    """
+    algebra = h1.algebra
+    e, q1 = algebra.e, algebra.q1
+    identity = AffinePermutation.identity(e)
+    out: dict = {}
+    for v, cv in h2.coeffs.items():
+        pk = ExtendedWeylElement(v.k, identity)
+        acc = {multiply(x, pk): c for x, c in h1.coeffs.items()}
+        for j in v.w0.reduced_word():
+            s = generator(e, j)
+            nxt: dict = {}
+            for x, c in acc.items():
+                xs = multiply(x, s)
+                if _has_right_descent(x, j):
+                    nxt[xs] = nxt.get(xs, 0) + q1 * c
+                    nxt[x] = nxt.get(x, 0) + (q1 - 1) * c
+                else:
+                    nxt[xs] = nxt.get(xs, 0) + c
+            acc = nxt
+        for x, c in acc.items():
+            out[x] = out.get(x, 0) + cv * c
+    return algebra.element(out)
+
+
+# -- exact linear algebra --------------------------------------------------
+
+
+def mat_vec(a, v) -> tuple[Fraction, ...]:
+    return tuple(
+        sum((a[i][j] * v[j] for j in range(len(v))), Fraction(0))
+        for i in range(len(a))
+    )

@@ -96,6 +96,13 @@ def test_q0_above_exact_range_exits_2(capsys):
     assert "--q0 too large" in capsys.readouterr().err
 
 
+def test_empty_points_exits_2(capsys):
+    # an empty --points is bad input, not a request for the default grid
+    assert cli.run(["poincare", "--e", "3", "--points", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error" in captured.err
+
+
 def test_check_failure_exits_1():
     proc = run_cli(
         "distinction", "--e", "3", "--L", "10", "--expect-closed-form", "7/8"

@@ -72,9 +72,9 @@ def test_growth_bfs_examples():
 
 def test_growth_series_invariants():
     with pytest.raises(ValueError):
-        GrowthSeries(3, (2, 3), "BFS")
+        GrowthSeries(3, (2, 3))
     with pytest.raises(ValueError):
-        GrowthSeries(3, (1, 4), "BFS")
+        GrowthSeries(3, (1, 4))
 
 
 def test_poincare_closed_form_small_ranks():

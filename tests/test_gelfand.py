@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import mat_vec
 
 from heckezonal.gelfand import (
     check_pairing,
@@ -13,7 +14,6 @@ from heckezonal.gelfand import (
     load_catalog,
     mat_identity,
     mat_mul,
-    mat_vec,
     averaging_projector,
     subgroup_fixing_last_point,
     symmetric_group_sign_rep,

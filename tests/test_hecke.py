@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import right_peeling_product, specialize
 
 from heckezonal.hecke import CharacterData, HeckeAlgebra, chi, verify_presentation
 from heckezonal.scalars import LaurentPoly
@@ -22,14 +23,15 @@ def generic_algebra(e):
     return HeckeAlgebra(e, LaurentPoly.variable("q1"))
 
 
-def random_element(algebra, rng, max_len=4, terms=2):
+def random_element(algebra, rng, max_len=4, terms=2, max_k=1):
     e = algebra.e
     coeffs = {}
     for _ in range(terms):
         w = ExtendedWeylElement.identity(e)
         for _ in range(rng.randrange(0, max_len + 1)):
             w = multiply(generator(e, rng.randrange(e)), w)
-        w = multiply(ExtendedWeylElement(rng.randrange(-1, 2), AffinePermutation.identity(e)), w)
+        k = rng.randrange(-max_k, max_k + 1)
+        w = multiply(ExtendedWeylElement(k, AffinePermutation.identity(e)), w)
         coeffs[w] = coeffs.get(w, 0) + rng.randrange(-3, 4)
     return algebra.element(coeffs)
 
@@ -127,6 +129,20 @@ def test_left_generator_matches_length_rule():
                 assert got == length_rule_left_generator(A, i, h), (e, i)
 
 
+@pytest.mark.parametrize("e", range(2, 9))
+def test_product_matches_right_peeling(e):
+    # left peeling of h1's words against right peeling of h2's words, on
+    # 2-3-term elements with |k| <= 2 and generic q1
+    rng = random.Random(160 + e)
+    A = generic_algebra(e)
+    for _ in range(40):
+        h1, h2 = (
+            random_element(A, rng, max_len=6, terms=rng.choice([2, 3]), max_k=2)
+            for _ in range(2)
+        )
+        assert A.product(h1, h2) == right_peeling_product(h1, h2), (h1, h2)
+
+
 def test_presentation_catches_flipped_conjugation(monkeypatch):
     # (pi**a u)(pi**b v) needs pi**-b u pi**b; conjugating by pi**b instead
     # sends [s_i][pi**b w0] to the wrong generator
@@ -214,6 +230,15 @@ def test_chi_multiplicative_under_generators():
                     assert chi(A.generator_basis(i) * h, cd) == -((-1) ** ell)
                 for k in (1, -1):
                     assert chi(A.basis(pi_element(e)) * h, cd) == (-1) ** ell
+    # and on products of random 2-3-term elements, for several chi_pi
+    rng = random.Random(37)
+    for e in (2, 3, 4, 5):
+        A = generic_algebra(e)
+        for chi_pi in (Fraction(1), Fraction(2), Fraction(-1, 3)):
+            cd = CharacterData(e, A.q1, chi_pi=chi_pi)
+            for _ in range(10):
+                h1, h2 = (random_element(A, rng, terms=rng.choice([2, 3])) for _ in range(2))
+                assert chi(h1 * h2, cd) == chi(h1, cd) * chi(h2, cd), (chi_pi, h1, h2)
 
 
 def test_chi_pi_value():
@@ -233,12 +258,4 @@ def test_specialization_commutes_with_product():
         h1, h2 = random_element(A, rng), random_element(A, rng)
         x = Fraction(rng.randrange(2, 8))
         numeric = HeckeAlgebra(3, x)
-        assert A.specialize(h1 * h2, x) == numeric.product(A.specialize(h1, x), A.specialize(h2, x))
-
-
-def test_element_serialization():
-    A = generic_algebra(2)
-    h = A.generator_basis(1) * A.generator_basis(1)
-    data = h.to_json()
-    assert all(set(rec) == {"element", "coefficient"} for rec in data)
-    assert data[0]["element"] == {"k": 0, "window": [1, 2]}
+        assert specialize(h1 * h2, x) == numeric.product(specialize(h1, x), specialize(h2, x))

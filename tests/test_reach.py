@@ -1,0 +1,124 @@
+"""Reachability: every function the package defines runs on a CLI path.
+
+A fixed matrix of in-process CLI runs executes under ``sys.setprofile``,
+which records the code object of every Python call.  Every function and
+method defined in ``src/heckezonal`` (nested functions included) must be
+among them, except the library API listed in ``UNREACHED`` with its
+reason.  Code that only tests call belongs in ``tests/oracles.py``; code
+that nothing calls is deleted.
+"""
+
+import contextlib
+import functools
+import importlib
+import inspect
+import io
+import pathlib
+import sys
+import types
+
+import heckezonal
+from heckezonal import cli
+
+PACKAGE_DIR = str(pathlib.Path(heckezonal.__file__).resolve().parent)
+MODULES = ("", "scalars", "weyl", "hecke", "spherical", "tensor", "distinction", "gelfand", "cli")
+
+# Each subcommand once (gelfand only inside `all`), each output format
+# once, and the flags that open a code path of their own.
+MATRIX = [
+    ["presentation", "--e", "3", "--samples", "2"],
+    ["eigen", "--e", "3", "--L", "2", "--chi-pi=-1/3", "--output", "text"],
+    ["coefficient", "--e", "3", "--f", "2", "--q0", "3", "--L", "2", "--samples", "2"],
+    ["growth", "--e", "3", "--L", "3", "--output", "csv"],
+    ["poincare", "--e", "3", "--points=-1/2,1/3"],
+    ["distinction", "--e", "3", "--L", "3", "--expect-closed-form", "1"],
+    ["all", "--e", "3", "--L", "2", "--samples", "1"],
+]
+
+UNREACHED = {
+    "cli.main": "console-script entry point; the matrix calls cli.run, which main wraps",
+    "hecke.chi": "the one-dimensional character (acceptance criterion 3); no subcommand reports it",
+    "hecke.CharacterData.__post_init__": "validates chi's data (acceptance criterion 3)",
+    "scalars.LaurentPoly.term": "monomial constructor of the scalar API, used by the doctest and tests",
+    "scalars.LaurentPoly.__repr__": "readable polynomials in assertion messages and interactive use",
+    "scalars.LaurentPoly.__hash__": "keeps LaurentPoly hashable, consistent with its __eq__",
+    "scalars.LaurentPoly.__setattr__": "enforces immutability; the class writes through object.__setattr__",
+    "scalars.LaurentPoly.__rsub__": "int - LaurentPoly, completing the ring operations",
+}
+
+
+def _functions(value):
+    """The plain functions behind a class or module attribute."""
+    if isinstance(value, (classmethod, staticmethod)):
+        value = value.__func__
+    elif isinstance(value, property):
+        return [f for f in (value.fget, value.fset, value.fdel) if f is not None]
+    elif isinstance(value, functools.cached_property):
+        value = value.func
+    if callable(value):
+        value = inspect.unwrap(value)
+    return [value] if isinstance(value, types.FunctionType) else []
+
+
+def defined_functions() -> dict:
+    """Code object -> "module.qualname" for every function the package defines."""
+    found = {}
+
+    def add(code, qualname, module):
+        if not code.co_filename.startswith(PACKAGE_DIR):
+            return  # e.g. dataclass-generated methods
+        found[code] = f"{module}.{qualname}"
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType) and not const.co_name.startswith("<"):
+                add(const, f"{qualname}.<locals>.{const.co_name}", module)
+
+    for short in MODULES:
+        module = importlib.import_module(f"heckezonal.{short}" if short else "heckezonal")
+        label = short or "__init__"
+        for value in vars(module).values():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                for attr in vars(value).values():
+                    for fn in _functions(attr):
+                        add(fn.__code__, fn.__qualname__, label)
+            for fn in _functions(value):
+                if fn.__module__ == module.__name__:
+                    add(fn.__code__, fn.__qualname__, label)
+    return found
+
+
+def run_matrix() -> set:
+    """Code objects of every Python call made while the matrix runs.
+
+    Memoized functions are cleared first, so that calls made earlier in
+    the same test run cannot hide a function from the matrix.
+    """
+    for short in MODULES[1:]:
+        for value in vars(importlib.import_module(f"heckezonal.{short}")).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    called = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        for argv in MATRIX:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.run(argv) == 0, argv
+    finally:
+        sys.setprofile(previous)
+    return called
+
+
+def test_every_function_is_reached_or_listed():
+    defined = defined_functions()
+    called = run_matrix()
+    names = set(defined.values())
+    unreached = {name for code, name in defined.items() if code not in called}
+    listed = set(UNREACHED)
+    assert not listed - names, f"listed but not defined: {sorted(listed - names)}"
+    assert not listed - unreached, f"listed but reached: {sorted(listed - unreached)}"
+    assert not unreached - listed, f"defined but never called: {sorted(unreached - listed)}"

@@ -13,7 +13,6 @@ from heckezonal.spherical import (
     SphericalTruncation,
     matrix_coefficient_scalar,
     psi0_coefficient,
-    support_check,
     verify_eigen_generator,
     verify_eigen_pi,
 )
@@ -253,14 +252,6 @@ def test_matrix_coefficient_requires_trivial_chi_pi():
     p = SphericalParams.numeric(3, 1, 2, chi_pi=Fraction(-1))
     with pytest.raises(RequiresTrivialChiPi):
         matrix_coefficient_scalar(AffinePermutation.identity(3), 0, p)
-
-
-def test_support_check():
-    assert support_check(generator(3, 0))
-    assert support_check(pi_element(5))
-    assert not support_check("outside")
-    with pytest.raises(TypeError):
-        support_check(42)
 
 
 def test_params_validation():

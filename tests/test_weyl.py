@@ -4,6 +4,7 @@ import doctest
 import random
 
 import pytest
+from oracles import apply, project_to_finite
 
 import heckezonal.weyl
 from heckezonal.weyl import (
@@ -14,14 +15,10 @@ from heckezonal.weyl import (
     conjugate_by_pi,
     enumerate_by_length,
     generator,
-    inverse,
     is_length_increasing,
-    length,
     multiply,
     perm_compose,
     pi_element,
-    project_to_finite,
-    reduced_word,
 )
 
 
@@ -56,12 +53,12 @@ def test_doctests():
 
 def test_generator_examples():
     assert generator(3, 1).w0.window == (2, 1, 3)
-    assert multiply(generator(3, 1), generator(3, 1)).is_identity()
+    assert multiply(generator(3, 1), generator(3, 1)) == ExtendedWeylElement.identity(3)
     # s_0 agrees with the conjugate pi s_1 pi**-1 and has length 1
     pi = pi_element(3)
-    conj = multiply(multiply(pi, generator(3, 1)), inverse(pi))
+    conj = multiply(multiply(pi, generator(3, 1)), pi.inverse())
     assert conj == generator(3, 0)
-    assert length(generator(3, 0)) == 1
+    assert generator(3, 0).length() == 1
     with pytest.raises(ValueError):
         generator(3, 3)
     with pytest.raises(ValueError):
@@ -73,7 +70,7 @@ def test_pi_element_relations():
     for e in (2, 3, 4):
         pi = pi_element(e)
         for i in range(e):
-            conj = multiply(multiply(pi, generator(e, i)), inverse(pi))
+            conj = multiply(multiply(pi, generator(e, i)), pi.inverse())
             assert conj == generator(e, (i - 1) % e)
     # pi**e is central
     for e in (2, 3, 4):
@@ -81,7 +78,7 @@ def test_pi_element_relations():
         for i in range(e):
             s = generator(e, i)
             assert multiply(pe, s) == multiply(s, pe)
-    assert multiply(pi_element(2), inverse(pi_element(2))).is_identity()
+    assert multiply(pi_element(2), pi_element(2).inverse()) == ExtendedWeylElement.identity(2)
 
 
 def test_multiply_canonical_form():
@@ -91,30 +88,29 @@ def test_multiply_canonical_form():
         a, b = random_element(e, rng), random_element(e, rng)
         prod = multiply(a, b)
         assert sum(prod.w0.window) == e * (e + 1) // 2
-        assert multiply(a, inverse(a)).is_identity()
-        assert multiply(inverse(a), a).is_identity()
+        one = ExtendedWeylElement.identity(e)
+        assert multiply(a, a.inverse()) == one == multiply(a.inverse(), a)
         w0_inv = a.w0.inverse()
-        assert a.w0.compose(w0_inv).is_identity()
-        assert w0_inv.compose(a.w0).is_identity()
+        assert a.w0.compose(w0_inv) == one.w0 == w0_inv.compose(a.w0)
     # Coxeter order 3 for adjacent generators
     prod = multiply(generator(3, 1), generator(3, 2))
-    assert multiply(multiply(prod, prod), prod).is_identity()
+    assert multiply(multiply(prod, prod), prod) == ExtendedWeylElement.identity(3)
     with pytest.raises(ValueError):
         multiply(generator(2, 1), generator(3, 1))
 
 
 def test_length_examples_and_oracle():
-    assert length(ExtendedWeylElement.identity(3)) == 0
+    assert ExtendedWeylElement.identity(3).length() == 0
     for e in (2, 3, 4):
         for i in range(e):
-            assert length(generator(e, i)) == 1
+            assert generator(e, i).length() == 1
     w = multiply(generator(3, 1), multiply(generator(3, 2), generator(3, 1)))
-    assert length(w) == 3 == bfs_distance(w)
+    assert w.length() == 3 == bfs_distance(w)
     rng = random.Random(11)
     for _ in range(80):
         e = rng.choice([2, 3])
         a = random_element(e, rng, max_len=5)
-        assert length(a) == bfs_distance(a)
+        assert a.length() == bfs_distance(a)
 
 
 def test_length_is_pi_invariant_and_symmetric():
@@ -122,23 +118,23 @@ def test_length_is_pi_invariant_and_symmetric():
     for _ in range(300):
         e = rng.choice([2, 3, 4])
         a, b = random_element(e, rng), random_element(e, rng)
-        assert length(inverse(a)) == length(a)
-        assert length(multiply(a, b)) <= length(a) + length(b)
+        assert a.inverse().length() == a.length()
+        assert multiply(a, b).length() <= a.length() + b.length()
         i = rng.randrange(e)
-        assert abs(length(multiply(generator(e, i), a)) - length(a)) == 1
+        assert abs(multiply(generator(e, i), a).length() - a.length()) == 1
         shifted = ExtendedWeylElement(a.k + 3, a.w0)
-        assert length(shifted) == length(a)
+        assert shifted.length() == a.length()
 
 
 def test_reduced_word():
-    assert reduced_word(ExtendedWeylElement.identity(4)) == []
-    assert reduced_word(generator(4, 2)) == [2]
+    assert AffinePermutation.identity(4).reduced_word() == []
+    assert generator(4, 2).w0.reduced_word() == [2]
     rng = random.Random(31)
     for _ in range(150):
         e = rng.choice([2, 3, 4])
         a = random_element(e, rng)
-        word = reduced_word(a)
-        assert len(word) == length(a) == bfs_distance(a)
+        word = a.w0.reduced_word()
+        assert len(word) == a.length() == bfs_distance(a)
         acc = ExtendedWeylElement.identity(e)
         for i in word:
             acc = multiply(acc, generator(e, i))
@@ -159,10 +155,10 @@ def reference_inverse(w: AffinePermutation) -> AffinePermutation:
 def reference_reduced_word(w: AffinePermutation) -> list[int]:
     """Lowest-index left descent first, rebuilding w**-1 for every index tried."""
     word = []
-    while not w.is_identity():
+    while w != AffinePermutation.identity(w.e):
         for i in range(w.e):
             inv = reference_inverse(w)
-            if inv.apply(i) > inv.apply(i + 1):
+            if apply(inv, i) > apply(inv, i + 1):
                 word.append(i)
                 w = generator(w.e, i).w0.compose(w)
                 break
@@ -181,10 +177,10 @@ def test_trusted_results_are_valid_windows():
             a, b = random_element(e, rng, max_len=10), random_element(e, rng, max_len=10)
             ab = a.w0.compose(b.w0)
             assert revalidated(ab) == ab
-            assert all(ab.apply(x) == a.w0.apply(b.w0.apply(x)) for x in range(-2 * e, 2 * e))
+            assert all(apply(ab, x) == apply(a.w0, apply(b.w0, x)) for x in range(-2 * e, 2 * e))
             inv = a.w0.inverse()
             assert revalidated(inv) == inv == reference_inverse(a.w0)
-            assert inv.compose(a.w0).is_identity()
+            assert inv.compose(a.w0) == AffinePermutation.identity(e)
             for w in (multiply(a, b), a.inverse()):
                 assert revalidated(w.w0) == w.w0
             for k in range(-e, e + 1):
@@ -195,7 +191,7 @@ def test_trusted_results_are_valid_windows():
 
 def reference_multiply(a: ExtendedWeylElement, b: ExtendedWeylElement) -> ExtendedWeylElement:
     """a * b by evaluating the bijections on 1..e, through the validating constructor."""
-    full = tuple(a.apply(b.apply(x)) for x in range(1, a.e + 1))
+    full = tuple(apply(a, apply(b, x)) for x in range(1, a.e + 1))
     return ExtendedWeylElement.from_full_window(a.e, full)
 
 
@@ -216,7 +212,7 @@ def test_conjugate_by_pi_matches_apply_formula():
         for _ in range(20):
             w0 = random_element(e, rng, max_len=10, max_k=0).w0
             for k in range(-2 * e, 2 * e + 1):
-                expect = tuple(w0.apply(x + k) - k for x in range(1, e + 1))
+                expect = tuple(apply(w0, x + k) - k for x in range(1, e + 1))
                 assert conjugate_by_pi(w0, k).window == expect, (w0.window, k)
 
 
@@ -226,7 +222,7 @@ def test_has_left_descent_matches_length():
         for _ in range(40):
             a = random_element(e, rng, max_len=10, max_k=0)
             for i in range(e):
-                shorter = length(multiply(generator(e, i), a)) < length(a)
+                shorter = multiply(generator(e, i), a).length() < a.length()
                 assert a.w0.has_left_descent(i) == shorter, (a.w0.window, i)
 
 
@@ -246,7 +242,7 @@ def test_all_reduced_words_multiply_back():
         e = rng.choice([3, 4])
         a = random_element(e, rng, max_len=4, max_k=0)
         words = all_reduced_words(a)
-        assert words and all(len(w) == length(a) for w in words)
+        assert words and all(len(w) == a.length() for w in words)
         for word in words:
             acc = ExtendedWeylElement.identity(e)
             for i in word:
@@ -260,7 +256,7 @@ def reference_all_reduced_words(w0):
     cache = {}
 
     def walk(w):
-        if w.is_identity():
+        if w == AffinePermutation.identity(w.e):
             return [[]]
         if w in cache:
             return cache[w]
@@ -291,7 +287,7 @@ def test_is_length_increasing():
         e = rng.choice([2, 3, 4])
         a = random_element(e, rng)
         i = rng.randrange(e)
-        direct = length(multiply(generator(e, i), a)) == length(a) + 1
+        direct = multiply(generator(e, i), a).length() == a.length() + 1
         assert is_length_increasing(i, a) == direct
 
 
@@ -300,7 +296,7 @@ def test_coxeter_relations():
     # braid with order 3 and non-adjacent pairs commute
     for e in (2, 3, 4, 5):
         for i in range(e):
-            assert multiply(generator(e, i), generator(e, i)).is_identity()
+            assert multiply(generator(e, i), generator(e, i)) == ExtendedWeylElement.identity(e)
     for e in (3, 4, 5):
         for i in range(e):
             for j in range(i + 1, e):
@@ -310,7 +306,7 @@ def test_coxeter_relations():
                 acc = ExtendedWeylElement.identity(e)
                 for _ in range(order):
                     acc = multiply(acc, prod)
-                assert acc.is_identity(), (e, i, j)
+                assert acc == ExtendedWeylElement.identity(e), (e, i, j)
 
 
 def test_enumerate_by_length_examples():
@@ -408,10 +404,3 @@ def test_project_to_finite():
         assert project_to_finite(multiply(a, b)) == perm_compose(
             project_to_finite(a), project_to_finite(b)
         )
-
-
-def test_serialization_round_trip():
-    a = multiply(pi_element(3), generator(3, 1))
-    data = a.to_json()
-    assert data == {"k": 1, "window": [2, 1, 3]}
-    assert ExtendedWeylElement.from_json(data) == a
