@@ -108,6 +108,8 @@ def _validate(args) -> None:
         raise UsageError("--q0 must be a prime power")
     if args.L < 0:
         raise UsageError("--L must be nonnegative")
+    if args.L < 1 and args.command in ("eigen", "all"):
+        raise UsageError(f"--L must be at least 1 for {args.command}")
     if args.samples < 0:
         raise UsageError("--samples must be nonnegative")
     try:

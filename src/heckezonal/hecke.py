@@ -10,9 +10,12 @@ two-case generator rule
 
 together with [pi]**k acting by relabeling ([pi][w] = [pi w]).  The case
 is picked by a left-descent test on w (``weyl.is_length_increasing``,
-O(e)), not by computing both lengths.  This recursion is the ground
-truth; verify_presentation() replays the defining relations through it
-as exact identities.
+O(e)), not by computing both lengths, and q1 - 1 is computed once per
+algebra, not once per descending term.  A term of the left factor with
+coefficient 1 (every term of [pi] or of a sum of basis elements) adds
+its peeled terms unscaled.  This recursion is the ground truth;
+verify_presentation() replays the defining relations through it as
+exact identities.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ class HeckeAlgebra:
             raise ValueError("rank e must be at least 2")
         self.e = e
         self.q1 = q1
+        self._q1_minus_1 = q1 - 1
 
     def __eq__(self, other):
         return (
@@ -90,7 +94,7 @@ class HeckeAlgebra:
 
     def _left_generator(self, i: int, coeffs: dict) -> dict:
         """Left-multiply a coefficient table by [s_i] via the two-case rule."""
-        q1 = self.q1
+        q1, q1_minus_1 = self.q1, self._q1_minus_1
         s = generator(self.e, i)
         out: dict = {}
         for w, c in coeffs.items():
@@ -99,7 +103,7 @@ class HeckeAlgebra:
                 _accumulate(out, sw, c)
             else:
                 _accumulate(out, sw, q1 * c)
-                _accumulate(out, w, (q1 - 1) * c)
+                _accumulate(out, w, q1_minus_1 * c)
         return out
 
     def _left_pi_power(self, k: int, coeffs: dict) -> dict:
@@ -116,8 +120,9 @@ class HeckeAlgebra:
             for i in reversed(word):
                 acc = self._left_generator(i, acc)
             acc = self._left_pi_power(u.k, acc)
+            unit = cu == 1
             for w, c in acc.items():
-                _accumulate(result, w, cu * c)
+                _accumulate(result, w, c if unit else cu * c)
         return self.element(result)
 
 

@@ -16,7 +16,9 @@ The coefficient depends on [pi**k w0] only through (l(w0), k), so
 ``psi0_coefficient`` keeps its values in a table on the SphericalParams
 instance, keyed by (l(w0), k) and filled on first use: the Laurent powers
 are computed once per distinct pair, and the table lives and dies with
-the parameters it was computed for.
+the parameters it was computed for.  The BFS layers of W0 are kept on
+the parameters the same way, keyed by L, so the generator checks and the
+truncation of one job share a single ``enumerate_by_length``.
 
 In the trivial-chi_pi regime the normalized matrix coefficient at
 w0 * pi**k is the closed form
@@ -39,6 +41,7 @@ from .weyl import (
     ExtendedWeylElement,
     enumerate_by_length,
     generator,
+    is_length_increasing,
     multiply,
     pi_element,
 )
@@ -123,6 +126,11 @@ class SphericalParams:
         return {}
 
     @cached_property
+    def _layer_table(self) -> dict:
+        # BFS layers of W0 by truncation L, filled by _layers
+        return {}
+
+    @cached_property
     def _ev_gamma_table(self) -> dict:
         # Gamma**r by r = k mod e, filled by tensor.ev
         return {}
@@ -147,6 +155,14 @@ def psi0_coefficient(w: ExtendedWeylElement, p: SphericalParams) -> ExactScalar:
     return value
 
 
+def _layers(p: SphericalParams, L: int) -> list:
+    """The BFS layers of W0 of length at most L, enumerated once per (p, L)."""
+    layers = p._layer_table.get(L)
+    if layers is None:
+        layers = p._layer_table[L] = enumerate_by_length(p.e, L)
+    return layers
+
+
 @dataclass
 class SphericalTruncation:
     """The eigenvector restricted to {pi**k w0 : |k| <= K, l(w0) <= L}."""
@@ -160,7 +176,7 @@ class SphericalTruncation:
     def build(cls, L: int, p: SphericalParams, K: int = 1) -> "SphericalTruncation":
         algebra = p.algebra()
         coeffs = {}
-        for layer in enumerate_by_length(p.e, L):
+        for layer in _layers(p, L):
             for w0 in layer:
                 for k in range(-K, K + 1):
                     w = ExtendedWeylElement(k, w0)
@@ -182,12 +198,13 @@ class EigenReport:
     def ok(self) -> bool:
         return not self.failures and self.passed == self.checked
 
-    def record(self, ok: bool, detail=None) -> None:
+    def record(self, ok: bool, w: ExtendedWeylElement) -> None:
+        # the witness dict is built only for a failing case
         self.checked += 1
         if ok:
             self.passed += 1
         else:
-            self.failures.append(detail)
+            self.failures.append({"k": w.k, "window": list(w.w0.window)})
 
     def to_json(self) -> dict:
         return {
@@ -213,6 +230,14 @@ def verify_eigen_generator(i: int, L: int, p: SphericalParams) -> EigenReport:
     boundary (their preimage u' may have length L + 1) and are counted
     as skipped.  Both sides carry the same chi_pi**(-k) factor, so the
     verdict is independent of the value of chi_pi.
+
+    The indices come from the BFS layers shared with the truncation
+    (``_layers``).  The case is read from a left-descent test on u
+    (``is_length_increasing``, O(e)), while c(u) and c(u') are looked up
+    for every case, each through its own ``length()`` inside
+    ``psi0_coefficient``, so a wrong case choice still breaks the
+    identity.  The verdict depends only on the values (case, c(u),
+    c(u')), so it is computed once per distinct triple within the call.
     """
     if L < 1:
         raise ValueError("truncation L must be at least 1")
@@ -220,27 +245,24 @@ def verify_eigen_generator(i: int, L: int, p: SphericalParams) -> EigenReport:
         raise ValueError(f"generator index {i} out of range 0..{p.e - 1}")
     report = EigenReport(kind=f"generator s_{i}")
     q1 = p.q1
+    q1_minus_1 = q1 - 1
     s = generator(p.e, i)
-    layers = enumerate_by_length(p.e, L)
-    for ell, layer in enumerate(layers):
+    layers = _layers(p, L)
+    verdicts: dict = {}
+    for layer in layers[:L]:
         for w0 in layer:
             for k in (-1, 0, 1):
-                if ell >= L:
-                    report.boundary_skipped += 1
-                    continue
                 u = ExtendedWeylElement(k, w0)
-                su = multiply(s, u)
                 cu = psi0_coefficient(u, p)
-                csu = psi0_coefficient(su, p)
-                if su.length() == u.length() + 1:
-                    lhs = q1 * csu
-                else:
-                    lhs = csu + (q1 - 1) * cu
-                rhs = -cu
-                report.record(
-                    lhs == rhs,
-                    detail={"k": k, "window": list(w0.window)},
-                )
+                csu = psi0_coefficient(multiply(s, u), p)
+                up = is_length_increasing(i, u)
+                key = (up, cu, csu)
+                ok = verdicts.get(key)
+                if ok is None:
+                    lhs = q1 * csu if up else csu + q1_minus_1 * cu
+                    ok = verdicts[key] = lhs == -cu
+                report.record(ok, u)
+    report.boundary_skipped = 3 * len(layers[L])
     return report
 
 
@@ -248,21 +270,25 @@ def verify_eigen_pi(L: int, p: SphericalParams, K: int = 1) -> EigenReport:
     """Check [pi] * Psi0 = chi_pi * Psi0 on a truncation.
 
     The left side is computed through the Hecke product (so canonical
-    relabeling of pi-powers is exercised), the right side by scaling.
+    relabeling of pi-powers is exercised), the right side by scaling each
+    coefficient by chi_pi, once per distinct coefficient value.
     Comparison runs over indices with |k| <= K - 1 and l(w0) <= L; the
-    outer k-shells are boundary.
+    outer k-shells are boundary.  The truncation's BFS layers are the
+    ones the generator checks of the same parameters use.
     """
     trunc = SphericalTruncation.build(L, p, K)
-    algebra = trunc.element.algebra
-    lhs = algebra.product(algebra.basis(pi_element(p.e)), trunc.element)
-    rhs = trunc.element.scale(p.chi_pi)
+    element = trunc.element
+    algebra = element.algebra
+    lhs = algebra.product(algebra.basis(pi_element(p.e)), element)
+    scaled: dict = {}
     report = EigenReport(kind="pi")
-    for w in trunc.element.support():
+    for w in element.support():
         if abs(w.k) <= K - 1:
-            report.record(
-                lhs.coefficient(w) == rhs.coefficient(w),
-                detail={"k": w.k, "window": list(w.w0.window)},
-            )
+            c = element.coefficient(w)
+            rhs = scaled.get(c)
+            if rhs is None:
+                rhs = scaled[c] = p.chi_pi * c
+            report.record(lhs.coefficient(w) == rhs, w)
         else:
             report.boundary_skipped += 1
     return report

@@ -22,6 +22,11 @@ the code it checks:
 - ``right_peeling_product``: the Hecke product by the right two-case
   rule along the right factor's reduced word.  test_hecke.py compares
   ``HeckeAlgebra.product``, which peels the left factor, with it.
+- ``eigen_generator_reference``: the check [s_i] * Psi0 = -Psi0 by a
+  fresh BFS, both lengths compared for every case and the generator
+  rule evaluated for every case.  test_spherical.py compares
+  ``verify_eigen_generator``, which shares its layers, reads the case
+  from a descent test and memoises verdicts, with it.
 - ``mat_vec``: a matrix times a vector.  test_gelfand.py checks that the
   computed fixed vectors are fixed with it.
 """
@@ -34,7 +39,14 @@ from fractions import Fraction
 
 from heckezonal.hecke import HeckeAlgebra, HeckeElement
 from heckezonal.scalars import LaurentPoly
-from heckezonal.weyl import AffinePermutation, ExtendedWeylElement, generator, multiply
+from heckezonal.spherical import EigenReport, SphericalParams, psi0_coefficient
+from heckezonal.weyl import (
+    AffinePermutation,
+    ExtendedWeylElement,
+    enumerate_by_length,
+    generator,
+    multiply,
+)
 
 
 # -- dense tensors ---------------------------------------------------------
@@ -185,6 +197,38 @@ def right_peeling_product(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
         for x, c in acc.items():
             out[x] = out.get(x, 0) + cv * c
     return algebra.element(out)
+
+
+# -- the spherical eigenvector ---------------------------------------------
+
+
+def eigen_generator_reference(i: int, L: int, p: SphericalParams) -> EigenReport:
+    """[s_i] * Psi0 = -Psi0 checked case by case, nothing shared or memoised.
+
+    Every index u = pi**k w0 with l(w0) < L and |k| <= 1 is checked: the
+    case of the generator rule comes from comparing l(s_i u) with l(u),
+    and q1 * c(s_i u) or c(s_i u) + (q1 - 1) c(u) is compared with -c(u).
+    Indices with l(w0) = L are counted as boundary.
+    """
+    report = EigenReport(kind=f"generator s_{i}")
+    q1 = p.q1
+    s = generator(p.e, i)
+    for ell, layer in enumerate(enumerate_by_length(p.e, L)):
+        for w0 in layer:
+            for k in (-1, 0, 1):
+                if ell >= L:
+                    report.boundary_skipped += 1
+                    continue
+                u = ExtendedWeylElement(k, w0)
+                su = multiply(s, u)
+                cu = psi0_coefficient(u, p)
+                csu = psi0_coefficient(su, p)
+                if su.length() == u.length() + 1:
+                    lhs = q1 * csu
+                else:
+                    lhs = csu + (q1 - 1) * cu
+                report.record(lhs == -cu, u)
+    return report
 
 
 # -- exact linear algebra --------------------------------------------------

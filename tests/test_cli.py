@@ -96,6 +96,15 @@ def test_q0_above_exact_range_exits_2(capsys):
     assert "--q0 too large" in capsys.readouterr().err
 
 
+def test_L0_exits_2_naming_the_flag_for_eigen_and_all(capsys):
+    # the eigen checks need a layer below the boundary; growth takes L = 0
+    for argv in (["eigen", "--L", "0"], ["all", "--e", "3", "--L", "0"]):
+        assert cli.run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--L" in captured.err, argv
+    assert cli.run(["growth", "--e", "3", "--L", "0"]) == 0
+
+
 def test_empty_points_exits_2(capsys):
     # an empty --points is bad input, not a request for the default grid
     assert cli.run(["poincare", "--e", "3", "--points", ""]) == 2

@@ -12,7 +12,10 @@ e = 3 L = 60 and e = 7 distinction, e = 7 poincare and e = 6 growth
 files before the per-layer coset sum, the tuple BFS and the
 common-denominator ``mat_mul`` went in, and the e = 3 L = 9 and e = 6
 coefficient files before the slot-swap reduced-word fold, the
-per-params ``ev`` tables and the one-window descent scan went in.  They
+per-params ``ev`` tables and the one-window descent scan went in, and
+the e = 2 L = 6 and e = 6 L = 3 eigen files before the shared BFS
+layers, the descent-test case choice and the value-keyed verdict memo
+of the eigen checks went in.  They
 are reference data: a change that alters a single byte of a report fails
 here.
 """
@@ -55,6 +58,8 @@ CASES = {
     "coefficient_e6_f2_q03_L4.json": ["coefficient", "--e", "6", "--f", "2", "--q0", "3", "--L", "4"],
     "all_e3_L3.json": ["all", "--e", "3", "--L", "3"],
     "all_e4_L3.json": ["all", "--e", "4", "--L", "3"],
+    "eigen_e2_L6_chi2.json": ["eigen", "--e", "2", "--L", "6", "--chi-pi=2"],
+    "eigen_e6_L3_chim1_3.json": ["eigen", "--e", "6", "--L", "3", "--chi-pi=-1/3"],
 }
 
 

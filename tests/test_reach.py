@@ -41,7 +41,6 @@ UNREACHED = {
     "hecke.CharacterData.__post_init__": "validates chi's data (acceptance criterion 3)",
     "scalars.LaurentPoly.term": "monomial constructor of the scalar API, used by the doctest and tests",
     "scalars.LaurentPoly.__repr__": "readable polynomials in assertion messages and interactive use",
-    "scalars.LaurentPoly.__hash__": "keeps LaurentPoly hashable, consistent with its __eq__",
     "scalars.LaurentPoly.__setattr__": "enforces immutability; the class writes through object.__setattr__",
     "scalars.LaurentPoly.__rsub__": "int - LaurentPoly, completing the ring operations",
 }

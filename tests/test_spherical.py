@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import eigen_generator_reference
 
 import heckezonal.spherical as spherical
 from heckezonal.scalars import LaurentPoly, scalar_inverse, scalar_power
@@ -119,6 +120,64 @@ def test_eigen_checks_catch_one_wrong_coefficient(e, monkeypatch):
         assert not report.ok and witness in report.failures, i
     report = verify_eigen_pi(3, p, K=2)
     assert not report.ok and witness in report.failures
+
+
+def test_eigen_checks_catch_a_wrong_boundary_coefficient(monkeypatch):
+    # x has l(x) = L, so x itself is boundary and psi0(x) is read only as
+    # c(s_i u) for u = s_i x one layer down: a check that skipped that
+    # lookup for some u would pass for some x.  Each x of layer L is made
+    # wrong in turn
+    e, L = 3, 3
+    p = SphericalParams.generic(e, chi_pi=Fraction(2))
+    true_psi0 = spherical.psi0_coefficient
+    bad = []
+
+    def psi0_wrong_at_bad(w, params):
+        value = true_psi0(w, params)
+        return 2 * value if w in bad else value
+
+    monkeypatch.setattr(spherical, "psi0_coefficient", psi0_wrong_at_bad)
+    boundary = enumerate_by_length(e, L)[L]
+    assert len(boundary) > 1
+    for w0 in boundary:
+        x = ExtendedWeylElement(0, w0)
+        bad[:] = [x]
+        descents = 0
+        for i in range(e):
+            u = multiply(generator(e, i), x)
+            if u.length() == L - 1:
+                descents += 1
+                report = verify_eigen_generator(i, L, p)
+                assert not report.ok, (w0, i)
+                assert {"k": 0, "window": list(u.w0.window)} in report.failures, (w0, i)
+        assert descents > 0, w0
+
+
+def test_eigen_checks_catch_a_flipped_case(monkeypatch):
+    # the generator rule with its two cases swapped fails for every s_i
+    true_increasing = spherical.is_length_increasing
+    monkeypatch.setattr(
+        spherical, "is_length_increasing", lambda i, a: not true_increasing(i, a)
+    )
+    for e in (2, 3, 4):
+        p = SphericalParams.generic(e, chi_pi=Fraction(-1, 3))
+        for i in range(e):
+            report = verify_eigen_generator(i, 3, p)
+            assert not report.ok and report.passed == 0, (e, i)
+
+
+@pytest.mark.parametrize("chi_pi", CHI_PIS)
+def test_eigen_generator_matches_reference(chi_pi):
+    # shared layers, descent-test cases and memoised verdicts against a
+    # fresh BFS, length comparisons and the rule evaluated per case
+    grid = [(e, L) for e in (2, 3, 4) for L in range(1, 6)] + [(5, 3)]
+    for e, L in grid:
+        p = SphericalParams.generic(e, chi_pi=chi_pi)
+        for i in range(e):
+            got = verify_eigen_generator(i, L, p).to_json()
+            want = eigen_generator_reference(i, L, SphericalParams.generic(e, chi_pi=chi_pi))
+            assert got == want.to_json(), (e, L, i)
+            assert got["checked"] > 0 and got["ok"], (e, L, i)
 
 
 @pytest.mark.parametrize("e", [2, 3])
