@@ -1,10 +1,11 @@
 """Batch command-line frontend.
 
 One verification suite per subcommand, reports to stdout as JSON
-(default), CSV or text.  Exit status: 0 when every check passes, 1 on a
-check failure, 2 on invalid parameters.  Randomized spot checks are
-driven by an explicit seed, so identical configurations produce
-byte-identical output.  The environment variable HECKE_MAX_ELEMS caps
+(default), CSV or text.  Each subcommand takes only the flags it reads,
+plus --output, and rejects every other flag.  Exit status: 0 when every
+check passes, 1 on a check failure, 2 on invalid parameters.
+Randomized spot checks are driven by an explicit seed, so identical
+configurations produce byte-identical output.  The environment variable HECKE_MAX_ELEMS caps
 group enumeration.
 """
 
@@ -33,7 +34,7 @@ from .weyl import (
     multiply,
 )
 
-__all__ = ["main", "build_parser", "run"]
+__all__ = ["build_parser", "run"]
 
 DEFAULT_SEED = 12345
 EXIT_OK = 0
@@ -45,8 +46,45 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 Q0_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
-class UsageError(ValueError):
-    pass
+# One parent parser per flag, built once at import.  argparse shares a
+# parent's actions with every subparser that lists it, so build_parser
+# only registers them.  No subparser may call set_defaults with one of
+# these dests: that would write into the shared action.
+FLAG_PARSERS = {}
+for _flag, _spec in (
+    ("--e", dict(type=int, default=3, help="rank (number of tensor places)")),
+    ("--f", dict(type=int, default=1, help="block size parameter")),
+    ("--q0", dict(type=int, default=2, help="residue field size, a prime power below 3.3e24")),
+    ("--L", dict(type=int, default=8, help="length truncation")),
+    ("--chi-pi", dict(default="1", help="rational unit value for chi(pi)")),
+    ("--seed", dict(type=int, default=DEFAULT_SEED, help="seed for sampled checks")),
+    ("--samples", dict(type=int, default=25, help="number of sampled checks")),
+    ("--points", dict(help="comma-separated rationals in (-1,1); default is the fixed grid 0 "
+                      "and -1/q0**f for q0 in 2..5 and f in 1..2")),
+    ("--expect-closed-form", dict(help="optional rational the closed form must equal (for CI pinning)")),
+    ("--output", dict(choices=("json", "csv", "text"), default="json", help="report format")),
+):
+    FLAG_PARSERS[_flag] = argparse.ArgumentParser(add_help=False)
+    FLAG_PARSERS[_flag].add_argument(_flag, **_spec)
+
+# Each subcommand's help line and the flags it reads besides --output;
+# all reads the flags of its sections except the two optional ones.
+SUBCOMMANDS = {
+    "presentation": ("defining relations of the algebra", "--e", "--seed", "--samples"),
+    "eigen": ("truncated eigen-equation of the spherical vector", "--e", "--L", "--chi-pi"),
+    "coefficient": (
+        "operator model vs closed coefficient form",
+        "--e", "--f", "--q0", "--L", "--seed", "--samples",
+    ),
+    "growth": ("BFS growth counts vs closed-form series", "--e", "--L"),
+    "poincare": ("exact Poincare series values", "--e", "--points"),
+    "distinction": ("truncated double-coset sum", "--e", "--f", "--q0", "--L", "--expect-closed-form"),
+    "gelfand": ("shipped finite pairing examples",),
+    "all": (
+        "run every suite with the given parameters",
+        "--e", "--f", "--q0", "--L", "--chi-pi", "--seed", "--samples",
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,70 +92,53 @@ def build_parser() -> argparse.ArgumentParser:
         prog="heckezonal",
         description="Exact verification suites for affine Hecke algebra identities.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--e", type=int, default=3, help="rank (number of tensor places)")
-    common.add_argument("--f", type=int, default=1, help="block size parameter")
-    common.add_argument(
-        "--q0", type=int, default=2, help="residue field size, a prime power below 3.3e24"
-    )
-    common.add_argument("--L", type=int, default=8, help="length truncation")
-    common.add_argument("--chi-pi", default="1", help="rational unit value for chi(pi)")
-    common.add_argument(
-        "--output", choices=("json", "csv", "text"), default="json", help="report format"
-    )
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for sampled checks")
-    common.add_argument("--samples", type=int, default=25, help="number of sampled checks")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("presentation", parents=[common], help="defining relations of the algebra")
-    sub.add_parser("eigen", parents=[common], help="truncated eigen-equation of the spherical vector")
-    sub.add_parser(
-        "coefficient",
-        parents=[common],
-        help="operator model vs closed coefficient form",
-        description="Operator model vs closed coefficient form on every w0 with "
-        "l(w0) <= L; the reduced-word independence check covers l(w0) <= min(L, 6).",
+    for name, (text, *flags) in SUBCOMMANDS.items():
+        sub.add_parser(name, help=text, parents=[FLAG_PARSERS[flag] for flag in (*flags, "--output")])
+    sub.choices["coefficient"].description = (
+        "Operator model vs closed coefficient form on every w0 with "
+        "l(w0) <= L; the reduced-word independence check covers l(w0) <= min(L, 6)."
     )
-    sub.add_parser("growth", parents=[common], help="BFS growth counts vs closed-form series")
-    poincare = sub.add_parser("poincare", parents=[common], help="exact Poincare series values")
-    poincare.add_argument(
-        "--points",
-        default=None,
-        help="comma-separated rationals in (-1,1); default is the fixed grid 0 and "
-        "-1/q0**f for q0 in 2..5 and f in 1..2, whatever --q0 and --f are",
-    )
-    dist = sub.add_parser("distinction", parents=[common], help="truncated double-coset sum")
-    dist.add_argument(
-        "--expect-closed-form",
-        default=None,
-        help="optional rational the closed form must equal (for CI pinning)",
-    )
-    sub.add_parser("gelfand", parents=[common], help="shipped finite pairing examples")
-    sub.add_parser("all", parents=[common], help="run every suite with the given parameters")
+    # all runs poincare and distinction without their optional flags
+    sub.choices["all"].set_defaults(points=None, expect_closed_form=None)
     return parser
 
 
 def _validate(args) -> None:
-    if args.e < 2:
-        raise UsageError("--e must be at least 2")
-    if args.f < 1:
-        raise UsageError("--f must be at least 1")
-    if args.q0 >= Q0_LIMIT:
-        raise UsageError("--q0 too large")
-    if args.q0 < 2 or not _is_prime_power(args.q0):
-        raise UsageError("--q0 must be a prime power")
-    if args.L < 0:
-        raise UsageError("--L must be nonnegative")
-    if args.L < 1 and args.command in ("eigen", "all"):
-        raise UsageError(f"--L must be at least 1 for {args.command}")
-    if args.samples < 0:
-        raise UsageError("--samples must be nonnegative")
-    try:
-        parse_rational(args.chi_pi)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"--chi-pi: {exc}") from exc
+    """Check each flag the command has, once; rationals are parsed here."""
+    given = vars(args)
+    if "e" in given and args.e < 2:
+        raise ValueError("--e must be at least 2")
+    if "f" in given and args.f < 1:
+        raise ValueError("--f must be at least 1")
+    if "q0" in given:
+        if args.q0 >= Q0_LIMIT:
+            raise ValueError("--q0 too large")
+        if args.q0 < 2 or not _is_prime_power(args.q0):
+            raise ValueError("--q0 must be a prime power")
+    if "L" in given:
+        if args.L < 0:
+            raise ValueError("--L must be nonnegative")
+        if args.L < 1 and args.command in ("eigen", "all"):
+            raise ValueError(f"--L must be at least 1 for {args.command}")
+    if "samples" in given and args.samples < 0:
+        raise ValueError("--samples must be nonnegative")
+    if "chi_pi" in given:
+        try:
+            args.chi_pi = parse_rational(args.chi_pi)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"--chi-pi: {exc}") from exc
+        if args.chi_pi == 0:
+            raise ValueError("--chi-pi must be a unit")
+    if given.get("points") is not None:
+        args.points = [parse_rational(tok) for tok in args.points.split(",")]
+        for x in args.points:
+            if not -1 < x < 1:
+                raise ValueError(f"sample point {x} outside (-1, 1)")
+    if given.get("expect_closed_form") is not None:
+        args.expect_closed_form = parse_rational(args.expect_closed_form)
     if args.command == "distinction" and args.e % 2 == 0:
-        raise UsageError("distinction requires odd --e")
+        raise ValueError("distinction requires odd --e")
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -176,7 +197,7 @@ def _random_element(e: int, rng: random.Random, max_len: int = 4) -> ExtendedWey
     return ExtendedWeylElement.from_full_window(e, tuple(v - k for v in w.full_window()))
 
 
-def cmd_presentation(args) -> tuple[int, dict]:
+def cmd_presentation(args) -> tuple[bool, dict]:
     report = verify_presentation(args.e)
     rng = random.Random(args.seed)
     algebra = HeckeAlgebra(args.e, LaurentPoly.variable("q1"))
@@ -194,29 +215,26 @@ def cmd_presentation(args) -> tuple[int, dict]:
     out["seed"] = args.seed
     ok = report.ok and assoc_ok
     out["ok"] = ok
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), out
+    return ok, out
 
 
-def cmd_eigen(args) -> tuple[int, dict]:
-    chi_pi = parse_rational(args.chi_pi)
-    if chi_pi == 0:
-        raise UsageError("--chi-pi must be a unit")
-    p = SphericalParams.generic(args.e, chi_pi=chi_pi)
+def cmd_eigen(args) -> tuple[bool, dict]:
+    p = SphericalParams.generic(args.e, chi_pi=args.chi_pi)
     reports = [verify_eigen_generator(i, args.L, p) for i in range(args.e)]
     reports.append(verify_eigen_pi(args.L, p, K=2))
     ok = all(r.ok for r in reports)
     out = {
         "e": args.e,
         "L": args.L,
-        "chi_pi": format_rational(chi_pi),
+        "chi_pi": format_rational(args.chi_pi),
         "mode": "generic-q1",
         "reports": [r.to_json() for r in reports],
         "ok": ok,
     }
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), out
+    return ok, out
 
 
-def cmd_coefficient(args) -> tuple[int, dict]:
+def cmd_coefficient(args) -> tuple[bool, dict]:
     p = SphericalParams.numeric(args.e, args.f, args.q0)
     neg_inv_q1 = p.neg_inv_q1()
     layers = enumerate_by_length(args.e, args.L)
@@ -276,7 +294,7 @@ def cmd_coefficient(args) -> tuple[int, dict]:
         "seed": args.seed,
         "ok": ok,
     }
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), out
+    return ok, out
 
 
 def growth_rows(e: int, L: int) -> list[dict]:
@@ -293,16 +311,15 @@ def growth_rows(e: int, L: int) -> list[dict]:
     ]
 
 
-def cmd_growth(args) -> tuple[int, dict]:
+def cmd_growth(args) -> tuple[bool, dict]:
     rows = growth_rows(args.e, args.L)
     ok = all(r["equal"] for r in rows)
-    out = {"e": args.e, "L": args.L, "rows": rows, "ok": ok}
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), out
+    return ok, {"e": args.e, "L": args.L, "rows": rows, "ok": ok}
 
 
 def _poincare_points(args) -> list[Fraction]:
-    if getattr(args, "points", None) is not None:
-        return [parse_rational(tok) for tok in args.points.split(",")]
+    if args.points is not None:
+        return args.points
     points = [Fraction(0)]
     for q0 in (2, 3, 4, 5):
         for f in (1, 2):
@@ -310,31 +327,24 @@ def _poincare_points(args) -> list[Fraction]:
     return sorted(set(points))
 
 
-def cmd_poincare(args) -> tuple[int, dict]:
-    points = _poincare_points(args)
-    for x in points:
-        if not -1 < x < 1:
-            raise UsageError(f"sample point {x} outside (-1, 1)")
-    report = dst.nonvanishing_scan(args.e, points)
-    ok = report["all_positive"]
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), report
+def cmd_poincare(args) -> tuple[bool, dict]:
+    report = dst.nonvanishing_scan(args.e, _poincare_points(args))
+    return report["all_positive"], report
 
 
-def cmd_distinction(args) -> tuple[int, dict]:
+def cmd_distinction(args) -> tuple[bool, dict]:
     report = dst.distinction_integral(args.e, args.f, args.q0, args.L)
     out = report.to_json()
     ok = report.per_term_ok and report.abs_error <= report.tail_bound
-    expect = getattr(args, "expect_closed_form", None)
-    if expect is not None:
-        expected = parse_rational(expect)
-        out["expected_closed_form"] = format_rational(expected)
-        if report.closed_form != expected:
+    if args.expect_closed_form is not None:
+        out["expected_closed_form"] = format_rational(args.expect_closed_form)
+        if report.closed_form != args.expect_closed_form:
             ok = False
     out["ok"] = ok
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), out
+    return ok, out
 
 
-def cmd_gelfand(args) -> tuple[int, dict]:
+def cmd_gelfand(args) -> tuple[bool, dict]:
     results = []
     ok = True
     for item in gf.load_catalog():
@@ -353,21 +363,19 @@ def cmd_gelfand(args) -> tuple[int, dict]:
         entry = {"name": item["name"], "ok": entry_ok}
         entry.update(report.to_json())
         results.append(entry)
-    out = {"examples": results, "ok": ok}
-    return (EXIT_OK if ok else EXIT_CHECK_FAILED), out
+    return ok, {"examples": results, "ok": ok}
 
 
-def cmd_all(args) -> tuple[int, dict]:
+def cmd_all(args) -> tuple[bool, dict]:
     sections = {}
-    worst = EXIT_OK
+    ok = True
     for name, fn in COMMANDS.items():
         if name == "all" or (name == "distinction" and args.e % 2 == 0):
             continue
-        code, report = fn(args)
-        sections[name] = report
-        worst = max(worst, code)
-    sections["ok"] = worst == EXIT_OK
-    return worst, sections
+        section_ok, sections[name] = fn(args)
+        ok = ok and section_ok
+    sections["ok"] = ok
+    return ok, sections
 
 
 COMMANDS = {
@@ -429,20 +437,9 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _validate(args)
-        code, report = COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        ok, report = COMMANDS[args.command](args)
     except (ValueError, ZeroDivisionError, EnumerationCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(emit(args.command, report, args.output))
-    return code
-
-
-def main(argv=None) -> int:
-    return run(argv)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    return EXIT_OK if ok else EXIT_CHECK_FAILED

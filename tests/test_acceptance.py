@@ -196,10 +196,16 @@ def test_criterion_10_cli_determinism():
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     args = [
         sys.executable, "-m", "heckezonal",
-        "distinction", "--e", "3", "--f", "1", "--q0", "2", "--L", "30", "--seed", "42",
+        "distinction", "--e", "3", "--f", "1", "--q0", "2", "--L", "30",
     ]
     first = subprocess.run(args, capture_output=True, env=env)
     second = subprocess.run(args, capture_output=True, env=env)
     ok = first.returncode == 0 and first.stdout == second.stdout
     ok = ok and json.loads(first.stdout)["closed_form"] == "1/1"
+    # coefficient reads --seed for its sampled k-invariance checks
+    seeded = [sys.executable, "-m", "heckezonal", "coefficient", "--e", "3", "--L", "4", "--seed", "42"]
+    first = subprocess.run(seeded, capture_output=True, env=env)
+    second = subprocess.run(seeded, capture_output=True, env=env)
+    ok = ok and first.returncode == 0 and first.stdout == second.stdout
+    ok = ok and json.loads(first.stdout)["seed"] == 42
     record(10, "repeated CLI runs with a fixed seed are byte-identical", ok)

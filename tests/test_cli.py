@@ -7,6 +7,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from heckezonal import cli
 from heckezonal.weyl import AffinePermutation, enumerate_by_length
 
@@ -52,6 +54,7 @@ def test_usage_errors_exit_2():
     assert run_cli("distinction", "--e", "2").returncode == 2
     assert run_cli("growth", "--e", "1").returncode == 2
     assert run_cli("eigen", "--q0", "1").returncode == 2
+    assert run_cli("coefficient", "--q0", "1").returncode == 2
     assert run_cli("nonsense").returncode == 2
     proc = run_cli("distinction", "--e", "2")
     assert b"odd" in proc.stderr
@@ -92,7 +95,7 @@ def test_is_prime_power_is_exact_and_bounded():
 
 
 def test_q0_above_exact_range_exits_2(capsys):
-    assert cli.run(["eigen", "--q0", str(cli.Q0_LIMIT), "--L", "1"]) == 2
+    assert cli.run(["coefficient", "--q0", str(cli.Q0_LIMIT), "--L", "1"]) == 2
     assert "--q0 too large" in capsys.readouterr().err
 
 
@@ -123,7 +126,7 @@ def test_check_failure_exits_1():
 
 def test_seeded_runs_byte_identical():
     for args in (
-        ("distinction", "--e", "3", "--f", "1", "--q0", "2", "--L", "20", "--seed", "7"),
+        ("distinction", "--e", "3", "--f", "1", "--q0", "2", "--L", "20"),
         ("presentation", "--e", "3", "--seed", "7"),
         ("all", "--e", "3", "--L", "5", "--seed", "11"),
     ):
@@ -181,3 +184,73 @@ def test_failing_presentation_names_its_cases(monkeypatch, capsys):
     for c in checks.values():
         assert ("failures" in c) == (not c["ok"])
         assert len(c.get("failures", [])) == c["cases"] - c["passed"]
+
+
+# The flag contract: each subcommand reads exactly these flags besides
+# --output, and one value per flag that differs from its default.
+READS = {
+    "presentation": ("--e", "--seed", "--samples"),
+    "eigen": ("--e", "--L", "--chi-pi"),
+    "coefficient": ("--e", "--f", "--q0", "--L", "--seed", "--samples"),
+    "growth": ("--e", "--L"),
+    "poincare": ("--e", "--points"),
+    "distinction": ("--e", "--f", "--q0", "--L", "--expect-closed-form"),
+    "gelfand": (),
+    "all": ("--e", "--f", "--q0", "--L", "--chi-pi", "--seed", "--samples"),
+}
+VALUES = {
+    "--e": "5", "--f": "2", "--q0": "3", "--L": "2", "--chi-pi": "2", "--seed": "1",
+    "--samples": "1", "--points": "1/2", "--expect-closed-form": "1", "--output": "text",
+}
+
+
+def test_each_subcommand_rejects_the_flags_it_does_not_read(capsys):
+    for command, reads in READS.items():
+        for flag in VALUES.keys() - {*reads, "--output"}:
+            with pytest.raises(SystemExit) as exc:
+                cli.run([command, f"{flag}={VALUES[flag]}"])
+            captured = capsys.readouterr()
+            assert exc.value.code == 2, (command, flag)
+            assert captured.out == "" and flag in captured.err, (command, flag)
+
+
+def test_each_flag_a_subcommand_takes_changes_its_output(capsys):
+    def stdout(argv):
+        assert cli.run(argv) == 0, argv
+        return capsys.readouterr().out
+
+    # small parameters: e = 3 by default, L <= 3 where L is read
+    small = {"--L": "3", "--samples": "1"}
+    for command, reads in READS.items():
+        for flag in (*reads, "--output"):
+            if (command, flag) == ("coefficient", "--samples"):
+                continue  # not in the report; see the next test
+            base = [command] + [f"{f}={v}" for f, v in small.items() if f in reads and f != flag]
+            assert stdout(base + [f"{flag}={VALUES[flag]}"]) != stdout(base), (command, flag)
+
+
+def test_coefficient_samples_sets_the_number_of_sampled_elements(monkeypatch):
+    # a passing coefficient report does not echo --samples, and its bytes
+    # are pinned, so count the elements its k-invariance checks draw
+    drawn = []
+    honest = cli._random_element
+    monkeypatch.setattr(cli, "_random_element", lambda e, rng: drawn.append(e) or honest(e, rng))
+    for argv, count in ((["--samples=3"], 3), ([], 25)):
+        drawn.clear()
+        assert cli.run(["coefficient", "--L", "3", *argv]) == 0
+        assert len(drawn) == count, argv
+
+
+def test_chi_pi_zero_exits_2_before_any_suite_runs(monkeypatch, capsys):
+    called = []
+    for name, fn in cli.COMMANDS.items():
+        def recording(args, name=name, fn=fn):
+            called.append(name)
+            return fn(args)
+
+        monkeypatch.setitem(cli.COMMANDS, name, recording)
+    for argv in (["eigen", "--chi-pi=0"], ["all", "--e", "3", "--L", "3", "--chi-pi=0"]):
+        assert cli.run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--chi-pi" in captured.err, argv
+    assert called == []

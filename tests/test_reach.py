@@ -36,7 +36,6 @@ MATRIX = [
 ]
 
 UNREACHED = {
-    "cli.main": "console-script entry point; the matrix calls cli.run, which main wraps",
     "hecke.chi": "the one-dimensional character (acceptance criterion 3); no subcommand reports it",
     "hecke.CharacterData.__post_init__": "validates chi's data (acceptance criterion 3)",
     "scalars.LaurentPoly.term": "monomial constructor of the scalar API, used by the doctest and tests",
