@@ -124,21 +124,26 @@ def _validate(args) -> None:
     if "samples" in given and args.samples < 0:
         raise ValueError("--samples must be nonnegative")
     if "chi_pi" in given:
-        try:
-            args.chi_pi = parse_rational(args.chi_pi)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"--chi-pi: {exc}") from exc
+        args.chi_pi = _parse_flag("--chi-pi", args.chi_pi)
         if args.chi_pi == 0:
             raise ValueError("--chi-pi must be a unit")
     if given.get("points") is not None:
-        args.points = [parse_rational(tok) for tok in args.points.split(",")]
+        args.points = [_parse_flag("--points", tok) for tok in args.points.split(",")]
         for x in args.points:
             if not -1 < x < 1:
-                raise ValueError(f"sample point {x} outside (-1, 1)")
+                raise ValueError(f"--points: sample point {x} outside (-1, 1)")
     if given.get("expect_closed_form") is not None:
-        args.expect_closed_form = parse_rational(args.expect_closed_form)
+        args.expect_closed_form = _parse_flag("--expect-closed-form", args.expect_closed_form)
     if args.command == "distinction" and args.e % 2 == 0:
         raise ValueError("distinction requires odd --e")
+
+
+def _parse_flag(flag: str, text: str) -> Fraction:
+    """A rational flag value; a parse error names the flag."""
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"{flag}: {exc}") from exc
 
 
 def _is_probable_prime(n: int) -> bool:

@@ -8,14 +8,16 @@ two-case generator rule
     [s_i][w] = [s_i w]                     if l(s_i w) = l(w) + 1
     [s_i][w] = q1 [s_i w] + (q1 - 1) [w]   if l(s_i w) = l(w) - 1
 
-together with [pi]**k acting by relabeling ([pi][w] = [pi w]).  The case
-is picked by a left-descent test on w (``weyl.is_length_increasing``,
-O(e)), not by computing both lengths, and q1 - 1 is computed once per
-algebra, not once per descending term.  A term of the left factor with
-coefficient 1 (every term of [pi] or of a sum of basis elements) adds
-its peeled terms unscaled.  This recursion is the ground truth;
-verify_presentation() replays the defining relations through it as
-exact identities.
+together with [pi]**k acting by relabeling ([pi][w] = [pi w]).  As
+s_i pi**k = pi**k s_{i+k mod e}, each peeled letter maps a term
+[pi**k w0] to [pi**k s_{i+k mod e} w0] with one ``compose`` of W0
+windows.  The case is picked by a left-descent test on w
+(``weyl.is_length_increasing``, O(e)), not by computing both lengths,
+and q1 - 1 is computed once per algebra, not once per descending term.
+A term of the left factor with coefficient 1 (every term of [pi] or of
+a sum of basis elements) adds its peeled terms unscaled.  This recursion
+is the ground truth; verify_presentation() replays the defining
+relations through it as exact identities.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from dataclasses import dataclass, field
 from .scalars import ExactScalar, LaurentPoly, scalar_power
 from .weyl import (
     ExtendedWeylElement,
+    _simple,
     generator,
     is_length_increasing,
-    multiply,
     pi_element,
 )
 
@@ -94,11 +96,11 @@ class HeckeAlgebra:
 
     def _left_generator(self, i: int, coeffs: dict) -> dict:
         """Left-multiply a coefficient table by [s_i] via the two-case rule."""
-        q1, q1_minus_1 = self.q1, self._q1_minus_1
-        s = generator(self.e, i)
+        e, q1, q1_minus_1 = self.e, self.q1, self._q1_minus_1
         out: dict = {}
         for w, c in coeffs.items():
-            sw = multiply(s, w)
+            k = w.k
+            sw = ExtendedWeylElement(k, _simple(e, (i + k) % e).compose(w.w0))
             if is_length_increasing(i, w):
                 _accumulate(out, sw, c)
             else:

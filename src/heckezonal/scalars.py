@@ -57,12 +57,13 @@ class LaurentPoly:
     from any int/Fraction input; the arithmetic results keep it and are
     built through :meth:`_raw`, which trusts it.
 
-    Instances are immutable by convention: no method mutates ``self``.
+    Instances are immutable by convention: no method mutates ``self``,
+    apart from ``__hash__`` filling the ``_hash`` slot once on first use.
     The variable name is display-only; arithmetic keeps the left
     operand's.
     """
 
-    __slots__ = ("_coeffs", "var")
+    __slots__ = ("_coeffs", "var", "_hash")
 
     def __init__(self, coeffs=None, var: str = "q1"):
         clean: dict[int, Fraction] = {}
@@ -202,7 +203,13 @@ class LaurentPoly:
         return self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
+        # computed on first use and kept in the unset-until-then slot
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(frozenset(self._coeffs.items()))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     # -- evaluation / output ------------------------------------------
 

@@ -13,12 +13,16 @@ whose convolution preimage leaves the truncation are reported as
 unchecked boundary, never as failures.
 
 The coefficient depends on [pi**k w0] only through (l(w0), k), so
-``psi0_coefficient`` keeps its values in a table on the SphericalParams
-instance, keyed by (l(w0), k) and filled on first use: the Laurent powers
-are computed once per distinct pair, and the table lives and dies with
-the parameters it was computed for.  The BFS layers of W0 are kept on
-the parameters the same way, keyed by L, so the generator checks and the
-truncation of one job share a single ``enumerate_by_length``.
+``psi0_coefficient`` takes exactly that pair and keeps its values in a
+table on the SphericalParams instance, filled on first use: the Laurent
+powers are computed once per distinct pair, and the table lives and dies
+with the parameters it was computed for.  The BFS layers of W0 and the
+map from each window to its layer are kept on the parameters the same
+way, keyed by L, so the generator checks and the truncation of one job
+share a single ``enumerate_by_length``, and every coefficient is read by
+layer.  Each element's inversion count is still checked against its
+layer once, so the BFS distance and ``length()`` stay independent
+witnesses of each other.
 
 In the trivial-chi_pi regime the normalized matrix coefficient at
 w0 * pi**k is the closed form
@@ -39,10 +43,9 @@ from .scalars import ExactScalar, LaurentPoly, scalar_inverse, scalar_power
 from .weyl import (
     AffinePermutation,
     ExtendedWeylElement,
+    _simple,
     enumerate_by_length,
-    generator,
     is_length_increasing,
-    multiply,
     pi_element,
 )
 
@@ -127,7 +130,8 @@ class SphericalParams:
 
     @cached_property
     def _layer_table(self) -> dict:
-        # BFS layers of W0 by truncation L, filled by _layers
+        # BFS layers of W0 and their window -> layer map by truncation L,
+        # filled by _layers
         return {}
 
     @cached_property
@@ -144,23 +148,32 @@ class SphericalParams:
         return HeckeAlgebra(self.e, self.q1)
 
 
-def psi0_coefficient(w: ExtendedWeylElement, p: SphericalParams) -> ExactScalar:
-    """Coefficient of the formal eigenvector at the basis index pi**k w0."""
-    key = (w.length(), w.k)
+def psi0_coefficient(ell: int, k: int, p: SphericalParams) -> ExactScalar:
+    """Coefficient of the formal eigenvector at [pi**k w0] with l(w0) = ell.
+
+    The value (-1/q1)**ell * chi_pi**(-k) is computed once per (ell, k)
+    and kept in the parameters' table.
+    """
+    key = (ell, k)
     table = p._psi0_table
     value = table.get(key)
     if value is None:
-        value = scalar_power(p.neg_inv_q1(), key[0]) * scalar_power(p.chi_pi, -w.k)
+        value = scalar_power(p.neg_inv_q1(), ell) * scalar_power(p.chi_pi, -k)
         table[key] = value
     return value
 
 
-def _layers(p: SphericalParams, L: int) -> list:
-    """The BFS layers of W0 of length at most L, enumerated once per (p, L)."""
-    layers = p._layer_table.get(L)
-    if layers is None:
-        layers = p._layer_table[L] = enumerate_by_length(p.e, L)
-    return layers
+def _layers(p: SphericalParams, L: int) -> tuple[list, dict]:
+    """The BFS layers of W0 of length at most L and the window -> layer map.
+
+    Both are built once per (p, L).
+    """
+    entry = p._layer_table.get(L)
+    if entry is None:
+        layers = enumerate_by_length(p.e, L)
+        layer_of = {w0.window: ell for ell, layer in enumerate(layers) for w0 in layer}
+        entry = p._layer_table[L] = (layers, layer_of)
+    return entry
 
 
 @dataclass
@@ -174,14 +187,16 @@ class SphericalTruncation:
 
     @classmethod
     def build(cls, L: int, p: SphericalParams, K: int = 1) -> "SphericalTruncation":
-        algebra = p.algebra()
+        # every value is a nonzero unit and every window has rank e, so
+        # the table is wrapped as it is, without algebra.element's checks
+        ks = range(-K, K + 1)
         coeffs = {}
-        for layer in _layers(p, L):
+        for ell, layer in enumerate(_layers(p, L)[0]):
+            values = [(k, psi0_coefficient(ell, k, p)) for k in ks]
             for w0 in layer:
-                for k in range(-K, K + 1):
-                    w = ExtendedWeylElement(k, w0)
-                    coeffs[w] = psi0_coefficient(w, p)
-        return cls(L, K, p, algebra.element(coeffs))
+                for k, c in values:
+                    coeffs[ExtendedWeylElement(k, w0)] = c
+        return cls(L, K, p, HeckeElement(p.algebra(), coeffs))
 
 
 @dataclass
@@ -231,37 +246,48 @@ def verify_eigen_generator(i: int, L: int, p: SphericalParams) -> EigenReport:
     as skipped.  Both sides carry the same chi_pi**(-k) factor, so the
     verdict is independent of the value of chi_pi.
 
-    The indices come from the BFS layers shared with the truncation
-    (``_layers``).  The case is read from a left-descent test on u
-    (``is_length_increasing``, O(e)), while c(u) and c(u') are looked up
-    for every case, each through its own ``length()`` inside
-    ``psi0_coefficient``, so a wrong case choice still breaks the
-    identity.  The verdict depends only on the values (case, c(u),
-    c(u')), so it is computed once per distinct triple within the call.
+    The indices come from the BFS layers shared with the truncation, and
+    l(u') from their window -> layer map (``_layers``); u' is built as
+    pi**k * s_{i+k mod e} * w0 with one ``compose``.  Each w0 of layer
+    ell has its inversion count checked against ell once, and a case
+    passes only when that check holds too; a u' missing from the map
+    fails its case.  The case is read from a left-descent test on u
+    (``is_length_increasing``, O(e)), not from the two layers, so a wrong
+    case choice still breaks the identity.  The verdict depends only on
+    the integers (case, l(u), l(u'), k), so it is computed once per
+    distinct key within the call.
     """
     if L < 1:
         raise ValueError("truncation L must be at least 1")
-    if not 0 <= i <= p.e - 1:
-        raise ValueError(f"generator index {i} out of range 0..{p.e - 1}")
+    e = p.e
+    if not 0 <= i <= e - 1:
+        raise ValueError(f"generator index {i} out of range 0..{e - 1}")
     report = EigenReport(kind=f"generator s_{i}")
     q1 = p.q1
     q1_minus_1 = q1 - 1
-    s = generator(p.e, i)
-    layers = _layers(p, L)
+    # s_i * pi**k = pi**k * s_{i+k mod e}
+    shifted = {k: _simple(e, (i + k) % e) for k in (-1, 0, 1)}
+    layers, layer_of = _layers(p, L)
     verdicts: dict = {}
-    for layer in layers[:L]:
+    for ell, layer in enumerate(layers[:L]):
         for w0 in layer:
-            for k in (-1, 0, 1):
+            length_ok = ExtendedWeylElement(0, w0).length() == ell
+            for k, s in shifted.items():
                 u = ExtendedWeylElement(k, w0)
-                cu = psi0_coefficient(u, p)
-                csu = psi0_coefficient(multiply(s, u), p)
+                ell_su = layer_of.get(s.compose(w0).window)
                 up = is_length_increasing(i, u)
-                key = (up, cu, csu)
+                key = (up, ell, ell_su, k)
                 ok = verdicts.get(key)
                 if ok is None:
-                    lhs = q1 * csu if up else csu + q1_minus_1 * cu
-                    ok = verdicts[key] = lhs == -cu
-                report.record(ok, u)
+                    if ell_su is None:
+                        ok = False
+                    else:
+                        cu = psi0_coefficient(ell, k, p)
+                        csu = psi0_coefficient(ell_su, k, p)
+                        lhs = q1 * csu if up else csu + q1_minus_1 * cu
+                        ok = lhs == -cu
+                    verdicts[key] = ok
+                report.record(ok and length_ok, u)
     report.boundary_skipped = 3 * len(layers[L])
     return report
 
@@ -274,7 +300,9 @@ def verify_eigen_pi(L: int, p: SphericalParams, K: int = 1) -> EigenReport:
     coefficient by chi_pi, once per distinct coefficient value.
     Comparison runs over indices with |k| <= K - 1 and l(w0) <= L; the
     outer k-shells are boundary.  The truncation's BFS layers are the
-    ones the generator checks of the same parameters use.
+    ones the generator checks of the same parameters use; it is filled
+    with one ``psi0_coefficient`` per (layer, k), and the product's final
+    ``element`` is the one pass that checks its terms.
     """
     trunc = SphericalTruncation.build(L, p, K)
     element = trunc.element

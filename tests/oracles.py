@@ -221,8 +221,8 @@ def eigen_generator_reference(i: int, L: int, p: SphericalParams) -> EigenReport
                     continue
                 u = ExtendedWeylElement(k, w0)
                 su = multiply(s, u)
-                cu = psi0_coefficient(u, p)
-                csu = psi0_coefficient(su, p)
+                cu = psi0_coefficient(u.length(), u.k, p)
+                csu = psi0_coefficient(su.length(), su.k, p)
                 if su.length() == u.length() + 1:
                     lhs = q1 * csu
                 else:

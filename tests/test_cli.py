@@ -115,6 +115,22 @@ def test_empty_points_exits_2(capsys):
     assert captured.out == "" and "error" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["poincare", "--points", "1/0"], "--points"),
+        (["poincare", "--points="], "--points"),
+        (["poincare", "--points=1/2,-1"], "--points"),
+        (["distinction", "--expect-closed-form", "abc"], "--expect-closed-form"),
+        (["eigen", "--chi-pi=1/0"], "--chi-pi"),
+    ],
+)
+def test_parse_errors_exit_2_naming_the_flag(argv, flag, capsys):
+    assert cli.run(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == "" and flag in captured.err, (argv, captured.err)
+
+
 def test_check_failure_exits_1():
     proc = run_cli(
         "distinction", "--e", "3", "--L", "10", "--expect-closed-form", "7/8"

@@ -1,17 +1,19 @@
 """Hecke algebra: basis products, defining relations, the character."""
 
+import inspect
 import random
+import textwrap
 from fractions import Fraction
 
 import pytest
 from oracles import right_peeling_product, specialize
 
+import heckezonal.hecke as hecke
 from heckezonal.hecke import CharacterData, HeckeAlgebra, chi, verify_presentation
 from heckezonal.scalars import LaurentPoly
 from heckezonal.weyl import (
     AffinePermutation,
     ExtendedWeylElement,
-    conjugate_by_pi,
     enumerate_by_length,
     generator,
     multiply,
@@ -144,15 +146,18 @@ def test_product_matches_right_peeling(e):
 
 
 def test_presentation_catches_flipped_conjugation(monkeypatch):
-    # (pi**a u)(pi**b v) needs pi**-b u pi**b; conjugating by pi**b instead
-    # sends [s_i][pi**b w0] to the wrong generator
+    # s_i pi**k = pi**k s_{i+k mod e}; the product's generator step with
+    # its shift flipped to i - k sends [s_i][pi**k w0] to the wrong
+    # generator whenever 2k != 0 mod e.  The flip is made in the source of
+    # _left_generator itself, so the test fails if that shift moves
+    # (ExtendedWeylElement.multiply is covered by the full-window
+    # reference in test_weyl.py)
     assert verify_presentation(4).ok
-
-    def flipped(self, other):
-        w0 = conjugate_by_pi(self.w0, other.k).compose(other.w0)
-        return ExtendedWeylElement(self.k + other.k, w0)
-
-    monkeypatch.setattr(ExtendedWeylElement, "multiply", flipped)
+    source = textwrap.dedent(inspect.getsource(HeckeAlgebra._left_generator))
+    assert source.count("(i + k) % e") == 1
+    namespace = {}
+    exec(source.replace("(i + k) % e", "(i - k) % e"), vars(hecke), namespace)
+    monkeypatch.setattr(HeckeAlgebra, "_left_generator", namespace["_left_generator"])
     assert not verify_presentation(4).ok
 
 

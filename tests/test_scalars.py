@@ -112,6 +112,24 @@ def _assert_invariant(p: LaurentPoly) -> None:
     assert p == rebuilt and hash(p) == hash(rebuilt)
 
 
+def test_hash_is_cached_and_equal_for_equal_polynomials():
+    # built separately (constructor, arithmetic, power) and in a different
+    # dict order: equal values hash equal, and a repeated hash is the same
+    q = LaurentPoly.variable()
+    polys = [
+        LaurentPoly({-2: Fraction(1, 3), 0: 5, 1: -1}),
+        LaurentPoly({1: -1, 0: 5, -2: Fraction(1, 3)}),
+        Fraction(1, 3) * q.inverse() ** 2 + 5 - q,
+        -(q - 5 - q**-2 * Fraction(1, 3)),
+    ]
+    for p in polys:
+        assert not hasattr(p, "_hash")
+        first = hash(p)
+        assert p._hash == first and hash(p) == first
+        assert p == polys[0] and first == hash(polys[0])
+    assert hash(q) != hash(q + 1)
+
+
 def test_monomial_power_matches_repeated_product():
     rng = random.Random(31)
     for _ in range(100):

@@ -31,11 +31,12 @@ from heckezonal.weyl import (
 def test_psi0_coefficient_examples():
     p = SphericalParams.generic(3)
     q1 = p.q1
-    assert psi0_coefficient(ExtendedWeylElement.identity(3), p) == 1
-    assert psi0_coefficient(generator(3, 1), p) == -q1.inverse()
+    one, s1 = ExtendedWeylElement.identity(3), generator(3, 1)
+    assert psi0_coefficient(one.length(), one.k, p) == 1
+    assert psi0_coefficient(s1.length(), s1.k, p) == -q1.inverse()
     w = multiply(pi_element(3), multiply(generator(3, 1), generator(3, 2)))
     assert w.length() == 2
-    assert psi0_coefficient(w, p) == q1.inverse() ** 2
+    assert psi0_coefficient(w.length(), w.k, p) == q1.inverse() ** 2
 
 
 def test_truncation_coefficient_rule():
@@ -64,8 +65,8 @@ def test_psi0_coefficient_oracle(e, chi_pi):
             for k in range(-2, 3):
                 w = ExtendedWeylElement(k, w0)
                 unit = (-1) ** ell * chi_pi ** (-k)
-                assert psi0_coefficient(w, generic) == LaurentPoly.term(unit, -ell), w
-                assert psi0_coefficient(w, numeric) == unit / q1**ell, w
+                assert psi0_coefficient(w.length(), w.k, generic) == LaurentPoly.term(unit, -ell), w
+                assert psi0_coefficient(w.length(), w.k, numeric) == unit / q1**ell, w
 
 
 def test_psi0_table_matches_closed_formula():
@@ -86,8 +87,8 @@ def test_psi0_table_matches_closed_formula():
             unit = (-1) ** ell * chi_pi ** (-w.k)
             keys.add((ell, w.k))
             for _ in range(2):
-                assert psi0_coefficient(w, generic) == LaurentPoly.term(unit, -ell), w
-                assert psi0_coefficient(w, numeric) == unit / q1**ell, w
+                assert psi0_coefficient(w.length(), w.k, generic) == LaurentPoly.term(unit, -ell), w
+                assert psi0_coefficient(w.length(), w.k, numeric) == unit / q1**ell, w
         assert set(generic._psi0_table) == keys == set(numeric._psi0_table)
 
 
@@ -97,21 +98,23 @@ def test_psi0_table_is_per_params():
     w = ExtendedWeylElement(1, generator(e, 1).w0)
     a = SphericalParams.generic(e, chi_pi=Fraction(2))
     b = SphericalParams.generic(e, chi_pi=Fraction(-1, 3))
-    assert psi0_coefficient(w, a) == LaurentPoly.term(Fraction(-1, 2), -1)
-    assert psi0_coefficient(w, b) == LaurentPoly.term(3, -1)
+    assert psi0_coefficient(w.length(), w.k, a) == LaurentPoly.term(Fraction(-1, 2), -1)
+    assert psi0_coefficient(w.length(), w.k, b) == LaurentPoly.term(3, -1)
     assert a._psi0_table is not b._psi0_table
     assert a._psi0_table[(1, 1)] != b._psi0_table[(1, 1)]
 
 
 @pytest.mark.parametrize("e", [3, 4])
 def test_eigen_checks_catch_one_wrong_coefficient(e, monkeypatch):
+    # a wrong value at (l(w0), k) = (1, 0) is read for u = s_1 by every
+    # generator check (as c(u)) and by the pi check (as the right side)
     p = SphericalParams.generic(e, chi_pi=Fraction(2))
     bad = generator(e, 1)
     true_psi0 = spherical.psi0_coefficient
 
-    def psi0_wrong_at_bad(w, params):
-        value = true_psi0(w, params)
-        return 2 * value if w == bad else value
+    def psi0_wrong_at_bad(ell, k, params):
+        value = true_psi0(ell, k, params)
+        return 2 * value if (ell, k) == (1, 0) else value
 
     monkeypatch.setattr(spherical, "psi0_coefficient", psi0_wrong_at_bad)
     witness = {"k": 0, "window": list(bad.w0.window)}
@@ -122,35 +125,74 @@ def test_eigen_checks_catch_one_wrong_coefficient(e, monkeypatch):
     assert not report.ok and witness in report.failures
 
 
-def test_eigen_checks_catch_a_wrong_boundary_coefficient(monkeypatch):
-    # x has l(x) = L, so x itself is boundary and psi0(x) is read only as
-    # c(s_i u) for u = s_i x one layer down: a check that skipped that
-    # lookup for some u would pass for some x.  Each x of layer L is made
-    # wrong in turn
+@pytest.mark.parametrize("e", [3, 4])
+def test_eigen_checks_catch_an_element_in_a_wrong_layer(e):
+    # x of layer 2 moved to layer 1, in the layers and in the map: its
+    # inversion count disagrees with the layer it is read from, so each
+    # of its cases fails in every generator check
+    L = 3
+    p = SphericalParams.generic(e, chi_pi=Fraction(-1, 3))
+    layers, layer_of = spherical._layers(p, L)
+    x = layers[2][0]
+    moved = [list(layer) for layer in layers]
+    moved[2].remove(x)
+    moved[1].append(x)
+    p._layer_table[L] = (moved, {**layer_of, x.window: 1})
+    witnesses = [{"k": k, "window": list(x.window)} for k in (-1, 0, 1)]
+    for i in range(e):
+        report = verify_eigen_generator(i, L, p)
+        assert not report.ok, i
+        assert all(w in report.failures for w in witnesses), i
+
+
+@pytest.mark.parametrize("e", [3, 4])
+def test_eigen_checks_catch_a_wrong_length(e, monkeypatch):
+    # with the layers and the map intact, an inversion count off by one
+    # at x fails exactly x's three cases: a case passes only when its
+    # verdict and its element's length check both hold
+    L = 3
+    p = SphericalParams.generic(e, chi_pi=Fraction(2))
+    x = enumerate_by_length(e, L)[2][-1]
+    true_length = AffinePermutation.length
+    monkeypatch.setattr(
+        AffinePermutation, "length", lambda w: true_length(w) + (w == x)
+    )
+    witnesses = [{"k": k, "window": list(x.window)} for k in (-1, 0, 1)]
+    for i in range(e):
+        report = verify_eigen_generator(i, L, p)
+        assert report.failures == witnesses, i
+        assert report.passed == report.checked - 3, i
+
+
+def test_eigen_checks_catch_a_wrong_boundary_layer():
+    # x has l(x) = L, so x itself is boundary and its layer is read only
+    # as l(s_i u) for u = s_i x one layer down: a check that skipped that
+    # lookup for some u would pass for some x.  Each x of layer L gets a
+    # wrong entry (one layer too high, one too low, or none) in turn
     e, L = 3, 3
     p = SphericalParams.generic(e, chi_pi=Fraction(2))
-    true_psi0 = spherical.psi0_coefficient
-    bad = []
-
-    def psi0_wrong_at_bad(w, params):
-        value = true_psi0(w, params)
-        return 2 * value if w in bad else value
-
-    monkeypatch.setattr(spherical, "psi0_coefficient", psi0_wrong_at_bad)
-    boundary = enumerate_by_length(e, L)[L]
+    layers, layer_of = spherical._layers(p, L)
+    boundary = layers[L]
     assert len(boundary) > 1
     for w0 in boundary:
         x = ExtendedWeylElement(0, w0)
-        bad[:] = [x]
-        descents = 0
-        for i in range(e):
-            u = multiply(generator(e, i), x)
-            if u.length() == L - 1:
-                descents += 1
-                report = verify_eigen_generator(i, L, p)
-                assert not report.ok, (w0, i)
-                assert {"k": 0, "window": list(u.w0.window)} in report.failures, (w0, i)
-        assert descents > 0, w0
+        for wrong in (L + 1, L - 1, None):
+            bad_map = dict(layer_of)
+            if wrong is None:
+                del bad_map[w0.window]
+            else:
+                bad_map[w0.window] = wrong
+            p._layer_table[L] = (layers, bad_map)
+            descents = 0
+            for i in range(e):
+                u = multiply(generator(e, i), x)
+                if u.length() == L - 1:
+                    descents += 1
+                    report = verify_eigen_generator(i, L, p)
+                    assert not report.ok, (w0, wrong, i)
+                    witness = {"k": 0, "window": list(u.w0.window)}
+                    assert witness in report.failures, (w0, wrong, i)
+            assert descents > 0, w0
 
 
 def test_eigen_checks_catch_a_flipped_case(monkeypatch):
@@ -208,7 +250,7 @@ def test_eigen_generator_against_hecke_product():
         for i in range(e):
             lhs = algebra.product(algebra.generator_basis(i), trunc.element)
             for u in interior:
-                assert lhs.coefficient(u) == -psi0_coefficient(u, p), (e, i, u)
+                assert lhs.coefficient(u) == -psi0_coefficient(u.length(), u.k, p), (e, i, u)
 
 
 def test_eigen_length_one_case_by_hand():
@@ -217,8 +259,9 @@ def test_eigen_length_one_case_by_hand():
     p = SphericalParams.generic(2)
     q1 = p.q1
     u = generator(2, 1)
-    cu = psi0_coefficient(u, p)
-    c_id = psi0_coefficient(ExtendedWeylElement.identity(2), p)
+    cu = psi0_coefficient(u.length(), u.k, p)
+    one = ExtendedWeylElement.identity(2)
+    c_id = psi0_coefficient(one.length(), one.k, p)
     assert c_id + (q1 - 1) * cu == -cu == LaurentPoly.term(1, -1)
 
 
@@ -248,8 +291,7 @@ def test_psi0_two_sided_form():
                         ExtendedWeylElement(0, w0),
                         ExtendedWeylElement(k, AffinePermutation.identity(e)),
                     )
-                    coeff = psi0_coefficient(ExtendedWeylElement(k, w0), p)
-                    right_form[u] = coeff
+                    right_form[u] = psi0_coefficient(w0.length(), k, p)
         assert algebra.element(right_form) == trunc.element
 
 
@@ -283,7 +325,7 @@ def test_uniqueness_forward_solve():
                 values[w0] = candidates.pop()
         for ell in range(L):
             for w0 in layers[ell]:
-                assert values[w0] == psi0_coefficient(ExtendedWeylElement(0, w0), p)
+                assert values[w0] == psi0_coefficient(w0.length(), 0, p)
 
 
 def test_matrix_coefficient_values():
