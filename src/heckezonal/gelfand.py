@@ -1,20 +1,24 @@
 """Finite-group pairings of invariant vectors, over exact rationals.
 
-For a finite group given as an explicit list of invertible rational
-matrices and a subgroup K of it, the K-fixed subspace is cut out by the
-averaging idempotent (1/|K|) sum rho(k); the dual representation acts by
+A representation rho of a finite permutation group G is one rational
+matrix per element plus one multiplication table of G, built together by
+``FiniteRep.generated``.  The table gives the identity and inverses;
+``validate_closure`` checks rho(g) rho(s) = rho(g s) on element-generator
+pairs, and ``is_irreducible`` reads the commutant of the generator images.
+
+For a subgroup K the K-fixed subspace is cut out by the averaging
+idempotent (1/|K|) sum rho(k); the dual representation acts by
 transpose-inverse matrices.  When both fixed spaces are lines, the value
 of the natural coordinate pairing on chosen generators is reported: for
 a Gelfand pair with the representation distinguished on both sides that
 value is nonzero (rescaling the generators rescales it but cannot make
 it vanish).
 
-Shipped examples are built by load_catalog() from the constructors in
-this module: standard and sign representations of small symmetric
-groups and the 2-dimensional representation of the dihedral group of
-order 8, each with a declared subgroup and expected outcome.  The
-Gelfand property of the shipped pairs is catalog metadata, not something
-verified here; irreducibility is checked exactly through the commutant.
+load_catalog() ships the standard and sign representations of small
+symmetric groups and the 2-dimensional representation of the dihedral
+group of order 8, each with a declared subgroup and expected outcome.
+The Gelfand property of the shipped pairs is catalog metadata, not
+something verified here.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import format_rational
+from .weyl import perm_compose
 
 __all__ = [
     "FiniteRep",
@@ -41,6 +46,7 @@ __all__ = [
 ]
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+Perm = tuple[int, ...]
 Vector = tuple[Fraction, ...]
 
 
@@ -119,36 +125,68 @@ def nullspace(a: Matrix) -> list[Vector]:
 
 @dataclass(frozen=True)
 class FiniteRep:
-    """A finite matrix group: the full element list of one representation."""
+    """A representation rho of a permutation group G, element by element.
+
+    ``elements`` are the permutations of G in one-line notation, sorted
+    (so the identity is index 0), ``matrices[a]`` is rho(elements[a]),
+    ``generators`` indexes a generating set and ``table[a][b]`` is the
+    index of elements[a] o elements[b] (elements[b] applied first).
+    """
 
     name: str
-    dimension: int
+    elements: tuple[Perm, ...]
     matrices: tuple[Matrix, ...]
+    generators: tuple[int, ...]
+    table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         d = self.dimension
         for m in self.matrices:
             if len(m) != d or any(len(row) != d for row in m):
                 raise ValueError("matrix shape mismatch")
-        if mat_identity(d) not in self.matrices:
-            raise ValueError("identity matrix missing from the element list")
+        if self.matrices[0] != mat_identity(d):
+            raise ValueError("the identity element must act by the identity matrix")
+
+    @classmethod
+    def generated(cls, name: str, gens: list[tuple[Perm, Matrix]]) -> "FiniteRep":
+        """Close (permutation, matrix) generator pairs under products.
+
+        Breadth first from the identity, each new element h g gets the
+        matrix rho(h) rho(g); ``validate_closure`` checks that the result
+        does not depend on the path.
+        """
+        ident = tuple(range(1, len(gens[0][0]) + 1))
+        rho = {ident: mat_identity(len(gens[0][1]))}
+        queue = [ident]
+        for h in queue:  # appending while iterating: breadth first
+            for g, m in gens:
+                hg = perm_compose(h, g)
+                if hg not in rho:
+                    rho[hg] = mat_mul(rho[h], m)
+                    queue.append(hg)
+        elements = tuple(sorted(rho))
+        index = {p: i for i, p in enumerate(elements)}
+        table = tuple(tuple(index[perm_compose(a, b)] for b in elements) for a in elements)
+        matrices = tuple(rho[p] for p in elements)
+        return cls(name, elements, matrices, tuple(index[g] for g, _ in gens), table)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.matrices[0])
 
     def validate_closure(self) -> None:
-        elems = set(self.matrices)
-        for a in self.matrices:
-            for b in self.matrices:
-                if mat_mul(a, b) not in elems:
-                    raise ValueError(f"{self.name}: element list not closed under product")
+        """rho(g) rho(s) = rho(g s) for every element g and generator s.
 
-    def index_of(self, m: Matrix) -> int:
-        return self.matrices.index(m)
+        With rho(1) = 1 this gives, by induction on word length, rho(g)
+        rho(h) = rho(g h) for all g, h: rho is a homomorphism.
+        """
+        for g, row in zip(self.matrices, self.table):
+            for s in self.generators:
+                if mat_mul(g, self.matrices[s]) != self.matrices[row[s]]:
+                    raise ValueError(f"{self.name}: matrices are not a homomorphism")
 
     def inverse_index(self, i: int) -> int:
-        ident = mat_identity(self.dimension)
-        for j, m in enumerate(self.matrices):
-            if mat_mul(self.matrices[i], m) == ident:
-                return j
-        raise ValueError("element without inverse: not a group")
+        return self.table[i].index(0)
 
     def dual_matrices(self) -> tuple[Matrix, ...]:
         """Contragredient action: transpose of the inverse element."""
@@ -161,24 +199,19 @@ class FiniteRep:
 def averaging_projector(matrices, subgroup: list[int]) -> Matrix:
     if not subgroup:
         raise ValueError("subgroup must be nonempty")
-    d = len(matrices[0])
-    total = [[Fraction(0)] * d for _ in range(d)]
-    for idx in subgroup:
-        m = matrices[idx]
-        for i in range(d):
-            for j in range(d):
-                total[i][j] += m[i][j]
-    size = Fraction(len(subgroup))
-    return tuple(tuple(x / size for x in row) for row in total)
+    size = len(subgroup)
+    # rows: the i-th rows of the subgroup's matrices; cells: one entry of each
+    return tuple(
+        tuple(sum(cells, Fraction(0)) / size for cells in zip(*rows))
+        for rows in zip(*(matrices[idx] for idx in subgroup))
+    )
 
 
 def fixed_space(matrices, subgroup: list[int]) -> list[Vector]:
     """Basis of the subgroup-fixed subspace, via the averaging idempotent."""
     proj = averaging_projector(matrices, subgroup)
-    d = len(proj)
-    shifted = tuple(
-        tuple(proj[i][j] - (1 if i == j else 0) for j in range(d)) for i in range(d)
-    )
+    ident = mat_identity(len(proj))
+    shifted = tuple(tuple(map(operator.sub, p, i)) for p, i in zip(proj, ident))
     return nullspace(shifted)
 
 
@@ -220,10 +253,14 @@ def check_pairing(rep: FiniteRep, subgroup: list[int]) -> GelfandReport:
 
 
 def is_irreducible(rep: FiniteRep) -> bool:
-    """Commutant dimension 1 over the rationals (absolute irreducibility)."""
+    """Commutant dimension 1 over the rationals (absolute irreducibility).
+
+    A matrix commutes with every rho(g) iff it commutes with the
+    generator images, so only those give conditions.
+    """
     d = rep.dimension
     rows: list[list[Fraction]] = []
-    for g in rep.matrices:
+    for g in (rep.matrices[s] for s in rep.generators):
         # rows of g*M - M*g = 0 as linear conditions on the d*d unknowns M
         for i in range(d):
             for j in range(d):
@@ -239,84 +276,59 @@ def is_irreducible(rep: FiniteRep) -> bool:
 # -- shipped example builders --------------------------------------------
 
 
-def _perm_elements(n: int) -> list[tuple[int, ...]]:
-    return sorted(itertools.permutations(range(1, n + 1)))
+def _matrix(rows) -> Matrix:
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def _standard_matrix(sigma: tuple[int, ...], n: int) -> Matrix:
-    """Action on the basis f_i = e_i - e_{i+1} of the sum-zero subspace."""
-
-    def coords(a: int, b: int) -> list[Fraction]:
-        # e_a - e_b in the f-basis
-        v = [Fraction(0)] * (n - 1)
-        if a < b:
-            for t in range(a, b):
-                v[t - 1] += 1
-        elif a > b:
-            for t in range(b, a):
-                v[t - 1] -= 1
-        return v
-
-    cols = [coords(sigma[j - 1], sigma[j]) for j in range(1, n)]
-    return tuple(tuple(cols[j][i] for j in range(n - 1)) for i in range(n - 1))
-
-
-def _sign(sigma: tuple[int, ...]) -> int:
-    sign = 1
-    seen = set()
-    for start in sigma:
-        if start in seen:
-            continue
-        length = 0
-        x = start
-        while x not in seen:
-            seen.add(x)
-            x = sigma[x - 1]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def _adjacent_transpositions(n: int) -> list[Perm]:
+    """(1 2), ..., (n-1 n) in one-line notation."""
+    if not 2 <= n <= 5:
+        raise ValueError("symmetric group representations shipped for 2 <= n <= 5")
+    ident = tuple(range(1, n + 1))
+    return [ident[:i] + (i + 2, i + 1) + ident[i + 2 :] for i in range(n - 1)]
 
 
 def symmetric_group_standard_rep(n: int) -> FiniteRep:
-    if not 2 <= n <= 5:
-        raise ValueError("standard representations shipped for 2 <= n <= 5")
-    mats = tuple(_standard_matrix(s, n) for s in _perm_elements(n))
-    return FiniteRep(f"S{n}-standard", n - 1, mats)
+    """S_n on the sum-zero subspace, in the basis f_i = e_i - e_{i+1}.
+
+    (i i+1) negates f_i, adds f_i to its neighbours f_{i-1} and f_{i+1}
+    and fixes the rest: the identity matrix with row i replaced by
+    (..., 0, 1, -1, 1, 0, ...).
+    """
+    gens = []
+    for i, g in enumerate(_adjacent_transpositions(n)):
+        rows = [list(row) for row in mat_identity(n - 1)]
+        rows[i] = [(abs(j - i) == 1) - (j == i) for j in range(n - 1)]
+        gens.append((g, _matrix(rows)))
+    return FiniteRep.generated(f"S{n}-standard", gens)
 
 
 def symmetric_group_sign_rep(n: int) -> FiniteRep:
-    mats = tuple(((Fraction(_sign(s)),),) for s in _perm_elements(n))
-    return FiniteRep(f"S{n}-sign", 1, mats)
+    minus_one = _matrix([[-1]])
+    return FiniteRep.generated(f"S{n}-sign", [(g, minus_one) for g in _adjacent_transpositions(n)])
 
 
 def subgroup_fixing_last_point(n: int) -> list[int]:
-    """Indices of the copy of S_{n-1} fixing n inside the sorted list."""
-    elems = _perm_elements(n)
-    return [i for i, s in enumerate(elems) if s[n - 1] == n]
+    """Indices of the copy of S_{n-1} fixing n among the sorted elements of S_n."""
+    elems = sorted(itertools.permutations(range(1, n + 1)))
+    return [i for i, s in enumerate(elems) if s[-1] == n]
 
 
 def dihedral8_standard_rep() -> FiniteRep:
-    """The 2-dimensional representation of the dihedral group of order 8."""
-    r = ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
-    s = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
-    elems = [mat_identity(2)]
-    frontier = [mat_identity(2)]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in (r, s):
-                prod = mat_mul(m, g)
-                if prod not in elems:
-                    elems.append(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return FiniteRep("D8-standard", 2, tuple(sorted(elems)))
+    """The dihedral group of order 8 on the plane.
+
+    It permutes the vertices v_1..v_4 = (1,0), (0,1), (-1,0), (0,-1) of a
+    square, generated by the quarter turn and the reflection in the
+    first axis.
+    """
+    quarter_turn = ((2, 3, 4, 1), _matrix([[0, -1], [1, 0]]))
+    reflection = ((1, 4, 3, 2), _matrix([[1, 0], [0, -1]]))
+    return FiniteRep.generated("D8-standard", [quarter_turn, reflection])
 
 
 def dihedral8_reflection_subgroup(rep: FiniteRep) -> list[int]:
-    s = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1)))
-    return [rep.index_of(mat_identity(2)), rep.index_of(s)]
+    """The identity and the reflection fixing v_1."""
+    return [i for i, p in enumerate(rep.elements) if p[0] == 1]
 
 
 # -- catalog --------------------------------------------------------------
@@ -329,29 +341,12 @@ def load_catalog() -> list[dict]:
     (dims and pairing verdict).
     """
     d8 = dihedral8_standard_rep()
-    return [
-        {
-            "name": "s3_standard_vs_s2",
-            "rep": symmetric_group_standard_rep(3),
-            "subgroup": subgroup_fixing_last_point(3),
-            "expected": {"dim_fixed": 1, "dim_fixed_dual": 1, "nonzero_pairing": True},
-        },
-        {
-            "name": "s3_sign_vs_s2",
-            "rep": symmetric_group_sign_rep(3),
-            "subgroup": subgroup_fixing_last_point(3),
-            "expected": {"dim_fixed": 0, "dim_fixed_dual": 0, "nonzero_pairing": False},
-        },
-        {
-            "name": "s4_standard_vs_s3",
-            "rep": symmetric_group_standard_rep(4),
-            "subgroup": subgroup_fixing_last_point(4),
-            "expected": {"dim_fixed": 1, "dim_fixed_dual": 1, "nonzero_pairing": True},
-        },
-        {
-            "name": "d8_standard_vs_reflection",
-            "rep": d8,
-            "subgroup": dihedral8_reflection_subgroup(d8),
-            "expected": {"dim_fixed": 1, "dim_fixed_dual": 1, "nonzero_pairing": True},
-        },
+    line = {"dim_fixed": 1, "dim_fixed_dual": 1, "nonzero_pairing": True}
+    nothing = {"dim_fixed": 0, "dim_fixed_dual": 0, "nonzero_pairing": False}
+    entries = [
+        ("s3_standard_vs_s2", symmetric_group_standard_rep(3), subgroup_fixing_last_point(3), line),
+        ("s3_sign_vs_s2", symmetric_group_sign_rep(3), subgroup_fixing_last_point(3), nothing),
+        ("s4_standard_vs_s3", symmetric_group_standard_rep(4), subgroup_fixing_last_point(4), line),
+        ("d8_standard_vs_reflection", d8, dihedral8_reflection_subgroup(d8), line),
     ]
+    return [dict(zip(("name", "rep", "subgroup", "expected"), entry)) for entry in entries]

@@ -120,11 +120,13 @@ class AffinePermutation:
 
         Left descent at i means the value i appears after the value i+1,
         i.e. self**-1(i) > self**-1(i+1).  Value v in slot j (from 0) gives
-        self**-1(v + m*e) = j + 1 + m*e, so at[r] = self**-1(i+r) - (i+r+1).
+        self**-1(v + m*e) = j + 1 + m*e; slots a and b hold the values
+        congruent to i and to i+1 mod e.
         """
-        e = self.e
-        at = {(v - i) % e: j - v for j, v in enumerate(self.window)}
-        return at[0] > at[1] + 1
+        e, win = self.e, self.window
+        residues = [(v - i) % e for v in win]
+        a, b = residues.index(0), residues.index(1)
+        return a - win[a] > b - win[b] + 1
 
     def reduced_word(self) -> list[int]:
         """A reduced word [i_1, ..., i_l] with self = s_{i_1} ... s_{i_l}.
@@ -265,7 +267,10 @@ def is_length_increasing(i: int, a: ExtendedWeylElement) -> bool:
 def _enum_cap(explicit: int | None) -> int:
     if explicit is not None:
         return explicit
-    return int(os.environ.get(ENUM_CAP_ENV, DEFAULT_ENUM_CAP))
+    text = os.environ.get(ENUM_CAP_ENV, str(DEFAULT_ENUM_CAP))
+    if not (text.strip().isdecimal() and int(text) >= 1):
+        raise ValueError(f"{ENUM_CAP_ENV}={text!r}: expected an integer >= 1")
+    return int(text)
 
 
 def enumerate_by_length(

@@ -29,6 +29,11 @@ the code it checks:
   from a descent test and memoises verdicts, with it.
 - ``mat_vec``: a matrix times a vector.  test_gelfand.py checks that the
   computed fixed vectors are fixed with it.
+- ``inverse_by_search``: the index j with rho(i) rho(j) = 1, found by
+  multiplying matrices.  test_gelfand.py checks that ``inverse_index``,
+  a read of the group table, agrees with it on faithful representations.
+- ``sign_by_inversions``: (-1) to the number of inversions of a
+  permutation.  test_gelfand.py checks the sign representation with it.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from heckezonal.gelfand import mat_identity, mat_mul
 from heckezonal.hecke import HeckeAlgebra, HeckeElement
 from heckezonal.scalars import LaurentPoly
 from heckezonal.spherical import EigenReport, SphericalParams, psi0_coefficient
@@ -239,3 +245,16 @@ def mat_vec(a, v) -> tuple[Fraction, ...]:
         sum((a[i][j] * v[j] for j in range(len(v))), Fraction(0))
         for i in range(len(a))
     )
+
+
+# -- finite groups -----------------------------------------------------------
+
+
+def inverse_by_search(rep, i: int) -> int:
+    ident = mat_identity(rep.dimension)
+    return next(j for j, m in enumerate(rep.matrices) if mat_mul(rep.matrices[i], m) == ident)
+
+
+def sign_by_inversions(perm: tuple[int, ...]) -> int:
+    pairs = itertools.combinations(perm, 2)
+    return (-1) ** sum(a > b for a, b in pairs)

@@ -165,6 +165,21 @@ def test_enumeration_cap_env(tmp_path):
     assert b"cap" in proc.stderr
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "0"])
+def test_enumeration_cap_env_must_be_a_positive_integer(value):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    env["HECKE_MAX_ELEMS"] = value
+    proc = subprocess.run(
+        [sys.executable, "-m", "heckezonal", "growth", "--e", "3", "--L", "3"],
+        capture_output=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert f"HECKE_MAX_ELEMS={value!r}".encode() in proc.stderr
+
+
 def test_text_output():
     proc = run_cli("poincare", "--e", "3", "--output", "text")
     assert proc.returncode == 0

@@ -1,13 +1,21 @@
 """Exact fixed spaces and invariant pairings for small finite groups."""
 
+import collections
+import dataclasses
+import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from oracles import mat_vec
+from oracles import inverse_by_search, mat_vec, sign_by_inversions
 
+from heckezonal import cli
+from heckezonal import gelfand as gf
 from heckezonal.gelfand import (
+    FiniteRep,
     check_pairing,
+    dihedral8_reflection_subgroup,
     dihedral8_standard_rep,
     fixed_space,
     is_irreducible,
@@ -85,15 +93,152 @@ def test_irreducibility():
     assert is_irreducible(symmetric_group_standard_rep(3))
     assert is_irreducible(symmetric_group_standard_rep(4))
     assert is_irreducible(dihedral8_standard_rep())
-    # the regular-ish permutation action on the full coordinate space is
-    # reducible: build it as the direct sum standard + trivial is not
-    # shipped, so use the sign rep (1-dimensional, trivially irreducible)
     assert is_irreducible(symmetric_group_sign_rep(3))
 
 
-def test_dihedral_example():
-    from heckezonal.gelfand import dihedral8_reflection_subgroup
+def permutation_matrix(perm):
+    """e_j -> e_perm(j): column j has its 1 in row perm(j)."""
+    n = len(perm)
+    return tuple(tuple(Fraction(int(perm[j] == i + 1)) for j in range(n)) for i in range(n))
 
+
+def test_permutation_representation_is_reducible():
+    # S3 on Q^3 permuting coordinates is standard + trivial: the commutant
+    # holds the identity and the all-ones matrix
+    gens = [(2, 1, 3), (1, 3, 2)]
+    rep = FiniteRep.generated("S3-permutation", [(g, permutation_matrix(g)) for g in gens])
+    rep.validate_closure()
+    assert len(rep.elements) == 6
+    assert not is_irreducible(rep)
+
+
+def flipped_s3_sign():
+    """The S3 sign representation with the matrix of (2 3) set to +1."""
+    rep = symmetric_group_sign_rep(3)
+    i = rep.elements.index((1, 3, 2))
+    flipped = rep.matrices[:i] + (((Fraction(1),),),) + rep.matrices[i + 1 :]
+    return dataclasses.replace(rep, matrices=flipped)
+
+
+def test_validate_closure_rejects_a_flipped_sign():
+    symmetric_group_sign_rep(3).validate_closure()
+    bad = flipped_s3_sign()
+    # the fixed dimensions cannot see the flip: both stay 0
+    report = check_pairing(bad, subgroup_fixing_last_point(3))
+    assert (report.dim_fixed, report.dim_fixed_dual) == (0, 0)
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        bad.validate_closure()
+
+
+def test_gelfand_fails_on_a_flipped_sign(monkeypatch, capsys):
+    bad = flipped_s3_sign()
+    monkeypatch.setattr(gf, "symmetric_group_sign_rep", lambda n: bad)
+    assert cli.run(["gelfand"]) != 0
+    captured = capsys.readouterr()
+    assert "S3-sign: matrices are not a homomorphism" in captured.out + captured.err
+
+
+def test_validate_closure_rejects_generators_breaking_a_relation():
+    # rho(s_1) = 1 beside the standard rho(s_2) breaks s_1 s_2 s_1 = s_2 s_1 s_2
+    std = symmetric_group_standard_rep(3)
+    s2 = std.matrices[std.generators[1]]
+    rep = FiniteRep.generated("S3-broken", [((2, 1, 3), mat_identity(2)), ((1, 3, 2), s2)])
+    assert len(rep.elements) == 6
+    with pytest.raises(ValueError, match="not a homomorphism"):
+        rep.validate_closure()
+
+
+def shipped_reps():
+    return [symmetric_group_standard_rep(n) for n in (2, 3, 4, 5)] + [
+        symmetric_group_sign_rep(n) for n in (2, 3, 4, 5)
+    ] + [dihedral8_standard_rep()]
+
+
+@pytest.mark.parametrize("rep", shipped_reps(), ids=lambda rep: rep.name)
+def test_table_is_the_group_law_and_rho_a_homomorphism(rep):
+    # all |G|**2 pairs, independent of validate_closure's generator argument
+    elements, matrices = rep.elements, rep.matrices
+    assert list(elements) == sorted(set(elements))
+    assert elements[0] == tuple(range(1, len(elements[0]) + 1))
+    for a, row in zip(elements, rep.table):
+        for b, ab in zip(elements, row):
+            assert elements[ab] == tuple(a[x - 1] for x in b)
+    for ma, row in zip(matrices, rep.table):
+        for mb, ab in zip(matrices, row):
+            assert mat_mul(ma, mb) == matrices[ab]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_symmetric_group_oracles(n):
+    std, sign = symmetric_group_standard_rep(n), symmetric_group_sign_rep(n)
+    assert list(std.elements) == sorted(itertools.permutations(range(1, n + 1)))
+    assert sign.elements == std.elements
+    for sigma, m, s in zip(std.elements, std.matrices, sign.matrices):
+        fixed_points = sum(sigma[i] == i + 1 for i in range(n))
+        assert sum(m[i][i] for i in range(n - 1)) == fixed_points - 1
+        # column j, read back from the basis f_i = e_i - e_{i+1}, is
+        # sigma(e_j - e_{j+1}) = e_sigma(j) - e_sigma(j+1)
+        for j, col in enumerate(zip(*m)):
+            c = (0,) + col + (0,)
+            image = [0] * n
+            image[sigma[j] - 1], image[sigma[j + 1] - 1] = 1, -1
+            assert [c[k + 1] - c[k] for k in range(n)] == image
+        assert s == ((Fraction(sign_by_inversions(sigma)),),)
+    K = subgroup_fixing_last_point(n)
+    assert K == [i for i, sigma in enumerate(std.elements) if sigma[-1] == n]
+    assert len(K) == len(std.elements) // n
+
+
+def test_dihedral_matrices_move_the_square_vertices():
+    vertices = {1: (1, 0), 2: (0, 1), 3: (-1, 0), 4: (0, -1)}
+    rep = dihedral8_standard_rep()
+    assert len(rep.elements) == 8
+    for sigma, m in zip(rep.elements, rep.matrices):
+        assert tuple(row[0] for row in m) == vertices[sigma[0]]
+        assert tuple(row[1] for row in m) == vertices[sigma[1]]
+    K = dihedral8_reflection_subgroup(rep)
+    assert [rep.matrices[i] for i in K] == [mat_identity(2), ((1, 0), (0, -1))]
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [symmetric_group_standard_rep(n) for n in (3, 4, 5)] + [dihedral8_standard_rep()],
+    ids=lambda rep: rep.name,
+)
+def test_inverse_index_matches_the_matrix_search(rep):
+    # faithful representations: the matrix inverse names one element
+    for i in range(len(rep.elements)):
+        assert rep.inverse_index(i) == inverse_by_search(rep, i)
+
+
+def test_one_gelfand_run_counts(monkeypatch, capsys):
+    # products and commutant rows per caller, on one run of the subcommand
+    products = collections.Counter()
+    rref_rows = collections.Counter()
+    mat_mul_, rref_ = gf.mat_mul, gf.rref
+
+    def counting_mat_mul(a, b):
+        products[sys._getframe(1).f_code.co_name] += 1
+        return mat_mul_(a, b)
+
+    def counting_rref(rows):
+        rref_rows[sys._getframe(1).f_code.co_name] += len(rows)
+        return rref_(rows)
+
+    monkeypatch.setattr(gf, "mat_mul", counting_mat_mul)
+    monkeypatch.setattr(gf, "rref", counting_rref)
+    assert cli.run(["gelfand"]) == 0
+    # |G| * |generators|: S3 6 * 2 twice, S4 24 * 3, D8 8 * 2
+    assert products["validate_closure"] == 12 + 12 + 72 + 16
+    assert products["inverse_index"] == 0
+    # one product per element but the identity, building the groups
+    assert products["generated"] == 5 + 5 + 23 + 7
+    assert set(products) == {"validate_closure", "generated"}
+    # d**2 * |generators|: 4 * 2, 1 * 2, 9 * 3, 4 * 2
+    assert rref_rows["is_irreducible"] == 8 + 2 + 27 + 8
+
+
+def test_dihedral_example():
     rep = dihedral8_standard_rep()
     assert len(rep.matrices) == 8
     rep.validate_closure()
