@@ -46,10 +46,11 @@ from .spherical import (
     SphericalTruncation,
     matrix_coefficient_scalar,
     psi0_coefficient,
+    verify_eigen,
     verify_eigen_generator,
     verify_eigen_pi,
 )
-from .tensor import PlaceOperator, ev, gamma_operator, t_operator
+from .tensor import PlaceOperator, ev, gamma_operator, t_operator, verify_coefficient
 from .distinction import (
     GrowthSeries,
     IntegralReport,
@@ -63,6 +64,8 @@ from .distinction import (
     poincare_closed_form,
     poincare_value,
 )
-from .gelfand import FiniteRep, GelfandReport, check_pairing, fixed_space, is_irreducible, load_catalog
+from .gelfand import (
+    FiniteRep, GelfandReport, check_catalog, check_pairing, fixed_space, is_irreducible, load_catalog,
+)
 
 __version__ = "0.1.0"

@@ -172,6 +172,11 @@ class IntegralReport:
     tail_bound: Fraction
     per_term_ok: bool
 
+    @property
+    def ok(self) -> bool:
+        """Every term collapses as derived and the sum is within the tail bound."""
+        return self.per_term_ok and self.abs_error <= self.tail_bound
+
     def to_json(self) -> dict:
         return {
             "e": self.e,
@@ -184,6 +189,7 @@ class IntegralReport:
             "abs_error": format_rational(self.abs_error),
             "tail_bound": format_rational(self.tail_bound),
             "per_term_ok": self.per_term_ok,
+            "ok": self.ok,
         }
 
 

@@ -16,9 +16,9 @@ it vanish).
 
 load_catalog() ships the standard and sign representations of small
 symmetric groups and the 2-dimensional representation of the dihedral
-group of order 8, each with a declared subgroup and expected outcome.
-The Gelfand property of the shipped pairs is catalog metadata, not
-something verified here.
+group of order 8, each with a subgroup and an expected outcome that
+check_catalog() checks.  The Gelfand property of the shipped pairs is
+catalog metadata, not something verified here.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ __all__ = [
     "dihedral8_standard_rep",
     "subgroup_fixing_last_point",
     "load_catalog",
+    "check_catalog",
 ]
 
 Matrix = tuple[tuple[Fraction, ...], ...]
@@ -174,8 +175,8 @@ class FiniteRep:
     def dimension(self) -> int:
         return len(self.matrices[0])
 
-    def validate_closure(self) -> None:
-        """rho(g) rho(s) = rho(g s) for every element g and generator s.
+    def validate_closure(self) -> bool:
+        """Whether rho(g) rho(s) = rho(g s) for every element g and generator s.
 
         With rho(1) = 1 this gives, by induction on word length, rho(g)
         rho(h) = rho(g h) for all g, h: rho is a homomorphism.
@@ -183,7 +184,8 @@ class FiniteRep:
         for g, row in zip(self.matrices, self.table):
             for s in self.generators:
                 if mat_mul(g, self.matrices[s]) != self.matrices[row[s]]:
-                    raise ValueError(f"{self.name}: matrices are not a homomorphism")
+                    return False
+        return True
 
     def inverse_index(self, i: int) -> int:
         return self.table[i].index(0)
@@ -350,3 +352,25 @@ def load_catalog() -> list[dict]:
         ("d8_standard_vs_reflection", d8, dihedral8_reflection_subgroup(d8), line),
     ]
     return [dict(zip(("name", "rep", "subgroup", "expected"), entry)) for entry in entries]
+
+
+def check_catalog() -> dict:
+    """Each shipped example against its expected outcome, as one report.
+
+    An entry passes when rho is an irreducible homomorphism with the
+    expected fixed dimensions and pairing verdict; an entry whose rho is
+    not a homomorphism names it under ``not_a_homomorphism``.
+    """
+    examples = []
+    for item in load_catalog():
+        rep = item["rep"]
+        homomorphism = rep.validate_closure()
+        report = check_pairing(rep, item["subgroup"])
+        observed = {"dim_fixed": report.dim_fixed, "dim_fixed_dual": report.dim_fixed_dual,
+                    "nonzero_pairing": report.pairing is not None and report.pairing != 0}
+        entry_ok = homomorphism and observed == item["expected"] and is_irreducible(rep)
+        entry = {"name": item["name"], "ok": entry_ok, **report.to_json()}
+        if not homomorphism:
+            entry["not_a_homomorphism"] = rep.name
+        examples.append(entry)
+    return {"examples": examples, "ok": all(entry["ok"] for entry in examples)}

@@ -22,6 +22,7 @@ relations through it as exact identities.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 
 from .scalars import ExactScalar, LaurentPoly, scalar_power
@@ -31,6 +32,7 @@ from .weyl import (
     generator,
     is_length_increasing,
     pi_element,
+    random_element,
 )
 
 __all__ = [
@@ -259,22 +261,32 @@ class RelationCheck:
 class PresentationReport:
     e: int
     checks: list
+    seed: int | None
+    samples: int
+    associativity_ok: bool
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
+        return self.associativity_ok and all(c.ok for c in self.checks)
 
     def to_json(self) -> dict:
-        return {"e": self.e, "ok": self.ok, "checks": [c.to_json() for c in self.checks]}
+        return {
+            "e": self.e, "seed": self.seed, "ok": self.ok,
+            "checks": [c.to_json() for c in self.checks],
+            "associativity_samples": self.samples, "associativity_ok": self.associativity_ok,
+        }
 
 
-def verify_presentation(e: int) -> PresentationReport:
+def verify_presentation(e: int, samples: int = 0, seed: int | None = None) -> PresentationReport:
     """Replay the defining relations of H(e, q1) with generic q1.
 
     Families (i)-(vi) are the axioms; for e = 2 families (iv)-(vi) have
     empty index ranges and are reported as vacuous.  The quadratic, braid
     and commutation relations involving [s_0] are consequences of
     (i)-(vi) and are checked as a supplementary, non-axiom family.
+    Then (h0 h1) h2 = h0 (h1 h2) is tested on ``samples`` triples, each
+    h a sum of two basis elements drawn by ``weyl.random_element`` from
+    random.Random(seed); the default 0 checks the relations only.
     """
     A = HeckeAlgebra(e, LaurentPoly.variable("q1"))
     q1 = A.q1
@@ -336,4 +348,10 @@ def verify_presentation(e: int) -> PresentationReport:
         axiom=False,
     )
 
-    return PresentationReport(e, checks)
+    rng = random.Random(seed)
+    assoc_ok = True
+    for _ in range(samples):
+        h = [A.basis(random_element(e, rng)) + A.basis(random_element(e, rng)) for _ in range(3)]
+        if (h[0] * h[1]) * h[2] != h[0] * (h[1] * h[2]):
+            assoc_ok = False
+    return PresentationReport(e, checks, seed, samples, assoc_ok)

@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .hecke import HeckeAlgebra, HeckeElement
-from .scalars import ExactScalar, LaurentPoly, scalar_inverse, scalar_power
+from .scalars import ExactScalar, LaurentPoly, format_rational, scalar_inverse, scalar_power
 from .weyl import (
     AffinePermutation,
     ExtendedWeylElement,
@@ -57,6 +57,7 @@ __all__ = [
     "EigenReport",
     "verify_eigen_generator",
     "verify_eigen_pi",
+    "verify_eigen",
     "matrix_coefficient_scalar",
 ]
 
@@ -320,6 +321,19 @@ def verify_eigen_pi(L: int, p: SphericalParams, K: int = 1) -> EigenReport:
         else:
             report.boundary_skipped += 1
     return report
+
+
+def verify_eigen(e: int, L: int, chi_pi) -> dict:
+    """Every eigen-equation of Psi0 at generic q1, as one report: each
+    [s_i], and [pi] with K = 2, on one set of parameters."""
+    p = SphericalParams.generic(e, chi_pi=chi_pi)
+    reports = [verify_eigen_generator(i, L, p) for i in range(e)]
+    reports.append(verify_eigen_pi(L, p, K=2))
+    return {
+        "e": e, "L": L, "chi_pi": format_rational(chi_pi), "mode": "generic-q1",
+        "reports": [r.to_json() for r in reports],
+        "ok": all(r.ok for r in reports),
+    }
 
 
 def matrix_coefficient_scalar(

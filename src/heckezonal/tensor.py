@@ -28,12 +28,16 @@ instance, filled on first use, which live and die with the parameters.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import ExactScalar, scalar_power
-from .spherical import SphericalParams
-from .weyl import ExtendedWeylElement, conjugate_by_pi, perm_compose
+from .spherical import SphericalParams, matrix_coefficient_scalar
+from .weyl import (
+    ExtendedWeylElement, all_reduced_words, conjugate_by_pi, enumerate_by_length, perm_compose,
+    random_element,
+)
 
 __all__ = [
     "PlaceOperator",
@@ -41,6 +45,7 @@ __all__ = [
     "gamma_operator",
     "word_perm",
     "ev",
+    "verify_coefficient",
 ]
 
 
@@ -149,3 +154,63 @@ def ev(w: ExtendedWeylElement, p: SphericalParams) -> PlaceOperator:
         scale = scales[len(word)] = p.q_power(-(p.f * (p.f - 1) // 2) * len(word))
     return PlaceOperator._raw(p.e, perm_compose(word_perm(word, p.e), gamma_k.perm), scale)
 
+
+def verify_coefficient(e: int, f: int, q0: int, L: int, seed: int, samples: int) -> dict:
+    """The operator model against the closed coefficient form, as a report.
+
+    ``ev`` at pi**k w0 must match the closed form for k in 0..e-1 and
+    l(w0) <= L, all reduced words of each w0 with l(w0) <= min(L, 6) must
+    give one place permutation, and ``samples`` elements drawn by
+    ``weyl.random_element`` from random.Random(seed) must keep their
+    scale when their pi-power shifts.
+    """
+    p = SphericalParams.numeric(e, f, q0)
+    neg_inv_q1 = p.neg_inv_q1()
+    layers = enumerate_by_length(e, L)
+    checked = mismatches = 0
+    for ell, layer in enumerate(layers):
+        # the closed form reads w0 only through l(w0): one value per layer,
+        # and each element's inversion count is checked against the layer;
+        # (-1/q1)**ell * scale == closed is tested as scale == expected
+        closed = matrix_coefficient_scalar(layer[0], 0, p)
+        expected = closed / scalar_power(neg_inv_q1, ell)
+        for w0 in layer:
+            if w0.length() != ell:
+                mismatches += 1
+            for k in range(e):
+                checked += 1
+                if ev(ExtendedWeylElement(k, w0), p).scale != expected:
+                    mismatches += 1
+    # Matsumoto: any two reduced words are linked by braid moves, so all
+    # words of w0 give one perm exactly when the t_i satisfy the braid
+    # relations.  Each word's perm comes from slot swaps (word_perm, as in
+    # ev); the operator product of t_operator factors along the first
+    # word joins the same set, a cross-check independent of the swap rule
+    ts = [t_operator(i, e) for i in range(e)]
+    word_ok = True
+    words_checked = 0
+    for layer in layers[: min(L, 6) + 1]:
+        for w0 in layer:
+            words = all_reduced_words(w0)
+            op = PlaceOperator.identity(e)
+            for idx in words[0]:
+                op = op.compose(ts[idx])
+            perms = {op.perm}
+            perms.update(word_perm(word, e) for word in words)
+            words_checked += 1
+            if len(perms) != 1:
+                word_ok = False
+    rng = random.Random(seed)
+    sampled_ok = True
+    for _ in range(samples):
+        w = random_element(e, rng)
+        shifted = ExtendedWeylElement(w.k + rng.randrange(-e, e + 1), w.w0)
+        if ev(w, p).scale != ev(shifted, p).scale:
+            sampled_ok = False
+    return {
+        "e": e, "f": f, "q0": q0, "L": L, "seed": seed,
+        "checked": checked, "mismatches": mismatches,
+        "reduced_word_independence": {"elements": words_checked, "ok": word_ok},
+        "sampled_k_invariance_ok": sampled_ok,
+        "ok": mismatches == 0 and word_ok and sampled_ok,
+    }

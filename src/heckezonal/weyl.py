@@ -48,6 +48,7 @@ __all__ = [
     "enumerate_by_length",
     "conjugate_by_pi",
     "perm_compose",
+    "random_element",
 ]
 
 ENUM_CAP_ENV = "HECKE_MAX_ELEMS"
@@ -262,6 +263,17 @@ def is_length_increasing(i: int, a: ExtendedWeylElement) -> bool:
         raise ValueError(f"generator index {i} out of range 0..{a.e - 1}")
     # s_i * pi**k * w0 = pi**k * s_{i+k mod e} * w0
     return not a.w0.has_left_descent((i + a.k) % a.e)
+
+
+def random_element(e: int, rng) -> ExtendedWeylElement:
+    """pi**k times 0..4 generators, all drawn from the random.Random rng."""
+    w = ExtendedWeylElement.identity(e)
+    for _ in range(rng.randrange(0, 5)):
+        w = multiply(generator(e, rng.randrange(e)), w)
+    # pi**k w is x -> w(x) - k; it enters through the validating constructor,
+    # so an invalid window from the trusted product raises here, not in a check
+    k = rng.randrange(-1, 2)
+    return ExtendedWeylElement.from_full_window(e, tuple(v - k for v in w.full_window()))
 
 
 def _enum_cap(explicit: int | None) -> int:

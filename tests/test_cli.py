@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from heckezonal import cli
+from heckezonal import cli, tensor
 from heckezonal.weyl import AffinePermutation, enumerate_by_length
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -167,17 +167,21 @@ def test_enumeration_cap_env(tmp_path):
 
 @pytest.mark.parametrize("value", ["abc", "-5", "0"])
 def test_enumeration_cap_env_must_be_a_positive_integer(value):
+    # every subcommand, also those that enumerate nothing (presentation,
+    # poincare, gelfand)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env["HECKE_MAX_ELEMS"] = value
-    proc = subprocess.run(
-        [sys.executable, "-m", "heckezonal", "growth", "--e", "3", "--L", "3"],
-        capture_output=True,
-        env=env,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == b""
-    assert f"HECKE_MAX_ELEMS={value!r}".encode() in proc.stderr
+    for command in cli.COMMANDS:
+        small = ["--L", "3"] if "--L" in READS[command] else []
+        proc = subprocess.run(
+            [sys.executable, "-m", "heckezonal", command, *small],
+            capture_output=True,
+            env=env,
+        )
+        assert proc.returncode == 2, command
+        assert proc.stdout == b"", command
+        assert f"HECKE_MAX_ELEMS={value!r}".encode() in proc.stderr, command
 
 
 def test_text_output():
@@ -264,8 +268,8 @@ def test_coefficient_samples_sets_the_number_of_sampled_elements(monkeypatch):
     # a passing coefficient report does not echo --samples, and its bytes
     # are pinned, so count the elements its k-invariance checks draw
     drawn = []
-    honest = cli._random_element
-    monkeypatch.setattr(cli, "_random_element", lambda e, rng: drawn.append(e) or honest(e, rng))
+    honest = tensor.random_element
+    monkeypatch.setattr(tensor, "random_element", lambda e, rng: drawn.append(e) or honest(e, rng))
     for argv, count in ((["--samples=3"], 3), ([], 25)):
         drawn.clear()
         assert cli.run(["coefficient", "--L", "3", *argv]) == 0

@@ -206,5 +206,5 @@ def test_report_json_shape():
     assert data["closed_form"] == "1/1"
     assert set(data) == {
         "e", "f", "q0", "L", "chi_pi",
-        "partial_sum", "closed_form", "abs_error", "tail_bound", "per_term_ok",
+        "partial_sum", "closed_form", "abs_error", "tail_bound", "per_term_ok", "ok",
     }

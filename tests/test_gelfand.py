@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -107,7 +108,7 @@ def test_permutation_representation_is_reducible():
     # holds the identity and the all-ones matrix
     gens = [(2, 1, 3), (1, 3, 2)]
     rep = FiniteRep.generated("S3-permutation", [(g, permutation_matrix(g)) for g in gens])
-    rep.validate_closure()
+    assert rep.validate_closure()
     assert len(rep.elements) == 6
     assert not is_irreducible(rep)
 
@@ -121,21 +122,25 @@ def flipped_s3_sign():
 
 
 def test_validate_closure_rejects_a_flipped_sign():
-    symmetric_group_sign_rep(3).validate_closure()
+    assert symmetric_group_sign_rep(3).validate_closure() is True
     bad = flipped_s3_sign()
     # the fixed dimensions cannot see the flip: both stay 0
     report = check_pairing(bad, subgroup_fixing_last_point(3))
     assert (report.dim_fixed, report.dim_fixed_dual) == (0, 0)
-    with pytest.raises(ValueError, match="not a homomorphism"):
-        bad.validate_closure()
+    assert bad.validate_closure() is False
 
 
 def test_gelfand_fails_on_a_flipped_sign(monkeypatch, capsys):
     bad = flipped_s3_sign()
     monkeypatch.setattr(gf, "symmetric_group_sign_rep", lambda n: bad)
-    assert cli.run(["gelfand"]) != 0
-    captured = capsys.readouterr()
-    assert "S3-sign: matrices are not a homomorphism" in captured.out + captured.err
+    assert cli.run(["gelfand"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    # only the sign entry fails, and it names its representation
+    examples = report["examples"]
+    failing = {entry["name"]: entry.get("not_a_homomorphism") for entry in examples if not entry["ok"]}
+    assert failing == {"s3_sign_vs_s2": "S3-sign"}
+    assert sum("not_a_homomorphism" in entry for entry in examples) == 1
 
 
 def test_validate_closure_rejects_generators_breaking_a_relation():
@@ -144,8 +149,7 @@ def test_validate_closure_rejects_generators_breaking_a_relation():
     s2 = std.matrices[std.generators[1]]
     rep = FiniteRep.generated("S3-broken", [((2, 1, 3), mat_identity(2)), ((1, 3, 2), s2)])
     assert len(rep.elements) == 6
-    with pytest.raises(ValueError, match="not a homomorphism"):
-        rep.validate_closure()
+    assert rep.validate_closure() is False
 
 
 def shipped_reps():
@@ -241,7 +245,7 @@ def test_one_gelfand_run_counts(monkeypatch, capsys):
 def test_dihedral_example():
     rep = dihedral8_standard_rep()
     assert len(rep.matrices) == 8
-    rep.validate_closure()
+    assert rep.validate_closure()
     report = check_pairing(rep, dihedral8_reflection_subgroup(rep))
     assert report.gelfand_multiplicity_ok
     assert report.pairing != 0
@@ -250,7 +254,7 @@ def test_dihedral_example():
 def test_catalog_expectations_hold():
     for item in load_catalog():
         rep = item["rep"]
-        rep.validate_closure()
+        assert rep.validate_closure()
         assert is_irreducible(rep)
         report = check_pairing(rep, item["subgroup"])
         expected = item["expected"]

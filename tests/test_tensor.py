@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from oracles import TensorVector, apply_operator, pair, project_to_finite
 
-from heckezonal import cli
+from heckezonal import cli, tensor
 from heckezonal.scalars import scalar_inverse, scalar_power
 from heckezonal.spherical import SphericalParams, matrix_coefficient_scalar
 from heckezonal.tensor import (
@@ -208,21 +208,21 @@ def test_coefficient_word_check_fails_on_foreign_word(monkeypatch, capsys):
     # two slot-swap perms differ
     assert _word_check(capsys) == (0, {"elements": 64, "ok": True})
     target = multiply(generator(3, 1), generator(3, 0)).w0
-    honest = cli.all_reduced_words
+    honest = tensor.all_reduced_words
 
     def patched(w0):
         words = honest(w0)
         return words + [[2, 0]] if w0 == target else words
 
-    monkeypatch.setattr(cli, "all_reduced_words", patched)
+    monkeypatch.setattr(tensor, "all_reduced_words", patched)
     assert _word_check(capsys) == (1, {"elements": 64, "ok": False})
 
 
 def test_coefficient_word_check_fails_on_wrong_t0(monkeypatch, capsys):
     # t_0 swapping slots (1, 2) instead of (1, e) breaks the operator
     # product along words that use it, not the slot-swap perms
-    honest = cli.t_operator
-    monkeypatch.setattr(cli, "t_operator", lambda i, e: honest(1 if i == 0 else i, e))
+    honest = tensor.t_operator
+    monkeypatch.setattr(tensor, "t_operator", lambda i, e: honest(1 if i == 0 else i, e))
     assert _word_check(capsys) == (1, {"elements": 64, "ok": False})
 
 
