@@ -28,12 +28,10 @@ from .weyl import (
     all_reduced_words,
     enumerate_by_length,
     generator,
-    is_length_increasing,
     multiply,
     pi_element,
 )
 from .hecke import (
-    CharacterData,
     HeckeAlgebra,
     HeckeElement,
     PresentationReport,

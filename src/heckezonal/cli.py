@@ -313,7 +313,7 @@ def run(argv=None) -> int:
     try:
         _validate(args)
         ok, report = COMMANDS[args.command](args)
-    except (ValueError, ZeroDivisionError, EnumerationCapExceeded) as exc:
+    except (ValueError, EnumerationCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(emit(args.command, report, args.output))

@@ -71,8 +71,8 @@ class GrowthSeries:
             raise ValueError("counts must be nonnegative")
 
 
-def coset_measure(w0: AffinePermutation, k: int, f: int, q0) -> Fraction:
-    """Volume q0**(f**2 * l(w0)) of the double coset at w0 * pi**k."""
+def coset_measure(w0: AffinePermutation, f: int, q0) -> Fraction:
+    """Volume q0**(f**2 * l(w0)) of the double coset at w0 * pi**k, for every k."""
     q0 = Fraction(q0)
     if q0 < 2:
         raise ValueError("q0 must be at least 2")
@@ -88,7 +88,7 @@ def per_term_value(w0: AffinePermutation, f: int, q0) -> Fraction:
     collapse to (-1/q0**f)**l(w0) by the exponent cancellation.
     """
     p = SphericalParams.numeric(w0.e, f, q0)
-    return coset_measure(w0, 0, f, q0) * matrix_coefficient_scalar(w0, 0, p)
+    return coset_measure(w0, f, q0) * matrix_coefficient_scalar(w0, p)
 
 
 def growth_bfs(e: int, max_length: int) -> GrowthSeries:
@@ -106,8 +106,8 @@ def poincare_closed_form(e: int) -> tuple[LaurentPoly, LaurentPoly]:
     """
     if e < 2:
         raise ValueError("rank e must be at least 2")
-    one = LaurentPoly.constant(1, "X")
-    x = LaurentPoly.variable("X")
+    one = LaurentPoly.constant(1)
+    x = LaurentPoly.variable()
     num = one
     den = one
     for i in range(1, e):
@@ -164,7 +164,6 @@ class IntegralReport:
     e: int
     f: int
     q0: Fraction
-    chi_pi: Fraction
     L: int
     partial_sum: Fraction
     closed_form: Fraction
@@ -183,7 +182,7 @@ class IntegralReport:
             "f": self.f,
             "q0": int(self.q0) if self.q0.denominator == 1 else format_rational(self.q0),
             "L": self.L,
-            "chi_pi": format_rational(self.chi_pi),
+            "chi_pi": "1/1",  # the sum is derived for the trivial chi_pi only
             "partial_sum": format_rational(self.partial_sum),
             "closed_form": format_rational(self.closed_form),
             "abs_error": format_rational(self.abs_error),
@@ -234,7 +233,6 @@ def distinction_integral(e: int, f: int, q0, L: int) -> IntegralReport:
         e=e,
         f=f,
         q0=q0,
-        chi_pi=Fraction(1),
         L=L,
         partial_sum=partial,
         closed_form=closed,

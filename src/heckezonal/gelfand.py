@@ -23,7 +23,6 @@ catalog metadata, not something verified here.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ __all__ = [
     "symmetric_group_standard_rep",
     "symmetric_group_sign_rep",
     "dihedral8_standard_rep",
-    "subgroup_fixing_last_point",
+    "point_stabilizer",
     "load_catalog",
     "check_catalog",
 ]
@@ -310,12 +309,6 @@ def symmetric_group_sign_rep(n: int) -> FiniteRep:
     return FiniteRep.generated(f"S{n}-sign", [(g, minus_one) for g in _adjacent_transpositions(n)])
 
 
-def subgroup_fixing_last_point(n: int) -> list[int]:
-    """Indices of the copy of S_{n-1} fixing n among the sorted elements of S_n."""
-    elems = sorted(itertools.permutations(range(1, n + 1)))
-    return [i for i, s in enumerate(elems) if s[-1] == n]
-
-
 def dihedral8_standard_rep() -> FiniteRep:
     """The dihedral group of order 8 on the plane.
 
@@ -328,9 +321,9 @@ def dihedral8_standard_rep() -> FiniteRep:
     return FiniteRep.generated("D8-standard", [quarter_turn, reflection])
 
 
-def dihedral8_reflection_subgroup(rep: FiniteRep) -> list[int]:
-    """The identity and the reflection fixing v_1."""
-    return [i for i, p in enumerate(rep.elements) if p[0] == 1]
+def point_stabilizer(rep: FiniteRep, x: int) -> list[int]:
+    """Indices of the elements of ``rep`` that fix the point x."""
+    return [i for i, p in enumerate(rep.elements) if p[x - 1] == x]
 
 
 # -- catalog --------------------------------------------------------------
@@ -339,19 +332,22 @@ def dihedral8_reflection_subgroup(rep: FiniteRep) -> list[int]:
 def load_catalog() -> list[dict]:
     """The shipped examples, built from the constructors above.
 
-    Each item: name, rep (FiniteRep), subgroup (indices), expected
-    (dims and pairing verdict).
+    Each item: name, rep (FiniteRep), subgroup (indices of the stabilizer
+    of a point: n for S_n, the vertex v_1 for D8), expected (dims and
+    pairing verdict).
     """
-    d8 = dihedral8_standard_rep()
     line = {"dim_fixed": 1, "dim_fixed_dual": 1, "nonzero_pairing": True}
     nothing = {"dim_fixed": 0, "dim_fixed_dual": 0, "nonzero_pairing": False}
     entries = [
-        ("s3_standard_vs_s2", symmetric_group_standard_rep(3), subgroup_fixing_last_point(3), line),
-        ("s3_sign_vs_s2", symmetric_group_sign_rep(3), subgroup_fixing_last_point(3), nothing),
-        ("s4_standard_vs_s3", symmetric_group_standard_rep(4), subgroup_fixing_last_point(4), line),
-        ("d8_standard_vs_reflection", d8, dihedral8_reflection_subgroup(d8), line),
+        ("s3_standard_vs_s2", symmetric_group_standard_rep(3), 3, line),
+        ("s3_sign_vs_s2", symmetric_group_sign_rep(3), 3, nothing),
+        ("s4_standard_vs_s3", symmetric_group_standard_rep(4), 4, line),
+        ("d8_standard_vs_reflection", dihedral8_standard_rep(), 1, line),
     ]
-    return [dict(zip(("name", "rep", "subgroup", "expected"), entry)) for entry in entries]
+    return [
+        {"name": name, "rep": rep, "subgroup": point_stabilizer(rep, x), "expected": expected}
+        for name, rep, x, expected in entries
+    ]
 
 
 def check_catalog() -> dict:

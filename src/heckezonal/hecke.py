@@ -10,9 +10,9 @@ two-case generator rule
 
 together with [pi]**k acting by relabeling ([pi][w] = [pi w]).  As
 s_i pi**k = pi**k s_{i+k mod e}, each peeled letter maps a term
-[pi**k w0] to [pi**k s_{i+k mod e} w0] with one ``compose`` of W0
-windows.  The case is picked by a left-descent test on w
-(``weyl.is_length_increasing``, O(e)), not by computing both lengths,
+[pi**k w0] to [pi**k s_j w0], j = i + k mod e, with one ``compose`` of
+W0 windows.  The case is picked by a left-descent test of w0 at j
+(``has_left_descent``, O(e)), not by computing both lengths,
 and q1 - 1 is computed once per algebra, not once per descending term.
 A term of the left factor with coefficient 1 (every term of [pi] or of
 a sum of basis elements) adds its peeled terms unscaled.  This recursion
@@ -30,7 +30,6 @@ from .weyl import (
     ExtendedWeylElement,
     _simple,
     generator,
-    is_length_increasing,
     pi_element,
     random_element,
 )
@@ -38,7 +37,6 @@ from .weyl import (
 __all__ = [
     "HeckeAlgebra",
     "HeckeElement",
-    "CharacterData",
     "chi",
     "RelationCheck",
     "PresentationReport",
@@ -101,13 +99,14 @@ class HeckeAlgebra:
         e, q1, q1_minus_1 = self.e, self.q1, self._q1_minus_1
         out: dict = {}
         for w, c in coeffs.items():
-            k = w.k
-            sw = ExtendedWeylElement(k, _simple(e, (i + k) % e).compose(w.w0))
-            if is_length_increasing(i, w):
-                _accumulate(out, sw, c)
-            else:
+            k, w0 = w.k, w.w0
+            j = (i + k) % e
+            sw = ExtendedWeylElement(k, _simple(e, j).compose(w0))
+            if w0.has_left_descent(j):
                 _accumulate(out, sw, q1 * c)
                 _accumulate(out, w, q1_minus_1 * c)
+            else:
+                _accumulate(out, sw, c)
         return out
 
     def _left_pi_power(self, k: int, coeffs: dict) -> dict:
@@ -194,30 +193,19 @@ class HeckeElement:
 # -- the character of the generalized Steinberg module ------------------
 
 
-@dataclass(frozen=True)
-class CharacterData:
-    """Data pinning the one-dimensional module character.
+def chi(h: HeckeElement, chi_pi: ExactScalar = 1) -> ExactScalar:
+    """Linear extension of chi([pi**k w0]) = chi_pi**k * (-1)**l(w0).
 
-    chi sends every generator basis element [s_i] to -1 and [pi] to the
-    configured unit chi_pi (default 1, the value in the distinguished,
-    odd-rank regime).
+    The one-dimensional module character: every generator basis element
+    [s_i] goes to -1 and [pi] to the unit chi_pi (default 1, the value in
+    the distinguished, odd-rank regime).
     """
-
-    e: int
-    q1: ExactScalar
-    chi_pi: ExactScalar = 1
-
-    def __post_init__(self):
-        if _is_zero(self.chi_pi):
-            raise ValueError("chi_pi must be a unit")
-
-
-def chi(h: HeckeElement, cd: CharacterData) -> ExactScalar:
-    """Linear extension of chi([pi**k w0]) = chi_pi**k * (-1)**l(w0)."""
+    if _is_zero(chi_pi):
+        raise ValueError("chi_pi must be a unit")
     total = 0
     for w, c in h.coeffs.items():
         sign = -1 if w.length() % 2 else 1
-        total = total + c * sign * scalar_power(cd.chi_pi, w.k)
+        total = total + c * sign * scalar_power(chi_pi, w.k)
     return total
 
 
@@ -288,7 +276,7 @@ def verify_presentation(e: int, samples: int = 0, seed: int | None = None) -> Pr
     h a sum of two basis elements drawn by ``weyl.random_element`` from
     random.Random(seed); the default 0 checks the relations only.
     """
-    A = HeckeAlgebra(e, LaurentPoly.variable("q1"))
+    A = HeckeAlgebra(e, LaurentPoly.variable())
     q1 = A.q1
     one = A.one()
     zero = A.zero()

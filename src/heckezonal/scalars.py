@@ -59,27 +59,24 @@ class LaurentPoly:
 
     Instances are immutable by convention: no method mutates ``self``,
     apart from ``__hash__`` filling the ``_hash`` slot once on first use.
-    The variable name is display-only; arithmetic keeps the left
-    operand's.
+    Every instance is in the same single variable, printed as ``q``.
     """
 
-    __slots__ = ("_coeffs", "var", "_hash")
+    __slots__ = ("_coeffs", "_hash")
 
-    def __init__(self, coeffs=None, var: str = "q1"):
+    def __init__(self, coeffs=None):
         clean: dict[int, Fraction] = {}
         for n, c in (coeffs or {}).items():
             c = _as_fraction(c)
             if c:
                 clean[int(n)] = c
         object.__setattr__(self, "_coeffs", clean)
-        object.__setattr__(self, "var", var)
 
     @classmethod
-    def _raw(cls, clean: dict[int, Fraction], var: str) -> "LaurentPoly":
+    def _raw(cls, clean: dict[int, Fraction]) -> "LaurentPoly":
         """Wrap a dict that already satisfies the invariant, unchecked."""
         self = object.__new__(cls)
         object.__setattr__(self, "_coeffs", clean)
-        object.__setattr__(self, "var", var)
         return self
 
     def __setattr__(self, name, value):
@@ -88,16 +85,16 @@ class LaurentPoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def variable(cls, var: str = "q1") -> "LaurentPoly":
-        return cls({1: 1}, var)
+    def variable(cls) -> "LaurentPoly":
+        return cls({1: 1})
 
     @classmethod
-    def constant(cls, c, var: str = "q1") -> "LaurentPoly":
-        return cls({0: c}, var)
+    def constant(cls, c) -> "LaurentPoly":
+        return cls({0: c})
 
     @classmethod
-    def term(cls, c, n: int, var: str = "q1") -> "LaurentPoly":
-        return cls({n: c}, var)
+    def term(cls, c, n: int) -> "LaurentPoly":
+        return cls({n: c})
 
     # -- inspection ---------------------------------------------------
 
@@ -119,7 +116,7 @@ class LaurentPoly:
         if isinstance(other, LaurentPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return LaurentPoly({0: other}, self.var)
+            return LaurentPoly({0: other})
         return None
 
     def __add__(self, other):
@@ -133,7 +130,7 @@ class LaurentPoly:
                 coeffs[n] = c
             else:
                 del coeffs[n]
-        return LaurentPoly._raw(coeffs, self.var)
+        return LaurentPoly._raw(coeffs)
 
     __radd__ = __add__
 
@@ -150,13 +147,13 @@ class LaurentPoly:
         return other + (-self)
 
     def __neg__(self):
-        return LaurentPoly._raw({n: -c for n, c in self._coeffs.items()}, self.var)
+        return LaurentPoly._raw({n: -c for n, c in self._coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
-                return LaurentPoly._raw({}, self.var)
-            return LaurentPoly._raw({n: c * other for n, c in self._coeffs.items()}, self.var)
+                return LaurentPoly._raw({})
+            return LaurentPoly._raw({n: c * other for n, c in self._coeffs.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         coeffs: dict[int, Fraction] = {}
@@ -164,7 +161,7 @@ class LaurentPoly:
             for n2, c2 in other._coeffs.items():
                 n = n1 + n2
                 coeffs[n] = coeffs.get(n, 0) + c1 * c2
-        return LaurentPoly._raw({n: c for n, c in coeffs.items() if c}, self.var)
+        return LaurentPoly._raw({n: c for n, c in coeffs.items() if c})
 
     __rmul__ = __mul__
 
@@ -173,10 +170,10 @@ class LaurentPoly:
             return NotImplemented
         if self.is_unit:
             ((m, c),) = self._coeffs.items()
-            return LaurentPoly._raw({m * n: c**n}, self.var)
+            return LaurentPoly._raw({m * n: c**n})
         if n < 0:
             return self.inverse() ** (-n)
-        result = LaurentPoly._raw({0: Fraction(1)}, self.var)
+        result = LaurentPoly._raw({0: Fraction(1)})
         base = self
         while n:
             if n & 1:
@@ -191,13 +188,13 @@ class LaurentPoly:
                 "NonInvertible: only monomials are units in the Laurent ring"
             )
         ((n, c),) = self._coeffs.items()
-        return LaurentPoly._raw({-n: 1 / c}, self.var)
+        return LaurentPoly._raw({-n: 1 / c})
 
     # -- comparison / hashing -----------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly({0: other}, self.var)
+            other = LaurentPoly({0: other})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._coeffs == other._coeffs
@@ -237,7 +234,7 @@ class LaurentPoly:
                 mono = str(c)
             else:
                 head = "" if c == 1 else "-" if c == -1 else f"{c}*"
-                mono = f"{head}{self.var}" if n == 1 else f"{head}{self.var}^{n}"
+                mono = f"{head}q" if n == 1 else f"{head}q^{n}"
             parts.append(mono)
         out = " + ".join(parts)
         return out.replace("+ -", "- ")

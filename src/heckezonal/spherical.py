@@ -29,7 +29,7 @@ w0 * pi**k is the closed form
 
     (-1/q1)**l(w0) * q**(-f(f-1)/2 * l(w0)),      q = q0**2, q1 = q**f,
 
-independent of k.
+independent of k, so ``matrix_coefficient_scalar`` takes w0 alone.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .weyl import (
     ExtendedWeylElement,
     _simple,
     enumerate_by_length,
-    is_length_increasing,
     pi_element,
 )
 
@@ -70,14 +69,13 @@ class RequiresTrivialChiPi(ValueError):
 class SphericalParams:
     """Parameters (e, f, q0) with q = q0**2 and q1 = q**f = q0**(2f).
 
-    q0 is a rational prime power in numeric mode and None in generic
-    mode, where q1 is a formal Laurent variable instead.
+    q0 is a rational prime power in numeric mode.  Generic mode is
+    q0 = None and f = 1: q1 = q is then a formal Laurent variable.
     """
 
     e: int
     f: int
     q0: Fraction | None
-    q1: ExactScalar
     chi_pi: ExactScalar = 1
 
     def __post_init__(self):
@@ -85,35 +83,31 @@ class SphericalParams:
             raise ValueError("rank e must be at least 2")
         if self.f < 1:
             raise ValueError("f must be a positive integer")
+        if self.q0 is None:
+            if self.f != 1:
+                raise ValueError("generic mode has f = 1")
+        elif self.q0 < 2:
+            raise ValueError("q0 must be at least 2")
 
     @classmethod
     def numeric(cls, e: int, f: int, q0, chi_pi=1) -> "SphericalParams":
-        q0 = Fraction(q0)
-        if q0 < 2:
-            raise ValueError("q0 must be at least 2")
-        return cls(e, f, q0, q0 ** (2 * f), chi_pi)
+        return cls(e, f, Fraction(q0), chi_pi)
 
     @classmethod
-    def generic(cls, e: int, f: int = 1, chi_pi=1) -> "SphericalParams":
-        return cls(e, f, None, LaurentPoly.variable("q1"), chi_pi)
+    def generic(cls, e: int, chi_pi=1) -> "SphericalParams":
+        return cls(e, 1, None, chi_pi)
 
-    @property
-    def is_generic(self) -> bool:
-        return self.q0 is None
+    @cached_property
+    def q1(self) -> ExactScalar:
+        return LaurentPoly.variable() if self.q0 is None else self.q0 ** (2 * self.f)
 
     def q_power(self, m: int) -> ExactScalar:
-        """q**m for integer m, with q = q0**2."""
+        """q**m for integer m, with q = q0**2 (q = q1 in generic mode)."""
         if m == 0:
             return Fraction(1)
-        if not self.is_generic:
-            return self.q0 ** (2 * m)
-        if self.f == 1:
-            # q1 = q**f = q, so powers of q stay in the Laurent ring
+        if self.q0 is None:
             return scalar_power(self.q1, m)
-        raise ValueError(
-            "generic mode only expresses powers of q when f = 1; "
-            "use numeric parameters for f >= 2"
-        )
+        return self.q0 ** (2 * m)
 
     @cached_property
     def _neg_inv_q1(self) -> ExactScalar:
@@ -181,9 +175,6 @@ def _layers(p: SphericalParams, L: int) -> tuple[list, dict]:
 class SphericalTruncation:
     """The eigenvector restricted to {pi**k w0 : |k| <= K, l(w0) <= L}."""
 
-    L: int
-    K: int
-    params: SphericalParams
     element: HeckeElement
 
     @classmethod
@@ -197,7 +188,7 @@ class SphericalTruncation:
             for w0 in layer:
                 for k, c in values:
                     coeffs[ExtendedWeylElement(k, w0)] = c
-        return cls(L, K, p, HeckeElement(p.algebra(), coeffs))
+        return cls(HeckeElement(p.algebra(), coeffs))
 
 
 @dataclass
@@ -252,8 +243,8 @@ def verify_eigen_generator(i: int, L: int, p: SphericalParams) -> EigenReport:
     pi**k * s_{i+k mod e} * w0 with one ``compose``.  Each w0 of layer
     ell has its inversion count checked against ell once, and a case
     passes only when that check holds too; a u' missing from the map
-    fails its case.  The case is read from a left-descent test on u
-    (``is_length_increasing``, O(e)), not from the two layers, so a wrong
+    fails its case.  The case is read from a left-descent test of w0 at
+    i + k mod e (``has_left_descent``, O(e)), not from the two layers, so a wrong
     case choice still breaks the identity.  The verdict depends only on
     the integers (case, l(u), l(u'), k), so it is computed once per
     distinct key within the call.
@@ -266,17 +257,17 @@ def verify_eigen_generator(i: int, L: int, p: SphericalParams) -> EigenReport:
     report = EigenReport(kind=f"generator s_{i}")
     q1 = p.q1
     q1_minus_1 = q1 - 1
-    # s_i * pi**k = pi**k * s_{i+k mod e}
-    shifted = {k: _simple(e, (i + k) % e) for k in (-1, 0, 1)}
+    # s_i * pi**k = pi**k * s_j with j = i + k mod e
+    shifted = [(k, (i + k) % e) for k in (-1, 0, 1)]
+    simple = {j: _simple(e, j) for _, j in shifted}
     layers, layer_of = _layers(p, L)
     verdicts: dict = {}
     for ell, layer in enumerate(layers[:L]):
         for w0 in layer:
             length_ok = ExtendedWeylElement(0, w0).length() == ell
-            for k, s in shifted.items():
-                u = ExtendedWeylElement(k, w0)
-                ell_su = layer_of.get(s.compose(w0).window)
-                up = is_length_increasing(i, u)
+            for k, j in shifted:
+                ell_su = layer_of.get(simple[j].compose(w0).window)
+                up = not w0.has_left_descent(j)
                 key = (up, ell, ell_su, k)
                 ok = verdicts.get(key)
                 if ok is None:
@@ -288,7 +279,7 @@ def verify_eigen_generator(i: int, L: int, p: SphericalParams) -> EigenReport:
                         lhs = q1 * csu if up else csu + q1_minus_1 * cu
                         ok = lhs == -cu
                     verdicts[key] = ok
-                report.record(ok and length_ok, u)
+                report.record(ok and length_ok, ExtendedWeylElement(k, w0))
     report.boundary_skipped = 3 * len(layers[L])
     return report
 
@@ -336,10 +327,8 @@ def verify_eigen(e: int, L: int, chi_pi) -> dict:
     }
 
 
-def matrix_coefficient_scalar(
-    w0: AffinePermutation, k: int, p: SphericalParams
-) -> ExactScalar:
-    """Normalized matrix-coefficient value at w0 * pi**k; k-independent.
+def matrix_coefficient_scalar(w0: AffinePermutation, p: SphericalParams) -> ExactScalar:
+    """Normalized matrix-coefficient value at w0 * pi**k, the same for every k.
 
     Only defined in the trivial chi_pi regime.
     """

@@ -172,7 +172,7 @@ def verify_coefficient(e: int, f: int, q0: int, L: int, seed: int, samples: int)
         # the closed form reads w0 only through l(w0): one value per layer,
         # and each element's inversion count is checked against the layer;
         # (-1/q1)**ell * scale == closed is tested as scale == expected
-        closed = matrix_coefficient_scalar(layer[0], 0, p)
+        closed = matrix_coefficient_scalar(layer[0], p)
         expected = closed / scalar_power(neg_inv_q1, ell)
         for w0 in layer:
             if w0.length() != ell:

@@ -44,7 +44,6 @@ __all__ = [
     "pi_element",
     "multiply",
     "all_reduced_words",
-    "is_length_increasing",
     "enumerate_by_length",
     "conjugate_by_pi",
     "perm_compose",
@@ -225,8 +224,8 @@ def multiply(a: ExtendedWeylElement, b: ExtendedWeylElement) -> ExtendedWeylElem
     return a.multiply(b)
 
 
-def all_reduced_words(a) -> list[list[int]]:
-    """Every reduced word of the W0 part, by exhaustive descent recursion.
+def all_reduced_words(w0: AffinePermutation) -> list[list[int]]:
+    """Every reduced word of w0, by exhaustive descent recursion.
 
     The recursion runs on inverse windows and reads each node's left
     descents from its window with the tests of ``reduced_word``: a descent
@@ -235,7 +234,6 @@ def all_reduced_words(a) -> list[list[int]]:
     shifted by e for i = 0).  Words are listed by first letter, lowest
     first, then recursively by the rest.
     """
-    w0 = a.w0 if isinstance(a, ExtendedWeylElement) else a
     e = w0.e
     cache: dict[tuple[int, ...], list[list[int]]] = {tuple(range(1, e + 1)): [[]]}
 
@@ -255,14 +253,6 @@ def all_reduced_words(a) -> list[list[int]]:
         return words
 
     return walk(w0.inverse().window)
-
-
-def is_length_increasing(i: int, a: ExtendedWeylElement) -> bool:
-    """True iff l(s_i * a) = l(a) + 1 (the only alternative is l(a) - 1)."""
-    if not 0 <= i <= a.e - 1:
-        raise ValueError(f"generator index {i} out of range 0..{a.e - 1}")
-    # s_i * pi**k * w0 = pi**k * s_{i+k mod e} * w0
-    return not a.w0.has_left_descent((i + a.k) % a.e)
 
 
 def random_element(e: int, rng) -> ExtendedWeylElement:

@@ -19,7 +19,7 @@ from conftest import ACCEPTANCE_LINES
 
 from heckezonal.distinction import distinction_integral, growth_bfs, growth_closed_form, poincare_value
 from heckezonal.gelfand import check_pairing, load_catalog
-from heckezonal.hecke import CharacterData, HeckeAlgebra, chi, verify_presentation
+from heckezonal.hecke import HeckeAlgebra, chi, verify_presentation
 from heckezonal.scalars import LaurentPoly, scalar_inverse, scalar_power
 from heckezonal.spherical import (
     SphericalParams,
@@ -69,20 +69,19 @@ def test_criterion_2_length_oracle():
 def test_criterion_3_character():
     ok = True
     for e in (2, 3, 4):
-        algebra = HeckeAlgebra(e, LaurentPoly.variable("q1"))
-        cd = CharacterData(e, algebra.q1)
+        algebra = HeckeAlgebra(e, LaurentPoly.variable())
         pi = algebra.basis(pi_element(e))
         pi_inv = algebra.basis(pi_element(e).inverse())
         for ell, layer in enumerate(enumerate_by_length(e, 8)):
             sign = (-1) ** ell
             for w0 in layer:
                 h = algebra.basis(ExtendedWeylElement(0, w0))
-                if chi(h, cd) != sign:
+                if chi(h) != sign:
                     ok = False
                 for i in range(e):
-                    if chi(algebra.generator_basis(i) * h, cd) != -sign:
+                    if chi(algebra.generator_basis(i) * h) != -sign:
                         ok = False
-                if chi(pi * h, cd) != sign or chi(pi_inv * h, cd) != sign:
+                if chi(pi * h) != sign or chi(pi_inv * h) != sign:
                     ok = False
     record(3, "chi([w]) = (-1)**l(w) to length 8 and chi multiplicative under generators", ok)
 
@@ -113,12 +112,10 @@ def test_criterion_5_operator_oracle():
                 neg_inv_q1 = -scalar_inverse(params.q1)
                 for ell, layer in enumerate(layers):
                     for w0 in layer:
-                        closed = matrix_coefficient_scalar(w0, 0, params)
+                        closed = matrix_coefficient_scalar(w0, params)
                         for k in range(e):
                             operator = ev(ExtendedWeylElement(k, w0), params)
                             if scalar_power(neg_inv_q1, ell) * operator.scale != closed:
-                                ok = False
-                            if matrix_coefficient_scalar(w0, k, params) != closed:
                                 ok = False
         # reduced-word independence, exhaustively at length <= 6
         for layer in layers:

@@ -16,7 +16,6 @@ from heckezonal import gelfand as gf
 from heckezonal.gelfand import (
     FiniteRep,
     check_pairing,
-    dihedral8_reflection_subgroup,
     dihedral8_standard_rep,
     fixed_space,
     is_irreducible,
@@ -24,7 +23,7 @@ from heckezonal.gelfand import (
     mat_identity,
     mat_mul,
     averaging_projector,
-    subgroup_fixing_last_point,
+    point_stabilizer,
     symmetric_group_sign_rep,
     symmetric_group_standard_rep,
 )
@@ -38,7 +37,7 @@ def test_trivial_representation_fixed_space():
 
 def test_s3_standard_fixed_line():
     rep = symmetric_group_standard_rep(3)
-    K = subgroup_fixing_last_point(3)
+    K = point_stabilizer(rep, 3)
     assert len(K) == 2
     basis = fixed_space(rep.matrices, K)
     assert len(basis) == 1
@@ -50,7 +49,7 @@ def test_s3_standard_fixed_line():
 
 def test_s3_sign_has_no_fixed_vectors():
     rep = symmetric_group_sign_rep(3)
-    K = subgroup_fixing_last_point(3)
+    K = point_stabilizer(rep, 3)
     assert fixed_space(rep.matrices, K) == []
     report = check_pairing(rep, K)
     assert (report.dim_fixed, report.dim_fixed_dual) == (0, 0)
@@ -63,7 +62,7 @@ def test_s3_sign_has_no_fixed_vectors():
     [(symmetric_group_standard_rep(3), 3), (symmetric_group_standard_rep(4), 4)],
 )
 def test_standard_pairings_nonzero(rep, n):
-    report = check_pairing(rep, subgroup_fixing_last_point(n))
+    report = check_pairing(rep, point_stabilizer(rep, n))
     assert (report.dim_fixed, report.dim_fixed_dual) == (1, 1)
     assert report.pairing is not None and report.pairing != 0
     assert report.gelfand_multiplicity_ok
@@ -72,7 +71,7 @@ def test_standard_pairings_nonzero(rep, n):
 def test_pairing_verdict_scale_invariant():
     # rescaling the fixed generators rescales the value, never its vanishing
     rep = symmetric_group_standard_rep(3)
-    K = subgroup_fixing_last_point(3)
+    K = point_stabilizer(rep, 3)
     v = fixed_space(rep.matrices, K)[0]
     vt = fixed_space(rep.dual_matrices(), K)[0]
     base = sum(a * b for a, b in zip(v, vt))
@@ -83,7 +82,7 @@ def test_pairing_verdict_scale_invariant():
 
 def test_averaging_projector_idempotent_and_equivariant():
     rep = symmetric_group_standard_rep(4)
-    K = subgroup_fixing_last_point(4)
+    K = point_stabilizer(rep, 4)
     proj = averaging_projector(rep.matrices, K)
     assert mat_mul(proj, proj) == proj
     for idx in K:
@@ -125,7 +124,7 @@ def test_validate_closure_rejects_a_flipped_sign():
     assert symmetric_group_sign_rep(3).validate_closure() is True
     bad = flipped_s3_sign()
     # the fixed dimensions cannot see the flip: both stay 0
-    report = check_pairing(bad, subgroup_fixing_last_point(3))
+    report = check_pairing(bad, point_stabilizer(bad, 3))
     assert (report.dim_fixed, report.dim_fixed_dual) == (0, 0)
     assert bad.validate_closure() is False
 
@@ -188,7 +187,7 @@ def test_symmetric_group_oracles(n):
             image[sigma[j] - 1], image[sigma[j + 1] - 1] = 1, -1
             assert [c[k + 1] - c[k] for k in range(n)] == image
         assert s == ((Fraction(sign_by_inversions(sigma)),),)
-    K = subgroup_fixing_last_point(n)
+    K = point_stabilizer(std, n)
     assert K == [i for i, sigma in enumerate(std.elements) if sigma[-1] == n]
     assert len(K) == len(std.elements) // n
 
@@ -200,7 +199,7 @@ def test_dihedral_matrices_move_the_square_vertices():
     for sigma, m in zip(rep.elements, rep.matrices):
         assert tuple(row[0] for row in m) == vertices[sigma[0]]
         assert tuple(row[1] for row in m) == vertices[sigma[1]]
-    K = dihedral8_reflection_subgroup(rep)
+    K = point_stabilizer(rep, 1)  # the reflection fixing v_1
     assert [rep.matrices[i] for i in K] == [mat_identity(2), ((1, 0), (0, -1))]
 
 
@@ -246,9 +245,26 @@ def test_dihedral_example():
     rep = dihedral8_standard_rep()
     assert len(rep.matrices) == 8
     assert rep.validate_closure()
-    report = check_pairing(rep, dihedral8_reflection_subgroup(rep))
+    report = check_pairing(rep, point_stabilizer(rep, 1))
     assert report.gelfand_multiplicity_ok
     assert report.pairing != 0
+
+
+def test_catalog_subgroups_are_point_stabilizers():
+    # the fixed point of each entry and the indices the catalog shipped
+    # before its subgroups were read from rep.elements
+    shipped = {
+        "s3_standard_vs_s2": (3, [0, 2]),
+        "s3_sign_vs_s2": (3, [0, 2]),
+        "s4_standard_vs_s3": (4, [0, 2, 6, 8, 12, 14]),
+        "d8_standard_vs_reflection": (1, [0, 1]),
+    }
+    catalog = load_catalog()
+    assert [item["name"] for item in catalog] == list(shipped)
+    for item in catalog:
+        x, indices = shipped[item["name"]]
+        assert item["subgroup"] == point_stabilizer(item["rep"], x) == indices
+        assert all(item["rep"].elements[i][x - 1] == x for i in indices)
 
 
 def test_catalog_expectations_hold():

@@ -37,7 +37,6 @@ MATRIX = [
 
 UNREACHED = {
     "hecke.chi": "the one-dimensional character (acceptance criterion 3); no subcommand reports it",
-    "hecke.CharacterData.__post_init__": "validates chi's data (acceptance criterion 3)",
     "scalars.LaurentPoly.term": "monomial constructor of the scalar API, used by the doctest and tests",
     "scalars.LaurentPoly.__repr__": "readable polynomials in assertion messages and interactive use",
     "scalars.LaurentPoly.__setattr__": "enforces immutability; the class writes through object.__setattr__",

@@ -1,5 +1,6 @@
 """Spherical eigenvector: coefficient rule, eigen-equations, values."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -197,10 +198,8 @@ def test_eigen_checks_catch_a_wrong_boundary_layer():
 
 def test_eigen_checks_catch_a_flipped_case(monkeypatch):
     # the generator rule with its two cases swapped fails for every s_i
-    true_increasing = spherical.is_length_increasing
-    monkeypatch.setattr(
-        spherical, "is_length_increasing", lambda i, a: not true_increasing(i, a)
-    )
+    honest = AffinePermutation.has_left_descent
+    monkeypatch.setattr(AffinePermutation, "has_left_descent", lambda w0, j: not honest(w0, j))
     for e in (2, 3, 4):
         p = SphericalParams.generic(e, chi_pi=Fraction(-1, 3))
         for i in range(e):
@@ -331,28 +330,24 @@ def test_uniqueness_forward_solve():
 def test_matrix_coefficient_values():
     p = SphericalParams.numeric(3, 2, 2)
     identity = AffinePermutation.identity(3)
-    assert matrix_coefficient_scalar(identity, 0, p) == 1
-    assert matrix_coefficient_scalar(identity, 5, p) == 1
+    assert matrix_coefficient_scalar(identity, p) == 1
     s1 = generator(3, 1).w0
-    assert matrix_coefficient_scalar(s1, 0, p) == Fraction(-1, 64)
+    assert matrix_coefficient_scalar(s1, p) == Fraction(-1, 64)
     # f = 1: the q-power is trivial and the value is (-1/q1)**l
     p1 = SphericalParams.numeric(3, 1, 2)
-    assert matrix_coefficient_scalar(s1, 0, p1) == Fraction(-1, 4)
-    # k-independence
-    for k in range(-3, 4):
-        assert matrix_coefficient_scalar(s1, k, p) == Fraction(-1, 64)
+    assert matrix_coefficient_scalar(s1, p1) == Fraction(-1, 4)
 
 
 def test_matrix_coefficient_generic_f1():
-    p = SphericalParams.generic(3, f=1)
+    p = SphericalParams.generic(3)
     s1 = generator(3, 1).w0
-    assert matrix_coefficient_scalar(s1, 0, p) == LaurentPoly.term(-1, -1)
+    assert matrix_coefficient_scalar(s1, p) == LaurentPoly.term(-1, -1)
 
 
 def test_matrix_coefficient_requires_trivial_chi_pi():
     p = SphericalParams.numeric(3, 1, 2, chi_pi=Fraction(-1))
     with pytest.raises(RequiresTrivialChiPi):
-        matrix_coefficient_scalar(AffinePermutation.identity(3), 0, p)
+        matrix_coefficient_scalar(AffinePermutation.identity(3), p)
 
 
 def test_params_validation():
@@ -361,5 +356,20 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SphericalParams.numeric(1, 1, 2)
     with pytest.raises(ValueError):
-        SphericalParams.generic(3, f=2).q_power(1)
-    assert SphericalParams.numeric(3, 2, 3).q1 == Fraction(3) ** 4
+        SphericalParams(3, 2, None)  # generic mode has f = 1
+
+
+def test_params_derive_q1():
+    # generic mode is f = 1, where q = q1 is the Laurent variable
+    p = SphericalParams.generic(3)
+    assert p.f == 1 and p.q1 == LaurentPoly.variable()
+    for m in range(-3, 4):
+        assert p.q_power(m) == p.q1**m
+    for e, f, q0 in ((3, 1, 2), (3, 2, 3), (5, 3, 5)):
+        assert SphericalParams.numeric(e, f, q0).q1 == Fraction(q0) ** (2 * f)
+
+
+def test_stored_fields_are_the_inputs():
+    # every field a result is computed from; derived values are not stored
+    assert [f.name for f in dataclasses.fields(SphericalParams)] == ["e", "f", "q0", "chi_pi"]
+    assert [f.name for f in dataclasses.fields(SphericalTruncation)] == ["element"]

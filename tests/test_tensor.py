@@ -295,7 +295,7 @@ def test_cross_model_identity():
             neg_inv_q1 = -scalar_inverse(p.q1)
             for ell, layer in enumerate(enumerate_by_length(3, 4)):
                 for w0 in layer:
-                    closed = matrix_coefficient_scalar(w0, 0, p)
+                    closed = matrix_coefficient_scalar(w0, p)
                     for k in (0, 1, 2):
                         op = ev(ExtendedWeylElement(k, w0), p)
                         assert scalar_power(neg_inv_q1, ell) * op.scale == closed

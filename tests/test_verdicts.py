@@ -14,7 +14,7 @@ import pytest
 from test_gelfand import flipped_s3_sign
 from test_reach import MATRIX
 
-from heckezonal import cli, spherical, tensor
+from heckezonal import cli, tensor
 from heckezonal import distinction as dst
 from heckezonal import gelfand as gf
 from heckezonal.hecke import HeckeAlgebra, verify_presentation
@@ -85,8 +85,8 @@ def wrong_pi_power(monkeypatch):
 
 
 def flipped_descent(monkeypatch):
-    honest = spherical.is_length_increasing
-    monkeypatch.setattr(spherical, "is_length_increasing", lambda i, u: not honest(i, u))
+    honest = AffinePermutation.has_left_descent
+    monkeypatch.setattr(AffinePermutation, "has_left_descent", lambda w0, j: not honest(w0, j))
 
 
 def wrong_t0(monkeypatch):

@@ -15,7 +15,6 @@ from heckezonal.weyl import (
     conjugate_by_pi,
     enumerate_by_length,
     generator,
-    is_length_increasing,
     multiply,
     perm_compose,
     pi_element,
@@ -241,7 +240,7 @@ def test_all_reduced_words_multiply_back():
     for _ in range(40):
         e = rng.choice([3, 4])
         a = random_element(e, rng, max_len=4, max_k=0)
-        words = all_reduced_words(a)
+        words = all_reduced_words(a.w0)
         assert words and all(len(w) == a.length() for w in words)
         for word in words:
             acc = ExtendedWeylElement.identity(e)
@@ -279,16 +278,18 @@ def test_all_reduced_words_matches_descent_recursion(e):
             assert all_reduced_words(w0) == reference_all_reduced_words(w0), w0.window
 
 
-def test_is_length_increasing():
-    assert is_length_increasing(1, ExtendedWeylElement.identity(3))
-    assert not is_length_increasing(1, generator(3, 1))
+def test_has_left_descent_at_shifted_index():
+    # s_i * pi**k * w0 = pi**k * s_j * w0 with j = i + k mod e, so s_i
+    # lengthens pi**k w0 iff w0 has no left descent at j
+    assert not ExtendedWeylElement.identity(3).w0.has_left_descent(1)
+    assert generator(3, 1).w0.has_left_descent(1)
     rng = random.Random(51)
     for _ in range(1000):
         e = rng.choice([2, 3, 4])
         a = random_element(e, rng)
         i = rng.randrange(e)
         direct = multiply(generator(e, i), a).length() == a.length() + 1
-        assert is_length_increasing(i, a) == direct
+        assert (not a.w0.has_left_descent((i + a.k) % e)) == direct
 
 
 def test_coxeter_relations():
