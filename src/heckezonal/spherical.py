@@ -139,6 +139,12 @@ class SphericalParams:
         # ev's q-power scale by reduced-word length, filled by tensor.ev
         return {}
 
+    @cached_property
+    def _ev_word_table(self) -> dict:
+        # (word_perm, length) of a reduced word by the window of the W0
+        # element it spells, filled by tensor.ev
+        return {}
+
     def algebra(self) -> HeckeAlgebra:
         return HeckeAlgebra(self.e, self.q1)
 

@@ -24,6 +24,10 @@ list per letter.  Gamma**e is the identity with scale 1, so Gamma**k
 depends only on k mod e, and the q-power scale depends on the word only
 through its length: ``ev`` reads both from tables on the SphericalParams
 instance, filled on first use, which live and die with the parameters.
+A third table there holds, by the window of each conjugate w_left that
+``ev`` has met, its reduced word's permutation and length: every
+conjugate of a BFS layer element is another element of that layer, so a
+sweep over k computes one word per distinct window, not one per call.
 """
 
 from __future__ import annotations
@@ -139,20 +143,31 @@ def ev(w: ExtendedWeylElement, p: SphericalParams) -> PlaceOperator:
     either bracketing.  Gamma**(k mod e) and the q-power of each word
     length come from tables on ``p``; Gamma has scale 1, so that q-power
     is the whole scale.
+
+    w_left is computed on every call.  Its reduced word's permutation and
+    length are kept on ``p`` by w_left's window, so a word is computed
+    once per distinct conjugate, and a wrong conjugate still reaches the
+    word and the scale.
     """
     if w.e != p.e:
         raise ValueError("rank mismatch")
-    word = conjugate_by_pi(w.w0, w.k).reduced_word()
+    w_left = conjugate_by_pi(w.w0, w.k)
+    words = p._ev_word_table
+    entry = words.get(w_left.window)
+    if entry is None:
+        word = w_left.reduced_word()
+        entry = words[w_left.window] = (word_perm(word, p.e), len(word))
+    perm, ell = entry
     r = w.k % p.e
     gammas = p._ev_gamma_table
     gamma_k = gammas.get(r)
     if gamma_k is None:
         gamma_k = gammas[r] = gamma_operator(p.e).power(r)
     scales = p._ev_scale_table
-    scale = scales.get(len(word))
+    scale = scales.get(ell)
     if scale is None:
-        scale = scales[len(word)] = p.q_power(-(p.f * (p.f - 1) // 2) * len(word))
-    return PlaceOperator._raw(p.e, perm_compose(word_perm(word, p.e), gamma_k.perm), scale)
+        scale = scales[ell] = p.q_power(-(p.f * (p.f - 1) // 2) * ell)
+    return PlaceOperator._raw(p.e, perm_compose(perm, gamma_k.perm), scale)
 
 
 def verify_coefficient(e: int, f: int, q0: int, L: int, seed: int, samples: int) -> dict:

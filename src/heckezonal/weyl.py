@@ -19,7 +19,10 @@ Windows are validated where they enter (``AffinePermutation(e, window)``,
 simple reflections skip the checks through ``AffinePermutation._raw``.
 So is the extended ``multiply``, which builds its canonical form from one
 ``conjugate_by_pi`` and one ``compose``, and so are the layers of
-``enumerate_by_length``, whose search runs on raw window tuples.
+``enumerate_by_length``.  That breadth-first search runs on raw window
+tuples and steps by right multiplication, w * s_i, an edit of two window
+slots; since l(w s_i) = l(w) +- 1 it tests each candidate against the
+layer below and the frontier only, and it never calls ``length()``.
 
 >>> s1 = generator(3, 1)
 >>> s1.w0.window
@@ -171,6 +174,11 @@ class ExtendedWeylElement:
     k: int
     w0: AffinePermutation
 
+    def __hash__(self) -> int:
+        # agrees with the generated __eq__, which compares (k, w0): the
+        # window fixes e.  Product tables hash these keys on every term.
+        return hash((self.k, self.w0.window))
+
     @property
     def e(self) -> int:
         return self.w0.e
@@ -283,29 +291,45 @@ def enumerate_by_length(
     Layer l holds every w0 of length exactly l, each once, sorted by
     window, so the output is independent of hash or visit order.  The
     search multiplies by generators only and never consults length(),
-    which keeps it usable as an independent distance oracle.  It runs on
-    raw window tuples, s_i applied as in ``compose``, and wraps the
-    sorted layers through ``AffinePermutation._raw`` at the end.
+    which keeps it usable as an independent distance oracle.
+
+    It runs on raw window tuples and steps by right multiplication,
+    (w s_i)(x) = w(s_i(x)), which edits a copy of the window: for i >= 1
+    slots i and i+1 swap, and s_0 sets slot 1 to w(e) - e and slot e to
+    w(1) + e.  As l(w s) = l(w) +- 1, the Cayley graph is bipartite: a
+    neighbour of layer l lies in layer l - 1 or l + 1, so each candidate
+    is tested against the layer below and the growing frontier only.
+    The cap counts every element enumerated as it joins.  The sorted
+    layers are wrapped through ``AffinePermutation._raw`` at the end.
+
+    >>> [len(layer) for layer in enumerate_by_length(3, 4)]
+    [1, 3, 6, 9, 12]
     """
     if max_length < 0:
         raise ValueError("max_length must be nonnegative")
     cap = _enum_cap(max_elems)
     identity = AffinePermutation.identity(e).window
-    gens = [_simple(e, i).window for i in range(e)]
-    seen = {identity}
+    below, here = set(), {identity}
     layers = [[identity]]
+    total = 1
     for _ in range(max_length):
         frontier = set()
         for w in layers[-1]:
-            for s in gens:
-                u = tuple([s[(v - 1) % e] + (v - 1) // e * e for v in w])
-                if u not in seen:
+            for i in range(e):
+                u = list(w)
+                if i:
+                    u[i - 1], u[i] = w[i], w[i - 1]
+                else:
+                    u[0], u[-1] = w[-1] - e, w[0] + e
+                u = tuple(u)
+                if u not in below and u not in frontier:
                     frontier.add(u)
-                    if len(seen) + len(frontier) > cap:
+                    if total + len(frontier) > cap:
                         raise EnumerationCapExceeded(
                             f"enumeration cap exceeded ({ENUM_CAP_ENV}={cap})"
                         )
-        seen |= frontier
+        total += len(frontier)
+        below, here = here, frontier
         layers.append(sorted(frontier))
     wrap = AffinePermutation._raw
     return [[wrap(e, w) for w in layer] for layer in layers]

@@ -22,6 +22,10 @@ the code it checks:
 - ``right_peeling_product``: the Hecke product by the right two-case
   rule along the right factor's reduced word.  test_hecke.py compares
   ``HeckeAlgebra.product``, which peels the left factor, with it.
+- ``ev_reference``: the evaluation map with a fresh conjugate, reduced
+  word, Gamma power and scale on every call, no table.  test_tensor.py
+  compares ``ev``, which keeps each conjugate's word in a per-params
+  table, with it.
 - ``eigen_generator_reference``: the check [s_i] * Psi0 = -Psi0 by a
   fresh BFS, both lengths compared for every case and the generator
   rule evaluated for every case.  test_spherical.py compares
@@ -46,12 +50,15 @@ from heckezonal.gelfand import mat_identity, mat_mul
 from heckezonal.hecke import HeckeAlgebra, HeckeElement
 from heckezonal.scalars import LaurentPoly
 from heckezonal.spherical import EigenReport, SphericalParams, psi0_coefficient
+from heckezonal.tensor import PlaceOperator, gamma_operator, word_perm
 from heckezonal.weyl import (
     AffinePermutation,
     ExtendedWeylElement,
+    conjugate_by_pi,
     enumerate_by_length,
     generator,
     multiply,
+    perm_compose,
 )
 
 
@@ -203,6 +210,23 @@ def right_peeling_product(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
         for x, c in acc.items():
             out[x] = out.get(x, 0) + cv * c
     return algebra.element(out)
+
+
+# -- the evaluation map ------------------------------------------------------
+
+
+def ev_reference(w: ExtendedWeylElement, p: SphericalParams) -> PlaceOperator:
+    """ev at w = pi**k w0, everything computed afresh on every call.
+
+    The t-factors come from a reduced word of pi**k w0 pi**-k, Gamma**(k
+    mod e) composes on the right, and the scale is q**(-f(f-1)/2) to the
+    word length.
+    """
+    e = p.e
+    word = conjugate_by_pi(w.w0, w.k).reduced_word()
+    gamma_k = gamma_operator(e).power(w.k % e)
+    scale = p.q_power(-(p.f * (p.f - 1) // 2) * len(word))
+    return PlaceOperator(e, perm_compose(word_perm(word, e), gamma_k.perm), scale)
 
 
 # -- the spherical eigenvector ---------------------------------------------

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from heckezonal import cli, tensor
+from heckezonal import distinction as dst
 from heckezonal.weyl import AffinePermutation, enumerate_by_length
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -182,6 +183,46 @@ def test_enumeration_cap_env_must_be_a_positive_integer(value):
         assert proc.returncode == 2, command
         assert proc.stdout == b"", command
         assert f"HECKE_MAX_ELEMS={value!r}".encode() in proc.stderr, command
+
+
+def test_over_budget_run_exits_2_before_enumerating(monkeypatch, capsys):
+    # N(0..22) = 1,390,236 at e = 7, over the default cap of 1,000,000;
+    # the BFS would run for seconds and build every element first
+    monkeypatch.delenv("HECKE_MAX_ELEMS", raising=False)
+    start = time.perf_counter()
+    assert cli.run(["growth", "--e", "7", "--L", "22"]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    for part in ("--e 7", "--L 22", "1390236", "HECKE_MAX_ELEMS=1000000"):
+        assert part in captured.err, part
+
+
+@pytest.mark.parametrize("command", ["eigen", "coefficient", "growth", "distinction", "all"])
+def test_budget_is_exact_for_every_enumerating_command(command, monkeypatch, capsys):
+    # N(0..3) = 1 + 3 + 6 + 9 = 19 at e = 3: a cap of 19 runs, 18 is
+    # rejected before any suite starts
+    called = []
+    fn = cli.COMMANDS[command]
+    monkeypatch.setitem(cli.COMMANDS, command, lambda args: called.append(command) or fn(args))
+    argv = [command, "--e", "3", "--L", "3"]
+    monkeypatch.setenv("HECKE_MAX_ELEMS", "18")
+    assert cli.run(argv) == 2
+    assert "--e 3 --L 3" in capsys.readouterr().err
+    assert called == []
+    monkeypatch.setenv("HECKE_MAX_ELEMS", "19")
+    assert cli.run(argv) == 0
+    assert called == [command]
+
+
+def test_w0_count_matches_the_closed_form():
+    for e in range(2, 9):
+        for L in range(0, 16):
+            total = sum(dst.growth_closed_form(e, L).counts)
+            assert cli._w0_count(e, L, 10**30) == total, (e, L)
+            # below the cap the count is exact; over it, a sum over the cap
+            count = cli._w0_count(e, L, 500)
+            assert count == total if total <= 500 else 500 < count <= total, (e, L)
 
 
 def test_text_output():

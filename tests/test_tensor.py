@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import TensorVector, apply_operator, pair, project_to_finite
+from oracles import TensorVector, apply_operator, ev_reference, pair, project_to_finite
 
 from heckezonal import cli, tensor
 from heckezonal.scalars import scalar_inverse, scalar_power
@@ -20,6 +20,7 @@ from heckezonal.tensor import (
 from heckezonal.weyl import (
     AffinePermutation,
     ExtendedWeylElement,
+    _simple,
     all_reduced_words,
     conjugate_by_pi,
     enumerate_by_length,
@@ -184,6 +185,43 @@ def test_ev_tables_once_per_params(monkeypatch):
     assert ev(ExtendedWeylElement(0, w0), p).scale == Fraction(1, 3**6)
     assert p1._ev_scale_table == {3: 1}
     assert p._ev_scale_table == {3: Fraction(1, 3**6)}
+
+
+def test_ev_matches_reference_over_layers():
+    # one params object per e, so the word table fills and is then read:
+    # every k in -e..2e-1 conjugates w0 into a window the table may hold
+    cases = 0
+    for e in range(2, 7):
+        p = SphericalParams.numeric(e, 2, 3)
+        layers = enumerate_by_length(e, 5 if e < 6 else 4)
+        for layer in layers:
+            for w0 in layer:
+                for k in range(-e, 2 * e):
+                    w = ExtendedWeylElement(k, w0)
+                    got, want = ev(w, p), ev_reference(w, p)
+                    assert (got.perm, got.scale) == (want.perm, want.scale), (e, w)
+                    cases += 1
+        # conjugation by pi permutes each layer: one word per window met
+        assert len(p._ev_word_table) == sum(len(layer) for layer in layers)
+    assert cases == 9477
+
+
+def test_coefficient_fails_on_wrong_conjugate(monkeypatch):
+    # a conjugate off by s_1 for k = 1 mod e: ev must read the conjugate,
+    # not a word derived from w0 alone, so the k = 1 closed-form checks
+    # and the sampled k-invariance both fail
+    assert tensor.verify_coefficient(4, 2, 3, 4, 1, 25)["ok"] is True
+    honest = tensor.conjugate_by_pi
+
+    def patched(w0, k):
+        conj = honest(w0, k)
+        return _simple(w0.e, 1).compose(conj) if k % w0.e == 1 else conj
+
+    monkeypatch.setattr(tensor, "conjugate_by_pi", patched)
+    report = tensor.verify_coefficient(4, 2, 3, 4, 1, 25)
+    assert (report["checked"], report["mismatches"]) == (276, 69)
+    assert report["sampled_k_invariance_ok"] is False
+    assert report["ok"] is False
 
 
 @pytest.mark.parametrize("e", range(2, 8))

@@ -194,6 +194,25 @@ def reference_multiply(a: ExtendedWeylElement, b: ExtendedWeylElement) -> Extend
     return ExtendedWeylElement.from_full_window(a.e, full)
 
 
+def test_equal_elements_hash_equal():
+    # elements built along different routes: products of generators and
+    # pi, the validating full-window constructor, and double inverses
+    rng = random.Random(29)
+    for e in range(2, 7):
+        built = []
+        for _ in range(40):
+            w = random_element(e, rng, max_len=4, max_k=1)
+            built += [w, ExtendedWeylElement.from_full_window(e, w.full_window()), w.inverse().inverse()]
+            built.append(multiply(w, multiply(generator(e, 0), generator(e, 0))))
+        equal_pairs = 0
+        for a in built:
+            for b in built:
+                if a == b:
+                    assert hash(a) == hash(b), (a, b)
+                    equal_pairs += 1
+        assert equal_pairs >= 4 * len(built)  # each equals its three rebuilds
+
+
 def test_multiply_matches_full_window_reference():
     rng = random.Random(111)
     for e in range(2, 9):
@@ -353,6 +372,7 @@ def reference_enumerate(e, max_length):
 
 @pytest.mark.parametrize("e, lengths", [
     (2, (0, 1, 7, 20)), (3, (0, 2, 9)), (4, (1, 6)), (5, (3, 5)), (6, (2, 4)), (7, (1, 4)),
+    (8, (1, 4)),
 ])
 def test_enumerate_matches_object_bfs(e, lengths):
     for L in lengths:
@@ -365,6 +385,16 @@ def test_enumerate_matches_object_bfs(e, lengths):
             for w in layer:
                 assert w.e == e
                 AffinePermutation(e, w.window)  # the validating constructor
+
+
+def test_enumerate_never_calls_length(monkeypatch):
+    # the BFS distance is the oracle that length() is checked against
+    def forbidden(self):
+        raise AssertionError("enumerate_by_length called length()")
+
+    monkeypatch.setattr(AffinePermutation, "length", forbidden)
+    for e, L in ((2, 9), (3, 6), (5, 4), (8, 3)):
+        enumerate_by_length(e, L)
 
 
 def test_enumerate_cap():
