@@ -6,9 +6,10 @@ every other flag.  Exit status: 0 when every check passes, 1 on a check
 failure, 2 on invalid parameters.  Randomized spot checks are driven by
 an explicit seed, so identical configurations produce byte-identical
 output.  The environment variable HECKE_MAX_ELEMS caps group
-enumeration; every subcommand rejects a value that is not an integer >= 1,
-and a subcommand with --L whose W0 has more elements of length <= L than
-the cap exits 2 before any enumeration.
+enumeration; every subcommand rejects a value that is not an integer >= 1.
+A subcommand with --L exits 2 before any enumeration when W0 has more
+elements of length <= L than the cap: the budget is the binomial count
+C(L+e, e) - C(L, e) (``distinction.w0_count``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import sys
 from fractions import Fraction
@@ -134,39 +134,12 @@ def _validate(args) -> None:
     cap = _enum_cap(None)  # a bad HECKE_MAX_ELEMS fails every subcommand, not only those that enumerate
     if "L" in given:
         # every subcommand with --L enumerates W0 to length L: count first
-        count = _w0_count(args.e, args.L, cap)
+        count = dst.w0_count(args.e, args.L, cap)
         if count > cap:
             raise ValueError(
                 f"--e {args.e} --L {args.L} would enumerate at least {count} elements of W0, "
                 f"over the cap {ENUM_CAP_ENV}={cap}"
             )
-
-
-def _w0_count(e: int, L: int, cap: int) -> int:
-    """N(0) + ... + N(L), the elements of W0 of length at most L; once a
-    partial sum passes cap, that partial sum, a lower bound.
-
-    N is the series prod_{i=1}^{e-1} (1 + X + ... + X**i) / (1 - X**i),
-    taken in integers to degree min(L, cap): every length is taken, so
-    more than cap lengths mean more than cap elements.  The product of
-    the first i factors is the series of rank i + 1, coefficientwise no
-    larger, so the sum is tested after each factor.
-    """
-    if L == 0:
-        return 1  # the identity
-    series = [1] + [0] * min(L, cap)
-    total = 1
-    for i in range(1, e):
-        # times 1 + X + ... + X**i, a sliding sum of i + 1 coefficients
-        prefix = list(itertools.accumulate(series))
-        series = [prefix[n] - (prefix[n - i - 1] if n > i else 0) for n in range(len(series))]
-        # divided by 1 - X**i
-        for n in range(i, len(series)):
-            series[n] += series[n - i]
-        total = sum(series)
-        if total > cap:
-            break
-    return total
 
 
 def _parse_flag(flag: str, text: str) -> Fraction:

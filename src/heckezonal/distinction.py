@@ -12,17 +12,24 @@ W0 therefore gives
 
     e * P(-1/q0**f)
 
-for the Poincare series P(X) = sum X**l(w0), computed as the product
+for the Poincare series P(X) = sum X**l(w0).  Bott's formula for affine
+A_{e-1} (Bott, Bull. SMF 84, 1956; Macdonald, Math. Ann. 199, 1972)
+gives it in closed form,
 
-    prod_{i=1}^{e-1} (1 - X**(i+1)) / ((1 - X)(1 - X**i))
+    P(X) = (1 - X**e) / (1 - X)**e = [e]_X / (1 - X)**(e-1),
 
-whose Maclaurin coefficients are cross-checked against breadth-first
-enumeration.  Every factor is positive on (-1, 1), so P never vanishes
-there.  As every term depends on w0 only through l(w0), the sum is
-taken once per BFS layer, and each element of a layer is checked to
-have the layer's length.  All arithmetic is exact; truncation quality
-is reported through the exact tail bound e * sum_{l > L} N(l)
-(1/q0**f)**l rather than any floating tolerance.
+with [e]_X = 1 + X + ... + X**(e-1): the product
+prod_{i=1}^{e-1} (1 - X**(i+1)) / ((1 - X)(1 - X**i)) over the exponents
+of the finite symmetric group telescopes to it.  Its Maclaurin
+coefficients N(l) = C(l+e-1, e-1) - C(l-1, e-1) are cross-checked
+against breadth-first enumeration, and N(0) + ... + N(L) =
+C(L+e, e) - C(L, e).  Both factors of [e]_X / (1 - X)**(e-1) are
+positive on (-1, 1), so P never vanishes there.  As every term depends
+on w0 only through l(w0), the sum is taken once per BFS layer, and each
+element of a layer is checked to have the layer's length.  All
+arithmetic is exact; truncation quality is reported through the exact
+tail bound e * sum_{l > L} N(l) (1/q0**f)**l rather than any floating
+tolerance.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .scalars import LaurentPoly, format_rational
 from .spherical import SphericalParams, matrix_coefficient_scalar
@@ -46,6 +54,7 @@ __all__ = [
     "poincare_closed_form",
     "poincare_series_coefficients",
     "poincare_value",
+    "w0_count",
     "distinction_integral",
     "nonvanishing_scan",
 ]
@@ -98,39 +107,30 @@ def growth_bfs(e: int, max_length: int) -> GrowthSeries:
 
 @functools.lru_cache(maxsize=None)
 def poincare_closed_form(e: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """Numerator and denominator of the length generating function.
+    """Numerator 1 - X**e and denominator (1 - X)**e of the length
+    generating function, Bott's P(X) = [e]_X / (1 - X)**(e-1).
 
-    The product form over the exponents m_i = i of the finite symmetric
-    group: prod (1 - X**(i+1)) / ((1 - X)(1 - X**i)).  Built once per e:
-    ``LaurentPoly`` is immutable, so callers share the result.
+    The denominator is expanded by the binomial theorem, so both have
+    degree e.  Built once per e: ``LaurentPoly`` is immutable, so
+    callers share the result.
     """
     if e < 2:
         raise ValueError("rank e must be at least 2")
-    one = LaurentPoly.constant(1)
-    x = LaurentPoly.variable()
-    num = one
-    den = one
-    for i in range(1, e):
-        num = num * (one - x ** (i + 1))
-        den = den * (one - x) * (one - x**i)
-    return num, den
+    den = LaurentPoly({k: (-1) ** k * comb(e, k) for k in range(e + 1)})
+    return LaurentPoly.constant(1) - LaurentPoly.variable() ** e, den
 
 
 def poincare_series_coefficients(e: int, max_degree: int) -> list[Fraction]:
-    """Maclaurin coefficients of the closed form, by exact long division."""
+    """Maclaurin coefficients of the closed form, by exact long division;
+    the denominator has e + 1 terms, so this takes O(max_degree * e)."""
     num, den = poincare_closed_form(e)
-    n = {k: v for k, v in num.coefficients().items()}
-    d = {k: v for k, v in den.coefficients().items()}
-    d0 = d.get(0)
+    n, d = num.coefficients(), den.coefficients()
+    d0 = d.pop(0, None)
     if not d0:
         raise ValueError("denominator must have a nonzero constant term")
     coeffs: list[Fraction] = []
     for deg in range(max_degree + 1):
-        acc = n.get(deg, Fraction(0))
-        for j in range(1, deg + 1):
-            dj = d.get(j)
-            if dj:
-                acc -= dj * coeffs[deg - j]
+        acc = n.get(deg, Fraction(0)) - sum(dj * coeffs[deg - j] for j, dj in d.items() if j <= deg)
         coeffs.append(acc / d0)
     return coeffs
 
@@ -155,6 +155,21 @@ def poincare_value(e: int, x) -> Fraction:
     if d == 0:
         raise ZeroDivisionError("pole of the closed form")
     return num.evaluate(x) / d
+
+
+def w0_count(e: int, L: int, cap: int) -> int:
+    """N(0) + ... + N(L) = C(L+e, e) - C(L, e), the elements of W0 of
+    length at most L; when the lower bound 1 + e*L exceeds cap, that
+    bound instead.
+
+    N(l) >= N(1) = e for l >= 1, so the bound holds, and it keeps the
+    count cheap far over the cap: the binomials are computed only when
+    e*L < cap.
+    """
+    bound = 1 + e * L
+    if bound > cap:
+        return bound
+    return comb(L + e, e) - comb(L, e)
 
 
 @dataclass(frozen=True)

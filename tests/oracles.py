@@ -31,6 +31,11 @@ the code it checks:
   rule evaluated for every case.  test_spherical.py compares
   ``verify_eigen_generator``, which shares its layers, reads the case
   from a descent test and memoises verdicts, with it.
+- ``bott_product_series``: the growth series of W0 as Bott's product
+  prod_{i=1}^{e-1} (1 - X**(i+1)) / ((1 - X)(1 - X**i)), expanded in
+  integers factor by factor.  test_distinction.py checks the closed
+  form (1 - X**e) / (1 - X)**e, its binomial coefficients, ``w0_count``
+  and the BFS layer sizes against it.
 - ``mat_vec``: a matrix times a vector.  test_gelfand.py checks that the
   computed fixed vectors are fixed with it.
 - ``inverse_by_search``: the index j with rho(i) rho(j) = 1, found by
@@ -151,6 +156,18 @@ def project_to_finite(a: ExtendedWeylElement) -> tuple[int, ...]:
     """
     e = a.e
     return tuple(((v - 1) % e) + 1 for v in a.full_window())
+
+
+def bott_product_series(e: int, max_degree: int) -> list[int]:
+    """Coefficients of X**0..X**max_degree of
+    prod_{i=1}^{e-1} (1 - X**(i+1)) / ((1 - X)(1 - X**i))."""
+    series = [1] + [0] * max_degree
+    for i in range(1, e):
+        series = [c - (series[n - i - 1] if n > i else 0) for n, c in enumerate(series)]
+        for step in (1, i):  # divided by 1 - X, then by 1 - X**i
+            for n in range(step, len(series)):
+                series[n] += series[n - step]
+    return series
 
 
 # -- the Hecke algebra -----------------------------------------------------

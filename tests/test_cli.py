@@ -219,10 +219,32 @@ def test_w0_count_matches_the_closed_form():
     for e in range(2, 9):
         for L in range(0, 16):
             total = sum(dst.growth_closed_form(e, L).counts)
-            assert cli._w0_count(e, L, 10**30) == total, (e, L)
+            assert dst.w0_count(e, L, 10**30) == total, (e, L)
+            if e <= 5:
+                assert sum(dst.growth_bfs(e, L).counts) == total, (e, L)
             # below the cap the count is exact; over it, a sum over the cap
-            count = cli._w0_count(e, L, 500)
+            count = dst.w0_count(e, L, 500)
             assert count == total if total <= 500 else 500 < count <= total, (e, L)
+
+
+def test_growth_at_large_rank_exits_0(capsys):
+    # the closed form has degree e, not about e**2 / 2 as the expanded product
+    assert cli.run(["growth", "--e", "120", "--L", "1"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [(r["count_bfs"], r["count_closed_form"]) for r in rows] == [(1, 1), (120, 120)]
+
+
+def test_far_over_budget_run_exits_2_at_once(monkeypatch, capsys):
+    # the binomials C(2e, e) here would run for most of a minute; the
+    # bound 1 + e*L already passes the cap
+    monkeypatch.delenv("HECKE_MAX_ELEMS", raising=False)
+    start = time.perf_counter()
+    assert cli.run(["growth", "--e", "1000000", "--L", "1000000"]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    for part in ("--e 1000000 --L 1000000", "HECKE_MAX_ELEMS=1000000"):
+        assert part in captured.err, part
 
 
 def test_text_output():

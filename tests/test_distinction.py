@@ -1,8 +1,10 @@
 """Growth series, Poincare values, and the truncated double-coset sum."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -20,10 +22,13 @@ from heckezonal.distinction import (
     poincare_closed_form,
     poincare_series_coefficients,
     poincare_value,
+    w0_count,
 )
 from heckezonal.scalars import LaurentPoly
 from heckezonal.spherical import SphericalParams, matrix_coefficient_scalar
 from heckezonal.weyl import AffinePermutation, enumerate_by_length, generator, multiply
+
+from oracles import bott_product_series
 
 
 def element_of_length(e, word):
@@ -88,6 +93,37 @@ def test_poincare_closed_form_small_ranks():
     assert num3 * (one - x) ** 2 == den3 * (one + x + x**2)
     assert poincare_value(2, 0) == 1
     assert poincare_value(5, 0) == 1
+
+
+def test_closed_form_is_the_bott_product():
+    # four sources of N(l) agree: the product oracle, the binomials
+    # C(l+e-1, e-1) - C(l-1, e-1), the closed form's long division, and
+    # the differences of w0_count
+    for e in range(2, 15):
+        binomials = [1] + [comb(l + e - 1, e - 1) - comb(l - 1, e - 1) for l in range(1, 31)]
+        assert bott_product_series(e, 30) == binomials, e
+        assert list(growth_closed_form(e, 30).counts) == binomials, e
+        sums = [w0_count(e, L, 10**30) for L in range(31)]
+        assert sums == list(itertools.accumulate(binomials)), e
+    for e, L in ((2, 40), (3, 20), (4, 10), (5, 8), (6, 6), (7, 5)):
+        assert list(growth_bfs(e, L).counts) == bott_product_series(e, L), (e, L)
+
+
+def test_w0_count_over_the_cap_is_a_lower_bound():
+    # at e = 2 every N(l >= 1) is 2, so the bound 1 + e*L is the count
+    for e in range(2, 9):
+        for L in range(16):
+            total = w0_count(e, L, 10**30)
+            for cap in (1, 5, 40, 100):
+                count = w0_count(e, L, cap)
+                assert count == total if total <= cap else cap < count <= total, (e, L, cap)
+
+
+def test_closed_form_has_degree_e():
+    x = LaurentPoly.variable()
+    num, den = poincare_closed_form(200)
+    assert max(num.coefficients()) == max(den.coefficients()) == 200
+    assert num == 1 - x**200
 
 
 @pytest.mark.parametrize("e", [2, 3, 4])
