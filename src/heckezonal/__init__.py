@@ -50,7 +50,6 @@ from .spherical import (
 )
 from .tensor import PlaceOperator, ev, gamma_operator, t_operator, verify_coefficient
 from .distinction import (
-    GrowthSeries,
     IntegralReport,
     RequiresOddE,
     coset_measure,

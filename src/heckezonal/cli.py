@@ -131,7 +131,7 @@ def _validate(args) -> None:
         args.expect_closed_form = _parse_flag("--expect-closed-form", args.expect_closed_form)
     if args.command == "distinction" and args.e % 2 == 0:
         raise ValueError("distinction requires odd --e")
-    cap = _enum_cap(None)  # a bad HECKE_MAX_ELEMS fails every subcommand, not only those that enumerate
+    cap = _enum_cap()  # a bad HECKE_MAX_ELEMS fails every subcommand, not only those that enumerate
     if "L" in given:
         # every subcommand with --L enumerates W0 to length L: count first
         count = dst.w0_count(args.e, args.L, cap)
@@ -211,7 +211,7 @@ def cmd_coefficient(args) -> tuple[bool, dict]:
 
 
 def growth_rows(e: int, L: int) -> list[dict]:
-    bfs, closed = dst.growth_bfs(e, L).counts, dst.growth_closed_form(e, L).counts
+    bfs, closed = dst.growth_bfs(e, L), dst.growth_closed_form(e, L)
     return [
         {"length": ell, "count_bfs": b, "count_closed_form": c, "equal": b == c}
         for ell, (b, c) in enumerate(zip(bfs, closed))

@@ -4,7 +4,8 @@ A representation rho of a finite permutation group G is one rational
 matrix per element plus one multiplication table of G, built together by
 ``FiniteRep.generated``.  The table gives the identity and inverses;
 ``validate_closure`` checks rho(g) rho(s) = rho(g s) on element-generator
-pairs, and ``is_irreducible`` reads the commutant of the generator images.
+pairs, and ``is_irreducible`` computes the character norm from traces
+and the table's inverses.
 
 For a subgroup K the K-fixed subspace is cut out by the averaging
 idempotent (1/|K|) sum rho(k); the dual representation acts by
@@ -254,24 +255,15 @@ def check_pairing(rep: FiniteRep, subgroup: list[int]) -> GelfandReport:
 
 
 def is_irreducible(rep: FiniteRep) -> bool:
-    """Commutant dimension 1 over the rationals (absolute irreducibility).
+    """Character norm 1: sum of tr rho(g) tr rho(g**-1) over G equals |G|.
 
-    A matrix commutes with every rho(g) iff it commutes with the
-    generator images, so only those give conditions.
+    For a homomorphism rho the norm is the dimension of the commutant,
+    over the rationals as over the complex numbers, so 1 means
+    absolutely irreducible.  Inverses are read from the table.
     """
-    d = rep.dimension
-    rows: list[list[Fraction]] = []
-    for g in (rep.matrices[s] for s in rep.generators):
-        # rows of g*M - M*g = 0 as linear conditions on the d*d unknowns M
-        for i in range(d):
-            for j in range(d):
-                row = [Fraction(0)] * (d * d)
-                for k in range(d):
-                    row[k * d + j] += g[i][k]
-                    row[i * d + k] -= g[k][j]
-                rows.append(row)
-    _, pivots = rref(rows)
-    return d * d - len(pivots) == 1
+    traces = [sum(m[i][i] for i in range(rep.dimension)) for m in rep.matrices]
+    norm = sum(t * traces[rep.inverse_index(g)] for g, t in enumerate(traces))
+    return norm == len(traces)
 
 
 # -- shipped example builders --------------------------------------------

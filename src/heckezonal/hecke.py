@@ -15,9 +15,12 @@ W0 windows.  The case is picked by a left-descent test of w0 at j
 (``has_left_descent``, O(e)), not by computing both lengths,
 and q1 - 1 is computed once per algebra, not once per descending term.
 A term of the left factor with coefficient 1 (every term of [pi] or of
-a sum of basis elements) adds its peeled terms unscaled.  This recursion
-is the ground truth; verify_presentation() replays the defining
-relations through it as exact identities.
+a sum of basis elements) adds its peeled terms unscaled.  Terms are
+checked where they enter, by ``element`` and ``basis``; ``product``
+checks only that both factors belong to its algebra, since every term
+it adds has rank e and ``_accumulate`` drops each sum that cancels.
+This recursion is the ground truth; verify_presentation() replays the
+defining relations through it as exact identities.
 """
 
 from __future__ import annotations
@@ -114,6 +117,7 @@ class HeckeAlgebra:
         return {ExtendedWeylElement(w.k + k, w.w0): c for w, c in coeffs.items()}
 
     def product(self, h1: "HeckeElement", h2: "HeckeElement") -> "HeckeElement":
+        """h1 * h2; its table is wrapped unchecked (see the module docstring)."""
         if h1.algebra != self or h2.algebra != self:
             raise ValueError("rank/mode mismatch: operands from different algebras")
         result: dict = {}
@@ -126,7 +130,7 @@ class HeckeAlgebra:
             unit = cu == 1
             for w, c in acc.items():
                 _accumulate(result, w, c if unit else cu * c)
-        return self.element(result)
+        return HeckeElement(self, result)
 
 
 def _is_zero(c) -> bool:

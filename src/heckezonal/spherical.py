@@ -10,7 +10,9 @@ eigenvector of left convolution: [s_i] * Psi0 = -Psi0 for every generator
 and [pi] * Psi0 = chi_pi * Psi0.  The verifiers here check those
 identities coefficient by coefficient on a finite truncation; indices
 whose convolution preimage leaves the truncation are reported as
-unchecked boundary, never as failures.
+unchecked boundary, never as failures.  Every check compares the
+indices with |k| <= K - 1, for the module constant K = 2; the pi check's
+truncation also holds the shells |k| = K, as boundary.
 
 The coefficient depends on [pi**k w0] only through (l(w0), k), so
 ``psi0_coefficient`` takes exactly that pair and keeps its values in a
@@ -61,6 +63,11 @@ __all__ = [
 ]
 
 
+# The truncation holds pi**k w0 for |k| <= K.  [pi] shifts k by one, so
+# the eigen-equations are compared on |k| <= K - 1.
+K = 2
+
+
 class RequiresTrivialChiPi(ValueError):
     """The closed matrix-coefficient form needs chi_pi = 1."""
 
@@ -90,8 +97,8 @@ class SphericalParams:
             raise ValueError("q0 must be at least 2")
 
     @classmethod
-    def numeric(cls, e: int, f: int, q0, chi_pi=1) -> "SphericalParams":
-        return cls(e, f, Fraction(q0), chi_pi)
+    def numeric(cls, e: int, f: int, q0) -> "SphericalParams":
+        return cls(e, f, Fraction(q0))
 
     @classmethod
     def generic(cls, e: int, chi_pi=1) -> "SphericalParams":
@@ -179,12 +186,13 @@ def _layers(p: SphericalParams, L: int) -> tuple[list, dict]:
 
 @dataclass
 class SphericalTruncation:
-    """The eigenvector restricted to {pi**k w0 : |k| <= K, l(w0) <= L}."""
+    """The eigenvector restricted to {pi**k w0 : |k| <= K, l(w0) <= L},
+    for the module constant K."""
 
     element: HeckeElement
 
     @classmethod
-    def build(cls, L: int, p: SphericalParams, K: int = 1) -> "SphericalTruncation":
+    def build(cls, L: int, p: SphericalParams) -> "SphericalTruncation":
         # every value is a nonzero unit and every window has rank e, so
         # the table is wrapped as it is, without algebra.element's checks
         ks = range(-K, K + 1)
@@ -264,7 +272,7 @@ def verify_eigen_generator(i: int, L: int, p: SphericalParams) -> EigenReport:
     q1 = p.q1
     q1_minus_1 = q1 - 1
     # s_i * pi**k = pi**k * s_j with j = i + k mod e
-    shifted = [(k, (i + k) % e) for k in (-1, 0, 1)]
+    shifted = [(k, (i + k) % e) for k in range(1 - K, K)]
     simple = {j: _simple(e, j) for _, j in shifted}
     layers, layer_of = _layers(p, L)
     verdicts: dict = {}
@@ -286,23 +294,23 @@ def verify_eigen_generator(i: int, L: int, p: SphericalParams) -> EigenReport:
                         ok = lhs == -cu
                     verdicts[key] = ok
                 report.record(ok and length_ok, ExtendedWeylElement(k, w0))
-    report.boundary_skipped = 3 * len(layers[L])
+    report.boundary_skipped = len(shifted) * len(layers[L])
     return report
 
 
-def verify_eigen_pi(L: int, p: SphericalParams, K: int = 1) -> EigenReport:
+def verify_eigen_pi(L: int, p: SphericalParams) -> EigenReport:
     """Check [pi] * Psi0 = chi_pi * Psi0 on a truncation.
 
     The left side is computed through the Hecke product (so canonical
     relabeling of pi-powers is exercised), the right side by scaling each
     coefficient by chi_pi, once per distinct coefficient value.
-    Comparison runs over indices with |k| <= K - 1 and l(w0) <= L; the
-    outer k-shells are boundary.  The truncation's BFS layers are the
-    ones the generator checks of the same parameters use; it is filled
-    with one ``psi0_coefficient`` per (layer, k), and the product's final
-    ``element`` is the one pass that checks its terms.
+    Comparison runs over indices with |k| <= K - 1 and l(w0) <= L, for
+    the module constant K; the outer k-shells are boundary.  The
+    truncation's BFS layers are the ones the generator checks of the same
+    parameters use; it is filled with one ``psi0_coefficient`` per
+    (layer, k), and neither it nor the product re-checks its terms.
     """
-    trunc = SphericalTruncation.build(L, p, K)
+    trunc = SphericalTruncation.build(L, p)
     element = trunc.element
     algebra = element.algebra
     lhs = algebra.product(algebra.basis(pi_element(p.e)), element)
@@ -322,10 +330,10 @@ def verify_eigen_pi(L: int, p: SphericalParams, K: int = 1) -> EigenReport:
 
 def verify_eigen(e: int, L: int, chi_pi) -> dict:
     """Every eigen-equation of Psi0 at generic q1, as one report: each
-    [s_i], and [pi] with K = 2, on one set of parameters."""
+    [s_i], and [pi], on one set of parameters."""
     p = SphericalParams.generic(e, chi_pi=chi_pi)
     reports = [verify_eigen_generator(i, L, p) for i in range(e)]
-    reports.append(verify_eigen_pi(L, p, K=2))
+    reports.append(verify_eigen_pi(L, p))
     return {
         "e": e, "L": L, "chi_pi": format_rational(chi_pi), "mode": "generic-q1",
         "reports": [r.to_json() for r in reports],

@@ -274,18 +274,15 @@ def random_element(e: int, rng) -> ExtendedWeylElement:
     return ExtendedWeylElement.from_full_window(e, tuple(v - k for v in w.full_window()))
 
 
-def _enum_cap(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
+def _enum_cap() -> int:
+    """The element cap, read from HECKE_MAX_ELEMS (default 1,000,000)."""
     text = os.environ.get(ENUM_CAP_ENV, str(DEFAULT_ENUM_CAP))
     if not (text.strip().isdecimal() and int(text) >= 1):
         raise ValueError(f"{ENUM_CAP_ENV}={text!r}: expected an integer >= 1")
     return int(text)
 
 
-def enumerate_by_length(
-    e: int, max_length: int, max_elems: int | None = None
-) -> list[list[AffinePermutation]]:
+def enumerate_by_length(e: int, max_length: int) -> list[list[AffinePermutation]]:
     """Layers of W0 grouped by length, from a breadth-first search.
 
     Layer l holds every w0 of length exactly l, each once, sorted by
@@ -299,15 +296,18 @@ def enumerate_by_length(
     w(1) + e.  As l(w s) = l(w) +- 1, the Cayley graph is bipartite: a
     neighbour of layer l lies in layer l - 1 or l + 1, so each candidate
     is tested against the layer below and the growing frontier only.
-    The cap counts every element enumerated as it joins.  The sorted
-    layers are wrapped through ``AffinePermutation._raw`` at the end.
+    The cap comes from the environment variable HECKE_MAX_ELEMS alone
+    (``_enum_cap``) and counts every element enumerated as it joins; it
+    is a backstop, as the command line counts the elements before it
+    enumerates.  The sorted layers are wrapped through
+    ``AffinePermutation._raw`` at the end.
 
     >>> [len(layer) for layer in enumerate_by_length(3, 4)]
     [1, 3, 6, 9, 12]
     """
     if max_length < 0:
         raise ValueError("max_length must be nonnegative")
-    cap = _enum_cap(max_elems)
+    cap = _enum_cap()
     identity = AffinePermutation.identity(e).window
     below, here = set(), {identity}
     layers = [[identity]]

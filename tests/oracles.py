@@ -43,6 +43,10 @@ the code it checks:
   a read of the group table, agrees with it on faithful representations.
 - ``sign_by_inversions``: (-1) to the number of inversions of a
   permutation.  test_gelfand.py checks the sign representation with it.
+- ``commutant_dimension``: the dimension of the space of matrices that
+  commute with the generator images, by elimination.  test_gelfand.py
+  checks that ``is_irreducible``, a character norm read from traces and
+  the group table, is true exactly when it is 1.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from heckezonal.gelfand import mat_identity, mat_mul
+from heckezonal.gelfand import mat_identity, mat_mul, rref
 from heckezonal.hecke import HeckeAlgebra, HeckeElement
 from heckezonal.scalars import LaurentPoly
 from heckezonal.spherical import EigenReport, SphericalParams, psi0_coefficient
@@ -299,3 +303,24 @@ def inverse_by_search(rep, i: int) -> int:
 def sign_by_inversions(perm: tuple[int, ...]) -> int:
     pairs = itertools.combinations(perm, 2)
     return (-1) ** sum(a > b for a, b in pairs)
+
+
+def commutant_dimension(rep) -> int:
+    """Dimension over the rationals of the matrices M with rho(g) M = M rho(g).
+
+    A matrix commutes with every rho(g) iff it commutes with the
+    generator images, so only those give conditions.
+    """
+    d = rep.dimension
+    rows: list[list[Fraction]] = []
+    for g in (rep.matrices[s] for s in rep.generators):
+        # rows of g*M - M*g = 0 as linear conditions on the d*d unknowns M
+        for i in range(d):
+            for j in range(d):
+                row = [Fraction(0)] * (d * d)
+                for k in range(d):
+                    row[k * d + j] += g[i][k]
+                    row[i * d + k] -= g[k][j]
+                rows.append(row)
+    _, pivots = rref(rows)
+    return d * d - len(pivots)

@@ -218,10 +218,10 @@ def test_budget_is_exact_for_every_enumerating_command(command, monkeypatch, cap
 def test_w0_count_matches_the_closed_form():
     for e in range(2, 9):
         for L in range(0, 16):
-            total = sum(dst.growth_closed_form(e, L).counts)
+            total = sum(dst.growth_closed_form(e, L))
             assert dst.w0_count(e, L, 10**30) == total, (e, L)
             if e <= 5:
-                assert sum(dst.growth_bfs(e, L).counts) == total, (e, L)
+                assert sum(dst.growth_bfs(e, L)) == total, (e, L)
             # below the cap the count is exact; over it, a sum over the cap
             count = dst.w0_count(e, L, 500)
             assert count == total if total <= 500 else 500 < count <= total, (e, L)

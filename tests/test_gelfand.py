@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from oracles import inverse_by_search, mat_vec, sign_by_inversions
+from oracles import commutant_dimension, inverse_by_search, mat_vec, sign_by_inversions
 
 from heckezonal import cli
 from heckezonal import gelfand as gf
@@ -102,14 +102,44 @@ def permutation_matrix(perm):
     return tuple(tuple(Fraction(int(perm[j] == i + 1)) for j in range(n)) for i in range(n))
 
 
+def permutation_rep(n: int) -> FiniteRep:
+    """S_n permuting the coordinates of Q^n: standard + trivial."""
+    gens = gf._adjacent_transpositions(n)
+    return FiniteRep.generated(f"S{n}-permutation", [(g, permutation_matrix(g)) for g in gens])
+
+
+def standard_squared_rep() -> FiniteRep:
+    """Standard + standard of S3, as block-diagonal 4 x 4 matrices."""
+    std = symmetric_group_standard_rep(3)
+    zero = (Fraction(0),) * 2
+    gens = []
+    for i in std.generators:
+        m = std.matrices[i]
+        gens.append((std.elements[i], tuple(row + zero for row in m) + tuple(zero + row for row in m)))
+    return FiniteRep.generated("S3-standard-squared", gens)
+
+
 def test_permutation_representation_is_reducible():
     # S3 on Q^3 permuting coordinates is standard + trivial: the commutant
     # holds the identity and the all-ones matrix
-    gens = [(2, 1, 3), (1, 3, 2)]
-    rep = FiniteRep.generated("S3-permutation", [(g, permutation_matrix(g)) for g in gens])
+    rep = permutation_rep(3)
     assert rep.validate_closure()
     assert len(rep.elements) == 6
     assert not is_irreducible(rep)
+
+
+@pytest.mark.parametrize(
+    "rep, dimension",
+    [(item["rep"], 1) for item in load_catalog()]
+    + [(permutation_rep(3), 2), (permutation_rep(4), 2), (standard_squared_rep(), 4)],
+    ids=lambda x: x.name if isinstance(x, FiniteRep) else str(x),
+)
+def test_character_norm_matches_the_commutant(rep, dimension):
+    # the norm of the character is the commutant's dimension: 1 on the
+    # shipped representations, the sum of squared multiplicities on the controls
+    assert rep.validate_closure()
+    assert commutant_dimension(rep) == dimension
+    assert is_irreducible(rep) is (dimension == 1)
 
 
 def flipped_s3_sign():
@@ -237,8 +267,8 @@ def test_one_gelfand_run_counts(monkeypatch, capsys):
     # one product per element but the identity, building the groups
     assert products["generated"] == 5 + 5 + 23 + 7
     assert set(products) == {"validate_closure", "generated"}
-    # d**2 * |generators|: 4 * 2, 1 * 2, 9 * 3, 4 * 2
-    assert rref_rows["is_irreducible"] == 8 + 2 + 27 + 8
+    # the character norm needs no elimination: only the fixed spaces call rref
+    assert set(rref_rows) == {"nullspace"}
 
 
 def test_dihedral_example():

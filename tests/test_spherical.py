@@ -41,8 +41,8 @@ def test_psi0_coefficient_examples():
 
 
 def test_truncation_coefficient_rule():
-    p = SphericalParams.numeric(2, 1, 3, chi_pi=Fraction(-1))
-    trunc = SphericalTruncation.build(4, p, K=2)
+    p = SphericalParams(2, 1, Fraction(3), chi_pi=Fraction(-1))
+    trunc = SphericalTruncation.build(4, p)
     for w, c in trunc.element.coeffs.items():
         expected = scalar_power(-scalar_inverse(p.q1), w.length()) * scalar_power(
             p.chi_pi, -w.k
@@ -59,7 +59,7 @@ def test_psi0_coefficient_oracle(e, chi_pi):
     # the closed coefficient (-1/q1)**l * chi_pi**(-k), written down without
     # the Laurent arithmetic under test; l is the BFS layer, not w.length()
     generic = SphericalParams.generic(e, chi_pi=chi_pi)
-    numeric = SphericalParams.numeric(e, 2, 3, chi_pi=chi_pi)
+    numeric = SphericalParams(e, 2, Fraction(3), chi_pi)
     q1 = Fraction(3) ** 4
     for ell, layer in enumerate(enumerate_by_length(e, 4)):
         for w0 in layer:
@@ -77,7 +77,7 @@ def test_psi0_table_matches_closed_formula():
     for e in range(2, 9):
         chi_pi = rng.choice(CHI_PIS)
         generic = SphericalParams.generic(e, chi_pi=chi_pi)
-        numeric = SphericalParams.numeric(e, 1, 5, chi_pi=chi_pi)
+        numeric = SphericalParams(e, 1, Fraction(5), chi_pi)
         keys = set()
         for _ in range(40):
             w = ExtendedWeylElement.identity(e)
@@ -122,7 +122,7 @@ def test_eigen_checks_catch_one_wrong_coefficient(e, monkeypatch):
     for i in range(e):
         report = verify_eigen_generator(i, 3, p)
         assert not report.ok and witness in report.failures, i
-    report = verify_eigen_pi(3, p, K=2)
+    report = verify_eigen_pi(3, p)
     assert not report.ok and witness in report.failures
 
 
@@ -238,7 +238,7 @@ def test_eigen_generator_against_hecke_product():
     for e in (2, 3):
         p = SphericalParams.generic(e)
         L = 5
-        trunc = SphericalTruncation.build(L, p, K=1)
+        trunc = SphericalTruncation.build(L, p)
         algebra = trunc.element.algebra
         interior = [
             ExtendedWeylElement(k, w0)
@@ -267,11 +267,11 @@ def test_eigen_length_one_case_by_hand():
 def test_eigen_pi():
     for e in (2, 3):
         p = SphericalParams.generic(e)
-        report = verify_eigen_pi(6, p, K=2)
+        report = verify_eigen_pi(6, p)
         assert report.ok and report.checked > 0 and report.boundary_skipped > 0
     # scaling by a nontrivial unit chi_pi
-    p = SphericalParams.numeric(3, 1, 2, chi_pi=Fraction(-1))
-    assert verify_eigen_pi(5, p, K=2).ok
+    p = SphericalParams(3, 1, Fraction(2), chi_pi=Fraction(-1))
+    assert verify_eigen_pi(5, p).ok
 
 
 def test_psi0_two_sided_form():
@@ -279,8 +279,8 @@ def test_psi0_two_sided_form():
     # coefficients are conjugation-invariant because length is
     for e in (2, 3):
         p = SphericalParams.generic(e)
-        L, K = 4, 2
-        trunc = SphericalTruncation.build(L, p, K)
+        L, K = 4, spherical.K
+        trunc = SphericalTruncation.build(L, p)
         algebra = trunc.element.algebra
         right_form = {}
         for layer in enumerate_by_length(e, L):
@@ -345,7 +345,7 @@ def test_matrix_coefficient_generic_f1():
 
 
 def test_matrix_coefficient_requires_trivial_chi_pi():
-    p = SphericalParams.numeric(3, 1, 2, chi_pi=Fraction(-1))
+    p = SphericalParams(3, 1, Fraction(2), chi_pi=Fraction(-1))
     with pytest.raises(RequiresTrivialChiPi):
         matrix_coefficient_scalar(AffinePermutation.identity(3), p)
 

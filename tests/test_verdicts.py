@@ -35,8 +35,8 @@ def library_report(argv) -> dict:
     if args.command == "coefficient":
         return verify_coefficient(args.e, args.f, args.q0, args.L, args.seed, args.samples)
     if args.command == "growth":
-        bfs = dst.growth_bfs(args.e, args.L).counts
-        closed = dst.growth_closed_form(args.e, args.L).counts
+        bfs = dst.growth_bfs(args.e, args.L)
+        closed = dst.growth_closed_form(args.e, args.L)
         rows = [
             {"length": ell, "count_bfs": b, "count_closed_form": c, "equal": b == c}
             for ell, (b, c) in enumerate(zip(bfs, closed))
@@ -104,6 +104,17 @@ def lost_element(monkeypatch):
     monkeypatch.setattr(dst, "enumerate_by_length", patched)
 
 
+def lost_length_one_element(monkeypatch):
+    # N(1) = e is no input check: the loss is a failing row like any other
+    honest = dst.enumerate_by_length
+
+    def patched(e, L):
+        layers = honest(e, L)
+        return [layers[0], layers[1][1:], *layers[2:]]
+
+    monkeypatch.setattr(dst, "enumerate_by_length", patched)
+
+
 def negative_value(monkeypatch):
     honest = dst.poincare_value
     monkeypatch.setattr(dst, "poincare_value", lambda e, x: -honest(e, x) if x > 0 else honest(e, x))
@@ -129,6 +140,7 @@ FAILING = [
     (["eigen", "--e", "3", "--L", "2"], flipped_descent),
     (["coefficient", "--e", "3", "--L", "2", "--samples", "2"], wrong_t0),
     (["growth", "--e", "3", "--L", "3"], lost_element),
+    (["growth", "--e", "3", "--L", "3"], lost_length_one_element),
     (["poincare", "--e", "3", "--points=-1/2,1/3"], negative_value),
     (["distinction", "--e", "3", "--L", "3"], wrong_length),
     (["distinction", "--e", "3", "--L", "3", "--expect-closed-form", "2"], nothing),

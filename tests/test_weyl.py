@@ -397,9 +397,10 @@ def test_enumerate_never_calls_length(monkeypatch):
         enumerate_by_length(e, L)
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
+    monkeypatch.setenv("HECKE_MAX_ELEMS", "50")
     with pytest.raises(EnumerationCapExceeded):
-        enumerate_by_length(4, 10, max_elems=50)
+        enumerate_by_length(4, 10)
 
     # the cap is tested as each element joins the frontier: `total > cap`
     # tries the subclass's reflected __lt__ first, which records the total
@@ -410,8 +411,9 @@ def test_enumerate_cap():
             Cap.largest = max(Cap.largest, total)
             return int(self) < total
 
+    monkeypatch.setattr(heckezonal.weyl, "_enum_cap", lambda: Cap(7))
     with pytest.raises(EnumerationCapExceeded):
-        enumerate_by_length(5, 6, max_elems=Cap(7))
+        enumerate_by_length(5, 6)
     # testing it once per layer would first see 1 + 5 + 15 = 21
     assert Cap.largest == 8
 
