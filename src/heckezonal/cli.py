@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -82,7 +84,14 @@ SUBCOMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command's parser, built once per process.
+
+    Reuse is safe: ``parse_args`` builds a fresh namespace on every call
+    and mutates no parser state, and ``run`` validates that namespace,
+    never the parser.
+    """
     parser = argparse.ArgumentParser(
         prog="heckezonal",
         description="Exact verification suites for affine Hecke algebra identities.",
@@ -211,10 +220,12 @@ def cmd_coefficient(args) -> tuple[bool, dict]:
 
 
 def growth_rows(e: int, L: int) -> list[dict]:
+    """One row per length 0..L; a count missing on either side is None,
+    so a BFS that stops short fails its missing rows."""
     bfs, closed = dst.growth_bfs(e, L), dst.growth_closed_form(e, L)
     return [
         {"length": ell, "count_bfs": b, "count_closed_form": c, "equal": b == c}
-        for ell, (b, c) in enumerate(zip(bfs, closed))
+        for ell, (b, c) in enumerate(itertools.zip_longest(bfs, closed))
     ]
 
 

@@ -107,19 +107,20 @@ def poincare_closed_form(e: int) -> tuple[LaurentPoly, LaurentPoly]:
     return LaurentPoly.constant(1) - LaurentPoly.variable() ** e, den
 
 
-def poincare_series_coefficients(e: int, max_degree: int) -> list[Fraction]:
+def poincare_series_coefficients(e: int, max_degree: int) -> list[int]:
     """Maclaurin coefficients of the closed form, by exact long division;
     the denominator has e + 1 terms, so this takes O(max_degree * e).
 
     The denominator's constant term is C(e, 0) = 1, so each step is a
-    subtraction and every coefficient is an integer.
+    subtraction and every coefficient is an integer; the closed form's
+    coefficients are ints, so each is an ``int``.
     """
     num, den = poincare_closed_form(e)
     n, d = num.coefficients(), den.coefficients()
     del d[0]
-    coeffs: list[Fraction] = []
+    coeffs: list[int] = []
     for deg in range(max_degree + 1):
-        coeffs.append(n.get(deg, Fraction(0)) - sum(dj * coeffs[deg - j] for j, dj in d.items() if j <= deg))
+        coeffs.append(n.get(deg, 0) - sum(dj * coeffs[deg - j] for j, dj in d.items() if j <= deg))
     return coeffs
 
 

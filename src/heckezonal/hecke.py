@@ -1,7 +1,10 @@
 """The generic affine Hecke algebra H(e, q1) on the extended Weyl group.
 
 Elements are finite formal sums sum c_w [w] over canonical-form group
-elements with exact coefficients (Fraction or LaurentPoly).  Products are
+elements with exact coefficients (Fraction or LaurentPoly).  At generic
+q1 the structure constants lie in Z[q, q**-1], so products of elements
+with integer Laurent coefficients stay there, and their coefficient
+arithmetic is on ints; only chi(pi) brings in a rational.  Products are
 computed by peeling a reduced word of the left factor and applying the
 two-case generator rule
 

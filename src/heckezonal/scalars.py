@@ -5,12 +5,19 @@ Two interchangeable coefficient modes:
 * numeric mode: plain `fractions.Fraction` values (arbitrary precision,
   always reduced, positive denominator);
 * generic mode: :class:`LaurentPoly`, a one-variable Laurent polynomial
-  with Fraction coefficients, for verifying identities at a formal unit
-  parameter.
+  with integer or rational coefficients, for verifying identities at a
+  formal unit parameter.
 
 Both modes support ``+``, ``-``, ``*``, integer ``**`` and exact equality,
 so the algebra modules are written against ordinary Python arithmetic and
 stay agnostic of the mode.  No floating point is used anywhere.
+
+A Laurent coefficient has one canonical form: an ``int`` when its value
+is integral, else a ``Fraction`` with denominator > 1.  At generic q1 the
+Hecke algebra's structure constants lie in Z[q, q**-1], so most
+coefficients are ints and skip the gcd of each ``Fraction`` operation.
+No float can enter: the constructor takes only ints and Fractions, and
+``inverse`` and negative monomial powers divide a ``Fraction``.
 
 >>> q = LaurentPoly.variable()
 >>> q * q.inverse() == 1
@@ -19,6 +26,8 @@ True
 True
 >>> (q + 1).evaluate(Fraction(4))
 Fraction(5, 1)
+>>> (2 * q.inverse()).inverse().coefficients()
+{1: Fraction(1, 2)}
 """
 
 from __future__ import annotations
@@ -48,14 +57,25 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
-class LaurentPoly:
-    """Laurent polynomial ``sum c_n * x**n`` with Fraction coefficients.
+def _canonical(c):
+    """The canonical form of an int or Fraction c: an ``int`` (never a
+    ``bool``) when c is integral, else c itself."""
+    return c.numerator if c.denominator == 1 else c
 
-    Invariant: ``_coeffs`` maps ``int`` exponents to nonzero ``Fraction``
-    coefficients, so the zero polynomial is the empty dict and equal
-    polynomials have equal dicts.  The public constructor establishes it
-    from any int/Fraction input; the arithmetic results keep it and are
-    built through :meth:`_raw`, which trusts it.
+
+class LaurentPoly:
+    """Laurent polynomial ``sum c_n * x**n`` with integer or rational
+    coefficients.
+
+    Invariant: ``_coeffs`` maps ``int`` exponents to nonzero coefficients
+    in canonical form (an ``int``, or a ``Fraction`` with denominator > 1),
+    so the zero polynomial is the empty dict and equal polynomials have
+    identical dicts.  The public constructor establishes it from
+    int/Fraction input and rejects anything else, floats included; the
+    arithmetic results keep it through ``_canonical`` and are built
+    through :meth:`_raw`, which trusts it.  Division happens only on a
+    ``Fraction`` (``inverse``, negative monomial powers), so no float is
+    ever formed.
 
     Instances are immutable by convention: no method mutates ``self``,
     apart from ``__hash__`` filling the ``_hash`` slot once on first use.
@@ -65,15 +85,15 @@ class LaurentPoly:
     __slots__ = ("_coeffs", "_hash")
 
     def __init__(self, coeffs=None):
-        clean: dict[int, Fraction] = {}
+        clean: dict[int, int | Fraction] = {}
         for n, c in (coeffs or {}).items():
-            c = _as_fraction(c)
+            c = _canonical(_as_fraction(c))
             if c:
                 clean[int(n)] = c
         object.__setattr__(self, "_coeffs", clean)
 
     @classmethod
-    def _raw(cls, clean: dict[int, Fraction]) -> "LaurentPoly":
+    def _raw(cls, clean: dict[int, int | Fraction]) -> "LaurentPoly":
         """Wrap a dict that already satisfies the invariant, unchecked."""
         self = object.__new__(cls)
         object.__setattr__(self, "_coeffs", clean)
@@ -98,7 +118,8 @@ class LaurentPoly:
 
     # -- inspection ---------------------------------------------------
 
-    def coefficients(self) -> dict[int, Fraction]:
+    def coefficients(self) -> dict[int, int | Fraction]:
+        """Exponent -> nonzero coefficient, each in canonical form."""
         return dict(self._coeffs)
 
     @property
@@ -127,7 +148,7 @@ class LaurentPoly:
         for n, c in other._coeffs.items():
             c += coeffs.get(n, 0)
             if c:
-                coeffs[n] = c
+                coeffs[n] = _canonical(c)
             else:
                 del coeffs[n]
         return LaurentPoly._raw(coeffs)
@@ -147,21 +168,23 @@ class LaurentPoly:
         return other + (-self)
 
     def __neg__(self):
+        # negation keeps an int an int and a denominator > 1 as it is
         return LaurentPoly._raw({n: -c for n, c in self._coeffs.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other:
                 return LaurentPoly._raw({})
-            return LaurentPoly._raw({n: c * other for n, c in self._coeffs.items()})
+            other = _canonical(other)  # an integral Fraction multiplies as an int
+            return LaurentPoly._raw({n: _canonical(c * other) for n, c in self._coeffs.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        coeffs: dict[int, Fraction] = {}
+        coeffs: dict[int, int | Fraction] = {}
         for n1, c1 in self._coeffs.items():
             for n2, c2 in other._coeffs.items():
                 n = n1 + n2
                 coeffs[n] = coeffs.get(n, 0) + c1 * c2
-        return LaurentPoly._raw({n: c for n, c in coeffs.items() if c})
+        return LaurentPoly._raw({n: _canonical(c) for n, c in coeffs.items() if c})
 
     __rmul__ = __mul__
 
@@ -170,10 +193,10 @@ class LaurentPoly:
             return NotImplemented
         if self.is_unit:
             ((m, c),) = self._coeffs.items()
-            return LaurentPoly._raw({m * n: c**n})
+            return LaurentPoly._raw({m * n: _canonical(c**n if n >= 0 else Fraction(c) ** n)})
         if n < 0:
             return self.inverse() ** (-n)
-        result = LaurentPoly._raw({0: Fraction(1)})
+        result = LaurentPoly._raw({0: 1})
         base = self
         while n:
             if n & 1:
@@ -188,19 +211,21 @@ class LaurentPoly:
                 "NonInvertible: only monomials are units in the Laurent ring"
             )
         ((n, c),) = self._coeffs.items()
-        return LaurentPoly._raw({-n: 1 / c})
+        return LaurentPoly._raw({-n: _canonical(1 / Fraction(c))})
 
     # -- comparison / hashing -----------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly({0: other})
+            # dicts compare values, and 3 == Fraction(3): no need to normalise
+            return self._coeffs == ({0: other} if other else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._coeffs == other._coeffs
 
     def __hash__(self):
-        # computed on first use and kept in the unset-until-then slot
+        # computed on first use and kept in the unset-until-then slot;
+        # hash(3) == hash(Fraction(3)), so the hash is that of the values
         try:
             return self._hash
         except AttributeError:

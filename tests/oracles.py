@@ -4,6 +4,11 @@ None of these runs on a path of the ``heckezonal`` command, so they are
 kept with the tests and not shipped.  Each is written independently of
 the code it checks:
 
+- ``FractionLaurentPoly``: a Laurent polynomial whose every coefficient
+  is a ``Fraction``, with the package's ring operations written over
+  Fractions alone.  test_scalars.py checks that ``LaurentPoly``, which
+  keeps integral coefficients as ints, agrees with it on every
+  operation.
 - ``TensorVector`` (with ``pure``), ``apply_operator`` and ``pair``: a
   dense coordinate model of the e-fold tensor power of a d-space.
   test_tensor.py checks the slot moves of ``t_operator`` and
@@ -57,7 +62,7 @@ from fractions import Fraction
 
 from heckezonal.gelfand import mat_identity, mat_mul, rref
 from heckezonal.hecke import HeckeAlgebra, HeckeElement
-from heckezonal.scalars import LaurentPoly
+from heckezonal.scalars import LaurentPoly, NonInvertibleError
 from heckezonal.spherical import EigenReport, SphericalParams, psi0_coefficient
 from heckezonal.tensor import PlaceOperator, gamma_operator, word_perm
 from heckezonal.weyl import (
@@ -69,6 +74,91 @@ from heckezonal.weyl import (
     multiply,
     perm_compose,
 )
+
+
+# -- Laurent polynomials ---------------------------------------------------
+
+
+class FractionLaurentPoly:
+    """``sum c_n * x**n`` with nonzero ``Fraction`` coefficients only."""
+
+    def __init__(self, coeffs=None):
+        self._coeffs = {}
+        for n, c in (coeffs or {}).items():
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"expected an exact rational, got {type(c).__name__}")
+            if c:
+                self._coeffs[int(n)] = Fraction(c)
+
+    def coefficients(self) -> dict[int, Fraction]:
+        return dict(self._coeffs)
+
+    def _coerce(self, other):
+        if isinstance(other, FractionLaurentPoly):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionLaurentPoly({0: other})
+        return None
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        coeffs = dict(self._coeffs)
+        for n, c in other._coeffs.items():
+            coeffs[n] = coeffs.get(n, Fraction(0)) + c
+        return FractionLaurentPoly(coeffs)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionLaurentPoly({n: -c for n, c in self._coeffs.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else other + (-self)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        coeffs: dict[int, Fraction] = {}
+        for n1, c1 in self._coeffs.items():
+            for n2, c2 in other._coeffs.items():
+                coeffs[n1 + n2] = coeffs.get(n1 + n2, Fraction(0)) + c1 * c2
+        return FractionLaurentPoly(coeffs)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "FractionLaurentPoly":
+        if len(self._coeffs) != 1:
+            raise NonInvertibleError("only monomials are units in the Laurent ring")
+        ((n, c),) = self._coeffs.items()
+        return FractionLaurentPoly({-n: 1 / c})
+
+    def __pow__(self, n: int):
+        base = self if n >= 0 else self.inverse()
+        result = FractionLaurentPoly({0: 1})
+        for _ in range(abs(n)):
+            result = result * base
+        return result
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else self._coeffs == other._coeffs
+
+    def __hash__(self):
+        return hash(frozenset(self._coeffs.items()))
+
+    def evaluate(self, x) -> Fraction:
+        x = Fraction(x)
+        if x == 0 and any(n < 0 for n in self._coeffs):
+            raise ZeroDivisionError("cannot evaluate at 0: negative exponents present")
+        return sum((c * x**n for n, c in self._coeffs.items()), Fraction(0))
 
 
 # -- dense tensors ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line frontend: exit codes, formats, determinism."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -14,6 +15,7 @@ from heckezonal import distinction as dst
 from heckezonal.weyl import AffinePermutation, enumerate_by_length
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(*argv):
@@ -41,6 +43,37 @@ def test_growth_csv_rows():
     assert lines[0] == "length,count_bfs,count_closed_form,equal"
     assert len(lines) == 14  # header + 13 data rows
     assert all(line.endswith("True") for line in lines[1:])
+
+
+def test_growth_fails_a_missing_last_layer(monkeypatch, capsys):
+    honest = dst.enumerate_by_length
+    monkeypatch.setattr(dst, "enumerate_by_length", lambda e, L: honest(e, L)[:-1])
+    assert cli.run(["growth", "--e", "3", "--L", "4"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert [r["equal"] for r in report["rows"]] == [True] * 4 + [False]
+    assert report["rows"][-1] == {"length": 4, "count_bfs": None, "count_closed_form": 12, "equal": False}
+    assert cli.run(["growth", "--e", "3", "--L", "4", "--output", "csv"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6 and lines[-1] == "4,,12,False"
+
+
+def test_run_reuses_one_parser(monkeypatch, capsys):
+    parsers = []
+    honest = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "parse_args", lambda self, argv: parsers.append(self) or honest(self, argv)
+    )
+    assert cli.run(["growth", "--e", "3", "--L", "2"]) == 0
+    assert cli.run(["gelfand"]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+    # a rejected argv and another subcommand's flags leave no state behind
+    with pytest.raises(SystemExit):
+        cli.run(["eigen", "--chi-pi", "-1/3"])
+    assert cli.run(["poincare", "--points", "1/2"]) == 0
+    capsys.readouterr()
+    assert cli.run(["all", "--e", "3", "--L", "3"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "all_e3_L3.json").read_text()
 
 
 def test_eigen_passes():

@@ -5,6 +5,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import FractionLaurentPoly
 
 import heckezonal.scalars
 from heckezonal.scalars import (
@@ -105,9 +108,12 @@ def _random_monomial(rng: random.Random) -> LaurentPoly:
 
 
 def _assert_invariant(p: LaurentPoly) -> None:
+    # canonical form: a nonzero int (not a bool), or a Fraction whose
+    # denominator is not 1; never a float or an integral Fraction
     coeffs = p.coefficients()
     assert all(type(n) is int for n in coeffs)
-    assert all(type(c) is Fraction and c != 0 for c in coeffs.values())
+    for c in coeffs.values():
+        assert (type(c) is int or (type(c) is Fraction and c.denominator != 1)) and c != 0, coeffs
     rebuilt = LaurentPoly(coeffs)
     assert p == rebuilt and hash(p) == hash(rebuilt)
 
@@ -164,3 +170,106 @@ def test_cancelling_arithmetic_keeps_invariant():
         for result in (a + b, a - b, a * b, a - a, a + (-a), (a - b) * (a + b)):
             _assert_invariant(result)
         assert (a - a).is_zero and (a + (-a)).is_zero
+
+
+# -- property tests against the Fraction-only reference ---------------------
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+# small denominators, so that sums and products often turn integral
+COEFFS = st.one_of(
+    st.integers(-6, 6),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6])),
+)
+SCALARS = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)))
+DICTS = st.dictionaries(st.integers(-4, 4), COEFFS, max_size=4)
+MONOMIALS = st.builds(lambda n, c: {n: c}, st.integers(-4, 4), COEFFS.filter(bool))
+
+
+def _pair(d: dict) -> tuple[LaurentPoly, FractionLaurentPoly]:
+    return LaurentPoly(d), FractionLaurentPoly(d)
+
+
+def _assert_agrees(p: LaurentPoly, ref: FractionLaurentPoly) -> None:
+    _assert_invariant(p)
+    assert p.coefficients() == ref.coefficients()
+    assert hash(p) == hash(ref)
+
+
+@PROPERTY
+@given(DICTS, DICTS)
+@example({0: Fraction(1, 2)}, {0: Fraction(1, 2)})  # an integral sum of Fractions
+@example({1: 1, 0: 1}, {1: 1, 0: -1})  # (q + 1)(q - 1) cancels its middle term
+def test_ring_operations_match_fraction_reference(a, b):
+    (pa, ra), (pb, rb) = _pair(a), _pair(b)
+    _assert_agrees(pa, ra)
+    _assert_agrees(pa + pb, ra + rb)
+    _assert_agrees(pa - pb, ra - rb)
+    _assert_agrees(-pa, -ra)
+    _assert_agrees(pa * pb, ra * rb)
+    assert (pa == pb) == (ra == rb)
+
+
+@PROPERTY
+@given(DICTS, SCALARS)
+@example({0: Fraction(1, 3)}, 3)  # a Fraction times an int turns integral
+@example({2: 2}, Fraction(1, 2))
+def test_scalar_operations_match_fraction_reference(a, c):
+    pa, ra = _pair(a)
+    for p, ref in ((pa * c, ra * c), (c * pa, c * ra), (pa + c, ra + c), (c + pa, c + ra),
+                   (pa - c, ra - c), (c - pa, c - ra)):
+        _assert_agrees(p, ref)
+    assert (pa == c) == (ra == c) == (ra == FractionLaurentPoly({0: c}))
+
+
+@PROPERTY
+@given(DICTS, st.integers(0, 4))
+def test_powers_match_fraction_reference(a, n):
+    pa, ra = _pair(a)
+    _assert_agrees(pa**n, ra**n)
+
+
+@PROPERTY
+@given(MONOMIALS, st.integers(-5, 5))
+@example({1: Fraction(1, 2)}, -1)  # a negative power of a Fraction can be an int
+def test_monomial_powers_match_fraction_reference(m, n):
+    pm, rm = _pair(m)
+    _assert_agrees(pm**n, rm**n)
+
+
+@PROPERTY
+@given(DICTS)
+@example({0: 2})  # an int's inverse is a Fraction, never a float
+@example({1: Fraction(1, 2)})  # a Fraction's inverse can be an int
+def test_inverse_matches_fraction_reference(a):
+    pa, ra = _pair(a)
+    if len(ra.coefficients()) == 1:
+        _assert_agrees(pa.inverse(), ra.inverse())
+        return
+    with pytest.raises(NonInvertibleError):
+        pa.inverse()
+    with pytest.raises(NonInvertibleError):
+        ra.inverse()
+
+
+@PROPERTY
+@given(DICTS, st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)))
+def test_evaluate_matches_fraction_reference(a, x):
+    pa, ra = _pair(a)
+    if x == 0 and any(n < 0 for n in ra.coefficients()):
+        with pytest.raises(ZeroDivisionError):
+            pa.evaluate(x)
+        return
+    value = pa.evaluate(x)
+    assert type(value) is Fraction and value == ra.evaluate(x)
+
+
+def test_constructor_rejects_floats_and_stores_bools_as_ints():
+    with pytest.raises(TypeError):
+        LaurentPoly({0: 0.5})
+    with pytest.raises(TypeError):
+        LaurentPoly.variable() * 0.5
+    p = LaurentPoly({0: True, 1: Fraction(4, 2)})
+    _assert_invariant(p)
+    assert p.coefficients() == {0: 1, 1: 2}
+    _assert_invariant(LaurentPoly.variable() * True)

@@ -8,6 +8,7 @@ per suite.
 """
 
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -39,7 +40,7 @@ def library_report(argv) -> dict:
         closed = dst.growth_closed_form(args.e, args.L)
         rows = [
             {"length": ell, "count_bfs": b, "count_closed_form": c, "equal": b == c}
-            for ell, (b, c) in enumerate(zip(bfs, closed))
+            for ell, (b, c) in enumerate(itertools.zip_longest(bfs, closed))
         ]
         return {"e": args.e, "L": args.L, "rows": rows, "ok": bfs == closed}
     if args.command == "poincare":
@@ -115,6 +116,11 @@ def lost_length_one_element(monkeypatch):
     monkeypatch.setattr(dst, "enumerate_by_length", patched)
 
 
+def lost_last_layer(monkeypatch):
+    honest = dst.enumerate_by_length
+    monkeypatch.setattr(dst, "enumerate_by_length", lambda e, L: honest(e, L)[:-1])
+
+
 def negative_value(monkeypatch):
     honest = dst.poincare_value
     monkeypatch.setattr(dst, "poincare_value", lambda e, x: -honest(e, x) if x > 0 else honest(e, x))
@@ -141,6 +147,7 @@ FAILING = [
     (["coefficient", "--e", "3", "--L", "2", "--samples", "2"], wrong_t0),
     (["growth", "--e", "3", "--L", "3"], lost_element),
     (["growth", "--e", "3", "--L", "3"], lost_length_one_element),
+    (["growth", "--e", "3", "--L", "3"], lost_last_layer),
     (["poincare", "--e", "3", "--points=-1/2,1/3"], negative_value),
     (["distinction", "--e", "3", "--L", "3"], wrong_length),
     (["distinction", "--e", "3", "--L", "3", "--expect-closed-form", "2"], nothing),
