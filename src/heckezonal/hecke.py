@@ -11,19 +11,29 @@ two-case generator rule
     [s_i][w] = [s_i w]                     if l(s_i w) = l(w) + 1
     [s_i][w] = q1 [s_i w] + (q1 - 1) [w]   if l(s_i w) = l(w) - 1
 
-together with [pi]**k acting by relabeling ([pi][w] = [pi w]).  As
-s_i pi**k = pi**k s_{i+k mod e}, each peeled letter maps a term
-[pi**k w0] to [pi**k s_j w0], j = i + k mod e, with one ``compose`` of
-W0 windows.  The case is picked by a left-descent test of w0 at j
-(``has_left_descent``, O(e)), not by computing both lengths,
-and q1 - 1 is computed once per algebra, not once per descending term.
-A term of the left factor with coefficient 1 (every term of [pi] or of
-a sum of basis elements) adds its peeled terms unscaled.  Terms are
-checked where they enter, by ``element`` and ``basis``; ``product``
-checks only that both factors belong to its algebra, since every term
-it adds has rank e and ``_accumulate`` drops each sum that cancels.
-This recursion is the ground truth; verify_presentation() replays the
-defining relations through it as exact identities.
+together with [pi]**k acting by relabeling ([pi][w] = [pi w]).
+
+An element's table is keyed by plain ``(k, window)`` int tuples, the k
+and W0 window of [pi**k w0], so products hash and compare tuples and
+build no group element per term.  As s_i pi**k = pi**k s_{i+k mod e},
+each peeled letter maps a term [pi**k w0] to [pi**k s_j w0], j = i + k
+mod e, and s_j w0 is an edit of two window slots: the value congruent to
+j mod e, at slot a, goes up by 1, and the value congruent to j + 1, at
+slot b, goes down by 1.  The case is the left-descent test of w0 at j
+read from the same two slots, w0**-1(j) > w0**-1(j + 1), which is
+a - win[a] > b - win[b] + 1 for 0-based slots; no length is computed.
+q1 - 1 is computed once per algebra, not once per descending term.  A
+term of the left factor with coefficient 1 (every term of [pi] or of a
+sum of basis elements) adds its peeled terms unscaled.
+
+Group elements are converted only at the boundary: ``element`` and
+``basis`` take ``ExtendedWeylElement``s, check their rank and store their
+keys; ``coefficient`` looks an element's key up; ``support`` wraps each
+key back into an element.  ``product`` checks only that both factors
+belong to its algebra, since every term it adds has rank e and
+``_accumulate`` drops each sum that cancels.  This recursion is the
+ground truth; verify_presentation() replays the defining relations
+through it as exact identities.
 """
 
 from __future__ import annotations
@@ -33,8 +43,8 @@ from dataclasses import dataclass, field
 
 from .scalars import ExactScalar, LaurentPoly, scalar_power
 from .weyl import (
+    AffinePermutation,
     ExtendedWeylElement,
-    _simple,
     generator,
     pi_element,
     random_element,
@@ -75,12 +85,13 @@ class HeckeAlgebra:
     # -- element constructors -------------------------------------------
 
     def element(self, coeffs: dict) -> "HeckeElement":
+        """The element sum c [w] of a table keyed by ExtendedWeylElement."""
         clean = {}
         for w, c in coeffs.items():
             if w.e != self.e:
                 raise ValueError("rank mismatch between element and algebra")
             if not _is_zero(c):
-                clean[w] = c
+                clean[(w.k, w.w0.window)] = c
         return HeckeElement(self, clean)
 
     def zero(self) -> "HeckeElement":
@@ -93,7 +104,7 @@ class HeckeAlgebra:
         """The basis element [w]."""
         if w.e != self.e:
             raise ValueError("rank mismatch")
-        return HeckeElement(self, {w: 1})
+        return HeckeElement(self, {(w.k, w.w0.window): 1})
 
     def generator_basis(self, i: int) -> "HeckeElement":
         return self.basis(generator(self.e, i))
@@ -104,32 +115,38 @@ class HeckeAlgebra:
         """Left-multiply a coefficient table by [s_i] via the two-case rule."""
         e, q1, q1_minus_1 = self.e, self.q1, self._q1_minus_1
         out: dict = {}
-        for w, c in coeffs.items():
-            k, w0 = w.k, w.w0
+        for key, c in coeffs.items():
+            k, win = key
             j = (i + k) % e
-            sw = ExtendedWeylElement(k, _simple(e, j).compose(w0))
-            if w0.has_left_descent(j):
+            # slots a and b hold the values congruent to j and j + 1 mod e
+            residues = [(v - j) % e for v in win]
+            a, b = residues.index(0), residues.index(1)
+            edited = list(win)
+            edited[a] += 1
+            edited[b] -= 1
+            sw = (k, tuple(edited))
+            if a - win[a] > b - win[b] + 1:
                 _accumulate(out, sw, q1 * c)
-                _accumulate(out, w, q1_minus_1 * c)
+                _accumulate(out, key, q1_minus_1 * c)
             else:
                 _accumulate(out, sw, c)
         return out
 
     def _left_pi_power(self, k: int, coeffs: dict) -> dict:
         # pi**k * (pi**j w0) = pi**(j + k) w0
-        return {ExtendedWeylElement(w.k + k, w.w0): c for w, c in coeffs.items()}
+        return {(j + k, win): c for (j, win), c in coeffs.items()}
 
     def product(self, h1: "HeckeElement", h2: "HeckeElement") -> "HeckeElement":
         """h1 * h2; its table is wrapped unchecked (see the module docstring)."""
         if h1.algebra != self or h2.algebra != self:
             raise ValueError("rank/mode mismatch: operands from different algebras")
+        e = self.e
         result: dict = {}
-        for u, cu in h1.coeffs.items():
-            word = u.w0.reduced_word()
-            acc = dict(h2.coeffs)
-            for i in reversed(word):
+        for (k, win), cu in h1.coeffs.items():
+            acc = h2.coeffs
+            for i in reversed(AffinePermutation._raw(e, win).reduced_word()):
                 acc = self._left_generator(i, acc)
-            acc = self._left_pi_power(u.k, acc)
+            acc = self._left_pi_power(k, acc)
             unit = cu == 1
             for w, c in acc.items():
                 _accumulate(result, w, c if unit else cu * c)
@@ -153,16 +170,22 @@ def _accumulate(table: dict, w, c) -> None:
 
 @dataclass
 class HeckeElement:
-    """A finite formal sum over canonical-form group elements."""
+    """A finite formal sum over canonical-form group elements.
+
+    ``coeffs`` maps the key ``(k, window)`` of [pi**k w0], the int k and
+    the window tuple of w0, to its nonzero coefficient.  ``coefficient``
+    and ``support`` speak in ``ExtendedWeylElement``s.
+    """
 
     algebra: HeckeAlgebra
     coeffs: dict
 
     def coefficient(self, w: ExtendedWeylElement):
-        return self.coeffs.get(w, 0)
+        return self.coeffs.get((w.k, w.w0.window), 0)
 
     def support(self) -> set[ExtendedWeylElement]:
-        return set(self.coeffs)
+        e = self.algebra.e
+        return {ExtendedWeylElement(k, AffinePermutation._raw(e, win)) for k, win in self.coeffs}
 
     def __add__(self, other):
         if not isinstance(other, HeckeElement):
@@ -181,7 +204,8 @@ class HeckeElement:
         return HeckeElement(self.algebra, {w: -c for w, c in self.coeffs.items()})
 
     def scale(self, c) -> "HeckeElement":
-        return self.algebra.element({w: c * cw for w, cw in self.coeffs.items()})
+        # through element, which drops the terms a zero scalar cancels
+        return self.algebra.element({w: c * self.coefficient(w) for w in self.support()})
 
     def __mul__(self, other):
         if isinstance(other, HeckeElement):
@@ -210,9 +234,9 @@ def chi(h: HeckeElement, chi_pi: ExactScalar = 1) -> ExactScalar:
     if _is_zero(chi_pi):
         raise ValueError("chi_pi must be a unit")
     total = 0
-    for w, c in h.coeffs.items():
+    for w in h.support():
         sign = -1 if w.length() % 2 else 1
-        total = total + c * sign * scalar_power(chi_pi, w.k)
+        total = total + h.coefficient(w) * sign * scalar_power(chi_pi, w.k)
     return total
 
 

@@ -187,7 +187,12 @@ def _layers(p: SphericalParams, L: int) -> tuple[list, dict]:
 @dataclass
 class SphericalTruncation:
     """The eigenvector restricted to {pi**k w0 : |k| <= K, l(w0) <= L},
-    for the module constant K."""
+    for the module constant K.
+
+    ``build`` writes the element's ``(k, window)`` keys (see
+    ``HeckeElement``) straight from the BFS layers, one psi0 value per
+    (layer, k), and builds no group element per term.
+    """
 
     element: HeckeElement
 
@@ -201,7 +206,7 @@ class SphericalTruncation:
             values = [(k, psi0_coefficient(ell, k, p)) for k in ks]
             for w0 in layer:
                 for k, c in values:
-                    coeffs[ExtendedWeylElement(k, w0)] = c
+                    coeffs[(k, w0.window)] = c
         return cls(HeckeElement(p.algebra(), coeffs))
 
 
@@ -219,13 +224,16 @@ class EigenReport:
     def ok(self) -> bool:
         return not self.failures and self.passed == self.checked
 
-    def record(self, ok: bool, w: ExtendedWeylElement) -> None:
-        # the witness dict is built only for a failing case
+    def record(self, ok: bool, k: int, window: tuple[int, ...]) -> None:
+        """Count one case at the index pi**k w0, w0 of this window.
+
+        The witness dict is built only for a failing case.
+        """
         self.checked += 1
         if ok:
             self.passed += 1
         else:
-            self.failures.append({"k": w.k, "window": list(w.w0.window)})
+            self.failures.append({"k": k, "window": list(window)})
 
     def to_json(self) -> dict:
         return {
@@ -293,7 +301,7 @@ def verify_eigen_generator(i: int, L: int, p: SphericalParams) -> EigenReport:
                         lhs = q1 * csu if up else csu + q1_minus_1 * cu
                         ok = lhs == -cu
                     verdicts[key] = ok
-                report.record(ok and length_ok, ExtendedWeylElement(k, w0))
+                report.record(ok and length_ok, k, w0.window)
     report.boundary_skipped = len(shifted) * len(layers[L])
     return report
 
@@ -322,7 +330,7 @@ def verify_eigen_pi(L: int, p: SphericalParams) -> EigenReport:
             rhs = scaled.get(c)
             if rhs is None:
                 rhs = scaled[c] = p.chi_pi * c
-            report.record(lhs.coefficient(w) == rhs, w)
+            report.record(lhs.coefficient(w) == rhs, w.k, w.w0.window)
         else:
             report.boundary_skipped += 1
     return report

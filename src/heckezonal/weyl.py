@@ -101,13 +101,7 @@ class AffinePermutation:
         return AffinePermutation._raw(e, out)
 
     def inverse(self) -> "AffinePermutation":
-        # value v in slot j: self**-1(t) = j + t - v for t = v mod e in 1..e
-        e = self.e
-        win = [0] * e
-        for j, v in enumerate(self.window, start=1):
-            r = (v - 1) % e
-            win[r] = j + r + 1 - v
-        return AffinePermutation._raw(e, tuple(win))
+        return AffinePermutation._raw(self.e, tuple(_inverse_window(self.e, self.window)))
 
     def length(self) -> int:
         """Coxeter length, via the affine inversion count."""
@@ -136,10 +130,10 @@ class AffinePermutation:
 
         Each letter is the lowest-index left descent of what is left.  As
         (s_i w)**-1 = w**-1 s_i, the inverse window is built once and each
-        letter swaps two of its slots.
+        letter swaps two of its slots; no other element is built.
         """
         e = self.e
-        inv = list(self.inverse().window)
+        inv = _inverse_window(e, self.window)
         done = list(range(1, e + 1))
         word: list[int] = []
         while inv != done:
@@ -151,6 +145,16 @@ class AffinePermutation:
                 inv[i - 1], inv[i] = inv[i], inv[i - 1]
             word.append(i)
         return word
+
+
+def _inverse_window(e: int, window: tuple[int, ...]) -> list[int]:
+    """The window of the inverse of the W0 element with this window."""
+    # value v in slot j: w**-1(t) = j + t - v for t = v mod e in 1..e
+    inv = [0] * e
+    for j, v in enumerate(window, start=1):
+        r = (v - 1) % e
+        inv[r] = j + r + 1 - v
+    return inv
 
 
 @functools.lru_cache(maxsize=None)

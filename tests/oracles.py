@@ -277,7 +277,7 @@ def evaluate(p, x) -> Fraction:
 def specialize(h: HeckeElement, x) -> HeckeElement:
     """Evaluate generic coefficients at q1 = x, landing in a numeric algebra."""
     target = HeckeAlgebra(h.algebra.e, evaluate(h.algebra.q1, x))
-    return target.element({w: evaluate(c, x) for w, c in h.coeffs.items()})
+    return target.element({w: evaluate(h.coefficient(w), x) for w in h.support()})
 
 
 def _has_right_descent(x: ExtendedWeylElement, j: int) -> bool:
@@ -304,9 +304,10 @@ def right_peeling_product(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
     e, q1 = algebra.e, algebra.q1
     identity = AffinePermutation.identity(e)
     out: dict = {}
-    for v, cv in h2.coeffs.items():
+    for v in h2.support():
+        cv = h2.coefficient(v)
         pk = ExtendedWeylElement(v.k, identity)
-        acc = {multiply(x, pk): c for x, c in h1.coeffs.items()}
+        acc = {multiply(x, pk): h1.coefficient(x) for x in h1.support()}
         for j in v.w0.reduced_word():
             s = generator(e, j)
             nxt: dict = {}
@@ -368,7 +369,7 @@ def eigen_generator_reference(i: int, L: int, p: SphericalParams) -> EigenReport
                     lhs = q1 * csu
                 else:
                     lhs = csu + (q1 - 1) * cu
-                report.record(lhs == -cu, u)
+                report.record(lhs == -cu, u.k, u.w0.window)
     return report
 
 

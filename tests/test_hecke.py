@@ -11,9 +11,11 @@ from oracles import right_peeling_product, specialize
 import heckezonal.hecke as hecke
 from heckezonal.hecke import HeckeAlgebra, chi, verify_presentation
 from heckezonal.scalars import LaurentPoly
+from heckezonal.spherical import SphericalParams, SphericalTruncation
 from heckezonal.weyl import (
     AffinePermutation,
     ExtendedWeylElement,
+    _simple,
     enumerate_by_length,
     generator,
     multiply,
@@ -94,10 +96,49 @@ def test_left_pi_power_shortcut_matches_multiply():
         for j in range(-3, 4)
     }
     assert len(coeffs) == 483
+    table = {(w.k, w.w0.window): c for w, c in coeffs.items()}
     for k in (-2, -1, 1, 3):
         pk = ExtendedWeylElement(k, AffinePermutation.identity(e))
         expect = {multiply(pk, w): c for w, c in coeffs.items()}
-        assert A._left_pi_power(k, coeffs) == expect
+        assert A._left_pi_power(k, table) == {(w.k, w.w0.window): c for w, c in expect.items()}
+
+
+@pytest.mark.parametrize("e", range(2, 9))
+def test_generator_step_matches_compose_and_descent(e):
+    # the two-slot edit and its descent test against the group's own
+    # compose and has_left_descent, on the one-term table [pi**k w0]:
+    # s_i pi**k = pi**k s_j, so the letter i = j - k edits w0 at j
+    A = generic_algebra(e)
+    q1 = A.q1
+    for layer in enumerate_by_length(e, 5):
+        for w0 in layer:
+            for j in range(e):
+                sw0 = _simple(e, j).compose(w0).window
+                for k in (-1, 0, 2):
+                    w, sw = (k, w0.window), (k, sw0)
+                    expect = {sw: q1, w: q1 - 1} if w0.has_left_descent(j) else {sw: 1}
+                    assert A._left_generator((j - k) % e, {w: 1}) == expect, (w0, j, k)
+
+
+def test_product_builds_no_group_element_per_term(monkeypatch):
+    # one AffinePermutation per left-factor term, for its reduced word,
+    # and none per term of the right factor
+    p = SphericalParams.generic(3)
+    trunc = SphericalTruncation.build(4, p).element
+    A = trunc.algebra
+    built = []
+    raw = AffinePermutation._raw.__func__
+    checked = AffinePermutation.__post_init__
+    monkeypatch.setattr(
+        AffinePermutation, "_raw", classmethod(lambda cls, e, win: built.append(win) or raw(cls, e, win))
+    )
+    monkeypatch.setattr(AffinePermutation, "__post_init__", lambda w0: built.append(w0.window) or checked(w0))
+    for i in range(3):
+        left = A.basis(generator(3, i))
+        built.clear()
+        assert (left * trunc).coeffs
+        assert len(built) <= len(left.coeffs) == 1, built
+    assert len(trunc.coeffs) == 155
 
 
 def length_rule_left_generator(algebra, i, h):
@@ -105,7 +146,8 @@ def length_rule_left_generator(algebra, i, h):
     q1 = algebra.q1
     s = generator(algebra.e, i)
     out = algebra.zero()
-    for w, c in h.coeffs.items():
+    for w in h.support():
+        c = h.coefficient(w)
         sw = multiply(s, w)
         if sw.length() == w.length() + 1:
             out = out + algebra.element({sw: c})
@@ -127,7 +169,12 @@ def test_left_generator_matches_length_rule():
                 coeffs[w] = rng.randrange(1, 5)
             h = A.element(coeffs)
             for i in range(e):
-                got = A.element(A._left_generator(i, h.coeffs))
+                table = A._left_generator(i, h.coeffs)
+                # the keys enter through the validating constructor
+                got = A.element({
+                    ExtendedWeylElement(k, AffinePermutation(e, win)): c
+                    for (k, win), c in table.items()
+                })
                 assert got == length_rule_left_generator(A, i, h), (e, i)
 
 
@@ -145,6 +192,21 @@ def test_product_matches_right_peeling(e):
         assert A.product(h1, h2) == right_peeling_product(h1, h2), (h1, h2)
 
 
+def mutate_left_generator(monkeypatch, edits):
+    """Patch HeckeAlgebra._left_generator with its own source, edited.
+
+    Each (old, new) pair must occur exactly once in the source, so a
+    test fails if the text it mutates moves.
+    """
+    source = textwrap.dedent(inspect.getsource(HeckeAlgebra._left_generator))
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = {}
+    exec(source, vars(hecke), namespace)
+    monkeypatch.setattr(HeckeAlgebra, "_left_generator", namespace["_left_generator"])
+
+
 def test_presentation_catches_flipped_conjugation(monkeypatch):
     # s_i pi**k = pi**k s_{i+k mod e}; the product's generator step with
     # its shift flipped to i - k sends [s_i][pi**k w0] to the wrong
@@ -153,12 +215,28 @@ def test_presentation_catches_flipped_conjugation(monkeypatch):
     # (ExtendedWeylElement.multiply is covered by the full-window
     # reference in test_weyl.py)
     assert verify_presentation(4).ok
-    source = textwrap.dedent(inspect.getsource(HeckeAlgebra._left_generator))
-    assert source.count("(i + k) % e") == 1
-    namespace = {}
-    exec(source.replace("(i + k) % e", "(i - k) % e"), vars(hecke), namespace)
-    monkeypatch.setattr(HeckeAlgebra, "_left_generator", namespace["_left_generator"])
+    mutate_left_generator(monkeypatch, [("(i + k) % e", "(i - k) % e")])
     assert not verify_presentation(4).ok
+
+
+BROKEN_STEPS = {
+    # s_j w0 with the value = j mod e lowered and the one = j + 1 raised
+    "swapped-edit": [("edited[a] += 1", "edited[a] -= 1"), ("edited[b] -= 1", "edited[b] += 1")],
+    # every term takes the other case of the two-case rule
+    "flipped-descent": [("a - win[a] > b - win[b] + 1", "a - win[a] <= b - win[b] + 1")],
+}
+
+
+@pytest.mark.parametrize("edits", BROKEN_STEPS.values(), ids=BROKEN_STEPS)
+def test_presentation_catches_a_broken_generator_step(edits, monkeypatch):
+    assert verify_presentation(4).ok
+    mutate_left_generator(monkeypatch, edits)
+    try:
+        ok = verify_presentation(4).ok
+    except ValueError:
+        # the swapped edit leaves W0, so a later letter finds no slot
+        ok = False
+    assert not ok
 
 
 def test_descent_case_by_hand():
@@ -216,8 +294,9 @@ def test_chi_examples():
         rng = random.Random(23)
         for _ in range(50):
             h = random_element(A, rng, terms=1)
-            ((w, c),) = h.coeffs.items() if h.coeffs else ((ExtendedWeylElement.identity(e), 0),)
-            if h.coeffs:
+            support = h.support()
+            if support:
+                (w,) = support
                 assert chi(A.basis(w)) == (-1) ** w.length()
 
 

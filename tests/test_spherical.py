@@ -43,7 +43,8 @@ def test_psi0_coefficient_examples():
 def test_truncation_coefficient_rule():
     p = SphericalParams(2, 1, Fraction(3), chi_pi=Fraction(-1))
     trunc = SphericalTruncation.build(4, p)
-    for w, c in trunc.element.coeffs.items():
+    for w in trunc.element.support():
+        c = trunc.element.coefficient(w)
         expected = scalar_power(-scalar_inverse(p.q1), w.length()) * scalar_power(
             p.chi_pi, -w.k
         )
