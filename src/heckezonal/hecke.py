@@ -90,7 +90,7 @@ class HeckeAlgebra:
         for w, c in coeffs.items():
             if w.e != self.e:
                 raise ValueError("rank mismatch between element and algebra")
-            if not _is_zero(c):
+            if c != 0:
                 clean[(w.k, w.w0.window)] = c
         return HeckeElement(self, clean)
 
@@ -153,16 +153,10 @@ class HeckeAlgebra:
         return HeckeElement(self, result)
 
 
-def _is_zero(c) -> bool:
-    if isinstance(c, LaurentPoly):
-        return c.is_zero
-    return c == 0
-
-
 def _accumulate(table: dict, w, c) -> None:
     cur = table.get(w)
     new = c if cur is None else cur + c
-    if _is_zero(new):
+    if new == 0:
         table.pop(w, None)
     else:
         table[w] = new
@@ -231,7 +225,7 @@ def chi(h: HeckeElement, chi_pi: ExactScalar = 1) -> ExactScalar:
     [s_i] goes to -1 and [pi] to the unit chi_pi (default 1, the value in
     the distinguished, odd-rank regime).
     """
-    if _is_zero(chi_pi):
+    if chi_pi == 0:
         raise ValueError("chi_pi must be a unit")
     total = 0
     for w in h.support():

@@ -77,12 +77,11 @@ class LaurentPoly:
     ``Fraction`` (``inverse``, negative monomial powers), so no float is
     ever formed.
 
-    Instances are immutable by convention: no method mutates ``self``,
-    apart from ``__hash__`` filling the ``_hash`` slot once on first use.
+    Instances are immutable by convention: no method mutates ``self``.
     Every instance is in the same single variable, printed as ``q``.
     """
 
-    __slots__ = ("_coeffs", "_hash")
+    __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=None):
         clean: dict[int, int | Fraction] = {}
@@ -121,10 +120,6 @@ class LaurentPoly:
     def coefficients(self) -> dict[int, int | Fraction]:
         """Exponent -> nonzero coefficient, each in canonical form."""
         return dict(self._coeffs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._coeffs
 
     @property
     def is_unit(self) -> bool:
@@ -224,14 +219,8 @@ class LaurentPoly:
         return self._coeffs == other._coeffs
 
     def __hash__(self):
-        # computed on first use and kept in the unset-until-then slot;
         # hash(3) == hash(Fraction(3)), so the hash is that of the values
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(frozenset(self._coeffs.items()))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return hash(frozenset(self._coeffs.items()))
 
     # -- evaluation / output ------------------------------------------
 

@@ -22,9 +22,11 @@ with the parameters it was computed for.  The BFS layers of W0 and the
 map from each window to its layer are kept on the parameters the same
 way, keyed by L, so the generator checks and the truncation of one job
 share a single ``enumerate_by_length``, and every coefficient is read by
-layer.  Each element's inversion count is still checked against its
-layer once, so the BFS distance and ``length()`` stay independent
-witnesses of each other.
+layer.  Both eigen checks walk those layers: each computes one value per
+(layer, k) and lists a failing witness in (layer, window, k) order.
+Each element's inversion count is still checked against its layer once,
+so the BFS distance and ``length()`` stay independent witnesses of each
+other.
 
 In the trivial-chi_pi regime the normalized matrix coefficient at
 w0 * pi**k is the closed form
@@ -310,29 +312,27 @@ def verify_eigen_pi(L: int, p: SphericalParams) -> EigenReport:
     """Check [pi] * Psi0 = chi_pi * Psi0 on a truncation.
 
     The left side is computed through the Hecke product (so canonical
-    relabeling of pi-powers is exercised), the right side by scaling each
-    coefficient by chi_pi, once per distinct coefficient value.
-    Comparison runs over indices with |k| <= K - 1 and l(w0) <= L, for
-    the module constant K; the outer k-shells are boundary.  The
-    truncation's BFS layers are the ones the generator checks of the same
-    parameters use; it is filled with one ``psi0_coefficient`` per
-    (layer, k), and neither it nor the product re-checks its terms.
+    relabeling of pi-powers is exercised) and read by ``(k, window)``
+    key; the right side is chi_pi times one ``psi0_coefficient`` per
+    (layer, k).  Comparison walks the truncation's BFS layers, the ones
+    the generator checks of the same parameters use, over |k| <= K - 1,
+    for the module constant K; the shells |k| = K are boundary.  So a
+    failing witness is listed in (layer, window, k) order, as the
+    generator checks list theirs, and no group element is built per
+    term.
     """
-    trunc = SphericalTruncation.build(L, p)
-    element = trunc.element
-    algebra = element.algebra
-    lhs = algebra.product(algebra.basis(pi_element(p.e)), element)
-    scaled: dict = {}
+    truncation = SphericalTruncation.build(L, p).element
+    algebra = truncation.algebra
+    lhs = algebra.product(algebra.basis(pi_element(p.e)), truncation).coeffs
+    layers = _layers(p, L)[0]
     report = EigenReport(kind="pi")
-    for w in element.support():
-        if abs(w.k) <= K - 1:
-            c = element.coefficient(w)
-            rhs = scaled.get(c)
-            if rhs is None:
-                rhs = scaled[c] = p.chi_pi * c
-            report.record(lhs.coefficient(w) == rhs, w.k, w.w0.window)
-        else:
-            report.boundary_skipped += 1
+    for ell, layer in enumerate(layers):
+        expected = [(k, p.chi_pi * psi0_coefficient(ell, k, p)) for k in range(1 - K, K)]
+        for w0 in layer:
+            for k, rhs in expected:
+                report.record(lhs.get((k, w0.window), 0) == rhs, k, w0.window)
+    # the shells k = -K and k = K, each a copy of the layers
+    report.boundary_skipped = 2 * sum(map(len, layers))
     return report
 
 

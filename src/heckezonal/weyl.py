@@ -178,11 +178,6 @@ class ExtendedWeylElement:
     k: int
     w0: AffinePermutation
 
-    def __hash__(self) -> int:
-        # agrees with the generated __eq__, which compares (k, w0): the
-        # window fixes e.  Product tables hash these keys on every term.
-        return hash((self.k, self.w0.window))
-
     @property
     def e(self) -> int:
         return self.w0.e

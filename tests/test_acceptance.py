@@ -191,18 +191,27 @@ def test_criterion_9_gelfand_pairing():
 def test_criterion_10_cli_determinism():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    args = [
-        sys.executable, "-m", "heckezonal",
-        "distinction", "--e", "3", "--f", "1", "--q0", "2", "--L", "30",
+    runs = [
+        ["distinction", "--e", "3", "--f", "1", "--q0", "2", "--L", "30"],
+        # coefficient reads --seed for its sampled k-invariance checks
+        ["coefficient", "--e", "3", "--L", "4", "--seed", "42"],
+        ["all", "--e", "3", "--L", "3"],
     ]
-    first = subprocess.run(args, capture_output=True, env=env)
-    second = subprocess.run(args, capture_output=True, env=env)
-    ok = first.returncode == 0 and first.stdout == second.stdout
-    ok = ok and json.loads(first.stdout)["closed_form"] == "1/1"
-    # coefficient reads --seed for its sampled k-invariance checks
-    seeded = [sys.executable, "-m", "heckezonal", "coefficient", "--e", "3", "--L", "4", "--seed", "42"]
-    first = subprocess.run(seeded, capture_output=True, env=env)
-    second = subprocess.run(seeded, capture_output=True, env=env)
-    ok = ok and first.returncode == 0 and first.stdout == second.stdout
-    ok = ok and json.loads(first.stdout)["seed"] == 42
-    record(10, "repeated CLI runs with a fixed seed are byte-identical", ok)
+    ok = True
+    stdout = {}
+    for argv in runs:
+        # two string hash seeds, so no output may follow set or dict layout
+        first, second = (
+            subprocess.run(
+                [sys.executable, "-m", "heckezonal", *argv],
+                capture_output=True,
+                env={**env, "PYTHONHASHSEED": seed},
+            )
+            for seed in ("0", "1")
+        )
+        ok = ok and first.returncode == 0 and first.stdout == second.stdout
+        stdout[argv[0]] = first.stdout
+    ok = ok and json.loads(stdout["distinction"])["closed_form"] == "1/1"
+    ok = ok and json.loads(stdout["coefficient"])["seed"] == 42
+    ok = ok and json.loads(stdout["all"])["ok"] is True
+    record(10, "CLI runs under hash seeds 0 and 1, with a fixed --seed, are byte-identical", ok)

@@ -41,6 +41,7 @@ UNREACHED = {
     "scalars.LaurentPoly.__repr__": "readable polynomials in assertion messages and interactive use",
     "scalars.LaurentPoly.__setattr__": "enforces immutability; the class writes through object.__setattr__",
     "scalars.LaurentPoly.__rsub__": "int - LaurentPoly, completing the ring operations",
+    "scalars.LaurentPoly.__hash__": "immutable value type: equal polynomials hash equal; no CLI path hashes one",
 }
 
 

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 from oracles import eigen_generator_reference
+from test_verdicts import wrong_pi_power
 
 import heckezonal.spherical as spherical
+from heckezonal.hecke import HeckeAlgebra
 from heckezonal.scalars import LaurentPoly, scalar_inverse, scalar_power
 from heckezonal.spherical import (
     RequiresTrivialChiPi,
@@ -15,6 +17,7 @@ from heckezonal.spherical import (
     SphericalTruncation,
     matrix_coefficient_scalar,
     psi0_coefficient,
+    verify_eigen,
     verify_eigen_generator,
     verify_eigen_pi,
 )
@@ -273,6 +276,51 @@ def test_eigen_pi():
     # scaling by a nontrivial unit chi_pi
     p = SphericalParams(3, 1, Fraction(2), chi_pi=Fraction(-1))
     assert verify_eigen_pi(5, p).ok
+
+
+def test_eigen_pi_lists_witnesses_in_layer_window_k_order(monkeypatch):
+    # [pi**-1] in place of [pi] fails every interior case at chi_pi = 2;
+    # the witnesses follow the BFS walk (each layer sorted by window), the
+    # order the generator checks list theirs in
+    wrong_pi_power(monkeypatch)
+    (pi,) = [r for r in verify_eigen(3, 3, Fraction(2))["reports"] if r["kind"] == "pi"]
+    walk = [
+        {"k": k, "window": list(w0.window)}
+        for layer in enumerate_by_length(3, 3)
+        for w0 in layer
+        for k in (-1, 0, 1)
+    ]
+    assert len(walk) == 57 and pi["failures"] == walk
+
+
+def test_eigen_pi_catches_a_lost_term(monkeypatch):
+    # a product that drops every pi**k x fails exactly x's cases: a key
+    # missing from the left side reads as coefficient 0, never as a pass
+    x = enumerate_by_length(3, 3)[2][0]
+    honest = HeckeAlgebra._left_pi_power
+
+    def losing(self, k, coeffs):
+        return {key: c for key, c in honest(self, k, coeffs).items() if key[1] != x.window}
+
+    monkeypatch.setattr(HeckeAlgebra, "_left_pi_power", losing)
+    report = verify_eigen_pi(3, SphericalParams.generic(3, chi_pi=Fraction(2)))
+    assert report.failures == [{"k": k, "window": list(x.window)} for k in (-1, 0, 1)]
+
+
+def test_eigen_pi_builds_no_group_element_per_term(constructions, monkeypatch):
+    # with the layers built, the check wraps two windows, pi's w0 and its
+    # reduced word in the product, whatever the truncation's size, and
+    # hashes no Laurent polynomial
+    def unhashable(poly):
+        raise AssertionError(f"hashed {poly!r}")
+
+    monkeypatch.setattr(LaurentPoly, "__hash__", unhashable)
+    p = SphericalParams.generic(5, chi_pi=Fraction(2))
+    layers = spherical._layers(p, 5)[0]
+    constructions.clear()
+    report = verify_eigen_pi(5, p)
+    assert report.ok and report.checked == 3 * sum(map(len, layers)) == 753
+    assert len(constructions) <= 2, constructions
 
 
 def test_psi0_two_sided_form():
