@@ -5,11 +5,11 @@ subcommand takes only the flags it reads, plus --output, and rejects
 every other flag.  Exit status: 0 when every check passes, 1 on a check
 failure, 2 on invalid parameters.  Randomized spot checks are driven by
 an explicit seed, so identical configurations produce byte-identical
-output.  The environment variable HECKE_MAX_ELEMS caps group
-enumeration; every subcommand rejects a value that is not an integer >= 1.
-A subcommand with --L exits 2 before any enumeration when W0 has more
-elements of length <= L than the cap: the budget is the binomial count
-C(L+e, e) - C(L, e) (``distinction.w0_count``).
+output.  The arguments are the only input: the constant
+``weyl.ENUM_CAP`` caps group enumeration, and a subcommand with --L exits
+2 before any enumeration when W0 has more elements of length <= L than
+the cap: the budget is the binomial count C(L+e, e) - C(L, e)
+(``distinction.w0_count``).
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ from fractions import Fraction
 
 from . import distinction as dst
 from . import gelfand as gf
+from . import weyl
 from .hecke import verify_presentation
 from .scalars import format_rational, parse_rational
 from .spherical import verify_eigen
 from .tensor import verify_coefficient
-from .weyl import ENUM_CAP_ENV, EnumerationCapExceeded, _enum_cap
+from .weyl import EnumerationCapExceeded
 
 __all__ = ["build_parser", "run"]
 
@@ -140,14 +141,14 @@ def _validate(args) -> None:
         args.expect_closed_form = _parse_flag("--expect-closed-form", args.expect_closed_form)
     if args.command == "distinction" and args.e % 2 == 0:
         raise ValueError("distinction requires odd --e")
-    cap = _enum_cap()  # a bad HECKE_MAX_ELEMS fails every subcommand, not only those that enumerate
     if "L" in given:
         # every subcommand with --L enumerates W0 to length L: count first
+        cap = weyl.ENUM_CAP
         count = dst.w0_count(args.e, args.L, cap)
         if count > cap:
             raise ValueError(
                 f"--e {args.e} --L {args.L} would enumerate at least {count} elements of W0, "
-                f"over the cap {ENUM_CAP_ENV}={cap}"
+                f"over the cap of {cap} elements"
             )
 
 

@@ -90,7 +90,7 @@ class HeckeAlgebra:
         for w, c in coeffs.items():
             if w.e != self.e:
                 raise ValueError("rank mismatch between element and algebra")
-            if c != 0:
+            if c:
                 clean[(w.k, w.w0.window)] = c
         return HeckeElement(self, clean)
 
@@ -156,10 +156,10 @@ class HeckeAlgebra:
 def _accumulate(table: dict, w, c) -> None:
     cur = table.get(w)
     new = c if cur is None else cur + c
-    if new == 0:
-        table.pop(w, None)
-    else:
+    if new:
         table[w] = new
+    else:
+        table.pop(w, None)
 
 
 @dataclass
@@ -325,25 +325,25 @@ def verify_presentation(e: int, samples: int = 0, seed: int | None = None) -> Pr
         ("pi*pi^-1", p * p_inv, one),
         ("pi^-1*pi", p_inv * p, one),
     ])
-    run("ii", "([s_i]+1)([s_i]-q1) = 0, 1 <= i <= e-1", [
+    run("ii", "([s_i]+1)([s_i]-q1) = 0, 1 <= i <= e-1", (
         (f"i={i}", (s[i] + one) * (s[i] - q1 * one), zero)
         for i in range(1, e)
-    ])
+    ))
     run("iii", "[pi]^2 [s_1] = [s_{e-1}] [pi]^2", [
         ("", p * (p * s[1]), s[e - 1] * (p * p)),
     ])
-    run("iv", "[pi][s_i] = [s_{i-1}][pi], 2 <= i <= e-1", [
+    run("iv", "[pi][s_i] = [s_{i-1}][pi], 2 <= i <= e-1", (
         (f"i={i}", p * s[i], s[i - 1] * p) for i in range(2, e)
-    ])
-    run("v", "[s_i][s_{i+1}][s_i] = [s_{i+1}][s_i][s_{i+1}], 1 <= i <= e-2", [
+    ))
+    run("v", "[s_i][s_{i+1}][s_i] = [s_{i+1}][s_i][s_{i+1}], 1 <= i <= e-2", (
         (f"i={i}", s[i] * (s[i + 1] * s[i]), s[i + 1] * (s[i] * s[i + 1]))
         for i in range(1, e - 1)
-    ])
-    run("vi", "[s_i][s_j] = [s_j][s_i], |i-j| >= 2", [
+    ))
+    run("vi", "[s_i][s_j] = [s_j][s_i], |i-j| >= 2", (
         (f"i={i},j={j}", s[i] * s[j], s[j] * s[i])
         for i in range(1, e)
         for j in range(i + 2, e)
-    ])
+    ))
 
     s0_cases = [("quadratic", (s[0] + one) * (s[0] - q1 * one), zero)]
     if e >= 3:

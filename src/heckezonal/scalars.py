@@ -218,6 +218,10 @@ class LaurentPoly:
             return NotImplemented
         return self._coeffs == other._coeffs
 
+    def __bool__(self):
+        """False exactly for the zero polynomial, the empty dict."""
+        return bool(self._coeffs)
+
     def __hash__(self):
         # hash(3) == hash(Fraction(3)), so the hash is that of the values
         return hash(frozenset(self._coeffs.items()))

@@ -36,7 +36,6 @@ True
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 
 __all__ = [
@@ -53,12 +52,13 @@ __all__ = [
     "random_element",
 ]
 
-ENUM_CAP_ENV = "HECKE_MAX_ELEMS"
-DEFAULT_ENUM_CAP = 1_000_000
+# the most elements of W0 one run may enumerate: the command line checks
+# its binomial budget against it first, and enumerate_by_length stops at it
+ENUM_CAP = 1_000_000
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """Enumeration would exceed the configured element cap."""
+    """Enumeration would exceed the element cap ``ENUM_CAP``."""
 
 
 @dataclass(frozen=True)
@@ -273,14 +273,6 @@ def random_element(e: int, rng) -> ExtendedWeylElement:
     return ExtendedWeylElement.from_full_window(e, tuple(v - k for v in w.full_window()))
 
 
-def _enum_cap() -> int:
-    """The element cap, read from HECKE_MAX_ELEMS (default 1,000,000)."""
-    text = os.environ.get(ENUM_CAP_ENV, str(DEFAULT_ENUM_CAP))
-    if not (text.strip().isdecimal() and int(text) >= 1):
-        raise ValueError(f"{ENUM_CAP_ENV}={text!r}: expected an integer >= 1")
-    return int(text)
-
-
 def enumerate_by_length(e: int, max_length: int) -> list[list[AffinePermutation]]:
     """Layers of W0 grouped by length, from a breadth-first search.
 
@@ -295,18 +287,18 @@ def enumerate_by_length(e: int, max_length: int) -> list[list[AffinePermutation]
     w(1) + e.  As l(w s) = l(w) +- 1, the Cayley graph is bipartite: a
     neighbour of layer l lies in layer l - 1 or l + 1, so each candidate
     is tested against the layer below and the growing frontier only.
-    The cap comes from the environment variable HECKE_MAX_ELEMS alone
-    (``_enum_cap``) and counts every element enumerated as it joins; it
-    is a backstop, as the command line counts the elements before it
-    enumerates.  The sorted layers are wrapped through
-    ``AffinePermutation._raw`` at the end.
+    The cap is the module constant ``ENUM_CAP``, read at call time, and
+    counts every element enumerated as it joins; it is a backstop, as
+    the command line counts the elements before it enumerates.  The
+    sorted layers are wrapped through ``AffinePermutation._raw`` at the
+    end.
 
     >>> [len(layer) for layer in enumerate_by_length(3, 4)]
     [1, 3, 6, 9, 12]
     """
     if max_length < 0:
         raise ValueError("max_length must be nonnegative")
-    cap = _enum_cap()
+    cap = ENUM_CAP
     identity = AffinePermutation.identity(e).window
     below, here = set(), {identity}
     layers = [[identity]]
@@ -325,7 +317,7 @@ def enumerate_by_length(e: int, max_length: int) -> list[list[AffinePermutation]
                     frontier.add(u)
                     if total + len(frontier) > cap:
                         raise EnumerationCapExceeded(
-                            f"enumeration cap exceeded ({ENUM_CAP_ENV}={cap})"
+                            f"enumeration cap exceeded (cap of {cap} elements)"
                         )
         total += len(frontier)
         below, here = here, frontier

@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from heckezonal import cli, tensor
+from heckezonal import cli, tensor, weyl
 from heckezonal import distinction as dst
 from heckezonal.weyl import AffinePermutation, enumerate_by_length
 
@@ -186,48 +186,23 @@ def test_seeded_runs_byte_identical():
         assert first.stdout == second.stdout
 
 
-def test_enumeration_cap_env(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    env["HECKE_MAX_ELEMS"] = "10"
-    proc = subprocess.run(
-        [sys.executable, "-m", "heckezonal", "growth", "--e", "4", "--L", "8"],
-        capture_output=True,
-        env=env,
-    )
-    assert proc.returncode == 2
-    assert b"cap" in proc.stderr
+def test_enumeration_cap_env(monkeypatch, capsys):
+    monkeypatch.setattr(weyl, "ENUM_CAP", 10)
+    assert cli.run(["growth", "--e", "4", "--L", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cap of 10 elements" in captured.err
 
 
-@pytest.mark.parametrize("value", ["abc", "-5", "0"])
-def test_enumeration_cap_env_must_be_a_positive_integer(value):
-    # every subcommand, also those that enumerate nothing (presentation,
-    # poincare, gelfand)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
-    env["HECKE_MAX_ELEMS"] = value
-    for command in cli.COMMANDS:
-        small = ["--L", "3"] if "--L" in READS[command] else []
-        proc = subprocess.run(
-            [sys.executable, "-m", "heckezonal", command, *small],
-            capture_output=True,
-            env=env,
-        )
-        assert proc.returncode == 2, command
-        assert proc.stdout == b"", command
-        assert f"HECKE_MAX_ELEMS={value!r}".encode() in proc.stderr, command
-
-
-def test_over_budget_run_exits_2_before_enumerating(monkeypatch, capsys):
-    # N(0..22) = 1,390,236 at e = 7, over the default cap of 1,000,000;
-    # the BFS would run for seconds and build every element first
-    monkeypatch.delenv("HECKE_MAX_ELEMS", raising=False)
+def test_over_budget_run_exits_2_before_enumerating(capsys):
+    # N(0..22) = 1,390,236 at e = 7, over the cap of 1,000,000; the BFS
+    # would run for seconds and build every element first
     start = time.perf_counter()
     assert cli.run(["growth", "--e", "7", "--L", "22"]) == 2
     assert time.perf_counter() - start < 0.5
     captured = capsys.readouterr()
     assert captured.out == ""
-    for part in ("--e 7", "--L 22", "1390236", "HECKE_MAX_ELEMS=1000000"):
+    for part in ("--e 7", "--L 22", "1390236", "cap of 1000000 elements"):
         assert part in captured.err, part
 
 
@@ -239,11 +214,11 @@ def test_budget_is_exact_for_every_enumerating_command(command, monkeypatch, cap
     fn = cli.COMMANDS[command]
     monkeypatch.setitem(cli.COMMANDS, command, lambda args: called.append(command) or fn(args))
     argv = [command, "--e", "3", "--L", "3"]
-    monkeypatch.setenv("HECKE_MAX_ELEMS", "18")
+    monkeypatch.setattr(weyl, "ENUM_CAP", 18)
     assert cli.run(argv) == 2
     assert "--e 3 --L 3" in capsys.readouterr().err
     assert called == []
-    monkeypatch.setenv("HECKE_MAX_ELEMS", "19")
+    monkeypatch.setattr(weyl, "ENUM_CAP", 19)
     assert cli.run(argv) == 0
     assert called == [command]
 
@@ -267,16 +242,15 @@ def test_growth_at_large_rank_exits_0(capsys):
     assert [(r["count_bfs"], r["count_closed_form"]) for r in rows] == [(1, 1), (120, 120)]
 
 
-def test_far_over_budget_run_exits_2_at_once(monkeypatch, capsys):
+def test_far_over_budget_run_exits_2_at_once(capsys):
     # the binomials C(2e, e) here would run for most of a minute; the
     # bound 1 + e*L already passes the cap
-    monkeypatch.delenv("HECKE_MAX_ELEMS", raising=False)
     start = time.perf_counter()
     assert cli.run(["growth", "--e", "1000000", "--L", "1000000"]) == 2
     assert time.perf_counter() - start < 0.5
     captured = capsys.readouterr()
     assert captured.out == ""
-    for part in ("--e 1000000 --L 1000000", "HECKE_MAX_ELEMS=1000000"):
+    for part in ("--e 1000000 --L 1000000", "cap of 1000000 elements"):
         assert part in captured.err, part
 
 

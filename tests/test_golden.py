@@ -72,3 +72,14 @@ def test_cli_stdout_matches_golden(name, capsys):
     assert cli.run(CASES[name]) == 0
     out = capsys.readouterr().out
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("value", ["abc", "10"])
+def test_environment_does_not_change_a_run(value, monkeypatch, capsys):
+    # the arguments are the only input: HECKE_MAX_ELEMS, a name the package
+    # used to read, changes nothing, neither when it is not a number nor
+    # when it is below a run's element count
+    monkeypatch.setenv("HECKE_MAX_ELEMS", value)
+    for name, argv in CASES.items():
+        assert cli.run(argv) == 0, name
+        assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes(), name

@@ -84,7 +84,7 @@ def defined_functions() -> dict:
     return found
 
 
-def run_matrix() -> set:
+def run_matrix(matrix=MATRIX) -> set:
     """Code objects of every Python call made while the matrix runs.
 
     Memoized functions are cleared first, so that calls made earlier in
@@ -103,7 +103,7 @@ def run_matrix() -> set:
     previous = sys.getprofile()
     sys.setprofile(hook)
     try:
-        for argv in MATRIX:
+        for argv in matrix:
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.run(argv) == 0, argv
     finally:
@@ -120,3 +120,10 @@ def test_every_function_is_reached_or_listed():
     assert not listed - names, f"listed but not defined: {sorted(listed - names)}"
     assert not listed - unreached, f"listed but reached: {sorted(listed - unreached)}"
     assert not unreached - listed, f"defined but never called: {sorted(unreached - listed)}"
+
+
+def test_presentation_tests_laurent_coefficients_by_truth():
+    # the Hecke product drops a cancelled LaurentPoly by `if new:`, not by
+    # the slower Python-level `new == 0`
+    called = run_matrix([["presentation", "--e", "3"]])
+    assert heckezonal.scalars.LaurentPoly.__bool__.__code__ in called

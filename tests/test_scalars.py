@@ -205,6 +205,8 @@ def test_ring_operations_match_fraction_reference(a, b):
     _assert_agrees(-pa, -ra)
     _assert_agrees(pa * pb, ra * rb)
     assert (pa == pb) == (ra == rb)
+    for p in (pa, pa - pb, pa * pb):
+        assert bool(p) == (p != 0), p
 
 
 @PROPERTY

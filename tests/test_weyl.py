@@ -398,7 +398,7 @@ def test_enumerate_never_calls_length(monkeypatch):
 
 
 def test_enumerate_cap(monkeypatch):
-    monkeypatch.setenv("HECKE_MAX_ELEMS", "50")
+    monkeypatch.setattr(heckezonal.weyl, "ENUM_CAP", 50)
     with pytest.raises(EnumerationCapExceeded):
         enumerate_by_length(4, 10)
 
@@ -411,7 +411,7 @@ def test_enumerate_cap(monkeypatch):
             Cap.largest = max(Cap.largest, total)
             return int(self) < total
 
-    monkeypatch.setattr(heckezonal.weyl, "_enum_cap", lambda: Cap(7))
+    monkeypatch.setattr(heckezonal.weyl, "ENUM_CAP", Cap(7))
     with pytest.raises(EnumerationCapExceeded):
         enumerate_by_length(5, 6)
     # testing it once per layer would first see 1 + 5 + 15 = 21
