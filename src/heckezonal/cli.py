@@ -221,11 +221,12 @@ def cmd_coefficient(args) -> tuple[bool, dict]:
 
 
 def growth_rows(e: int, L: int) -> list[dict]:
-    """One row per length 0..L; a count missing on either side is None,
-    so a BFS that stops short fails its missing rows."""
+    """One row per length 0..L; a count missing on either side is None, so a
+    BFS that stops short fails its missing rows; a Fraction prints as num/den."""
     bfs, closed = dst.growth_bfs(e, L), dst.growth_closed_form(e, L)
     return [
-        {"length": ell, "count_bfs": b, "count_closed_form": c, "equal": b == c}
+        {"length": ell, "count_bfs": b, "equal": b == c,
+         "count_closed_form": format_rational(c) if isinstance(c, Fraction) else c}
         for ell, (b, c) in enumerate(itertools.zip_longest(bfs, closed))
     ]
 

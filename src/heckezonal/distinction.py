@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .scalars import LaurentPoly, format_rational
-from .spherical import SphericalParams, matrix_coefficient_scalar
+from .scalars import LaurentPoly, _as_fraction, format_rational
+from .spherical import SphericalParams, exact_q0, matrix_coefficient_scalar
 from .weyl import AffinePermutation, enumerate_by_length
 
 __all__ = [
@@ -65,9 +65,7 @@ class RequiresOddE(ValueError):
 
 def coset_measure(w0: AffinePermutation, f: int, q0) -> Fraction:
     """Volume q0**(f**2 * l(w0)) of the double coset at w0 * pi**k, for every k."""
-    q0 = Fraction(q0)
-    if q0 < 2:
-        raise ValueError("q0 must be at least 2")
+    q0 = exact_q0(q0)
     if f < 1:
         raise ValueError("f must be a positive integer")
     return q0 ** (f * f * w0.length())
@@ -127,10 +125,10 @@ def poincare_series_coefficients(e: int, max_degree: int) -> list[int]:
 def growth_closed_form(e: int, max_length: int) -> tuple[int, ...]:
     """Counts N(0..max_length) read from the closed form's coefficients.
 
-    Each coefficient is converted as it stands: a closed form that gave a
-    wrong value would show as a failing row of the ``growth`` check.
+    Each is returned as computed, never truncated: a wrong value, integral
+    or not, is a failing row of the ``growth`` check.
     """
-    return tuple(int(c) for c in poincare_series_coefficients(e, max_length))
+    return tuple(poincare_series_coefficients(e, max_length))
 
 
 def poincare_value(e: int, x) -> Fraction:
@@ -139,7 +137,7 @@ def poincare_value(e: int, x) -> Fraction:
     The denominator (1 - x)**e has no zero there, so only the interval
     is checked.
     """
-    x = Fraction(x)
+    x = _as_fraction(x)
     if not -1 < x < 1:
         raise ValueError("evaluation point must lie in the open interval (-1, 1)")
     num, den = poincare_closed_form(e)
@@ -184,7 +182,7 @@ class IntegralReport:
         return {
             "e": self.e,
             "f": self.f,
-            "q0": int(self.q0) if self.q0.denominator == 1 else format_rational(self.q0),
+            "q0": int(self.q0),
             "L": self.L,
             "chi_pi": "1/1",  # the sum is derived for the trivial chi_pi only
             "partial_sum": format_rational(self.partial_sum),
@@ -212,9 +210,7 @@ def distinction_integral(e: int, f: int, q0, L: int) -> IntegralReport:
     """
     if e % 2 == 0:
         raise RequiresOddE("RequiresOddE: the coset sum is derived for odd e")
-    q0 = Fraction(q0)
-    if q0 < 2:
-        raise ValueError("q0 must be at least 2")
+    q0 = exact_q0(q0)
     if L < 0:
         raise ValueError("truncation L must be nonnegative")
     y = Fraction(1) / q0**f
@@ -251,7 +247,6 @@ def nonvanishing_scan(e: int, samples) -> dict:
     rows = []
     all_positive = True
     for x in samples:
-        x = Fraction(x)
         value = poincare_value(e, x)
         positive = value > 0
         all_positive = all_positive and positive

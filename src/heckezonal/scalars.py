@@ -276,11 +276,11 @@ def scalar_inverse(a):
 
 def scalar_power(a, n: int):
     """``a ** n`` for any integer n, negative powers through the inverse."""
-    if n >= 0:
-        if isinstance(a, int):
-            a = Fraction(a)
-        return a**n
-    return scalar_inverse(a) ** (-n)
+    if n < 0:
+        return scalar_inverse(a) ** (-n)
+    if not isinstance(a, LaurentPoly):
+        a = _as_fraction(a)
+    return a**n
 
 
 # -- serialization ----------------------------------------------------

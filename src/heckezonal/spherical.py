@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .hecke import HeckeAlgebra, HeckeElement
-from .scalars import ExactScalar, LaurentPoly, format_rational, scalar_inverse, scalar_power
+from .scalars import ExactScalar, LaurentPoly, _as_fraction, format_rational, scalar_inverse, scalar_power
 from .weyl import (
     AffinePermutation,
     ExtendedWeylElement,
@@ -74,11 +74,20 @@ class RequiresTrivialChiPi(ValueError):
     """The closed matrix-coefficient form needs chi_pi = 1."""
 
 
+def exact_q0(q0) -> Fraction:
+    """q0 as a Fraction, for every library entry that takes q0: an
+    integer of at least 2, where a float raises ``TypeError``."""
+    q0 = _as_fraction(q0)
+    if q0.denominator != 1 or q0 < 2:
+        raise ValueError("q0 must be an integer of at least 2")
+    return q0
+
+
 @dataclass(frozen=True)
 class SphericalParams:
     """Parameters (e, f, q0) with q = q0**2 and q1 = q**f = q0**(2f).
 
-    q0 is a rational prime power in numeric mode.  Generic mode is
+    q0 is an integer prime power in numeric mode.  Generic mode is
     q0 = None and f = 1: q1 = q is then a formal Laurent variable.
     """
 
@@ -95,12 +104,12 @@ class SphericalParams:
         if self.q0 is None:
             if self.f != 1:
                 raise ValueError("generic mode has f = 1")
-        elif self.q0 < 2:
-            raise ValueError("q0 must be at least 2")
+        else:
+            object.__setattr__(self, "q0", exact_q0(self.q0))
 
     @classmethod
     def numeric(cls, e: int, f: int, q0) -> "SphericalParams":
-        return cls(e, f, Fraction(q0))
+        return cls(e, f, q0)
 
     @classmethod
     def generic(cls, e: int, chi_pi=1) -> "SphericalParams":

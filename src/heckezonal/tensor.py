@@ -223,7 +223,7 @@ def verify_coefficient(e: int, f: int, q0: int, L: int, seed: int, samples: int)
         if ev(w, p).scale != ev(shifted, p).scale:
             sampled_ok = False
     return {
-        "e": e, "f": f, "q0": q0, "L": L, "seed": seed,
+        "e": e, "f": f, "q0": int(p.q0), "L": L, "seed": seed,
         "checked": checked, "mismatches": mismatches,
         "reduced_word_independence": {"elements": words_checked, "ok": word_ok},
         "sampled_k_invariance_ok": sampled_ok,

@@ -4,14 +4,17 @@ import argparse
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from heckezonal import cli, tensor, weyl
 from heckezonal import distinction as dst
+from heckezonal.scalars import format_rational
 from heckezonal.weyl import AffinePermutation, enumerate_by_length
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -359,3 +362,40 @@ def test_chi_pi_zero_exits_2_before_any_suite_runs(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and "--chi-pi" in captured.err, argv
     assert called == []
+
+
+def small_valid_argv(command, rng):
+    """A random argv of command that names only valid, small values."""
+    draw = {
+        "--e": lambda: rng.choice((3, 5)) if command == "distinction" else rng.randint(2, 5),
+        "--f": lambda: rng.randint(1, 2),
+        "--q0": lambda: rng.choice((2, 3, 4, 5, 7, 8, 9)),
+        "--L": lambda: rng.randint(1 if command in ("eigen", "all") else 0, 4),
+        "--chi-pi": lambda: rng.choice(("1", "2", "-1/3", "3/2")),
+        "--seed": lambda: rng.randrange(10**6),
+        "--samples": lambda: rng.randint(0, 3),
+        "--points": lambda: ",".join(
+            f"{rng.randint(1 - den, den - 1)}/{den}" for den in rng.sample(range(2, 12), rng.randint(1, 3))
+        ),
+        "--output": lambda: rng.choice(("json", "csv", "text")),
+    }
+    values = {}
+    for flag in (*cli.SUBCOMMANDS[command][1:], "--output"):
+        # --e, --L and --samples keep their small range; the rest may default
+        if flag in draw and (flag in ("--e", "--L", "--samples") or rng.random() < 0.75):
+            values[flag] = draw[flag]()
+    if command == "distinction" and rng.random() < 0.5:
+        e, f, q0 = values["--e"], values.get("--f", 1), values.get("--q0", 2)
+        values["--expect-closed-form"] = format_rational(e * dst.poincare_value(e, Fraction(-1, q0**f)))
+    return [command] + [f"{flag}={value}" for flag, value in values.items()]
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_small_valid_argvs_exit_0(command, capsys):
+    # 20 seeded argvs per subcommand: a check at the boundary that rejects
+    # valid input, or a budget set too tight, fails here
+    rng = random.Random(f"sweep {command}")
+    for _ in range(20):
+        argv = small_valid_argv(command, rng)
+        assert cli.run(argv) == 0, argv
+        assert capsys.readouterr().err == "", argv

@@ -219,6 +219,31 @@ def test_wrong_length_on_one_element_fails(monkeypatch, capsys, position):
     assert '"per_term_ok": false' in capsys.readouterr().out
 
 
+# each library entry that takes a rational, called with a float: 0.1 would
+# enter as its binary expansion 3602879701896397/36028797018963968
+FLOAT_CALLS = {
+    "poincare_value": lambda: poincare_value(3, 0.1),
+    "nonvanishing_scan": lambda: nonvanishing_scan(3, [Fraction(1, 2), 0.1]),
+    "coset_measure": lambda: coset_measure(AffinePermutation.identity(3), 1, 2.0),
+    "distinction_integral": lambda: distinction_integral(3, 1, 2.0, 3),
+}
+
+
+@pytest.mark.parametrize("entry", FLOAT_CALLS)
+def test_entry_point_rejects_a_float(entry):
+    with pytest.raises(TypeError):
+        FLOAT_CALLS[entry]()
+
+
+def test_q0_must_be_an_integer():
+    with pytest.raises(ValueError):
+        distinction_integral(3, 1, Fraction(5, 2), 3)
+    with pytest.raises(ValueError):
+        coset_measure(AffinePermutation.identity(3), 1, Fraction(5, 2))
+    # an integral Fraction is the integer it equals
+    assert distinction_integral(3, 1, Fraction(3), 3).to_json() == distinction_integral(3, 1, 3, 3).to_json()
+
+
 def test_nonvanishing_scan():
     report = nonvanishing_scan(3, [Fraction(-9, 10), Fraction(-1, 2), 0, Fraction(1, 2), Fraction(9, 10)])
     assert report["all_positive"]

@@ -64,6 +64,14 @@ def test_non_invertible_errors():
         scalar_power(LaurentPoly.variable() + 1, -2)
 
 
+def test_scalar_power_rejects_a_float():
+    # 0.5**2 was the float 0.25, while 0.5**-1 raised
+    for n in (2, 0, -1):
+        with pytest.raises(TypeError):
+            scalar_power(0.5, n)
+    assert scalar_power(2, -1) == Fraction(1, 2) and type(scalar_power(2, 3)) is Fraction
+
+
 def _random_poly(rng: random.Random) -> LaurentPoly:
     coeffs = {}
     for _ in range(rng.randrange(0, 4)):

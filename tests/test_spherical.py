@@ -408,6 +408,16 @@ def test_params_validation():
         SphericalParams(3, 2, None)  # generic mode has f = 1
 
 
+def test_params_take_q0_exactly():
+    with pytest.raises(TypeError):
+        SphericalParams.numeric(3, 1, 2.0)
+    with pytest.raises(TypeError):
+        SphericalParams(3, 1, 3.0)
+    with pytest.raises(ValueError):
+        SphericalParams.numeric(3, 1, Fraction(5, 2))
+    assert type(SphericalParams.numeric(3, 1, 2).q0) is Fraction
+
+
 def test_params_derive_q1():
     # generic mode is f = 1, where q = q1 is the Laurent variable
     p = SphericalParams.generic(3)
