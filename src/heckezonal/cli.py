@@ -5,11 +5,14 @@ subcommand takes only the flags it reads, plus --output, and rejects
 every other flag.  Exit status: 0 when every check passes, 1 on a check
 failure, 2 on invalid parameters.  Randomized spot checks are driven by
 an explicit seed, so identical configurations produce byte-identical
-output.  The arguments are the only input: the constant
-``weyl.ENUM_CAP`` caps group enumeration, and a subcommand with --L exits
-2 before any enumeration when W0 has more elements of length <= L than
-the cap: the budget is the binomial count C(L+e, e) - C(L, e)
-(``distinction.w0_count``).
+output.  The arguments are the only input: the constants
+``weyl.ENUM_CAP`` and ``weyl.SLOT_CAP`` cap group enumeration, and a
+subcommand with --L exits 2 before any enumeration when W0 has more
+elements of length <= L than the first, or when those elements hold more
+window slots, e each, than the second: the budget is the binomial count
+C(L+e, e) - C(L, e) (``distinction.w0_count``).  ``poincare`` and ``all``
+exit 2 at once when an exact Poincare value could print more than
+``DIGIT_CAP`` digits.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ EXIT_USAGE = 2
 # Miller-Rabin with these bases decides primality exactly below Q0_LIMIT
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 Q0_LIMIT = 3_317_044_064_679_887_385_961_981
+# the most decimal digits of a printed integer: Python's default limit on
+# int-to-str conversion
+DIGIT_CAP = 4300
 
 
 # One parent parser per flag, built once at import.  argparse shares a
@@ -142,14 +148,44 @@ def _validate(args) -> None:
     if args.command == "distinction" and args.e % 2 == 0:
         raise ValueError("distinction requires odd --e")
     if "L" in given:
-        # every subcommand with --L enumerates W0 to length L: count first
-        cap = weyl.ENUM_CAP
-        count = dst.w0_count(args.e, args.L, cap)
+        # every subcommand with --L enumerates W0 to length L, and each
+        # element holds a window of e ints: count both first
+        cap, slot_cap = weyl.ENUM_CAP, weyl.SLOT_CAP
+        count = dst.w0_count(args.e, args.L, min(cap, slot_cap // args.e))
         if count > cap:
             raise ValueError(
                 f"--e {args.e} --L {args.L} would enumerate at least {count} elements of W0, "
                 f"over the cap of {cap} elements"
             )
+        if count * args.e > slot_cap:
+            raise ValueError(
+                f"--e {args.e} --L {args.L} would hold at least {count * args.e} window slots "
+                f"({count} elements of W0, {args.e} slots each), over the cap of {slot_cap} slots"
+            )
+    if args.command in ("poincare", "all"):
+        digits = _poincare_digits(args.e, _poincare_points(args))
+        if digits > DIGIT_CAP:
+            flags = f"--e {args.e}" + (" with the given --points" if given.get("points") else "")
+            raise ValueError(
+                f"{flags}: a Poincare value could have up to {digits} digits, "
+                f"over the cap of {DIGIT_CAP} digits"
+            )
+
+
+def _poincare_digits(e: int, points: list[Fraction]) -> int:
+    """A bound on the decimal digits of the exact Poincare values at points.
+
+    At x = a/b the value is (b**e - a**e) / (b - a)**e, and |a| < b, so
+    its numerator is below 2 * b**e and its denominator is (b - a)**e,
+    even before reduction.  An integer of n bits has at most
+    floor(n * log10(2)) + 1 digits, and log10(2) < 0.30103.  Only bit
+    lengths are multiplied, so the bound is cheap for any e.
+    """
+    bits = 0
+    for x in points:
+        a, b = x.numerator, x.denominator
+        bits = max(bits, e * b.bit_length() + 1, e * (b - a).bit_length())
+    return bits * 30103 // 100000 + 1
 
 
 def _parse_flag(flag: str, text: str) -> Fraction:

@@ -24,9 +24,12 @@ way, keyed by L, so the generator checks and the truncation of one job
 share a single ``enumerate_by_length``, and every coefficient is read by
 layer.  Both eigen checks walk those layers: each computes one value per
 (layer, k) and lists a failing witness in (layer, window, k) order.
-Each element's inversion count is still checked against its layer once,
-so the BFS distance and ``length()`` stay independent witnesses of each
-other.
+The generator checks share a step table kept the same way (``_steps``):
+each element's inversion count against its layer, and per generator s_j
+the case and the layer of s_j w0.  Those facts and their verdicts are
+computed once per (params, L), still from ``length()``, the descent test
+and the BFS map, so the BFS distance and ``length()`` stay independent
+witnesses of each other.
 
 In the trivial-chi_pi regime the normalized matrix coefficient at
 w0 * pi**k is the closed form
@@ -148,6 +151,12 @@ class SphericalParams:
         return {}
 
     @cached_property
+    def _step_table(self) -> dict:
+        # the generator checks' per-element facts and their shared
+        # verdicts by truncation L, filled by _steps
+        return {}
+
+    @cached_property
     def _ev_gamma_table(self) -> dict:
         # Gamma**r by r = k mod e, filled by tensor.ev
         return {}
@@ -192,6 +201,35 @@ def _layers(p: SphericalParams, L: int) -> tuple[list, dict]:
         layers = enumerate_by_length(p.e, L)
         layer_of = {w0.window: ell for ell, layer in enumerate(layers) for w0 in layer}
         entry = p._layer_table[L] = (layers, layer_of)
+    return entry
+
+
+def _steps(p: SphericalParams, L: int) -> tuple[list, dict]:
+    """The group facts of the generator checks and their verdict table,
+    built once per (p, L) and shared by the e checks.
+
+    Per layer ell < L: lengths[n] says whether the n-th element w0 has
+    inversion count ell (``ExtendedWeylElement.length``), and
+    steps[n*e + j] is the interned pair (up, l(s_j w0)): up negates the
+    left-descent test of w0 at j, and l(s_j w0) is read from the window
+    -> layer map after one ``compose`` (None when missing).
+    """
+    entry = p._step_table.get(L)
+    if entry is None:
+        e = p.e
+        layers, layer_of = _layers(p, L)
+        simple = [_simple(e, j) for j in range(e)]
+        interned: dict = {}
+        facts = []
+        for ell, layer in enumerate(layers[:L]):
+            lengths = [ExtendedWeylElement(0, w0).length() == ell for w0 in layer]
+            steps = []
+            for w0 in layer:
+                for j, s in enumerate(simple):
+                    pair = (not w0.has_left_descent(j), layer_of.get(s.compose(w0).window))
+                    steps.append(interned.setdefault(pair, pair))
+            facts.append((lengths, steps))
+        entry = p._step_table[L] = (facts, {})
     return entry
 
 
@@ -272,15 +310,14 @@ def verify_eigen_generator(i: int, L: int, p: SphericalParams) -> EigenReport:
     verdict is independent of the value of chi_pi.
 
     The indices come from the BFS layers shared with the truncation, and
-    l(u') from their window -> layer map (``_layers``); u' is built as
-    pi**k * s_{i+k mod e} * w0 with one ``compose``.  Each w0 of layer
-    ell has its inversion count checked against ell once, and a case
-    passes only when that check holds too; a u' missing from the map
-    fails its case.  The case is read from a left-descent test of w0 at
-    i + k mod e (``has_left_descent``, O(e)), not from the two layers, so a wrong
-    case choice still breaks the identity.  The verdict depends only on
-    the integers (case, l(u), l(u'), k), so it is computed once per
-    distinct key within the call.
+    the facts of each case from the step table of ``_steps``: u' is
+    pi**k * s_{i+k mod e} * w0, its layer comes from the layer map, and
+    the case from a left-descent test of w0 at i + k mod e, not from the
+    two layers, so a wrong case choice still breaks the identity.  A case
+    passes only when w0's inversion count is its layer too; a u' missing
+    from the map fails its case.  The verdict depends only on the
+    integers (case, l(u), l(u'), k), not on i, so it is computed once per
+    distinct key and (p, L).
     """
     if L < 1:
         raise ValueError("truncation L must be at least 1")
@@ -292,15 +329,12 @@ def verify_eigen_generator(i: int, L: int, p: SphericalParams) -> EigenReport:
     q1_minus_1 = q1 - 1
     # s_i * pi**k = pi**k * s_j with j = i + k mod e
     shifted = [(k, (i + k) % e) for k in range(1 - K, K)]
-    simple = {j: _simple(e, j) for _, j in shifted}
-    layers, layer_of = _layers(p, L)
-    verdicts: dict = {}
-    for ell, layer in enumerate(layers[:L]):
-        for w0 in layer:
-            length_ok = ExtendedWeylElement(0, w0).length() == ell
+    layers = _layers(p, L)[0]
+    facts, verdicts = _steps(p, L)
+    for ell, (layer, (lengths, steps)) in enumerate(zip(layers, facts)):
+        for n, (w0, length_ok) in enumerate(zip(layer, lengths)):
             for k, j in shifted:
-                ell_su = layer_of.get(simple[j].compose(w0).window)
-                up = not w0.has_left_descent(j)
+                up, ell_su = steps[n * e + j]
                 key = (up, ell, ell_su, k)
                 ok = verdicts.get(key)
                 if ok is None:

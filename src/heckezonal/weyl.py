@@ -55,6 +55,10 @@ __all__ = [
 # the most elements of W0 one run may enumerate: the command line checks
 # its binomial budget against it first, and enumerate_by_length stops at it
 ENUM_CAP = 1_000_000
+# the most window slots, e per element, one run may hold: the command line
+# checks e times the same binomial count against it, so a large rank is
+# capped by memory and not by the element count alone
+SLOT_CAP = 10 * ENUM_CAP
 
 
 class EnumerationCapExceeded(RuntimeError):

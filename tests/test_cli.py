@@ -226,6 +226,74 @@ def test_budget_is_exact_for_every_enumerating_command(command, monkeypatch, cap
     assert called == [command]
 
 
+def test_over_slot_budget_run_exits_2_before_enumerating(capsys):
+    # N(0..2) = 501,501 at e = 1000 is under the element cap, but each
+    # element holds 1000 window slots: some 5 * 10**8 in all
+    start = time.perf_counter()
+    assert cli.run(["growth", "--e", "1000", "--L", "2"]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    for part in ("--e 1000 --L 2", "501501000 window slots", "cap of 10000000 slots"):
+        assert part in captured.err, part
+
+
+@pytest.mark.parametrize("command", ["eigen", "coefficient", "growth", "distinction", "all"])
+def test_slot_budget_is_exact_for_every_enumerating_command(command, monkeypatch, capsys):
+    # N(0..3) = 19 elements at e = 3 hold 57 window slots: a cap of 57
+    # runs, 56 is rejected before any suite starts
+    called = []
+    fn = cli.COMMANDS[command]
+    monkeypatch.setitem(cli.COMMANDS, command, lambda args: called.append(command) or fn(args))
+    argv = [command, "--e", "3", "--L", "3"]
+    monkeypatch.setattr(weyl, "SLOT_CAP", 56)
+    assert cli.run(argv) == 2
+    assert "--e 3 --L 3 would hold at least 57 window slots" in capsys.readouterr().err
+    assert called == []
+    monkeypatch.setattr(weyl, "SLOT_CAP", 57)
+    assert cli.run(argv) == 0
+    assert called == [command]
+
+
+@pytest.mark.parametrize("extra", [[], ["--points=-1/25,1/3"]])
+def test_over_digit_budget_poincare_exits_2_at_once(extra, capsys):
+    # the exact values at e = 4000 have more digits than Python prints by
+    # default; the bound is checked before any value is computed
+    start = time.perf_counter()
+    assert cli.run(["poincare", "--e", "4000", *extra]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--e 4000" in captured.err and "cap of 4300 digits" in captured.err
+    assert ("--points" in captured.err) == bool(extra)
+
+
+@pytest.mark.parametrize("argv", [["poincare", "--e", "7"], ["poincare", "--e", "9", "--points", "1/7"],
+                                  ["all", "--e", "3", "--L", "3"]])
+def test_digit_budget_is_exact(argv, monkeypatch, capsys):
+    e = int(argv[2])
+    points = [Fraction(argv[4])] if "--points" in argv else cli._poincare_points(argparse.Namespace(points=None))
+    digits = cli._poincare_digits(e, points)
+    monkeypatch.setattr(cli, "DIGIT_CAP", digits - 1)
+    assert cli.run(argv) == 2
+    assert f"up to {digits} digits" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "DIGIT_CAP", digits)
+    assert cli.run(argv) == 0
+
+
+def test_digit_bound_holds():
+    # the bound from bit lengths is never below the printed digits, for
+    # the default grid and for points near the ends of (-1, 1)
+    rng = random.Random(23)
+    grid = cli._poincare_points(argparse.Namespace(points=None))
+    for e in range(2, 80):
+        points = grid + [Fraction(rng.randrange(-n + 1, n), n) for n in (7, 97, 1009)]
+        bound = cli._poincare_digits(e, points)
+        for x in points:
+            value = dst.poincare_value(e, x)
+            assert max(len(str(value.numerator)), len(str(value.denominator))) <= bound, (e, x)
+
+
 def test_w0_count_matches_the_closed_form():
     for e in range(2, 9):
         for L in range(0, 16):

@@ -9,6 +9,7 @@ from oracles import eigen_generator_reference
 from test_verdicts import wrong_pi_power
 
 import heckezonal.spherical as spherical
+from heckezonal import cli
 from heckezonal.hecke import HeckeAlgebra
 from heckezonal.scalars import LaurentPoly, scalar_inverse, scalar_power
 from heckezonal.spherical import (
@@ -173,10 +174,11 @@ def test_eigen_checks_catch_a_wrong_boundary_layer():
     # x has l(x) = L, so x itself is boundary and its layer is read only
     # as l(s_i u) for u = s_i x one layer down: a check that skipped that
     # lookup for some u would pass for some x.  Each x of layer L gets a
-    # wrong entry (one layer too high, one too low, or none) in turn
+    # wrong entry (one layer too high, one too low, or none) in turn.  The
+    # generator checks read the map once per parameters, into their step
+    # table, so each wrong map goes into fresh parameters before any check
     e, L = 3, 3
-    p = SphericalParams.generic(e, chi_pi=Fraction(2))
-    layers, layer_of = spherical._layers(p, L)
+    layers, layer_of = spherical._layers(SphericalParams.generic(e), L)
     boundary = layers[L]
     assert len(boundary) > 1
     for w0 in boundary:
@@ -187,6 +189,7 @@ def test_eigen_checks_catch_a_wrong_boundary_layer():
                 del bad_map[w0.window]
             else:
                 bad_map[w0.window] = wrong
+            p = SphericalParams.generic(e, chi_pi=Fraction(2))
             p._layer_table[L] = (layers, bad_map)
             descents = 0
             for i in range(e):
@@ -209,6 +212,65 @@ def test_eigen_checks_catch_a_flipped_case(monkeypatch):
         for i in range(e):
             report = verify_eigen_generator(i, 3, p)
             assert not report.ok and report.passed == 0, (e, i)
+
+
+def test_flipped_case_fails_every_generator_case_on_the_command_line(monkeypatch, capsys):
+    # the same flip through the CLI: exit 1, every interior case of every
+    # generator check listed in (layer, window, k) order, 171 witnesses in
+    # all, and the pi check, which reads no descent, still passing
+    honest_report = verify_eigen(3, 4, Fraction(2))
+    honest = AffinePermutation.has_left_descent
+    monkeypatch.setattr(AffinePermutation, "has_left_descent", lambda w0, j: not honest(w0, j))
+    assert cli.run(["eigen", "--e", "3", "--L", "4", "--chi-pi=2"]) == 1
+    walk = [
+        {"k": k, "window": list(w0.window)}
+        for layer in enumerate_by_length(3, 3)
+        for w0 in layer
+        for k in (-1, 0, 1)
+    ]
+    expected = dict(honest_report, ok=False, reports=[
+        dict(r, passed=0, failures=walk, ok=False) if r["kind"] != "pi" else r
+        for r in honest_report["reports"]
+    ])
+    assert sum(len(r["failures"]) for r in expected["reports"]) == 171
+    assert capsys.readouterr().out == cli.emit("eigen", expected, "json")
+
+
+def test_generator_checks_compute_each_step_once(monkeypatch):
+    # the e generator checks of one job share one step table: each
+    # (w0, s_j) is composed and descent-tested once, and each w0 has its
+    # inversion count taken once, over the N(0..L-1) interior elements
+    e, L = 4, 4
+    calls = {"has_left_descent": 0, "compose": 0, "length": 0}
+    inside = []
+
+    def counted(cls, name, key):
+        honest = getattr(cls, name)
+
+        def wrapper(*args):
+            if inside:
+                calls[key] += 1
+            return honest(*args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(AffinePermutation, "has_left_descent", "has_left_descent")
+    counted(AffinePermutation, "compose", "compose")
+    counted(ExtendedWeylElement, "length", "length")
+    honest_check = spherical.verify_eigen_generator
+
+    def generator_check(*args):
+        inside.append(True)
+        try:
+            return honest_check(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(spherical, "verify_eigen_generator", generator_check)
+    assert verify_eigen(e, L, Fraction(2))["ok"]
+    interior = sum(map(len, enumerate_by_length(e, L - 1)))
+    assert interior == 35
+    assert calls == {"has_left_descent": e * interior, "compose": e * interior, "length": interior}
 
 
 @pytest.mark.parametrize("chi_pi", CHI_PIS)
