@@ -12,7 +12,8 @@ elements of length <= L than the first, or when those elements hold more
 window slots, e each, than the second: the budget is the binomial count
 C(L+e, e) - C(L, e) (``distinction.w0_count``).  ``poincare`` and ``all``
 exit 2 at once when an exact Poincare value could print more than
-``DIGIT_CAP`` digits.
+``DIGIT_CAP`` digits, and ``distinction`` and ``all`` at odd e when a
+value of the distinction sum could.
 """
 
 from __future__ import annotations
@@ -170,6 +171,13 @@ def _validate(args) -> None:
                 f"{flags}: a Poincare value could have up to {digits} digits, "
                 f"over the cap of {DIGIT_CAP} digits"
             )
+    if args.command == "distinction" or (args.command == "all" and args.e % 2):
+        digits = _distinction_digits(args.e, args.f, args.q0, args.L)
+        if digits > DIGIT_CAP:
+            raise ValueError(
+                f"--e {args.e} --f {args.f} --q0 {args.q0} --L {args.L}: a distinction value could "
+                f"have up to {digits} digits, over the cap of {DIGIT_CAP} digits"
+            )
 
 
 def _poincare_digits(e: int, points: list[Fraction]) -> int:
@@ -185,6 +193,27 @@ def _poincare_digits(e: int, points: list[Fraction]) -> int:
     for x in points:
         a, b = x.numerator, x.denominator
         bits = max(bits, e * b.bit_length() + 1, e * (b - a).bit_length())
+    return bits * 30103 // 100000 + 1
+
+
+def _distinction_digits(e: int, f: int, q0: int, L: int) -> int:
+    """A bound on the decimal digits of the exact values ``distinction``
+    prints: partial_sum, closed_form, abs_error and tail_bound.
+
+    With Q = q0**f >= 2, each value is at most 2 * e * 2**e in size (e
+    times a series at +-1/Q, at most (1 - 1/Q)**-e), and its denominator
+    divides Q**L * (Q + 1)**e or Q**L * (Q - 1)**e.  As Q <= 2**m and
+    Q + 1 <= 2**c for the bit lengths m of Q - 1 and c of Q, numerator
+    and denominator are below 2**(1 + b + e + m*L + c*e), b the bit
+    length of e, and digits follow as in ``_poincare_digits``.  Q itself
+    is computed only below 2**16 bits; past that, f times the bit length
+    of q0 stands for m and c, a bound of over 29,000 digits either way.
+    """
+    m = c = f * q0.bit_length()
+    if c < 1 << 16:
+        q = q0**f
+        m, c = (q - 1).bit_length(), q.bit_length()
+    bits = 1 + e.bit_length() + e + m * L + c * e
     return bits * 30103 // 100000 + 1
 
 

@@ -15,21 +15,16 @@ indices with |k| <= K - 1, for the module constant K = 2; the pi check's
 truncation also holds the shells |k| = K, as boundary.
 
 The coefficient depends on [pi**k w0] only through (l(w0), k), so
-``psi0_coefficient`` takes exactly that pair and keeps its values in a
-table on the SphericalParams instance, filled on first use: the Laurent
-powers are computed once per distinct pair, and the table lives and dies
-with the parameters it was computed for.  The BFS layers of W0 and the
-map from each window to its layer are kept on the parameters the same
-way, keyed by L, so the generator checks and the truncation of one job
-share a single ``enumerate_by_length``, and every coefficient is read by
-layer.  Both eigen checks walk those layers: each computes one value per
-(layer, k) and lists a failing witness in (layer, window, k) order.
-The generator checks share a step table kept the same way (``_steps``):
-each element's inversion count against its layer, and per generator s_j
-the case and the layer of s_j w0.  Those facts and their verdicts are
-computed once per (params, L), still from ``length()``, the descent test
-and the BFS map, so the BFS distance and ``length()`` stay independent
-witnesses of each other.
+``psi0_coefficient`` takes exactly that pair.  One eigen job walks W0
+once (``_walk``): the BFS layers, one psi0 value per (layer, k), and the
+generator checks' group facts, kept on the SphericalParams instance by
+L.  Whichever check comes first builds all of it, so the truncation or
+the pi check called alone also builds the generator facts.  Each check
+reads the walk and lists a failing witness in (layer, window, k) order.
+The facts are each element's inversion count against its layer, and per
+generator s_j the case and the layer of s_j w0, still from ``length()``,
+the descent test and the BFS, so the BFS distance and ``length()`` stay
+independent witnesses of each other.
 
 In the trivial-chi_pi regime the normalized matrix coefficient at
 w0 * pi**k is the closed form
@@ -140,84 +135,47 @@ class SphericalParams:
         return self._neg_inv_q1
 
     @cached_property
-    def _psi0_table(self) -> dict:
-        # psi0 coefficients by (l(w0), k), filled by psi0_coefficient
+    def _eigen_table(self) -> dict:
+        # the walk of each truncation L, filled by _walk
         return {}
 
     @cached_property
-    def _layer_table(self) -> dict:
-        # BFS layers of W0 and their window -> layer map by truncation L,
-        # filled by _layers
-        return {}
-
-    @cached_property
-    def _step_table(self) -> dict:
-        # the generator checks' per-element facts and their shared
-        # verdicts by truncation L, filled by _steps
-        return {}
-
-    @cached_property
-    def _ev_gamma_table(self) -> dict:
-        # Gamma**r by r = k mod e, filled by tensor.ev
-        return {}
-
-    @cached_property
-    def _ev_scale_table(self) -> dict:
-        # ev's q-power scale by reduced-word length, filled by tensor.ev
-        return {}
-
-    @cached_property
-    def _ev_word_table(self) -> dict:
-        # (word_perm, length) of a reduced word by the window of the W0
-        # element it spells, filled by tensor.ev
-        return {}
+    def _ev_tables(self) -> tuple[dict, dict, dict]:
+        # tensor.ev's word, Gamma-power and scale tables, filled by ev
+        return {}, {}, {}
 
     def algebra(self) -> HeckeAlgebra:
         return HeckeAlgebra(self.e, self.q1)
 
 
 def psi0_coefficient(ell: int, k: int, p: SphericalParams) -> ExactScalar:
-    """Coefficient of the formal eigenvector at [pi**k w0] with l(w0) = ell.
+    """Coefficient of the formal eigenvector at [pi**k w0] with l(w0) = ell:
+    (-1/q1)**ell * chi_pi**(-k)."""
+    return scalar_power(p.neg_inv_q1(), ell) * scalar_power(p.chi_pi, -k)
 
-    The value (-1/q1)**ell * chi_pi**(-k) is computed once per (ell, k)
-    and kept in the parameters' table.
+
+def _walk(p: SphericalParams, L: int) -> tuple[list, list, list, dict]:
+    """The walk of an eigen job over W0 of length at most L, built once per
+    (p, L) by the first check that asks, so ``build`` or the pi check
+    called alone also builds the generator facts.  It holds:
+
+    - layers, the BFS layers;
+    - values[ell][k + K] = psi0_coefficient(ell, k, p), for ell <= L and
+      |k| <= K;
+    - facts, per layer ell < L the pair (lengths, steps): lengths[n] says
+      whether the n-th element w0 has inversion count ell
+      (``ExtendedWeylElement.length``), and steps[n*e + j] is the
+      interned pair (up, l(s_j w0)): up negates the left-descent test of
+      w0 at j, and l(s_j w0) is read, after one ``compose``, from a
+      window -> layer map local to the walk (None outside the layers);
+    - verdicts, the table the e generator checks share.
     """
-    key = (ell, k)
-    table = p._psi0_table
-    value = table.get(key)
-    if value is None:
-        value = scalar_power(p.neg_inv_q1(), ell) * scalar_power(p.chi_pi, -k)
-        table[key] = value
-    return value
-
-
-def _layers(p: SphericalParams, L: int) -> tuple[list, dict]:
-    """The BFS layers of W0 of length at most L and the window -> layer map.
-
-    Both are built once per (p, L).
-    """
-    entry = p._layer_table.get(L)
-    if entry is None:
-        layers = enumerate_by_length(p.e, L)
-        layer_of = {w0.window: ell for ell, layer in enumerate(layers) for w0 in layer}
-        entry = p._layer_table[L] = (layers, layer_of)
-    return entry
-
-
-def _steps(p: SphericalParams, L: int) -> tuple[list, dict]:
-    """The group facts of the generator checks and their verdict table,
-    built once per (p, L) and shared by the e checks.
-
-    Per layer ell < L: lengths[n] says whether the n-th element w0 has
-    inversion count ell (``ExtendedWeylElement.length``), and
-    steps[n*e + j] is the interned pair (up, l(s_j w0)): up negates the
-    left-descent test of w0 at j, and l(s_j w0) is read from the window
-    -> layer map after one ``compose`` (None when missing).
-    """
-    entry = p._step_table.get(L)
+    entry = p._eigen_table.get(L)
     if entry is None:
         e = p.e
-        layers, layer_of = _layers(p, L)
+        layers = enumerate_by_length(e, L)
+        values = [[psi0_coefficient(ell, k, p) for k in range(-K, K + 1)] for ell in range(L + 1)]
+        layer_of = {w0.window: ell for ell, layer in enumerate(layers) for w0 in layer}
         simple = [_simple(e, j) for j in range(e)]
         interned: dict = {}
         facts = []
@@ -229,7 +187,7 @@ def _steps(p: SphericalParams, L: int) -> tuple[list, dict]:
                     pair = (not w0.has_left_descent(j), layer_of.get(s.compose(w0).window))
                     steps.append(interned.setdefault(pair, pair))
             facts.append((lengths, steps))
-        entry = p._step_table[L] = (facts, {})
+        entry = p._eigen_table[L] = (layers, values, facts, {})
     return entry
 
 
@@ -239,8 +197,8 @@ class SphericalTruncation:
     for the module constant K.
 
     ``build`` writes the element's ``(k, window)`` keys (see
-    ``HeckeElement``) straight from the BFS layers, one psi0 value per
-    (layer, k), and builds no group element per term.
+    ``HeckeElement``) straight from the walk's layers and its values,
+    one per (layer, k), and builds no group element per term.
     """
 
     element: HeckeElement
@@ -249,12 +207,12 @@ class SphericalTruncation:
     def build(cls, L: int, p: SphericalParams) -> "SphericalTruncation":
         # every value is a nonzero unit and every window has rank e, so
         # the table is wrapped as it is, without algebra.element's checks
-        ks = range(-K, K + 1)
+        layers, values = _walk(p, L)[:2]
         coeffs = {}
-        for ell, layer in enumerate(_layers(p, L)[0]):
-            values = [(k, psi0_coefficient(ell, k, p)) for k in ks]
+        for layer, row in zip(layers, values):
+            pairs = list(zip(range(-K, K + 1), row))
             for w0 in layer:
-                for k, c in values:
+                for k, c in pairs:
                     coeffs[(k, w0.window)] = c
         return cls(HeckeElement(p.algebra(), coeffs))
 
@@ -309,15 +267,14 @@ def verify_eigen_generator(i: int, L: int, p: SphericalParams) -> EigenReport:
     as skipped.  Both sides carry the same chi_pi**(-k) factor, so the
     verdict is independent of the value of chi_pi.
 
-    The indices come from the BFS layers shared with the truncation, and
-    the facts of each case from the step table of ``_steps``: u' is
-    pi**k * s_{i+k mod e} * w0, its layer comes from the layer map, and
-    the case from a left-descent test of w0 at i + k mod e, not from the
-    two layers, so a wrong case choice still breaks the identity.  A case
-    passes only when w0's inversion count is its layer too; a u' missing
-    from the map fails its case.  The verdict depends only on the
-    integers (case, l(u), l(u'), k), not on i, so it is computed once per
-    distinct key and (p, L).
+    The indices, the values and the facts of each case come from the
+    walk of ``_walk``: u' is pi**k * s_{i+k mod e} * w0, its layer comes
+    from the BFS, and the case from a left-descent test of w0 at
+    i + k mod e, not from the two layers, so a wrong case choice still
+    breaks the identity.  A case passes only when w0's inversion count is
+    its layer too; a u' outside the layers fails its case.  The verdict
+    depends only on the integers (case, l(u), l(u'), k), not on i, so it
+    is computed once per distinct key and (p, L).
     """
     if L < 1:
         raise ValueError("truncation L must be at least 1")
@@ -329,8 +286,7 @@ def verify_eigen_generator(i: int, L: int, p: SphericalParams) -> EigenReport:
     q1_minus_1 = q1 - 1
     # s_i * pi**k = pi**k * s_j with j = i + k mod e
     shifted = [(k, (i + k) % e) for k in range(1 - K, K)]
-    layers = _layers(p, L)[0]
-    facts, verdicts = _steps(p, L)
+    layers, values, facts, verdicts = _walk(p, L)
     for ell, (layer, (lengths, steps)) in enumerate(zip(layers, facts)):
         for n, (w0, length_ok) in enumerate(zip(layer, lengths)):
             for k, j in shifted:
@@ -341,8 +297,8 @@ def verify_eigen_generator(i: int, L: int, p: SphericalParams) -> EigenReport:
                     if ell_su is None:
                         ok = False
                     else:
-                        cu = psi0_coefficient(ell, k, p)
-                        csu = psi0_coefficient(ell_su, k, p)
+                        cu = values[ell][k + K]
+                        csu = values[ell_su][k + K]
                         lhs = q1 * csu if up else csu + q1_minus_1 * cu
                         ok = lhs == -cu
                     verdicts[key] = ok
@@ -356,21 +312,20 @@ def verify_eigen_pi(L: int, p: SphericalParams) -> EigenReport:
 
     The left side is computed through the Hecke product (so canonical
     relabeling of pi-powers is exercised) and read by ``(k, window)``
-    key; the right side is chi_pi times one ``psi0_coefficient`` per
-    (layer, k).  Comparison walks the truncation's BFS layers, the ones
-    the generator checks of the same parameters use, over |k| <= K - 1,
-    for the module constant K; the shells |k| = K are boundary.  So a
-    failing witness is listed in (layer, window, k) order, as the
-    generator checks list theirs, and no group element is built per
-    term.
+    key; the right side is chi_pi times the walk's value of each
+    (layer, k).  Comparison walks the layers of ``_walk``, the ones the
+    generator checks of the same parameters use, over |k| <= K - 1, for
+    the module constant K; the shells |k| = K are boundary.  So a failing
+    witness is listed in (layer, window, k) order, as the generator
+    checks list theirs, and no group element is built per term.
     """
     truncation = SphericalTruncation.build(L, p).element
     algebra = truncation.algebra
     lhs = algebra.product(algebra.basis(pi_element(p.e)), truncation).coeffs
-    layers = _layers(p, L)[0]
+    layers, values = _walk(p, L)[:2]
     report = EigenReport(kind="pi")
-    for ell, layer in enumerate(layers):
-        expected = [(k, p.chi_pi * psi0_coefficient(ell, k, p)) for k in range(1 - K, K)]
+    for layer, row in zip(layers, values):
+        expected = [(k, p.chi_pi * row[k + K]) for k in range(1 - K, K)]
         for w0 in layer:
             for k, rhs in expected:
                 report.record(lhs.get((k, w0.window), 0) == rhs, k, w0.window)

@@ -20,14 +20,14 @@ t-indices (Gamma o t_i o Gamma**-1 = t_{i+1 mod e}) while conjugation by
 pi lowers s-indices, so t_0 = Gamma**-1 o t_1 o Gamma.
 
 ``word_perm`` builds the t-factor permutation by swapping slots of one
-list per letter.  Gamma**e is the identity with scale 1, so Gamma**k
-depends only on k mod e, and the q-power scale depends on the word only
-through its length: ``ev`` reads both from tables on the SphericalParams
-instance, filled on first use, which live and die with the parameters.
-A third table there holds, by the window of each conjugate w_left that
-``ev`` has met, its reduced word's permutation and length: every
-conjugate of a BFS layer element is another element of that layer, so a
-sweep over k computes one word per distinct window, not one per call.
+list per letter.  ``ev`` fills three tables, kept together as
+``SphericalParams._ev_tables`` so they live and die with the parameters:
+by the window of each conjugate w_left it has met, that conjugate's
+reduced-word permutation and length (every conjugate of a BFS layer
+element is another element of that layer, so a sweep over k computes
+one word per distinct window, not one per call); Gamma**k by k mod e,
+as Gamma**e is the identity with scale 1; and the q-power scale by word
+length, the only thing about the word it depends on.
 """
 
 from __future__ import annotations
@@ -152,18 +152,16 @@ def ev(w: ExtendedWeylElement, p: SphericalParams) -> PlaceOperator:
     if w.e != p.e:
         raise ValueError("rank mismatch")
     w_left = conjugate_by_pi(w.w0, w.k)
-    words = p._ev_word_table
+    words, gammas, scales = p._ev_tables
     entry = words.get(w_left.window)
     if entry is None:
         word = w_left.reduced_word()
         entry = words[w_left.window] = (word_perm(word, p.e), len(word))
     perm, ell = entry
     r = w.k % p.e
-    gammas = p._ev_gamma_table
     gamma_k = gammas.get(r)
     if gamma_k is None:
         gamma_k = gammas[r] = gamma_operator(p.e).power(r)
-    scales = p._ev_scale_table
     scale = scales.get(ell)
     if scale is None:
         scale = scales[ell] = p.q_power(-(p.f * (p.f - 1) // 2) * ell)

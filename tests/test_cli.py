@@ -1,6 +1,7 @@
 """Command-line frontend: exit codes, formats, determinism."""
 
 import argparse
+import importlib.util
 import json
 import os
 import pathlib
@@ -292,6 +293,60 @@ def test_digit_bound_holds():
         for x in points:
             value = dst.poincare_value(e, x)
             assert max(len(str(value.numerator)), len(str(value.denominator))) <= bound, (e, x)
+
+
+@pytest.mark.parametrize("command", ["distinction", "all"])
+def test_over_digit_budget_distinction_exits_2_at_once(command, capsys):
+    # the denominator Q**L of the partial sum, Q = 7**30, alone has some
+    # 4,560 digits; the run would enumerate W0 first and then fail to print
+    start = time.perf_counter()
+    assert cli.run([command, "--e", "3", "--f", "30", "--q0", "7", "--L", "180"]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    for part in ("--f 30", "--q0 7", "--L 180", "up to 4685 digits", "cap of 4300 digits"):
+        assert part in captured.err, part
+
+
+@pytest.mark.parametrize("argv", [["distinction", "--e", "3", "--f", "2", "--q0", "3", "--L", "20"],
+                                  ["all", "--e", "3", "--f", "2", "--q0", "3", "--L", "4"]])
+def test_distinction_digit_budget_is_exact(argv, monkeypatch, capsys):
+    e, f, q0, L = (int(argv[n]) for n in (2, 4, 6, 8))
+    digits = cli._distinction_digits(e, f, q0, L)
+    assert digits > cli._poincare_digits(e, cli._poincare_points(argparse.Namespace(points=None)))
+    monkeypatch.setattr(cli, "DIGIT_CAP", digits - 1)
+    assert cli.run(argv) == 2
+    assert f"a distinction value could have up to {digits} digits" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "DIGIT_CAP", digits)
+    assert cli.run(argv) == 0
+
+
+def test_distinction_digit_bound_holds():
+    # the bound from bit lengths is never below the printed digits, on a
+    # seeded grid of odd e, f, prime-power q0 and L from 0 up
+    rng = random.Random(29)
+    for e, max_L in ((3, 60), (5, 8), (7, 5)):
+        for _ in range(12):
+            f, q0, L = rng.randrange(1, 5), rng.choice((2, 3, 4, 5, 7, 8, 9, 16, 27, 49)), rng.randrange(max_L + 1)
+            report = dst.distinction_integral(e, f, q0, L)
+            values = (report.partial_sum, report.closed_form, report.abs_error, report.tail_bound)
+            printed = max(len(str(abs(n))) for x in values for n in (x.numerator, x.denominator))
+            assert printed <= cli._distinction_digits(e, f, q0, L), (e, f, q0, L)
+
+
+def test_golden_and_benchmark_argvs_validate():
+    # every argv with a golden file or in a benchmark workload's universe
+    # passes every budget, at the default caps
+    from test_golden import CASES
+
+    spec = importlib.util.spec_from_file_location("jobs", SRC.parent / "perfbench" / "jobs.py")
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    argvs = list(CASES.values()) + [argv for w in jobs.WORKLOADS for argv in jobs.universe(w)]
+    assert len(argvs) > 700
+    parser = cli.build_parser()
+    for argv in argvs:
+        cli._validate(parser.parse_args(argv))
 
 
 def test_w0_count_matches_the_closed_form():

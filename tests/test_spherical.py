@@ -76,14 +76,15 @@ def test_psi0_coefficient_oracle(e, chi_pi):
 
 
 def test_psi0_table_matches_closed_formula():
-    # random elements at e = 2..8 and |k| <= 3, each looked up twice
+    # random elements at e = 2..8 and |k| <= 3, each looked up twice, and
+    # the walk's grid of one value per (layer, k) for l(w0) <= 3, |k| <= K
     rng = random.Random(141)
     q1 = Fraction(5) ** 2
+    K = spherical.K
     for e in range(2, 9):
         chi_pi = rng.choice(CHI_PIS)
         generic = SphericalParams.generic(e, chi_pi=chi_pi)
         numeric = SphericalParams(e, 1, Fraction(5), chi_pi)
-        keys = set()
         for _ in range(40):
             w = ExtendedWeylElement.identity(e)
             for _ in range(rng.randrange(0, 9)):
@@ -91,11 +92,16 @@ def test_psi0_table_matches_closed_formula():
             w = ExtendedWeylElement(rng.randrange(-3, 4), w.w0)
             ell = len(w.w0.reduced_word())
             unit = (-1) ** ell * chi_pi ** (-w.k)
-            keys.add((ell, w.k))
             for _ in range(2):
                 assert psi0_coefficient(w.length(), w.k, generic) == LaurentPoly.term(unit, -ell), w
                 assert psi0_coefficient(w.length(), w.k, numeric) == unit / q1**ell, w
-        assert set(generic._psi0_table) == keys == set(numeric._psi0_table)
+        units = [[(-1) ** ell * chi_pi ** (-k) for k in range(-K, K + 1)] for ell in range(4)]
+        assert spherical._walk(generic, 3)[1] == [
+            [LaurentPoly.term(unit, -ell) for unit in row] for ell, row in enumerate(units)
+        ]
+        assert spherical._walk(numeric, 3)[1] == [
+            [unit / q1**ell for unit in row] for ell, row in enumerate(units)
+        ]
 
 
 def test_psi0_table_is_per_params():
@@ -106,8 +112,10 @@ def test_psi0_table_is_per_params():
     b = SphericalParams.generic(e, chi_pi=Fraction(-1, 3))
     assert psi0_coefficient(w.length(), w.k, a) == LaurentPoly.term(Fraction(-1, 2), -1)
     assert psi0_coefficient(w.length(), w.k, b) == LaurentPoly.term(3, -1)
-    assert a._psi0_table is not b._psi0_table
-    assert a._psi0_table[(1, 1)] != b._psi0_table[(1, 1)]
+    values_a, values_b = spherical._walk(a, 1)[1], spherical._walk(b, 1)[1]
+    assert a._eigen_table is not b._eigen_table
+    assert values_a[1][1 + spherical.K] == LaurentPoly.term(Fraction(-1, 2), -1)
+    assert values_b[1][1 + spherical.K] == LaurentPoly.term(3, -1)
 
 
 @pytest.mark.parametrize("e", [3, 4])
@@ -132,18 +140,18 @@ def test_eigen_checks_catch_one_wrong_coefficient(e, monkeypatch):
 
 
 @pytest.mark.parametrize("e", [3, 4])
-def test_eigen_checks_catch_an_element_in_a_wrong_layer(e):
-    # x of layer 2 moved to layer 1, in the layers and in the map: its
-    # inversion count disagrees with the layer it is read from, so each
-    # of its cases fails in every generator check
+def test_eigen_checks_catch_an_element_in_a_wrong_layer(e, monkeypatch):
+    # x of layer 2 moved to layer 1 by the BFS, so also in the walk's
+    # window -> layer map: its inversion count disagrees with the layer it
+    # is read from, so each of its cases fails in every generator check
     L = 3
     p = SphericalParams.generic(e, chi_pi=Fraction(-1, 3))
-    layers, layer_of = spherical._layers(p, L)
+    layers = enumerate_by_length(e, L)
     x = layers[2][0]
     moved = [list(layer) for layer in layers]
     moved[2].remove(x)
     moved[1].append(x)
-    p._layer_table[L] = (moved, {**layer_of, x.window: 1})
+    monkeypatch.setattr(spherical, "enumerate_by_length", lambda e, L: moved)
     witnesses = [{"k": k, "window": list(x.window)} for k in (-1, 0, 1)]
     for i in range(e):
         report = verify_eigen_generator(i, L, p)
@@ -170,37 +178,34 @@ def test_eigen_checks_catch_a_wrong_length(e, monkeypatch):
         assert report.passed == report.checked - 3, i
 
 
-def test_eigen_checks_catch_a_wrong_boundary_layer():
+def test_eigen_checks_catch_a_wrong_boundary_layer(monkeypatch):
     # x has l(x) = L, so x itself is boundary and its layer is read only
     # as l(s_i u) for u = s_i x one layer down: a check that skipped that
-    # lookup for some u would pass for some x.  Each x of layer L gets a
-    # wrong entry (one layer too high, one too low, or none) in turn.  The
-    # generator checks read the map once per parameters, into their step
-    # table, so each wrong map goes into fresh parameters before any check
+    # lookup for some u would pass for some x.  Each x of layer L is in
+    # turn replaced, wherever the walk composes s_j u = x, by an element
+    # one layer too low or by one outside the layers.  The walk is built
+    # once per parameters, so each wrong step gets fresh parameters
     e, L = 3, 3
-    layers, layer_of = spherical._layers(SphericalParams.generic(e), L)
+    layers = enumerate_by_length(e, L + 1)
     boundary = layers[L]
     assert len(boundary) > 1
+    honest = AffinePermutation.compose
     for w0 in boundary:
         x = ExtendedWeylElement(0, w0)
-        for wrong in (L + 1, L - 1, None):
-            bad_map = dict(layer_of)
-            if wrong is None:
-                del bad_map[w0.window]
-            else:
-                bad_map[w0.window] = wrong
+        below = [(i, multiply(generator(e, i), x)) for i in range(e)]
+        below = [(i, u) for i, u in below if u.length() == L - 1]
+        assert below, w0
+        for wrong in (layers[L - 1][0], layers[L + 1][0]):
+            monkeypatch.setattr(
+                AffinePermutation, "compose",
+                lambda s, w, wrong=wrong, target=w0: wrong if honest(s, w) == target else honest(s, w),
+            )
             p = SphericalParams.generic(e, chi_pi=Fraction(2))
-            p._layer_table[L] = (layers, bad_map)
-            descents = 0
-            for i in range(e):
-                u = multiply(generator(e, i), x)
-                if u.length() == L - 1:
-                    descents += 1
-                    report = verify_eigen_generator(i, L, p)
-                    assert not report.ok, (w0, wrong, i)
-                    witness = {"k": 0, "window": list(u.w0.window)}
-                    assert witness in report.failures, (w0, wrong, i)
-            assert descents > 0, w0
+            for i, u in below:
+                report = verify_eigen_generator(i, L, p)
+                assert not report.ok, (w0, wrong, i)
+                witness = {"k": 0, "window": list(u.w0.window)}
+                assert witness in report.failures, (w0, wrong, i)
 
 
 def test_eigen_checks_catch_a_flipped_case(monkeypatch):
@@ -271,6 +276,24 @@ def test_generator_checks_compute_each_step_once(monkeypatch):
     interior = sum(map(len, enumerate_by_length(e, L - 1)))
     assert interior == 35
     assert calls == {"has_left_descent": e * interior, "compose": e * interior, "length": interior}
+
+
+def test_eigen_job_walks_once(monkeypatch):
+    # the e generator checks, the truncation and the pi check of one job
+    # read one walk: one BFS, and one psi0 value per (layer, k) for
+    # l(w0) <= L and |k| <= K, 5 * (L + 1) in all
+    e, L = 4, 4
+    calls = {"enumerate_by_length": 0, "psi0_coefficient": 0}
+    for name in calls:
+        honest = getattr(spherical, name)
+
+        def counted(*args, name=name, honest=honest):
+            calls[name] += 1
+            return honest(*args)
+
+        monkeypatch.setattr(spherical, name, counted)
+    assert verify_eigen(e, L, Fraction(2))["ok"]
+    assert calls == {"enumerate_by_length": 1, "psi0_coefficient": 25}
 
 
 @pytest.mark.parametrize("chi_pi", CHI_PIS)
@@ -378,7 +401,7 @@ def test_eigen_pi_builds_no_group_element_per_term(constructions, monkeypatch):
 
     monkeypatch.setattr(LaurentPoly, "__hash__", unhashable)
     p = SphericalParams.generic(5, chi_pi=Fraction(2))
-    layers = spherical._layers(p, 5)[0]
+    layers = spherical._walk(p, 5)[0]
     constructions.clear()
     report = verify_eigen_pi(5, p)
     assert report.ok and report.checked == 3 * sum(map(len, layers)) == 753

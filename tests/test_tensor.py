@@ -178,13 +178,14 @@ def test_ev_tables_once_per_params(monkeypatch):
         ev(ExtendedWeylElement(k, w0), p)
     # one Gamma power per residue k mod e, not one per k
     assert calls == [e] * e
-    assert sorted(p._ev_gamma_table) == list(range(e))
+    _, gammas, _ = p._ev_tables
+    assert sorted(gammas) == list(range(e))
     # parameters differing only in f keep their own tables and scales
     p1 = SphericalParams.numeric(e, 1, 3)
     assert ev(ExtendedWeylElement(0, w0), p1).scale == 1
     assert ev(ExtendedWeylElement(0, w0), p).scale == Fraction(1, 3**6)
-    assert p1._ev_scale_table == {3: 1}
-    assert p._ev_scale_table == {3: Fraction(1, 3**6)}
+    assert p1._ev_tables[2] == {3: 1}  # the scales by word length
+    assert p._ev_tables[2] == {3: Fraction(1, 3**6)}
 
 
 def test_ev_matches_reference_over_layers():
@@ -202,7 +203,8 @@ def test_ev_matches_reference_over_layers():
                     assert (got.perm, got.scale) == (want.perm, want.scale), (e, w)
                     cases += 1
         # conjugation by pi permutes each layer: one word per window met
-        assert len(p._ev_word_table) == sum(len(layer) for layer in layers)
+        words = p._ev_tables[0]
+        assert len(words) == sum(len(layer) for layer in layers)
     assert cases == 9477
 
 
