@@ -10,7 +10,10 @@ output.  The arguments are the only input: the constants
 subcommand with --L exits 2 before any enumeration when W0 has more
 elements of length <= L than the first, or when those elements hold more
 window slots, e each, than the second: the budget is the binomial count
-C(L+e, e) - C(L, e) (``distinction.w0_count``).  ``poincare`` and ``all``
+C(L+e, e) - C(L, e) (``distinction.w0_count``).  ``presentation`` and
+``all`` exit 2 at once when the (e-2)(e-3)/2 cases of presentation
+family (vi), windows of e slots each, hold more slots than the second
+cap.  ``poincare`` and ``all``
 exit 2 at once when an exact Poincare value could print more than
 ``DIGIT_CAP`` digits, and ``distinction`` and ``all`` at odd e when a
 value of the distinction sum could.
@@ -162,6 +165,16 @@ def _validate(args) -> None:
             raise ValueError(
                 f"--e {args.e} --L {args.L} would hold at least {count * args.e} window slots "
                 f"({count} elements of W0, {args.e} slots each), over the cap of {slot_cap} slots"
+            )
+    if args.command in ("presentation", "all"):
+        # family (vi) of the presentation has (e-2)(e-3)/2 commutation
+        # cases, and each multiplies windows of e slots: count those first
+        slot_cap = weyl.SLOT_CAP
+        cases = (args.e - 2) * (args.e - 3) // 2
+        if cases * args.e > slot_cap:
+            raise ValueError(
+                f"--e {args.e}: presentation family (vi) would multiply windows of {args.e} slots "
+                f"in {cases} cases, {cases * args.e} slots in all, over the cap of {slot_cap} slots"
             )
     if args.command in ("poincare", "all"):
         digits = _poincare_digits(args.e, _poincare_points(args))

@@ -14,10 +14,13 @@ The evaluation map sends a group element w0 * pi**k to
 for any reduced word [i_1, ..., i_l] of w0, where t_i swaps slots
 (i, i+1), t_0 swaps slots (1, e) and Gamma rotates contents one step to
 the right.  The result is reduced-word independent because the t_i
-satisfy the same braid relations as the group generators.  Note the
-rotation runs against the group projection: conjugation by Gamma raises
-t-indices (Gamma o t_i o Gamma**-1 = t_{i+1 mod e}) while conjugation by
-pi lowers s-indices, so t_0 = Gamma**-1 o t_1 o Gamma.
+satisfy the same braid relations as the group generators;
+``verify_coefficient`` checks this by induction over the BFS layers,
+keeping one word and one operator product per element, and anchors the
+induction on every reduced word of one element of the top layer.  Note
+the rotation runs against the group projection: conjugation by Gamma
+raises t-indices (Gamma o t_i o Gamma**-1 = t_{i+1 mod e}) while
+conjugation by pi lowers s-indices, so t_0 = Gamma**-1 o t_1 o Gamma.
 
 ``word_perm`` builds the t-factor permutation by swapping slots of one
 list per letter.  ``ev`` fills three tables, kept together as
@@ -176,6 +179,15 @@ def verify_coefficient(e: int, f: int, q0: int, L: int, seed: int, samples: int)
     give one place permutation, and ``samples`` elements drawn by
     ``weyl.random_element`` from random.Random(seed) must keep their
     scale when their pi-power shifts.
+
+    The word check runs by induction over the BFS layers: every reduced
+    word of w0 is a reduced word of w0 s_j followed by j, for a right
+    descent j, so one word and one operator product kept per element of
+    the layer below decide w0.  The anchor then compares the layered perm
+    of the top checked layer's first element with every word that
+    ``all_reduced_words`` lists for it.  A failing check adds
+    ``"witness"``, the window of the first failing element in layer
+    order.
     """
     p = SphericalParams.numeric(e, f, q0)
     neg_inv_q1 = p.neg_inv_q1()
@@ -196,23 +208,51 @@ def verify_coefficient(e: int, f: int, q0: int, L: int, seed: int, samples: int)
                     mismatches += 1
     # Matsumoto: any two reduced words are linked by braid moves, so all
     # words of w0 give one perm exactly when the t_i satisfy the braid
-    # relations.  Each word's perm comes from slot swaps (word_perm, as in
-    # ev); the operator product of t_operator factors along the first
-    # word joins the same set, a cross-check independent of the swap rule
+    # relations.  If they do below w0, every word of w0 ending in the
+    # right descent j gives word_perm(rep(w0 s_j) + (j,)), for the one
+    # word rep kept per element of the layer below; these must agree over
+    # j, and with the product of t_operator factors kept alongside, a
+    # cross-check independent of the swap rule.  j is a descent exactly
+    # when w0 s_j lies in the layer below.
     ts = [t_operator(i, e) for i in range(e)]
-    word_ok = True
-    words_checked = 0
-    for layer in layers[: min(L, 6) + 1]:
-        for w0 in layer:
-            words = all_reduced_words(w0)
-            op = PlaceOperator.identity(e)
-            for idx in words[0]:
-                op = op.compose(ts[idx])
-            perms = {op.perm}
-            perms.update(word_perm(word, e) for word in words)
-            words_checked += 1
-            if len(perms) != 1:
-                word_ok = False
+    top = min(L, 6)
+    known = {layers[0][0].window: ((), PlaceOperator.identity(e))}
+    failed = None  # (layer, window) of the first failing element
+    for ell in range(1, top + 1):
+        below, known = known, {}
+        for w0 in layers[ell]:
+            w = w0.window
+            perms, rep = set(), None
+            for j in range(e):
+                # w0 s_j: enumerate_by_length's two-slot window edit
+                u = list(w)
+                if j:
+                    u[j - 1], u[j] = w[j], w[j - 1]
+                else:
+                    u[0], u[-1] = w[-1] - e, w[0] + e
+                entry = below.get(tuple(u))
+                if entry is not None:
+                    word = entry[0] + (j,)
+                    if rep is None:
+                        rep, op = word, entry[1].compose(ts[j])
+                        perms.add(op.perm)
+                    perms.add(word_perm(word, e))
+            # no descent leaves perms empty, a disagreement leaves two
+            if len(perms) == 1:
+                known[w] = (rep, op)
+            elif failed is None:
+                failed = (ell, w)
+    # the anchor: every word of the top layer's first element, listed by
+    # the inverse-window recursion of all_reduced_words, gives its perm;
+    # it precedes any other failure in its layer
+    anchor = layers[top][0]
+    layered = {known[anchor.window][1].perm} if anchor.window in known else set()
+    perms = {word_perm(word, e) for word in all_reduced_words(anchor)}
+    if perms != layered and (failed is None or failed[0] == top):
+        failed = (top, anchor.window)
+    words = {"elements": sum(map(len, layers[: top + 1])), "ok": failed is None}
+    if failed:
+        words["witness"] = list(failed[1])
     rng = random.Random(seed)
     sampled_ok = True
     for _ in range(samples):
@@ -223,7 +263,7 @@ def verify_coefficient(e: int, f: int, q0: int, L: int, seed: int, samples: int)
     return {
         "e": e, "f": f, "q0": int(p.q0), "L": L, "seed": seed,
         "checked": checked, "mismatches": mismatches,
-        "reduced_word_independence": {"elements": words_checked, "ok": word_ok},
+        "reduced_word_independence": words,
         "sampled_k_invariance_ok": sampled_ok,
-        "ok": mismatches == 0 and word_ok and sampled_ok,
+        "ok": mismatches == 0 and failed is None and sampled_ok,
     }

@@ -31,6 +31,11 @@ the code it checks:
   word, Gamma power and scale on every call, no table.  test_tensor.py
   compares ``ev``, which keeps each conjugate's word in a per-params
   table, with it.
+- ``reduced_word_independence_reference``: the reduced-word check with
+  every reduced word of every element enumerated.  test_tensor.py checks
+  that ``verify_coefficient``, which keeps one word and one operator
+  product per element of the layer below, gives the same verdict,
+  element count and witness, honest and with two faults.
 - ``eigen_generator_reference``: the check [s_i] * Psi0 = -Psi0 by a
   fresh BFS, both lengths compared for every case and the generator
   rule evaluated for every case.  test_spherical.py compares
@@ -60,6 +65,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from heckezonal import tensor
 from heckezonal.gelfand import mat_identity, mat_mul, rref
 from heckezonal.hecke import HeckeAlgebra, HeckeElement
 from heckezonal.scalars import LaurentPoly, NonInvertibleError
@@ -68,6 +74,7 @@ from heckezonal.tensor import PlaceOperator, gamma_operator, word_perm
 from heckezonal.weyl import (
     AffinePermutation,
     ExtendedWeylElement,
+    all_reduced_words,
     conjugate_by_pi,
     enumerate_by_length,
     generator,
@@ -339,6 +346,35 @@ def ev_reference(w: ExtendedWeylElement, p: SphericalParams) -> PlaceOperator:
     gamma_k = gamma_operator(e).power(w.k % e)
     scale = p.q_power(-(p.f * (p.f - 1) // 2) * len(word))
     return PlaceOperator(e, perm_compose(word_perm(word, e), gamma_k.perm), scale)
+
+
+def reduced_word_independence_reference(e: int, L: int) -> dict:
+    """The reduced-word check of ``verify_coefficient``, element by element.
+
+    Every w0 with l(w0) <= min(L, 6) lists all its reduced words through
+    ``all_reduced_words``; their ``word_perm`` perms and the product of
+    ``t_operator`` factors along the first word must be one perm.  Nothing
+    is carried from the layer below.  ``word_perm`` and ``t_operator`` are
+    read from the tensor module at call time, so a patched one reaches
+    this model and the package alike.  A failing report names the window
+    of the first failing element in layer order.
+    """
+    ts = [tensor.t_operator(i, e) for i in range(e)]
+    elements, witness = 0, None
+    for layer in enumerate_by_length(e, min(L, 6)):
+        for w0 in layer:
+            words = all_reduced_words(w0)
+            op = PlaceOperator.identity(e)
+            for idx in words[0]:
+                op = op.compose(ts[idx])
+            perms = {op.perm} | {tensor.word_perm(word, e) for word in words}
+            elements += 1
+            if len(perms) != 1 and witness is None:
+                witness = list(w0.window)
+    report = {"elements": elements, "ok": witness is None}
+    if witness is not None:
+        report["witness"] = witness
+    return report
 
 
 # -- the spherical eigenvector ---------------------------------------------

@@ -256,6 +256,45 @@ def test_slot_budget_is_exact_for_every_enumerating_command(command, monkeypatch
     assert called == [command]
 
 
+@pytest.mark.parametrize("command", ["presentation", "all"])
+def test_over_presentation_budget_exits_2_at_once(command, capsys):
+    # family (vi) at e = 2000 has 1,995,003 commutation cases of windows of
+    # 2000 slots; presentation alone would run for hours.  all at this
+    # rank meets the --L window-slot budget first, which names --e too
+    start = time.perf_counter()
+    assert cli.run([command, "--e", "2000"]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--e 2000" in captured.err and "cap of 10000000 slots" in captured.err
+
+
+def test_presentation_budget_at_the_default_cap():
+    # e (e-2)(e-3)/2 is 9,987,705 at e = 273 and 10,098,544 at e = 274
+    parser = cli.build_parser()
+    cli._validate(parser.parse_args(["presentation", "--e", "273"]))
+    with pytest.raises(ValueError, match="--e 274: presentation family"):
+        cli._validate(parser.parse_args(["presentation", "--e", "274"]))
+
+
+@pytest.mark.parametrize("argv", [["presentation", "--e", "6", "--samples", "0"], ["all", "--e", "7", "--L", "1"]])
+def test_presentation_budget_is_exact(argv, monkeypatch, capsys):
+    # 6 * 3 = 18 slots at e = 6 and 7 * 10 = 70 at e = 7, where the --L
+    # budget of all, 8 elements of 7 slots, stays under the cap
+    e = int(argv[2])
+    slots = e * (e - 2) * (e - 3) // 2
+    called = []
+    fn = cli.COMMANDS[argv[0]]
+    monkeypatch.setitem(cli.COMMANDS, argv[0], lambda args: called.append(argv[0]) or fn(args))
+    monkeypatch.setattr(weyl, "SLOT_CAP", slots - 1)
+    assert cli.run(argv) == 2
+    assert f"--e {e}: presentation family (vi) would multiply windows of {e} slots" in capsys.readouterr().err
+    assert called == []
+    monkeypatch.setattr(weyl, "SLOT_CAP", slots)
+    assert cli.run(argv) == 0
+    assert called == [argv[0]]
+
+
 @pytest.mark.parametrize("extra", [[], ["--points=-1/25,1/3"]])
 def test_over_digit_budget_poincare_exits_2_at_once(extra, capsys):
     # the exact values at e = 4000 have more digits than Python prints by

@@ -5,7 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import TensorVector, apply_operator, ev_reference, pair, project_to_finite
+from oracles import (
+    TensorVector, apply_operator, ev_reference, pair, project_to_finite,
+    reduced_word_independence_reference,
+)
 
 from heckezonal import cli, tensor
 from heckezonal.scalars import scalar_inverse, scalar_power
@@ -244,26 +247,80 @@ def _word_check(capsys):
 
 
 def test_coefficient_word_check_fails_on_foreign_word(monkeypatch, capsys):
-    # s_1 s_0 gets the extra word [2, 0], a reduced word of s_2 s_0: the
-    # two slot-swap perms differ
+    # the anchor, the first element of layer 6, gets the extra word of
+    # anchor * s_j for an ascent j: its slot-swap perm is the layered perm
+    # times a transposition, so the anchor's word set has two perms
     assert _word_check(capsys) == (0, {"elements": 64, "ok": True})
-    target = multiply(generator(3, 1), generator(3, 0)).w0
+    anchor = enumerate_by_length(3, 6)[6][0]
+    ascent = next(j for j in range(3) if anchor.compose(_simple(3, j)).length() == 7)
     honest = tensor.all_reduced_words
 
     def patched(w0):
         words = honest(w0)
-        return words + [[2, 0]] if w0 == target else words
+        return words + [words[0] + [ascent]] if w0 == anchor else words
 
     monkeypatch.setattr(tensor, "all_reduced_words", patched)
-    assert _word_check(capsys) == (1, {"elements": 64, "ok": False})
+    witness = list(anchor.window)
+    assert _word_check(capsys) == (1, {"elements": 64, "ok": False, "witness": witness})
+
+
+def test_coefficient_word_check_fails_below_the_top_layer(monkeypatch, capsys):
+    # word_perm wrong on [0, 1, 0] alone: the layered check forms that
+    # word only at s_0 s_1 s_0 = s_1 s_0 s_1 in layer 3, and every longer
+    # word, the anchor's included, still gets the honest perm
+    honest = tensor.word_perm
+
+    def patched(word, e):
+        return honest(list(word) + [1], e) if list(word) == [0, 1, 0] else honest(word, e)
+
+    monkeypatch.setattr(tensor, "word_perm", patched)
+    s0, s1 = generator(3, 0), generator(3, 1)
+    witness = list(multiply(s0, multiply(s1, s0)).w0.window)
+    assert _word_check(capsys) == (1, {"elements": 64, "ok": False, "witness": witness})
+
+
+def _broken_t0(monkeypatch):
+    honest = tensor.t_operator
+    monkeypatch.setattr(tensor, "t_operator", lambda i, e: honest(1 if i == 0 else i, e))
+
+
+def _broken_letter_0_swap(monkeypatch):
+    # letter 0 swaps slots (1, 2), as letter 1 does, instead of (1, e)
+    honest = tensor.word_perm
+    monkeypatch.setattr(tensor, "word_perm", lambda word, e: honest([i or 1 for i in word], e))
 
 
 def test_coefficient_word_check_fails_on_wrong_t0(monkeypatch, capsys):
     # t_0 swapping slots (1, 2) instead of (1, e) breaks the operator
-    # product along words that use it, not the slot-swap perms
-    honest = tensor.t_operator
-    monkeypatch.setattr(tensor, "t_operator", lambda i, e: honest(1 if i == 0 else i, e))
-    assert _word_check(capsys) == (1, {"elements": 64, "ok": False})
+    # product along words that use it, not the slot-swap perms: s_0 is
+    # the first element of layer 1
+    _broken_t0(monkeypatch)
+    witness = list(_simple(3, 0).window)
+    assert _word_check(capsys) == (1, {"elements": 64, "ok": False, "witness": witness})
+
+
+def _broken_t0_and_swap(monkeypatch):
+    # both models take t_0 = t_1, so they agree on every word and only the
+    # braid relations fail: t_0 no longer commutes with t_2 once e >= 4
+    _broken_t0(monkeypatch)
+    _broken_letter_0_swap(monkeypatch)
+
+
+@pytest.mark.parametrize("fault, shows", [
+    (None, None), (_broken_t0, (3, 1)), (_broken_letter_0_swap, (3, 1)), (_broken_t0_and_swap, (4, 2)),
+])
+@pytest.mark.parametrize("e", range(2, 8))
+def test_word_check_matches_reference(e, fault, shows, monkeypatch):
+    # the layered check and the per-element enumeration of every reduced
+    # word give one verdict, element count and witness; a fault shows from
+    # the rank and length in `shows` on (at e = 2 the letters 0 and 1 swap
+    # the same two slots)
+    if fault:
+        fault(monkeypatch)
+    for L in range(7):
+        got = tensor.verify_coefficient(e, 1, 2, L, 1, 0)["reduced_word_independence"]
+        assert got == reduced_word_independence_reference(e, L), (e, L)
+        assert got["ok"] is (shows is None or e < shows[0] or L < shows[1]), (e, L)
 
 
 def compose_fold_power(op, n):
