@@ -3,7 +3,8 @@ dispatches each subcommand to the library check that owns its verdict,
 and emits the report to stdout as JSON (default), CSV or text.  Each
 subcommand takes only the flags it reads, plus --output, and rejects
 every other flag.  Exit status: 0 when every check passes, 1 on a check
-failure, 2 on invalid parameters.  Randomized spot checks are driven by
+failure, 2 on invalid parameters; an error inside a check is not
+reported as 2 but propagates.  Randomized spot checks are driven by
 an explicit seed, so identical configurations produce byte-identical
 output.  The arguments are the only input: the constants
 ``weyl.ENUM_CAP`` and ``weyl.SLOT_CAP`` cap group enumeration, and a
@@ -414,8 +415,13 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _validate(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         ok, report = COMMANDS[args.command](args)
-    except (ValueError, EnumerationCapExceeded) as exc:
+    except EnumerationCapExceeded as exc:
+        # the cap's backstop; any other error inside a check propagates
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(emit(args.command, report, args.output))

@@ -17,11 +17,8 @@ An element's table is keyed by plain ``(k, window)`` int tuples, the k
 and W0 window of [pi**k w0], so products hash and compare tuples and
 build no group element per term.  As s_i pi**k = pi**k s_{i+k mod e},
 each peeled letter maps a term [pi**k w0] to [pi**k s_j w0], j = i + k
-mod e, and s_j w0 is an edit of two window slots: the value congruent to
-j mod e, at slot a, goes up by 1, and the value congruent to j + 1, at
-slot b, goes down by 1.  The case is the left-descent test of w0 at j
-read from the same two slots, w0**-1(j) > w0**-1(j + 1), which is
-a - win[a] > b - win[b] + 1 for 0-based slots; no length is computed.
+mod e; ``weyl._left_step`` gives the window of s_j w0 and the case, the
+left-descent test of w0 at j, so no length is computed.
 q1 - 1 is computed once per algebra, not once per descending term.  A
 term of the left factor with coefficient 1 (every term of [pi] or of a
 sum of basis elements) adds its peeled terms unscaled.
@@ -45,6 +42,7 @@ from .scalars import ExactScalar, LaurentPoly, scalar_power
 from .weyl import (
     AffinePermutation,
     ExtendedWeylElement,
+    _left_step,
     generator,
     pi_element,
     random_element,
@@ -116,19 +114,12 @@ class HeckeAlgebra:
         out: dict = {}
         for key, c in coeffs.items():
             k, win = key
-            j = (i + k) % e
-            # slots a and b hold the values congruent to j and j + 1 mod e
-            residues = [(v - j) % e for v in win]
-            a, b = residues.index(0), residues.index(1)
-            edited = list(win)
-            edited[a] += 1
-            edited[b] -= 1
-            sw = (k, tuple(edited))
-            if a - win[a] > b - win[b] + 1:
-                _accumulate(out, sw, q1 * c)
+            edited, descent = _left_step(win, (i + k) % e, e)
+            if descent:
+                _accumulate(out, (k, edited), q1 * c)
                 _accumulate(out, key, q1_minus_1 * c)
             else:
-                _accumulate(out, sw, c)
+                _accumulate(out, (k, edited), c)
         return out
 
     def _left_pi_power(self, k: int, coeffs: dict) -> dict:

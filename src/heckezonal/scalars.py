@@ -296,8 +296,3 @@ def parse_rational(s: str) -> Fraction:
     """Parse "num/den" or a bare integer string."""
     return Fraction(s.strip())
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

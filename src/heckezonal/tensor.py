@@ -42,8 +42,8 @@ from fractions import Fraction
 from .scalars import ExactScalar, scalar_power
 from .spherical import SphericalParams, matrix_coefficient_scalar
 from .weyl import (
-    ExtendedWeylElement, all_reduced_words, conjugate_by_pi, enumerate_by_length, perm_compose,
-    random_element,
+    ExtendedWeylElement, _right_steps, all_reduced_words, conjugate_by_pi, enumerate_by_length,
+    perm_compose, random_element,
 )
 
 __all__ = [
@@ -215,6 +215,7 @@ def verify_coefficient(e: int, f: int, q0: int, L: int, seed: int, samples: int)
     # cross-check independent of the swap rule.  j is a descent exactly
     # when w0 s_j lies in the layer below.
     ts = [t_operator(i, e) for i in range(e)]
+    steps = _right_steps(e)
     top = min(L, 6)
     known = {layers[0][0].window: ((), PlaceOperator.identity(e))}
     failed = None  # (layer, window) of the first failing element
@@ -223,14 +224,8 @@ def verify_coefficient(e: int, f: int, q0: int, L: int, seed: int, samples: int)
         for w0 in layers[ell]:
             w = w0.window
             perms, rep = set(), None
-            for j in range(e):
-                # w0 s_j: enumerate_by_length's two-slot window edit
-                u = list(w)
-                if j:
-                    u[j - 1], u[j] = w[j], w[j - 1]
-                else:
-                    u[0], u[-1] = w[-1] - e, w[0] + e
-                entry = below.get(tuple(u))
+            for j, step in enumerate(steps):
+                entry = below.get(step(w))
                 if entry is not None:
                     word = entry[0] + (j,)
                     if rep is None:

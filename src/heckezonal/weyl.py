@@ -19,10 +19,13 @@ Windows are validated where they enter (``AffinePermutation(e, window)``,
 simple reflections skip the checks through ``AffinePermutation._raw``.
 So is the extended ``multiply``, which builds its canonical form from one
 ``conjugate_by_pi`` and one ``compose``, and so are the layers of
-``enumerate_by_length``.  That breadth-first search runs on raw window
-tuples and steps by right multiplication, w * s_i, an edit of two window
-slots; since l(w s_i) = l(w) +- 1 it tests each candidate against the
-layer below and the frontier only, and it never calls ``length()``.
+``enumerate_by_length``.
+
+Only this module edits windows, and each step by a simple reflection is
+written once: ``_right_steps(e)[j]`` maps the window of w to that of
+w * s_j, and ``_left_step`` gives the window of s_j * w with the
+left-descent test.  ``reduced_word`` alone edits an inverse window in
+place, as it is the hot path of every Hecke product.
 
 >>> s1 = generator(3, 1)
 >>> s1.w0.window
@@ -36,6 +39,7 @@ True
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -117,17 +121,8 @@ class AffinePermutation:
         return total
 
     def has_left_descent(self, i: int) -> bool:
-        """True iff l(s_i * self) = l(self) - 1, for i in 0..e-1.
-
-        Left descent at i means the value i appears after the value i+1,
-        i.e. self**-1(i) > self**-1(i+1).  Value v in slot j (from 0) gives
-        self**-1(v + m*e) = j + 1 + m*e; slots a and b hold the values
-        congruent to i and to i+1 mod e.
-        """
-        e, win = self.e, self.window
-        residues = [(v - i) % e for v in win]
-        a, b = residues.index(0), residues.index(1)
-        return a - win[a] > b - win[b] + 1
+        """True iff l(s_i * self) = l(self) - 1: the flag of ``_left_step``."""
+        return _left_step(self.window, i, self.e)[1]
 
     def reduced_word(self) -> list[int]:
         """A reduced word [i_1, ..., i_l] with self = s_{i_1} ... s_{i_l}.
@@ -162,17 +157,47 @@ def _inverse_window(e: int, window: tuple[int, ...]) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
+def _right_steps(e: int) -> tuple:
+    """Entry j maps the window of a W0 element w to the window of w * s_j.
+
+    (w s_j)(x) = w(s_j(x)): for j >= 1 slots j and j+1 swap, and for
+    j = 0 slot 1 gets w(0) = w(e) - e and slot e gets w(e+1) = w(1) + e.
+    """
+    def wrap(w: tuple[int, ...]) -> tuple[int, ...]:
+        return (w[-1] - e, *w[1:-1], w[0] + e)
+
+    # each getter lists all e slots, about e**2 in the table; the lists
+    # are copies of one tuple, so they share its index ints
+    order, swaps = tuple(range(e)), []
+    for j in range(1, e):
+        slots = list(order)
+        slots[j - 1], slots[j] = j, j - 1
+        swaps.append(operator.itemgetter(*slots))
+    return (wrap, *swaps)
+
+
+def _left_step(w: tuple[int, ...], j: int, e: int) -> tuple[tuple[int, ...], bool]:
+    """The window of s_j * w for the window w, and whether l(s_j w) = l(w) - 1.
+
+    s_j raises the value congruent to j mod e, at slot a, by 1 and lowers
+    the one congruent to j + 1, at slot b, by 1.  The descent test
+    w**-1(j) > w**-1(j + 1) reads a - w[a] > b - w[b] + 1, as value v in
+    slot a (from 0) gives w**-1(v + m*e) = a + 1 + m*e.
+    """
+    residues = [(v - j) % e for v in w]
+    a, b = residues.index(0), residues.index(1)
+    edited = list(w)
+    edited[a] += 1
+    edited[b] -= 1
+    return tuple(edited), a - w[a] > b - w[b] + 1
+
+
+@functools.lru_cache(maxsize=None)
 def _simple(e: int, i: int) -> AffinePermutation:
     """The simple affine permutation s_i as an element of W0, one per (e, i)."""
     if not 0 <= i <= e - 1:
         raise ValueError(f"generator index {i} out of range 0..{e - 1}")
-    win = list(range(1, e + 1))
-    if i >= 1:
-        win[i - 1], win[i] = win[i], win[i - 1]
-    else:
-        win[0] = 0
-        win[e - 1] = e + 1
-    return AffinePermutation._raw(e, tuple(win))
+    return AffinePermutation._raw(e, _right_steps(e)[i](tuple(range(1, e + 1))))
 
 
 @dataclass(frozen=True)
@@ -241,11 +266,12 @@ def all_reduced_words(w0: AffinePermutation) -> list[list[int]]:
     The recursion runs on inverse windows and reads each node's left
     descents from its window with the tests of ``reduced_word``: a descent
     at i >= 1 iff w**-1(i) > w**-1(i+1), at 0 iff w**-1(e) - e > w**-1(1).
-    s_i w has the inverse window of w with those two slots swapped (and
-    shifted by e for i = 0).  Words are listed by first letter, lowest
-    first, then recursively by the rest.
+    As (s_i w)**-1 = w**-1 s_i, the inverse window of s_i w is the right
+    step ``_right_steps(e)[i]`` of that of w.  Words are listed by first
+    letter, lowest first, then recursively by the rest.
     """
     e = w0.e
+    steps = _right_steps(e)
     cache: dict[tuple[int, ...], list[list[int]]] = {tuple(range(1, e + 1)): [[]]}
 
     def walk(inv: tuple[int, ...]) -> list[list[int]]:
@@ -254,12 +280,10 @@ def all_reduced_words(w0: AffinePermutation) -> list[list[int]]:
             return words
         words = []
         if inv[e - 1] - e > inv[0]:
-            nxt = (inv[e - 1] - e,) + inv[1 : e - 1] + (inv[0] + e,)
-            words.extend([0] + tail for tail in walk(nxt))
+            words.extend([0] + tail for tail in walk(steps[0](inv)))
         for i in range(1, e):
             if inv[i - 1] > inv[i]:
-                nxt = inv[: i - 1] + (inv[i], inv[i - 1]) + inv[i + 1 :]
-                words.extend([i] + tail for tail in walk(nxt))
+                words.extend([i] + tail for tail in walk(steps[i](inv)))
         cache[inv] = words
         return words
 
@@ -286,9 +310,8 @@ def enumerate_by_length(e: int, max_length: int) -> list[list[AffinePermutation]
     which keeps it usable as an independent distance oracle.
 
     It runs on raw window tuples and steps by right multiplication,
-    (w s_i)(x) = w(s_i(x)), which edits a copy of the window: for i >= 1
-    slots i and i+1 swap, and s_0 sets slot 1 to w(e) - e and slot e to
-    w(1) + e.  As l(w s) = l(w) +- 1, the Cayley graph is bipartite: a
+    w -> w s_i, through the table ``_right_steps(e)``.  As
+    l(w s) = l(w) +- 1, the Cayley graph is bipartite: a
     neighbour of layer l lies in layer l - 1 or l + 1, so each candidate
     is tested against the layer below and the growing frontier only.
     The cap is the module constant ``ENUM_CAP``, read at call time, and
@@ -308,15 +331,11 @@ def enumerate_by_length(e: int, max_length: int) -> list[list[AffinePermutation]
     layers = [[identity]]
     total = 1
     for _ in range(max_length):
-        frontier = set()
+        # fetched per layer, so L = 0 builds no table at a large rank
+        steps, frontier = _right_steps(e), set()
         for w in layers[-1]:
-            for i in range(e):
-                u = list(w)
-                if i:
-                    u[i - 1], u[i] = w[i], w[i - 1]
-                else:
-                    u[0], u[-1] = w[-1] - e, w[0] + e
-                u = tuple(u)
+            for step in steps:
+                u = step(w)
                 if u not in below and u not in frontier:
                     frontier.add(u)
                     if total + len(frontier) > cap:
@@ -346,9 +365,3 @@ def conjugate_by_pi(w0: AffinePermutation, k: int) -> AffinePermutation:
     r = k % e
     out = [v - r for v in win[r:]] + [v + e - r for v in win[:r]]
     return AffinePermutation._raw(e, tuple(out))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

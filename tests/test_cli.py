@@ -1,7 +1,9 @@
 """Command-line frontend: exit codes, formats, determinism."""
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import pathlib
@@ -12,8 +14,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heckezonal import cli, tensor, weyl
+from heckezonal import cli, spherical, tensor, weyl
 from heckezonal import distinction as dst
 from heckezonal.scalars import format_rational
 from heckezonal.weyl import AffinePermutation, enumerate_by_length
@@ -196,6 +200,28 @@ def test_enumeration_cap_env(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "cap of 10 elements" in captured.err
+
+
+def test_enumeration_backstop_exits_2(monkeypatch, capsys):
+    # with the count understated, _validate passes and the search itself
+    # stops at the cap: that backstop is still bad input
+    monkeypatch.setattr(dst, "w0_count", lambda e, L, cap: 1)
+    monkeypatch.setattr(weyl, "ENUM_CAP", 10)
+    assert cli.run(["growth", "--e", "4", "--L", "8"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "enumeration cap exceeded (cap of 10 elements)" in captured.err
+
+
+def test_error_inside_a_check_propagates(monkeypatch):
+    # only _validate's ValueError is bad input; one raised by a check is
+    # a fault of the program and must not read as exit status 2
+    def broken(*args):
+        raise ValueError("broken check")
+
+    monkeypatch.setattr(spherical, "psi0_coefficient", broken)
+    with pytest.raises(ValueError, match="broken check"):
+        cli.run(["eigen", "--e", "3", "--L", "2"])
 
 
 def test_over_budget_run_exits_2_before_enumerating(capsys):
@@ -526,38 +552,54 @@ def test_chi_pi_zero_exits_2_before_any_suite_runs(monkeypatch, capsys):
     assert called == []
 
 
-def small_valid_argv(command, rng):
-    """A random argv of command that names only valid, small values."""
-    draw = {
-        "--e": lambda: rng.choice((3, 5)) if command == "distinction" else rng.randint(2, 5),
-        "--f": lambda: rng.randint(1, 2),
-        "--q0": lambda: rng.choice((2, 3, 4, 5, 7, 8, 9)),
-        "--L": lambda: rng.randint(1 if command in ("eigen", "all") else 0, 4),
-        "--chi-pi": lambda: rng.choice(("1", "2", "-1/3", "3/2")),
-        "--seed": lambda: rng.randrange(10**6),
-        "--samples": lambda: rng.randint(0, 3),
-        "--points": lambda: ",".join(
-            f"{rng.randint(1 - den, den - 1)}/{den}" for den in rng.sample(range(2, 12), rng.randint(1, 3))
-        ),
-        "--output": lambda: rng.choice(("json", "csv", "text")),
+# the prime powers up to 27, written out rather than taken from the
+# primality test under check
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27)
+
+
+@st.composite
+def small_valid_argv(draw, command):
+    """(argv, e): an argv of command that names only valid, small values."""
+    strategies = {
+        "--e": st.integers(2, 6),
+        "--f": st.integers(1, 2),
+        "--q0": st.sampled_from(PRIME_POWERS),
+        "--L": st.integers(1 if command in ("eigen", "all") else 0, 4),
+        "--chi-pi": st.fractions(-10, 10, max_denominator=12).filter(bool).map(format_rational),
+        "--seed": st.integers(0, 10**6),
+        "--samples": st.integers(0, 3),
+        "--points": st.lists(
+            st.fractions(-1, 1, max_denominator=12).filter(lambda x: abs(x) < 1).map(format_rational),
+            min_size=1, max_size=3,
+        ).map(",".join),
+        "--output": st.sampled_from(("json", "csv", "text")),
     }
     values = {}
     for flag in (*cli.SUBCOMMANDS[command][1:], "--output"):
         # --e, --L and --samples keep their small range; the rest may default
-        if flag in draw and (flag in ("--e", "--L", "--samples") or rng.random() < 0.75):
-            values[flag] = draw[flag]()
-    if command == "distinction" and rng.random() < 0.5:
-        e, f, q0 = values["--e"], values.get("--f", 1), values.get("--q0", 2)
+        if flag in strategies and (flag in ("--e", "--L", "--samples") or draw(st.booleans())):
+            values[flag] = draw(strategies[flag])
+    e = values.get("--e", 3)
+    if command == "distinction" and e % 2 and draw(st.booleans()):
+        f, q0 = values.get("--f", 1), values.get("--q0", 2)
         values["--expect-closed-form"] = format_rational(e * dst.poincare_value(e, Fraction(-1, q0**f)))
-    return [command] + [f"{flag}={value}" for flag, value in values.items()]
+    return [command] + [f"{flag}={value}" for flag, value in values.items()], e
 
 
 @pytest.mark.parametrize("command", cli.COMMANDS)
-def test_small_valid_argvs_exit_0(command, capsys):
-    # 20 seeded argvs per subcommand: a check at the boundary that rejects
-    # valid input, or a budget set too tight, fails here
-    rng = random.Random(f"sweep {command}")
-    for _ in range(20):
-        argv = small_valid_argv(command, rng)
-        assert cli.run(argv) == 0, argv
-        assert capsys.readouterr().err == "", argv
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_small_valid_argvs_exit_0(command, data):
+    # e <= 6, L <= 4, f <= 2, q0 a prime power <= 27, any nonzero
+    # --chi-pi, any --points in (-1, 1) and every --output: a check at
+    # the boundary that rejects valid input, or a budget set too tight,
+    # fails here.  distinction at even e is the one bad input drawn.
+    argv, e = data.draw(small_valid_argv(command))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = cli.run(argv)
+    if command == "distinction" and e % 2 == 0:
+        assert status == 2 and out.getvalue() == "", argv
+        assert "distinction requires odd --e" in err.getvalue(), argv
+    else:
+        assert status == 0 and err.getvalue() == "", argv

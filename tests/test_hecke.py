@@ -10,6 +10,7 @@ import pytest
 from oracles import right_peeling_product, specialize
 
 import heckezonal.hecke as hecke
+import heckezonal.weyl as weyl
 from heckezonal.hecke import HeckeAlgebra, chi, verify_presentation
 from heckezonal.scalars import LaurentPoly
 from heckezonal.spherical import SphericalParams, SphericalTruncation
@@ -186,19 +187,21 @@ def test_product_matches_right_peeling(e):
         assert A.product(h1, h2) == right_peeling_product(h1, h2), (h1, h2)
 
 
-def mutate_left_generator(monkeypatch, edits):
-    """Patch HeckeAlgebra._left_generator with its own source, edited.
+def mutate(monkeypatch, fn, edits, *homes):
+    """Patch fn with its own source, edited, in each of homes.
 
     Each (old, new) pair must occur exactly once in the source, so a
-    test fails if the text it mutates moves.
+    test fails if the text it mutates moves.  The edited function reads
+    the globals of fn's own module.
     """
-    source = textwrap.dedent(inspect.getsource(HeckeAlgebra._left_generator))
+    source = textwrap.dedent(inspect.getsource(fn))
     for old, new in edits:
         assert source.count(old) == 1, old
         source = source.replace(old, new)
     namespace = {}
-    exec(source, vars(hecke), namespace)
-    monkeypatch.setattr(HeckeAlgebra, "_left_generator", namespace["_left_generator"])
+    exec(source, fn.__globals__, namespace)
+    for home in homes:
+        monkeypatch.setattr(home, fn.__name__, namespace[fn.__name__])
 
 
 def test_presentation_catches_flipped_conjugation(monkeypatch):
@@ -209,7 +212,7 @@ def test_presentation_catches_flipped_conjugation(monkeypatch):
     # (ExtendedWeylElement.multiply is covered by the full-window
     # reference in test_weyl.py)
     assert verify_presentation(4).ok
-    mutate_left_generator(monkeypatch, [("(i + k) % e", "(i - k) % e")])
+    mutate(monkeypatch, HeckeAlgebra._left_generator, [("(i + k) % e", "(i - k) % e")], HeckeAlgebra)
     assert not verify_presentation(4).ok
 
 
@@ -217,14 +220,16 @@ BROKEN_STEPS = {
     # s_j w0 with the value = j mod e lowered and the one = j + 1 raised
     "swapped-edit": [("edited[a] += 1", "edited[a] -= 1"), ("edited[b] -= 1", "edited[b] += 1")],
     # every term takes the other case of the two-case rule
-    "flipped-descent": [("a - win[a] > b - win[b] + 1", "a - win[a] <= b - win[b] + 1")],
+    "flipped-descent": [("edited), a - w[a] > b - w[b] + 1", "edited), a - w[a] <= b - w[b] + 1")],
 }
 
 
 @pytest.mark.parametrize("edits", BROKEN_STEPS.values(), ids=BROKEN_STEPS)
 def test_presentation_catches_a_broken_generator_step(edits, monkeypatch):
+    # the edit and the descent test of s_j w0 live in weyl._left_step,
+    # which the product's generator step calls
     assert verify_presentation(4).ok
-    mutate_left_generator(monkeypatch, edits)
+    mutate(monkeypatch, weyl._left_step, edits, weyl, hecke)
     try:
         ok = verify_presentation(4).ok
     except ValueError:

@@ -244,6 +244,28 @@ def test_has_left_descent_matches_length():
                 assert a.w0.has_left_descent(i) == shorter, (a.w0.window, i)
 
 
+@pytest.mark.parametrize("e", range(2, 8))
+def test_window_steps_match_apply(e):
+    # s_j on the integers, written out here: it raises x = j mod e by 1
+    # and lowers x = j + 1 mod e by 1, for j = 0 as for j >= 1.  The
+    # generators are not used, as _simple reads the step table, and
+    # neither is compose; each step is checked against apply.
+    def s(j, x):
+        return x + 1 if (x - j) % e == 0 else x - 1 if (x - j - 1) % e == 0 else x
+
+    steps = heckezonal.weyl._right_steps(e)
+    assert len(steps) == e
+    for layer in enumerate_by_length(e, 4):
+        for w0 in layer:
+            win, ell = w0.window, w0.length()
+            for j in range(e):
+                right = tuple(apply(w0, s(j, x)) for x in range(1, e + 1))
+                assert steps[j](win) == right, (win, j)
+                left, descent = heckezonal.weyl._left_step(win, j, e)
+                assert left == tuple(s(j, apply(w0, x)) for x in range(1, e + 1)), (win, j)
+                assert descent == (AffinePermutation(e, left).length() == ell - 1), (win, j)
+
+
 def test_reduced_word_matches_reference():
     rng = random.Random(81)
     for e in range(2, 9):
