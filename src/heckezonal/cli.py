@@ -14,10 +14,10 @@ window slots, e each, than the second: the budget is the binomial count
 C(L+e, e) - C(L, e) (``distinction.w0_count``).  ``presentation`` and
 ``all`` exit 2 at once when the (e-2)(e-3)/2 cases of presentation
 family (vi), windows of e slots each, hold more slots than the second
-cap.  ``poincare`` and ``all``
-exit 2 at once when an exact Poincare value could print more than
-``DIGIT_CAP`` digits, and ``distinction`` and ``all`` at odd e when a
-value of the distinction sum could.
+cap, and ``coefficient`` when e operators of e slots each do.
+``poincare`` and ``all`` exit 2 at once when an exact Poincare value
+could print more than ``DIGIT_CAP`` digits, and ``distinction`` and
+``all`` at odd e when a value of the distinction sum could.
 """
 
 from __future__ import annotations
@@ -177,6 +177,14 @@ def _validate(args) -> None:
                 f"--e {args.e}: presentation family (vi) would multiply windows of {args.e} slots "
                 f"in {cases} cases, {cases * args.e} slots in all, over the cap of {slot_cap} slots"
             )
+    if args.command == "coefficient" and args.e * args.e > weyl.SLOT_CAP:
+        # the operator check holds e transpositions and up to e Gamma
+        # powers, perms of e slots each, whatever --L is; all meets the
+        # presentation budget at a far lower rank
+        raise ValueError(
+            f"--e {args.e}: coefficient would hold {args.e * args.e} operator slots "
+            f"({args.e} slots in each of {args.e} operators), over the cap of {weyl.SLOT_CAP} slots"
+        )
     if args.command in ("poincare", "all"):
         digits = _poincare_digits(args.e, _poincare_points(args))
         if digits > DIGIT_CAP:

@@ -77,8 +77,10 @@ class LaurentPoly:
     ``Fraction`` (``inverse``, negative monomial powers), so no float is
     ever formed.
 
-    Instances are immutable by convention: no method mutates ``self``.
-    Every instance is in the same single variable, printed as ``q``.
+    Instances are immutable: ``__setattr__`` refuses every write, the
+    constructors write the one slot through its member descriptor
+    ``_set_coeffs``, and no method mutates ``self``.  Every instance is
+    in the same single variable, printed as ``q``.
     """
 
     __slots__ = ("_coeffs",)
@@ -89,13 +91,13 @@ class LaurentPoly:
             c = _canonical(_as_fraction(c))
             if c:
                 clean[int(n)] = c
-        object.__setattr__(self, "_coeffs", clean)
+        _set_coeffs(self, clean)
 
     @classmethod
     def _raw(cls, clean: dict[int, int | Fraction]) -> "LaurentPoly":
         """Wrap a dict that already satisfies the invariant, unchecked."""
         self = object.__new__(cls)
-        object.__setattr__(self, "_coeffs", clean)
+        _set_coeffs(self, clean)
         return self
 
     def __setattr__(self, name, value):
@@ -257,6 +259,8 @@ class LaurentPoly:
         out = " + ".join(parts)
         return out.replace("+ -", "- ")
 
+
+_set_coeffs = LaurentPoly._coeffs.__set__
 
 ExactScalar = Union[Fraction, LaurentPoly]
 

@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlaceOperator:
     """A scaled place permutation of e tensor slots."""
 
@@ -72,9 +72,9 @@ class PlaceOperator:
     def _raw(cls, e: int, perm: tuple[int, ...], scale: ExactScalar) -> "PlaceOperator":
         """Wrap a perm already known to permute 1..e, unchecked."""
         self = object.__new__(cls)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "scale", scale)
+        _set_e(self, e)
+        _set_perm(self, perm)
+        _set_scale(self, scale)
         return self
 
     @classmethod
@@ -103,6 +103,12 @@ class PlaceOperator:
             for j, x in enumerate(cycle):
                 out[x - 1] = cycle[(j + n) % m]
         return PlaceOperator._raw(self.e, tuple(out), scalar_power(self.scale, n))
+
+
+# the slots' own setters: the frozen __setattr__ refuses every write
+_set_e = PlaceOperator.e.__set__
+_set_perm = PlaceOperator.perm.__set__
+_set_scale = PlaceOperator.scale.__set__
 
 
 def t_operator(i: int, e: int) -> PlaceOperator:

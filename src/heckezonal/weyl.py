@@ -19,7 +19,10 @@ Windows are validated where they enter (``AffinePermutation(e, window)``,
 simple reflections skip the checks through ``AffinePermutation._raw``.
 So is the extended ``multiply``, which builds its canonical form from one
 ``conjugate_by_pi`` and one ``compose``, and so are the layers of
-``enumerate_by_length``.
+``enumerate_by_length``.  Both element types are frozen slotted
+dataclasses: an element holds its fields and no ``__dict__``, and
+``_raw`` writes the two slots through their member descriptors, bound
+once below the class, as the frozen ``__setattr__`` refuses every write.
 
 Only this module edits windows, and each step by a simple reflection is
 written once: ``_right_steps(e)[j]`` maps the window of w to that of
@@ -69,7 +72,7 @@ class EnumerationCapExceeded(RuntimeError):
     """Enumeration would exceed the element cap ``ENUM_CAP``."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffinePermutation:
     """An element of W0: a zero-shift affine permutation in window notation."""
 
@@ -92,8 +95,8 @@ class AffinePermutation:
     def _raw(cls, e: int, window: tuple[int, ...]) -> "AffinePermutation":
         """Wrap a window already known to lie in W0, unchecked."""
         self = object.__new__(cls)
-        object.__setattr__(self, "e", e)
-        object.__setattr__(self, "window", window)
+        _set_e(self, e)
+        _set_window(self, window)
         return self
 
     @classmethod
@@ -140,10 +143,16 @@ class AffinePermutation:
                 i = 0
                 inv[0], inv[e - 1] = inv[e - 1] - e, inv[0] + e
             else:
-                i = next(i for i in range(1, e) if inv[i - 1] > inv[i])
+                i = 1
+                while inv[i - 1] < inv[i]:
+                    i += 1
                 inv[i - 1], inv[i] = inv[i], inv[i - 1]
             word.append(i)
         return word
+
+
+_set_e = AffinePermutation.e.__set__
+_set_window = AffinePermutation.window.__set__
 
 
 def _inverse_window(e: int, window: tuple[int, ...]) -> list[int]:
@@ -200,7 +209,7 @@ def _simple(e: int, i: int) -> AffinePermutation:
     return AffinePermutation._raw(e, _right_steps(e)[i](tuple(range(1, e + 1))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExtendedWeylElement:
     """Canonical form pi**k * w0 of an extended affine Weyl group element."""
 
@@ -290,9 +299,15 @@ def all_reduced_words(w0: AffinePermutation) -> list[list[int]]:
     return walk(w0.inverse().window)
 
 
+@functools.lru_cache(maxsize=None)
+def _identity(e: int) -> ExtendedWeylElement:
+    """The identity of rank e, validated once per rank."""
+    return ExtendedWeylElement.identity(e)
+
+
 def random_element(e: int, rng) -> ExtendedWeylElement:
     """pi**k times 0..4 generators, all drawn from the random.Random rng."""
-    w = ExtendedWeylElement.identity(e)
+    w = _identity(e)
     for _ in range(rng.randrange(0, 5)):
         w = multiply(generator(e, rng.randrange(e)), w)
     # pi**k w is x -> w(x) - k; it enters through the validating constructor,
@@ -351,7 +366,7 @@ def enumerate_by_length(e: int, max_length: int) -> list[list[AffinePermutation]
 
 def perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     """One-line composition (p o q)(i) = p(q(i))."""
-    return tuple(p[q[i] - 1] for i in range(len(p)))
+    return tuple([p[i - 1] for i in q])
 
 
 def conjugate_by_pi(w0: AffinePermutation, k: int) -> AffinePermutation:
@@ -359,9 +374,11 @@ def conjugate_by_pi(w0: AffinePermutation, k: int) -> AffinePermutation:
 
     Its window is w0(i + k) - k for i = 1..e: with r = k mod e, the window
     of w0 rotated left by r slots, the r wrapped values raised by e, and
-    every value lowered by r.
+    every value lowered by r.  At r = 0 it is w0 itself.
     """
     e, win = w0.e, w0.window
     r = k % e
+    if not r:
+        return w0
     out = [v - r for v in win[r:]] + [v + e - r for v in win[:r]]
     return AffinePermutation._raw(e, tuple(out))

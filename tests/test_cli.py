@@ -303,6 +303,19 @@ def test_presentation_budget_at_the_default_cap():
         cli._validate(parser.parse_args(["presentation", "--e", "274"]))
 
 
+def test_coefficient_budget_at_the_default_cap(capsys):
+    # e operators of e slots each: 9,998,244 slots at e = 3162 and
+    # 10,004,569 at e = 3163, whatever --L is
+    parser = cli.build_parser()
+    cli._validate(parser.parse_args(["coefficient", "--e", "3162", "--L", "0"]))
+    start = time.perf_counter()
+    assert cli.run(["coefficient", "--e", "3163", "--L", "0"]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--e 3163: coefficient would hold 10004569 operator slots" in captured.err
+
+
 @pytest.mark.parametrize("argv", [["presentation", "--e", "6", "--samples", "0"], ["all", "--e", "7", "--L", "1"]])
 def test_presentation_budget_is_exact(argv, monkeypatch, capsys):
     # 6 * 3 = 18 slots at e = 6 and 7 * 10 = 70 at e = 7, where the --L

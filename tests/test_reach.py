@@ -39,7 +39,7 @@ UNREACHED = {
     "hecke.chi": "the one-dimensional character (acceptance criterion 3); no subcommand reports it",
     "scalars.LaurentPoly.term": "monomial constructor of the scalar API, used by the doctest and tests",
     "scalars.LaurentPoly.__repr__": "readable polynomials in assertion messages and interactive use",
-    "scalars.LaurentPoly.__setattr__": "enforces immutability; the class writes through object.__setattr__",
+    "scalars.LaurentPoly.__setattr__": "enforces immutability; the constructors write the slot through its descriptor",
     "scalars.LaurentPoly.__rsub__": "int - LaurentPoly, completing the ring operations",
     "scalars.LaurentPoly.__hash__": "immutable value type: equal polynomials hash equal; no CLI path hashes one",
 }

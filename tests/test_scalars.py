@@ -124,6 +124,10 @@ def _assert_invariant(p: LaurentPoly) -> None:
         assert (type(c) is int or (type(c) is Fraction and c.denominator != 1)) and c != 0, coeffs
     rebuilt = LaurentPoly(coeffs)
     assert p == rebuilt and hash(p) == hash(rebuilt)
+    # one slot, no __dict__, and no write after construction
+    assert not hasattr(p, "__dict__")
+    with pytest.raises(AttributeError):
+        p._coeffs = coeffs
 
 
 def test_equal_polynomials_hash_equal():

@@ -47,6 +47,28 @@ def word_operator(word, e):
     return op
 
 
+def assert_matches_validated(op):
+    """A trusted operator: equal and hash-equal to its perm and scale
+    through the validating constructor, with no __dict__ and frozen."""
+    checked = PlaceOperator(op.e, op.perm, op.scale)
+    assert op == checked and hash(op) == hash(checked)
+    assert not hasattr(op, "__dict__")
+    with pytest.raises(AttributeError):
+        op.scale = checked.scale
+
+
+def test_trusted_operators_match_validated():
+    # ev and compose results over Fraction and Laurent scales; power
+    # results are checked in test_power_matches_compose_fold
+    for p in (SphericalParams.numeric(4, 2, 3), SphericalParams.generic(4)):
+        for layer in enumerate_by_length(4, 3):
+            for w0 in layer:
+                for k in range(-4, 5):
+                    op = ev(ExtendedWeylElement(k, w0), p)
+                    assert_matches_validated(op)
+                    assert_matches_validated(op.compose(t_operator(k % 4, 4)))
+
+
 def test_t_operator_slots():
     v = TensorVector.pure([[1, 0], [0, 1], [2, 3]])
     # t_1 swaps the first two slots of a pure tensor
@@ -344,7 +366,7 @@ def test_power_matches_compose_fold():
             for n in range(-2 * e, 2 * e + 1):
                 got = op.power(n)
                 assert got == compose_fold_power(op, n), (op, n)
-                assert PlaceOperator(e, got.perm, got.scale) == got
+                assert_matches_validated(got)
 
 
 def test_coefficient_fails_on_non_reduced_word(monkeypatch):

@@ -4,6 +4,8 @@ import doctest
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import apply, project_to_finite
 
 import heckezonal.weyl
@@ -62,6 +64,11 @@ def test_generator_examples():
         generator(3, 3)
     with pytest.raises(ValueError):
         AffinePermutation.identity(1)
+    # the sampler's identity is validated once per rank, and still raises
+    with pytest.raises(ValueError):
+        ExtendedWeylElement.identity(1)
+    with pytest.raises(ValueError):
+        heckezonal.weyl.random_element(1, random.Random(0))
 
 
 def test_pi_element_relations():
@@ -164,27 +171,42 @@ def reference_reduced_word(w: AffinePermutation) -> list[int]:
     return word
 
 
-def revalidated(w: AffinePermutation) -> AffinePermutation:
-    """The same window through the validating constructor (raises if invalid)."""
-    return AffinePermutation(w.e, w.window)
+def assert_matches_validated(w: AffinePermutation) -> None:
+    """A trusted result: equal and hash-equal to the same window through
+    the validating constructor (which raises if it is invalid), with no
+    __dict__ and frozen."""
+    checked = AffinePermutation(w.e, w.window)
+    assert w == checked and hash(w) == hash(checked)
+    assert not hasattr(w, "__dict__")
+    with pytest.raises(AttributeError):
+        w.window = checked.window
 
 
 def test_trusted_results_are_valid_windows():
     rng = random.Random(61)
     for e in range(2, 9):
+        for i in range(e):
+            assert_matches_validated(generator(e, i).w0)
+        for layer in enumerate_by_length(e, 3):
+            for w0 in layer:
+                assert_matches_validated(w0)
         for _ in range(40):
             a, b = random_element(e, rng, max_len=10), random_element(e, rng, max_len=10)
             ab = a.w0.compose(b.w0)
-            assert revalidated(ab) == ab
+            assert_matches_validated(ab)
             assert all(apply(ab, x) == apply(a.w0, apply(b.w0, x)) for x in range(-2 * e, 2 * e))
             inv = a.w0.inverse()
-            assert revalidated(inv) == inv == reference_inverse(a.w0)
+            assert_matches_validated(inv)
+            assert inv == reference_inverse(a.w0)
             assert inv.compose(a.w0) == AffinePermutation.identity(e)
             for w in (multiply(a, b), a.inverse()):
-                assert revalidated(w.w0) == w.w0
+                assert_matches_validated(w.w0)
+                assert not hasattr(w, "__dict__")
+                with pytest.raises(AttributeError):
+                    w.k = 0
             for k in range(-e, e + 1):
                 c = conjugate_by_pi(a.w0, k)
-                assert revalidated(c) == c
+                assert_matches_validated(c)
                 assert c.length() == a.length()
 
 
@@ -274,6 +296,33 @@ def test_reduced_word_matches_reference():
             word = w0.reduced_word()
             assert word == reference_reduced_word(w0), w0.window
             assert len(word) == w0.length()
+
+
+@pytest.mark.parametrize("e", range(2, 7))
+def test_reduced_word_round_trip_on_layers(e):
+    # every element of the layers, not a sample: the word has the layer's
+    # length and its generators multiply back to the element
+    for ell, layer in enumerate(enumerate_by_length(e, 5)):
+        for w0 in layer:
+            word = w0.reduced_word()
+            assert len(word) == ell, w0.window
+            acc = AffinePermutation.identity(e)
+            for i in word:
+                acc = acc.compose(generator(e, i).w0)
+            assert acc == w0, (w0.window, word)
+
+
+PERMS = st.integers(1, 8).flatmap(
+    lambda e: st.tuples(st.permutations(range(1, e + 1)), st.permutations(range(1, e + 1)))
+)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(PERMS)
+def test_perm_compose_applies_the_right_factor_first(pq):
+    p, q = (dict(enumerate(perm, start=1)) for perm in pq)
+    composed = perm_compose(*map(tuple, pq))
+    assert composed == tuple(p[q[i]] for i in range(1, len(p) + 1))
 
 
 def test_all_reduced_words_multiply_back():
