@@ -35,7 +35,6 @@ tolerance.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
@@ -159,19 +158,20 @@ def w0_count(e: int, L: int, cap: int) -> int:
     return comb(L + e, e) - comb(L, e)
 
 
-@dataclass(frozen=True)
 class IntegralReport:
     """Exact truncated double-coset sum against its closed-form value."""
 
-    e: int
-    f: int
-    q0: Fraction
-    L: int
-    partial_sum: Fraction
-    closed_form: Fraction
-    abs_error: Fraction
-    tail_bound: Fraction
-    per_term_ok: bool
+    def __init__(self, e: int, f: int, q0: Fraction, L: int, partial_sum: Fraction,
+                 closed_form: Fraction, abs_error: Fraction, tail_bound: Fraction, per_term_ok: bool):
+        self.e = e
+        self.f = f
+        self.q0 = q0
+        self.L = L
+        self.partial_sum = partial_sum
+        self.closed_form = closed_form
+        self.abs_error = abs_error
+        self.tail_bound = tail_bound
+        self.per_term_ok = per_term_ok
 
     @property
     def ok(self) -> bool:

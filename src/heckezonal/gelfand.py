@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import format_rational
@@ -124,7 +123,6 @@ def nullspace(a: Matrix) -> list[Vector]:
 # -- finite representations ---------------------------------------------
 
 
-@dataclass(frozen=True)
 class FiniteRep:
     """A representation rho of a permutation group G, element by element.
 
@@ -134,13 +132,18 @@ class FiniteRep:
     index of elements[a] o elements[b] (elements[b] applied first).
     """
 
-    name: str
-    elements: tuple[Perm, ...]
-    matrices: tuple[Matrix, ...]
-    generators: tuple[int, ...]
-    table: tuple[tuple[int, ...], ...]
+    def __init__(self, name: str, elements: tuple[Perm, ...], matrices: tuple[Matrix, ...],
+                 generators: tuple[int, ...], table: tuple[tuple[int, ...], ...]):
+        self.name = name
+        self.elements = elements
+        self.matrices = matrices
+        self.generators = generators
+        self.table = table
+        self.__post_init__()
 
     def __post_init__(self):
+        # the checks of __init__, a method of their own that the
+        # benchmark's tracer can wrap
         d = self.dimension
         for m in self.matrices:
             if len(m) != d or any(len(row) != d for row in m):
@@ -217,12 +220,13 @@ def fixed_space(matrices, subgroup: list[int]) -> list[Vector]:
     return nullspace(shifted)
 
 
-@dataclass(frozen=True)
 class GelfandReport:
-    dim_fixed: int
-    dim_fixed_dual: int
-    pairing: Fraction | None
-    gelfand_multiplicity_ok: bool
+    def __init__(self, dim_fixed: int, dim_fixed_dual: int, pairing: Fraction | None,
+                 gelfand_multiplicity_ok: bool):
+        self.dim_fixed = dim_fixed
+        self.dim_fixed_dual = dim_fixed_dual
+        self.pairing = pairing
+        self.gelfand_multiplicity_ok = gelfand_multiplicity_ok
 
     def to_json(self) -> dict:
         return {

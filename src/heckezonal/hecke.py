@@ -36,7 +36,6 @@ through it as exact identities.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .scalars import ExactScalar, LaurentPoly, scalar_power
 from .weyl import (
@@ -152,7 +151,6 @@ def _accumulate(table: dict, w, c) -> None:
         table.pop(w, None)
 
 
-@dataclass
 class HeckeElement:
     """A finite formal sum over canonical-form group elements.
 
@@ -161,8 +159,9 @@ class HeckeElement:
     and ``support`` speak in ``ExtendedWeylElement``s.
     """
 
-    algebra: HeckeAlgebra
-    coeffs: dict
+    def __init__(self, algebra: HeckeAlgebra, coeffs: dict):
+        self.algebra = algebra
+        self.coeffs = coeffs
 
     def coefficient(self, w: ExtendedWeylElement):
         return self.coeffs.get((w.k, w.w0.window), 0)
@@ -227,13 +226,13 @@ def chi(h: HeckeElement, chi_pi: ExactScalar = 1) -> ExactScalar:
 # -- presentation verification -------------------------------------------
 
 
-@dataclass
 class PresentationReport:
-    e: int
-    checks: list
-    seed: int | None
-    samples: int
-    associativity_ok: bool
+    def __init__(self, e: int, checks: list, seed: int | None, samples: int, associativity_ok: bool):
+        self.e = e
+        self.checks = checks
+        self.seed = seed
+        self.samples = samples
+        self.associativity_ok = associativity_ok
 
     @property
     def ok(self) -> bool:

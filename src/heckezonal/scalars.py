@@ -33,7 +33,6 @@ Fraction(5, 1)
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 __all__ = [
     "ExactScalar",
@@ -262,7 +261,7 @@ class LaurentPoly:
 
 _set_coeffs = LaurentPoly._coeffs.__set__
 
-ExactScalar = Union[Fraction, LaurentPoly]
+ExactScalar = Fraction | LaurentPoly
 
 
 # -- mode-agnostic helpers --------------------------------------------

@@ -36,7 +36,6 @@ independent of k, so ``matrix_coefficient_scalar`` takes w0 alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -81,29 +80,43 @@ def exact_q0(q0) -> Fraction:
     return q0
 
 
-@dataclass(frozen=True)
 class SphericalParams:
     """Parameters (e, f, q0) with q = q0**2 and q1 = q**f = q0**(2f).
 
     q0 is an integer prime power in numeric mode.  Generic mode is
     q0 = None and f = 1: q1 = q is then a formal Laurent variable.
+
+    Instances are immutable values, equal and hash-equal by their four
+    inputs.  ``__setattr__`` refuses every write; the constructor fills
+    the instance dict, where ``cached_property`` also keeps the derived
+    values and tables.
     """
 
-    e: int
-    f: int
-    q0: Fraction | None
-    chi_pi: ExactScalar = 1
-
-    def __post_init__(self):
-        if self.e < 2:
+    def __init__(self, e: int, f: int, q0: Fraction | None, chi_pi: ExactScalar = 1):
+        if e < 2:
             raise ValueError("rank e must be at least 2")
-        if self.f < 1:
+        if f < 1:
             raise ValueError("f must be a positive integer")
-        if self.q0 is None:
-            if self.f != 1:
+        if q0 is None:
+            if f != 1:
                 raise ValueError("generic mode has f = 1")
         else:
-            object.__setattr__(self, "q0", exact_q0(self.q0))
+            q0 = exact_q0(q0)
+        vars(self).update(e=e, f=f, q0=q0, chi_pi=chi_pi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SphericalParams is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("SphericalParams is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, SphericalParams):
+            return NotImplemented
+        return (self.e, self.f, self.q0, self.chi_pi) == (other.e, other.f, other.q0, other.chi_pi)
+
+    def __hash__(self):
+        return hash((self.e, self.f, self.q0, self.chi_pi))
 
     @classmethod
     def numeric(cls, e: int, f: int, q0) -> "SphericalParams":
@@ -191,7 +204,6 @@ def _walk(p: SphericalParams, L: int) -> tuple[list, list, list, dict]:
     return entry
 
 
-@dataclass
 class SphericalTruncation:
     """The eigenvector restricted to {pi**k w0 : |k| <= K, l(w0) <= L},
     for the module constant K.
@@ -201,7 +213,8 @@ class SphericalTruncation:
     one per (layer, k), and builds no group element per term.
     """
 
-    element: HeckeElement
+    def __init__(self, element: HeckeElement):
+        self.element = element
 
     @classmethod
     def build(cls, L: int, p: SphericalParams) -> "SphericalTruncation":
@@ -217,15 +230,15 @@ class SphericalTruncation:
         return cls(HeckeElement(p.algebra(), coeffs))
 
 
-@dataclass
 class EigenReport:
     """Outcome of one truncated eigen-equation check."""
 
-    kind: str
-    checked: int = 0
-    passed: int = 0
-    boundary_skipped: int = 0
-    failures: list = field(default_factory=list)
+    def __init__(self, kind: str):
+        self.kind = kind
+        self.checked = 0
+        self.passed = 0
+        self.boundary_skipped = 0
+        self.failures: list = []
 
     @property
     def ok(self) -> bool:

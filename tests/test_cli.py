@@ -182,6 +182,19 @@ def test_check_failure_exits_1():
     assert report["ok"] is False
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # every run of the command is a fresh process that pays for each module
+    # the import pulls in; the modules site loaded first differ by host, so
+    # the import is compared with the same interpreter just before it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    probe = "import sys; bare = set(sys.modules); import heckezonal.cli; print(*sorted(set(sys.modules) - bare))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    added = set(proc.stdout.split())
+    assert "heckezonal.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
 def test_seeded_runs_byte_identical():
     for args in (
         ("distinction", "--e", "3", "--f", "1", "--q0", "2", "--L", "20"),

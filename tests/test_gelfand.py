@@ -1,7 +1,6 @@
 """Exact fixed spaces and invariant pairings for small finite groups."""
 
 import collections
-import dataclasses
 import itertools
 import json
 import random
@@ -147,7 +146,7 @@ def flipped_s3_sign():
     rep = symmetric_group_sign_rep(3)
     i = rep.elements.index((1, 3, 2))
     flipped = rep.matrices[:i] + (((Fraction(1),),),) + rep.matrices[i + 1 :]
-    return dataclasses.replace(rep, matrices=flipped)
+    return FiniteRep(**dict(vars(rep), matrices=flipped))
 
 
 def test_validate_closure_rejects_a_flipped_sign():

@@ -13,14 +13,12 @@ import functools
 import importlib
 import inspect
 import io
-import pathlib
 import sys
 import types
 
 import heckezonal
 from heckezonal import cli
 
-PACKAGE_DIR = str(pathlib.Path(heckezonal.__file__).resolve().parent)
 MODULES = ("", "scalars", "weyl", "hecke", "spherical", "tensor", "distinction", "gelfand", "cli")
 
 # Each subcommand once (gelfand only inside `all`), each output format
@@ -42,6 +40,23 @@ UNREACHED = {
     "scalars.LaurentPoly.__setattr__": "enforces immutability; the constructors write the slot through its descriptor",
     "scalars.LaurentPoly.__rsub__": "int - LaurentPoly, completing the ring operations",
     "scalars.LaurentPoly.__hash__": "immutable value type: equal polynomials hash equal; no CLI path hashes one",
+    "weyl.AffinePermutation.__eq__": "value equality by (e, window); the CLI compares windows, not elements",
+    "weyl.AffinePermutation.__repr__": "readable elements in assertion messages and interactive use",
+    "weyl.AffinePermutation.__setattr__": "enforces immutability; the constructors write the slots through their descriptors",
+    "weyl.AffinePermutation.__delattr__": "enforces immutability: no slot is emptied after construction",
+    "weyl.ExtendedWeylElement.__eq__": "value equality by (k, w0); the CLI compares keys, not elements",
+    "weyl.ExtendedWeylElement.__repr__": "readable elements in assertion messages and interactive use",
+    "weyl.ExtendedWeylElement.__setattr__": "enforces immutability; the constructor writes the slots through their descriptors",
+    "weyl.ExtendedWeylElement.__delattr__": "enforces immutability: no slot is emptied after construction",
+    "tensor.PlaceOperator.__eq__": "value equality by (e, perm, scale); the CLI compares scales, not operators",
+    "tensor.PlaceOperator.__hash__": "immutable value type: equal operators hash equal; no CLI path hashes one",
+    "tensor.PlaceOperator.__repr__": "readable operators in assertion messages and interactive use",
+    "tensor.PlaceOperator.__setattr__": "enforces immutability; the constructors write the slots through their descriptors",
+    "tensor.PlaceOperator.__delattr__": "enforces immutability: no slot is emptied after construction",
+    "spherical.SphericalParams.__eq__": "value equality by the four inputs; no CLI path compares parameters",
+    "spherical.SphericalParams.__hash__": "immutable value type: equal parameters hash equal; no CLI path hashes them",
+    "spherical.SphericalParams.__setattr__": "enforces immutability; the constructor fills the instance dict",
+    "spherical.SphericalParams.__delattr__": "enforces immutability: no input is removed after construction",
 }
 
 
@@ -63,8 +78,6 @@ def defined_functions() -> dict:
     found = {}
 
     def add(code, qualname, module):
-        if not code.co_filename.startswith(PACKAGE_DIR):
-            return  # e.g. dataclass-generated methods
         found[code] = f"{module}.{qualname}"
         for const in code.co_consts:
             if isinstance(const, types.CodeType) and not const.co_name.startswith("<"):

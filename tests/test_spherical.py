@@ -1,6 +1,6 @@
 """Spherical eigenvector: coefficient rule, eigen-equations, values."""
 
-import dataclasses
+import inspect
 import random
 from fractions import Fraction
 
@@ -493,6 +493,19 @@ def test_params_validation():
         SphericalParams(3, 2, None)  # generic mode has f = 1
 
 
+def test_params_are_immutable_values():
+    p = SphericalParams.numeric(3, 2, 3)
+    assert p == SphericalParams(3, 2, Fraction(3), chi_pi=1) and hash(p) == hash(SphericalParams(3, 2, 3))
+    assert p != SphericalParams.numeric(3, 2, 5) and p != SphericalParams.generic(3)
+    assert p.q1 == 3**4  # a cached derived value is no input: it changes neither equality nor hash
+    assert p == SphericalParams.numeric(3, 2, 3) and hash(p) == hash(SphericalParams.numeric(3, 2, 3))
+    with pytest.raises(AttributeError):
+        p.q0 = Fraction(5)
+    with pytest.raises(AttributeError):
+        del p.f
+    assert p.q0 == 3 and p.f == 2
+
+
 def test_params_take_q0_exactly():
     with pytest.raises(TypeError):
         SphericalParams.numeric(3, 1, 2.0)
@@ -515,5 +528,6 @@ def test_params_derive_q1():
 
 def test_stored_fields_are_the_inputs():
     # every field a result is computed from; derived values are not stored
-    assert [f.name for f in dataclasses.fields(SphericalParams)] == ["e", "f", "q0", "chi_pi"]
-    assert [f.name for f in dataclasses.fields(SphericalTruncation)] == ["element"]
+    assert list(inspect.signature(SphericalParams).parameters) == ["e", "f", "q0", "chi_pi"]
+    assert list(vars(SphericalParams.numeric(3, 2, 3))) == ["e", "f", "q0", "chi_pi"]
+    assert list(inspect.signature(SphericalTruncation).parameters) == ["element"]

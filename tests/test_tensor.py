@@ -55,6 +55,8 @@ def assert_matches_validated(op):
     assert not hasattr(op, "__dict__")
     with pytest.raises(AttributeError):
         op.scale = checked.scale
+    with pytest.raises(AttributeError):
+        del op.scale
 
 
 def test_trusted_operators_match_validated():

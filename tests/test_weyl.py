@@ -180,6 +180,8 @@ def assert_matches_validated(w: AffinePermutation) -> None:
     assert not hasattr(w, "__dict__")
     with pytest.raises(AttributeError):
         w.window = checked.window
+    with pytest.raises(AttributeError):
+        del w.window
 
 
 def test_trusted_results_are_valid_windows():
@@ -204,6 +206,8 @@ def test_trusted_results_are_valid_windows():
                 assert not hasattr(w, "__dict__")
                 with pytest.raises(AttributeError):
                     w.k = 0
+                with pytest.raises(AttributeError):
+                    del w.k
             for k in range(-e, e + 1):
                 c = conjugate_by_pi(a.w0, k)
                 assert_matches_validated(c)
