@@ -23,7 +23,6 @@ could print more than ``DIGIT_CAP`` digits, and ``distinction`` and
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import itertools
@@ -379,6 +378,9 @@ COMMANDS = {
 
 
 def _emit_csv(command: str, report: dict) -> str:
+    # imported here, so that no other output format pays for it
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if command == "growth":

@@ -62,7 +62,41 @@ def _canonical(c):
     return c.numerator if c.denominator == 1 else c
 
 
-class LaurentPoly:
+class Value:
+    """Base of the immutable value types, whose fields ``_fields`` names.
+
+    Values are equal when their types and fields are, hash as the tuple
+    of their fields and print as ``Class(field=value, ...)``.  Every
+    write raises, so a constructor writes its slots through their member
+    descriptors, bound once below the class, or fills the instance dict.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__name__}({args})"
+
+
+class LaurentPoly(Value):
     """Laurent polynomial ``sum c_n * x**n`` with integer or rational
     coefficients.
 
@@ -76,10 +110,9 @@ class LaurentPoly:
     ``Fraction`` (``inverse``, negative monomial powers), so no float is
     ever formed.
 
-    Instances are immutable: ``__setattr__`` refuses every write, the
-    constructors write the one slot through its member descriptor
-    ``_set_coeffs``, and no method mutates ``self``.  Every instance is
-    in the same single variable, printed as ``q``.
+    A :class:`Value` for its write guards only: equality, hash and repr
+    are its own.  Every instance is in the same single variable, printed
+    as ``q``.
     """
 
     __slots__ = ("_coeffs",)
@@ -98,9 +131,6 @@ class LaurentPoly:
         self = object.__new__(cls)
         _set_coeffs(self, clean)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -224,8 +254,13 @@ class LaurentPoly:
         return bool(self._coeffs)
 
     def __hash__(self):
+        # a polynomial equal to an int or Fraction hashes as it: the zero
+        # polynomial as 0, a constant as its coefficient
+        coeffs = self._coeffs
+        if coeffs.keys() <= {0}:
+            return hash(coeffs.get(0, 0))
         # hash(3) == hash(Fraction(3)), so the hash is that of the values
-        return hash(frozenset(self._coeffs.items()))
+        return hash(frozenset(coeffs.items()))
 
     # -- evaluation / output ------------------------------------------
 

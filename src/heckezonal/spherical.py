@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .hecke import HeckeAlgebra, HeckeElement
-from .scalars import ExactScalar, LaurentPoly, _as_fraction, format_rational, scalar_inverse, scalar_power
+from .scalars import ExactScalar, LaurentPoly, Value, _as_fraction, format_rational, scalar_inverse, scalar_power
 from .weyl import (
     AffinePermutation,
     ExtendedWeylElement,
@@ -80,17 +80,17 @@ def exact_q0(q0) -> Fraction:
     return q0
 
 
-class SphericalParams:
+class SphericalParams(Value):
     """Parameters (e, f, q0) with q = q0**2 and q1 = q**f = q0**(2f).
 
     q0 is an integer prime power in numeric mode.  Generic mode is
     q0 = None and f = 1: q1 = q is then a formal Laurent variable.
 
-    Instances are immutable values, equal and hash-equal by their four
-    inputs.  ``__setattr__`` refuses every write; the constructor fills
-    the instance dict, where ``cached_property`` also keeps the derived
-    values and tables.
+    A :class:`Value` by its four inputs.  The instance dict holds them,
+    and ``cached_property`` keeps the derived values and tables there.
     """
+
+    _fields = ("e", "f", "q0", "chi_pi")
 
     def __init__(self, e: int, f: int, q0: Fraction | None, chi_pi: ExactScalar = 1):
         if e < 2:
@@ -103,20 +103,6 @@ class SphericalParams:
         else:
             q0 = exact_q0(q0)
         vars(self).update(e=e, f=f, q0=q0, chi_pi=chi_pi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SphericalParams is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("SphericalParams is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, SphericalParams):
-            return NotImplemented
-        return (self.e, self.f, self.q0, self.chi_pi) == (other.e, other.f, other.q0, other.chi_pi)
-
-    def __hash__(self):
-        return hash((self.e, self.f, self.q0, self.chi_pi))
 
     @classmethod
     def numeric(cls, e: int, f: int, q0) -> "SphericalParams":

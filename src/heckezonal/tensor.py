@@ -38,7 +38,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .scalars import ExactScalar, scalar_power
+from .scalars import ExactScalar, Value, scalar_power
 from .spherical import SphericalParams, matrix_coefficient_scalar
 from .weyl import (
     ExtendedWeylElement, _right_steps, all_reduced_words, conjugate_by_pi, enumerate_by_length,
@@ -55,10 +55,10 @@ __all__ = [
 ]
 
 
-class PlaceOperator:
+class PlaceOperator(Value):
     """A scaled place permutation of e tensor slots."""
 
-    __slots__ = ("e", "perm", "scale")
+    __slots__ = _fields = ("e", "perm", "scale")
 
     def __init__(self, e: int, perm: tuple[int, ...], scale: ExactScalar = Fraction(1)):
         _set_e(self, e)
@@ -80,23 +80,6 @@ class PlaceOperator:
         _set_perm(self, perm)
         _set_scale(self, scale)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PlaceOperator is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("PlaceOperator is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, PlaceOperator):
-            return NotImplemented
-        return (self.e, self.perm, self.scale) == (other.e, other.perm, other.scale)
-
-    def __hash__(self):
-        return hash((self.e, self.perm, self.scale))
-
-    def __repr__(self):
-        return f"PlaceOperator(e={self.e!r}, perm={self.perm!r}, scale={self.scale!r})"
 
     @classmethod
     def identity(cls, e: int) -> "PlaceOperator":
@@ -126,7 +109,6 @@ class PlaceOperator:
         return PlaceOperator._raw(self.e, tuple(out), scalar_power(self.scale, n))
 
 
-# the slots' own setters: __setattr__ refuses every write
 _set_e = PlaceOperator.e.__set__
 _set_perm = PlaceOperator.perm.__set__
 _set_scale = PlaceOperator.scale.__set__

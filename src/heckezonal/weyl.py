@@ -19,11 +19,8 @@ Windows are validated where they enter (``AffinePermutation(e, window)``,
 simple reflections skip the checks through ``AffinePermutation._raw``.
 So is the extended ``multiply``, which builds its canonical form from one
 ``conjugate_by_pi`` and one ``compose``, and so are the layers of
-``enumerate_by_length``.  Both element types are immutable slotted
-value classes: an element holds its fields and no ``__dict__``, equality
-and hash compare the fields, and ``__init__`` and ``_raw`` write the two
-slots through their member descriptors, bound once below each class, as
-``__setattr__`` refuses every write.
+``enumerate_by_length``.  Both element types are slotted
+:class:`~heckezonal.scalars.Value` types.
 
 Only this module edits windows, and each step by a simple reflection is
 written once: ``_right_steps(e)[j]`` maps the window of w to that of
@@ -44,6 +41,8 @@ from __future__ import annotations
 
 import functools
 import operator
+
+from .scalars import Value
 
 __all__ = [
     "AffinePermutation",
@@ -72,10 +71,10 @@ class EnumerationCapExceeded(RuntimeError):
     """Enumeration would exceed the element cap ``ENUM_CAP``."""
 
 
-class AffinePermutation:
+class AffinePermutation(Value):
     """An element of W0: a zero-shift affine permutation in window notation."""
 
-    __slots__ = ("e", "window")
+    __slots__ = _fields = ("e", "window")
 
     def __init__(self, e: int, window: tuple[int, ...]):
         _set_e(self, e)
@@ -103,23 +102,6 @@ class AffinePermutation:
         _set_e(self, e)
         _set_window(self, window)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffinePermutation is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("AffinePermutation is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, AffinePermutation):
-            return NotImplemented
-        return (self.e, self.window) == (other.e, other.window)
-
-    def __hash__(self):
-        return hash((self.e, self.window))
-
-    def __repr__(self):
-        return f"AffinePermutation(e={self.e!r}, window={self.window!r})"
 
     @classmethod
     def identity(cls, e: int) -> "AffinePermutation":
@@ -231,31 +213,14 @@ def _simple(e: int, i: int) -> AffinePermutation:
     return AffinePermutation._raw(e, _right_steps(e)[i](tuple(range(1, e + 1))))
 
 
-class ExtendedWeylElement:
+class ExtendedWeylElement(Value):
     """Canonical form pi**k * w0 of an extended affine Weyl group element."""
 
-    __slots__ = ("k", "w0")
+    __slots__ = _fields = ("k", "w0")
 
     def __init__(self, k: int, w0: AffinePermutation):
         _set_k(self, k)
         _set_w0(self, w0)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtendedWeylElement is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ExtendedWeylElement is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtendedWeylElement):
-            return NotImplemented
-        return (self.k, self.w0) == (other.k, other.w0)
-
-    def __hash__(self):
-        return hash((self.k, self.w0))
-
-    def __repr__(self):
-        return f"ExtendedWeylElement(k={self.k!r}, w0={self.w0!r})"
 
     @property
     def e(self) -> int:

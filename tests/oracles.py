@@ -159,6 +159,9 @@ class FractionLaurentPoly:
         return NotImplemented if other is None else self._coeffs == other._coeffs
 
     def __hash__(self):
+        # a constant (zero included) equals a scalar, so it hashes as one
+        if all(n == 0 for n in self._coeffs):
+            return hash(sum(self._coeffs.values(), Fraction(0)))
         return hash(frozenset(self._coeffs.items()))
 
     def evaluate(self, x) -> Fraction:

@@ -192,7 +192,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     added = set(proc.stdout.split())
     assert "heckezonal.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", "csv"}
 
 
 def test_seeded_runs_byte_identical():

@@ -37,26 +37,12 @@ UNREACHED = {
     "hecke.chi": "the one-dimensional character (acceptance criterion 3); no subcommand reports it",
     "scalars.LaurentPoly.term": "monomial constructor of the scalar API, used by the doctest and tests",
     "scalars.LaurentPoly.__repr__": "readable polynomials in assertion messages and interactive use",
-    "scalars.LaurentPoly.__setattr__": "enforces immutability; the constructors write the slot through its descriptor",
     "scalars.LaurentPoly.__rsub__": "int - LaurentPoly, completing the ring operations",
     "scalars.LaurentPoly.__hash__": "immutable value type: equal polynomials hash equal; no CLI path hashes one",
-    "weyl.AffinePermutation.__eq__": "value equality by (e, window); the CLI compares windows, not elements",
-    "weyl.AffinePermutation.__repr__": "readable elements in assertion messages and interactive use",
-    "weyl.AffinePermutation.__setattr__": "enforces immutability; the constructors write the slots through their descriptors",
-    "weyl.AffinePermutation.__delattr__": "enforces immutability: no slot is emptied after construction",
-    "weyl.ExtendedWeylElement.__eq__": "value equality by (k, w0); the CLI compares keys, not elements",
-    "weyl.ExtendedWeylElement.__repr__": "readable elements in assertion messages and interactive use",
-    "weyl.ExtendedWeylElement.__setattr__": "enforces immutability; the constructor writes the slots through their descriptors",
-    "weyl.ExtendedWeylElement.__delattr__": "enforces immutability: no slot is emptied after construction",
-    "tensor.PlaceOperator.__eq__": "value equality by (e, perm, scale); the CLI compares scales, not operators",
-    "tensor.PlaceOperator.__hash__": "immutable value type: equal operators hash equal; no CLI path hashes one",
-    "tensor.PlaceOperator.__repr__": "readable operators in assertion messages and interactive use",
-    "tensor.PlaceOperator.__setattr__": "enforces immutability; the constructors write the slots through their descriptors",
-    "tensor.PlaceOperator.__delattr__": "enforces immutability: no slot is emptied after construction",
-    "spherical.SphericalParams.__eq__": "value equality by the four inputs; no CLI path compares parameters",
-    "spherical.SphericalParams.__hash__": "immutable value type: equal parameters hash equal; no CLI path hashes them",
-    "spherical.SphericalParams.__setattr__": "enforces immutability; the constructor fills the instance dict",
-    "spherical.SphericalParams.__delattr__": "enforces immutability: no input is removed after construction",
+    "scalars.Value.__setattr__": "enforces immutability; the constructors write through slot descriptors or the instance dict",
+    "scalars.Value.__delattr__": "enforces immutability: no field is removed after construction",
+    "scalars.Value.__eq__": "value equality by the fields; the CLI compares windows, keys and scales, not values",
+    "scalars.Value.__repr__": "readable values in assertion messages and interactive use",
 }
 
 

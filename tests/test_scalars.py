@@ -128,6 +128,8 @@ def _assert_invariant(p: LaurentPoly) -> None:
     assert not hasattr(p, "__dict__")
     with pytest.raises(AttributeError):
         p._coeffs = coeffs
+    with pytest.raises(AttributeError):
+        del p._coeffs
 
 
 def test_equal_polynomials_hash_equal():
@@ -156,6 +158,17 @@ def test_monomial_power_matches_repeated_product():
                 expected = expected * factor
             assert m**n == expected, (m, n)
             _assert_invariant(m**n)
+
+
+def test_polynomials_equal_to_scalars_hash_as_them():
+    # equal values hash equal across the two coefficient modes, so a set
+    # or dict key cannot tell a constant polynomial from its scalar
+    for c in (0, 3, -1, Fraction(0), Fraction(1, 2), Fraction(6, 3)):
+        p = LaurentPoly.constant(c)
+        assert p == c and hash(p) == hash(c) and len({p, c}) == 1, c
+    assert hash(LaurentPoly()) == hash(0) and len({LaurentPoly(), 0}) == 1
+    q = LaurentPoly.variable()
+    assert hash(q - q + Fraction(1, 2)) == hash(Fraction(1, 2))
 
 
 def test_scalar_product_matches_constant_product():

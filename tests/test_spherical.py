@@ -499,7 +499,9 @@ def test_params_are_immutable_values():
     assert p != SphericalParams.numeric(3, 2, 5) and p != SphericalParams.generic(3)
     assert p.q1 == 3**4  # a cached derived value is no input: it changes neither equality nor hash
     assert p == SphericalParams.numeric(3, 2, 3) and hash(p) == hash(SphericalParams.numeric(3, 2, 3))
-    with pytest.raises(AttributeError):
+    assert hash(p) == hash((3, 2, Fraction(3), 1)) and p != (3, 2, Fraction(3), 1)
+    assert repr(p) == "SphericalParams(e=3, f=2, q0=Fraction(3, 1), chi_pi=1)"
+    with pytest.raises(AttributeError, match="^SphericalParams is immutable$"):
         p.q0 = Fraction(5)
     with pytest.raises(AttributeError):
         del p.f

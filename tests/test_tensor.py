@@ -49,9 +49,12 @@ def word_operator(word, e):
 
 def assert_matches_validated(op):
     """A trusted operator: equal and hash-equal to its perm and scale
-    through the validating constructor, with no __dict__ and frozen."""
+    through the validating constructor, hashed and printed by its fields,
+    unequal to a value of another type, with no __dict__ and frozen."""
     checked = PlaceOperator(op.e, op.perm, op.scale)
-    assert op == checked and hash(op) == hash(checked)
+    assert op == checked and hash(op) == hash(checked) == hash((op.e, op.perm, op.scale))
+    assert repr(op) == f"PlaceOperator(e={op.e!r}, perm={op.perm!r}, scale={op.scale!r})"
+    assert op != (op.e, op.perm, op.scale) and op != AffinePermutation.identity(op.e)
     assert not hasattr(op, "__dict__")
     with pytest.raises(AttributeError):
         op.scale = checked.scale
@@ -69,6 +72,12 @@ def test_trusted_operators_match_validated():
                     op = ev(ExtendedWeylElement(k, w0), p)
                     assert_matches_validated(op)
                     assert_matches_validated(op.compose(t_operator(k % 4, 4)))
+
+
+def test_operators_print_their_fields():
+    assert repr(t_operator(1, 3)) == "PlaceOperator(e=3, perm=(2, 1, 3), scale=Fraction(1, 1))"
+    with pytest.raises(AttributeError, match="^PlaceOperator is immutable$"):
+        t_operator(1, 3).perm = (1, 2, 3)
 
 
 def test_t_operator_slots():

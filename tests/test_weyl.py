@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import apply, project_to_finite
 
 import heckezonal.weyl
+from heckezonal.scalars import Value
 from heckezonal.weyl import (
     AffinePermutation,
     EnumerationCapExceeded,
@@ -171,17 +172,40 @@ def reference_reduced_word(w: AffinePermutation) -> list[int]:
     return word
 
 
+class Twin(Value):
+    """A value type with the fields of AffinePermutation, and no checks."""
+
+    __slots__ = _fields = ("e", "window")
+
+    def __init__(self, e, window):
+        Twin.e.__set__(self, e)
+        Twin.window.__set__(self, window)
+
+
 def assert_matches_validated(w: AffinePermutation) -> None:
     """A trusted result: equal and hash-equal to the same window through
-    the validating constructor (which raises if it is invalid), with no
+    the validating constructor (which raises if it is invalid), hashed and
+    printed by its fields, unequal to a value of another type, with no
     __dict__ and frozen."""
     checked = AffinePermutation(w.e, w.window)
-    assert w == checked and hash(w) == hash(checked)
+    assert w == checked and hash(w) == hash(checked) == hash((w.e, w.window))
+    assert repr(w) == f"AffinePermutation(e={w.e!r}, window={w.window!r})"
+    assert w != Twin(w.e, w.window) and w != (w.e, w.window)
     assert not hasattr(w, "__dict__")
     with pytest.raises(AttributeError):
         w.window = checked.window
     with pytest.raises(AttributeError):
         del w.window
+
+
+def test_values_print_their_fields():
+    s1 = generator(3, 1)
+    assert repr(s1.w0) == "AffinePermutation(e=3, window=(2, 1, 3))"
+    assert repr(s1) == "ExtendedWeylElement(k=0, w0=AffinePermutation(e=3, window=(2, 1, 3)))"
+    with pytest.raises(AttributeError, match="^AffinePermutation is immutable$"):
+        s1.w0.e = 4
+    with pytest.raises(AttributeError, match="^ExtendedWeylElement is immutable$"):
+        del s1.k
 
 
 def test_trusted_results_are_valid_windows():
@@ -203,6 +227,9 @@ def test_trusted_results_are_valid_windows():
             assert inv.compose(a.w0) == AffinePermutation.identity(e)
             for w in (multiply(a, b), a.inverse()):
                 assert_matches_validated(w.w0)
+                assert hash(w) == hash((w.k, w.w0))
+                assert repr(w) == f"ExtendedWeylElement(k={w.k!r}, w0={w.w0!r})"
+                assert w != w.w0 and w != (w.k, w.w0)
                 assert not hasattr(w, "__dict__")
                 with pytest.raises(AttributeError):
                     w.k = 0
