@@ -16,8 +16,10 @@ C(L+e, e) - C(L, e) (``distinction.w0_count``).  ``presentation`` and
 family (vi), windows of e slots each, hold more slots than the second
 cap, and ``coefficient`` when e operators of e slots each do.
 ``poincare`` and ``all`` exit 2 at once when an exact Poincare value
-could print more than ``DIGIT_CAP`` digits, and ``distinction`` and
-``all`` at odd e when a value of the distinction sum could.
+could print more than ``DIGIT_CAP`` digits, ``growth`` when a binomial
+of the closed form's denominator (1 - X)**e could hold more, and
+``distinction`` and ``all`` at odd e when a value of the distinction sum
+could.
 """
 
 from __future__ import annotations
@@ -184,12 +186,16 @@ def _validate(args) -> None:
             f"--e {args.e}: coefficient would hold {args.e * args.e} operator slots "
             f"({args.e} slots in each of {args.e} operators), over the cap of {weyl.SLOT_CAP} slots"
         )
-    if args.command in ("poincare", "all"):
-        digits = _poincare_digits(args.e, _poincare_points(args))
+    if args.command in ("poincare", "growth", "all"):
+        # growth expands the closed form's denominator (1 - X)**e, whose
+        # binomials are below 2**e: the Poincare bound at x = 0
+        points = [Fraction(0)] if args.command == "growth" else _poincare_points(args)
+        digits = _poincare_digits(args.e, points)
         if digits > DIGIT_CAP:
             flags = f"--e {args.e}" + (" with the given --points" if given.get("points") else "")
+            what = "a coefficient of (1 - X)**e" if args.command == "growth" else "a Poincare value"
             raise ValueError(
-                f"{flags}: a Poincare value could have up to {digits} digits, "
+                f"{flags}: {what} could have up to {digits} digits, "
                 f"over the cap of {DIGIT_CAP} digits"
             )
     if args.command == "distinction" or (args.command == "all" and args.e % 2):

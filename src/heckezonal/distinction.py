@@ -95,12 +95,17 @@ def poincare_closed_form(e: int) -> tuple[LaurentPoly, LaurentPoly]:
     generating function, Bott's P(X) = [e]_X / (1 - X)**(e-1).
 
     The denominator is expanded by the binomial theorem, so both have
-    degree e.  Built once per e: ``LaurentPoly`` is immutable, so
+    degree e; its row is built as C(e, k+1) = C(e, k) * (e - k) / (k + 1),
+    one small multiplication and division per term, not a separate
+    binomial each.  Built once per e: ``LaurentPoly`` is immutable, so
     callers share the result.
     """
     if e < 2:
         raise ValueError("rank e must be at least 2")
-    den = LaurentPoly({k: (-1) ** k * comb(e, k) for k in range(e + 1)})
+    row = [1]
+    for k in range(e):
+        row.append(row[k] * (e - k) // (k + 1))
+    den = LaurentPoly({k: -c if k % 2 else c for k, c in enumerate(row)})
     return LaurentPoly.constant(1) - LaurentPoly.variable() ** e, den
 
 

@@ -15,8 +15,8 @@ for any reduced word [i_1, ..., i_l] of w0, where t_i swaps slots
 (i, i+1), t_0 swaps slots (1, e) and Gamma rotates contents one step to
 the right.  The result is reduced-word independent because the t_i
 satisfy the same braid relations as the group generators;
-``verify_coefficient`` checks this by induction over the BFS layers,
-keeping one word and one operator product per element, and anchors the
+``verify_coefficient`` checks this on ``ev``'s own operators, by
+induction over the BFS layers across each right descent, and anchors the
 induction on every reduced word of one element of the top layer.  Note
 the rotation runs against the group projection: conjugation by Gamma
 raises t-indices (Gamma o t_i o Gamma**-1 = t_{i+1 mod e}) while
@@ -185,74 +185,70 @@ def verify_coefficient(e: int, f: int, q0: int, L: int, seed: int, samples: int)
 
     ``ev`` at pi**k w0 must match the closed form for k in 0..e-1 and
     l(w0) <= L, all reduced words of each w0 with l(w0) <= min(L, 6) must
-    give one place permutation, and ``samples`` elements drawn by
-    ``weyl.random_element`` from random.Random(seed) must keep their
+    give ev's place permutation at k = 0, and ``samples`` elements drawn
+    by ``weyl.random_element`` from random.Random(seed) must keep their
     scale when their pi-power shifts.
 
-    The word check runs by induction over the BFS layers: every reduced
-    word of w0 is a reduced word of w0 s_j followed by j, for a right
-    descent j, so one word and one operator product kept per element of
-    the layer below decide w0.  The anchor then compares the layered perm
-    of the top checked layer's first element with every word that
-    ``all_reduced_words`` lists for it.  A failing check adds
-    ``"witness"``, the window of the first failing element in layer
-    order.
+    The word check reads the k = 0 operators of the closed-form sweep and
+    runs by induction over the BFS layers: every reduced word of w0 is a
+    reduced word of w0 s_j followed by j, for a right descent j, so w0
+    passes when ev's operator of w0 s_j composed with t_j has ev's perm
+    of w0 for each such j.  The anchor compares ev's perm of the top
+    checked layer's first element with every word ``all_reduced_words``
+    lists for it.  A failing check adds ``"witness"``, the window of the
+    first failing element in layer order.
     """
     p = SphericalParams.numeric(e, f, q0)
     neg_inv_q1 = p.neg_inv_q1()
     layers = enumerate_by_length(e, L)
+    # Matsumoto: any two reduced words are linked by braid moves, so all
+    # words of w0 give one perm exactly when the t_i satisfy the braid
+    # relations.  If every word of each shorter element gives ev's perm,
+    # each word of w0 ending in a right descent j (w0 s_j in the layer
+    # below) gives ev's perm of w0 s_j composed with t_j: all must be ev's
+    # perm of w0, so ev's word_perm swaps meet compose at every descent.
+    ts = [t_operator(i, e) for i in range(e)]
+    steps = _right_steps(e)
+    top = min(L, 6)
     checked = mismatches = 0
+    kept = {}  # ev's k = 0 operator by window, this layer's and the one below
+    failed = None  # (layer, window) of the first failing element
     for ell, layer in enumerate(layers):
         # the closed form reads w0 only through l(w0): one value per layer,
         # and each element's inversion count is checked against the layer;
         # (-1/q1)**ell * scale == closed is tested as scale == expected
         closed = matrix_coefficient_scalar(layer[0], p)
         expected = closed / scalar_power(neg_inv_q1, ell)
+        if ell <= top:
+            below, kept = kept, {}
         for w0 in layer:
             if w0.length() != ell:
                 mismatches += 1
             for k in range(e):
                 checked += 1
-                if ev(ExtendedWeylElement(k, w0), p).scale != expected:
+                op = ev(ExtendedWeylElement(k, w0), p)
+                if op.scale != expected:
                     mismatches += 1
-    # Matsumoto: any two reduced words are linked by braid moves, so all
-    # words of w0 give one perm exactly when the t_i satisfy the braid
-    # relations.  If they do below w0, every word of w0 ending in the
-    # right descent j gives word_perm(rep(w0 s_j) + (j,)), for the one
-    # word rep kept per element of the layer below; these must agree over
-    # j, and with the product of t_operator factors kept alongside, a
-    # cross-check independent of the swap rule.  j is a descent exactly
-    # when w0 s_j lies in the layer below.
-    ts = [t_operator(i, e) for i in range(e)]
-    steps = _right_steps(e)
-    top = min(L, 6)
-    known = {layers[0][0].window: ((), PlaceOperator.identity(e))}
-    failed = None  # (layer, window) of the first failing element
-    for ell in range(1, top + 1):
-        below, known = known, {}
-        for w0 in layers[ell]:
+                if k == 0:
+                    first = op
+            if ell > top:
+                continue
             w = w0.window
-            perms, rep = set(), None
-            for j, step in enumerate(steps):
-                entry = below.get(step(w))
-                if entry is not None:
-                    word = entry[0] + (j,)
-                    if rep is None:
-                        rep, op = word, entry[1].compose(ts[j])
-                        perms.add(op.perm)
-                    perms.add(word_perm(word, e))
+            kept[w] = first
+            if ell:
+                perms = {u.compose(ts[j]).perm for j, step in enumerate(steps)
+                         if (u := below.get(step(w))) is not None}
+            else:
+                perms = {PlaceOperator.identity(e).perm}
             # no descent leaves perms empty, a disagreement leaves two
-            if len(perms) == 1:
-                known[w] = (rep, op)
-            elif failed is None:
+            if perms != {first.perm} and failed is None:
                 failed = (ell, w)
     # the anchor: every word of the top layer's first element, listed by
-    # the inverse-window recursion of all_reduced_words, gives its perm;
+    # the inverse-window recursion of all_reduced_words, gives ev's perm;
     # it precedes any other failure in its layer
     anchor = layers[top][0]
-    layered = {known[anchor.window][1].perm} if anchor.window in known else set()
     perms = {word_perm(word, e) for word in all_reduced_words(anchor)}
-    if perms != layered and (failed is None or failed[0] == top):
+    if perms != {kept[anchor.window].perm} and (failed is None or failed[0] == top):
         failed = (top, anchor.window)
     words = {"elements": sum(map(len, layers[: top + 1])), "ok": failed is None}
     if failed:

@@ -33,9 +33,9 @@ the code it checks:
   table, with it.
 - ``reduced_word_independence_reference``: the reduced-word check with
   every reduced word of every element enumerated.  test_tensor.py checks
-  that ``verify_coefficient``, which keeps one word and one operator
-  product per element of the layer below, gives the same verdict,
-  element count and witness, honest and with two faults.
+  that ``verify_coefficient``, which composes ``ev``'s operator of each
+  element of the layer below with t_j at a right descent j, gives the
+  same verdict, element count and witness, honest and with two faults.
 - ``eigen_generator_reference``: the check [s_i] * Psi0 = -Psi0 by a
   fresh BFS, both lengths compared for every case and the generator
   rule evaluated for every case.  test_spherical.py compares

@@ -471,6 +471,19 @@ def test_far_over_budget_run_exits_2_at_once(capsys):
         assert part in captured.err, part
 
 
+def test_growth_digit_budget_at_small_L(capsys):
+    # at L = 0 the element and slot budgets count one element, but the
+    # closed form still expands (1 - X)**e: past e = 14283 its binomials
+    # could print more than 4300 digits, and the run exits 2 at once
+    start = time.perf_counter()
+    assert cli.run(["growth", "--e", "14284", "--L", "0"]) == 2
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--e 14284" in captured.err and "cap of 4300 digits" in captured.err
+    cli._validate(cli.build_parser().parse_args(["growth", "--e", "14283", "--L", "0"]))
+
+
 def test_text_output():
     proc = run_cli("poincare", "--e", "3", "--output", "text")
     assert proc.returncode == 0

@@ -115,6 +115,7 @@ def test_closed_form_has_degree_e():
     num, den = poincare_closed_form(200)
     assert max(num.coefficients()) == max(den.coefficients()) == 200
     assert num == 1 - x**200
+    assert den == (1 - x) ** 200
 
 
 @pytest.mark.parametrize("e", [2, 3, 4])

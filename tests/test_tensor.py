@@ -312,6 +312,26 @@ def test_coefficient_word_check_fails_below_the_top_layer(monkeypatch, capsys):
     assert _word_check(capsys) == (1, {"elements": 64, "ok": False, "witness": witness})
 
 
+def test_coefficient_word_check_reads_evs_perm(monkeypatch, capsys):
+    # ev's perm at k = 0 of one layer-2 element with two slots swapped and
+    # its scale kept: the closed-form checks still pass, but the element's
+    # descents compose to the honest perm, so the word check names it
+    target = enumerate_by_length(3, 2)[2][-1]
+    honest = tensor.ev
+
+    def patched(w, p):
+        op = honest(w, p)
+        if w.k == 0 and w.w0 == target:
+            perm = list(op.perm)
+            perm[0], perm[1] = perm[1], perm[0]
+            return PlaceOperator(op.e, tuple(perm), op.scale)
+        return op
+
+    monkeypatch.setattr(tensor, "ev", patched)
+    witness = list(target.window)
+    assert _word_check(capsys) == (1, {"elements": 64, "ok": False, "witness": witness})
+
+
 def _broken_t0(monkeypatch):
     honest = tensor.t_operator
     monkeypatch.setattr(tensor, "t_operator", lambda i, e: honest(1 if i == 0 else i, e))
