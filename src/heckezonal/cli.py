@@ -6,20 +6,16 @@ every other flag.  Exit status: 0 when every check passes, 1 on a check
 failure, 2 on invalid parameters; an error inside a check is not
 reported as 2 but propagates.  Randomized spot checks are driven by
 an explicit seed, so identical configurations produce byte-identical
-output.  The arguments are the only input: the constants
-``weyl.ENUM_CAP`` and ``weyl.SLOT_CAP`` cap group enumeration, and a
-subcommand with --L exits 2 before any enumeration when W0 has more
-elements of length <= L than the first, or when those elements hold more
-window slots, e each, than the second: the budget is the binomial count
-C(L+e, e) - C(L, e) (``distinction.w0_count``).  ``presentation`` and
-``all`` exit 2 at once when the (e-2)(e-3)/2 cases of presentation
-family (vi), windows of e slots each, hold more slots than the second
-cap, and ``coefficient`` when e operators of e slots each do.
-``poincare`` and ``all`` exit 2 at once when an exact Poincare value
-could print more than ``DIGIT_CAP`` digits, ``growth`` when a binomial
-of the closed form's denominator (1 - X)**e could hold more, and
-``distinction`` and ``all`` at odd e when a value of the distinction sum
-could.
+output.
+
+The arguments are the only input, and one rule bounds a run: the cost
+function beside each library entry a subcommand runs declares the
+elements, slots and digits it holds (``hecke.presentation_cost``,
+``weyl.enumeration_cost`` for eigen, ``tensor.coefficient_cost``, and
+``growth_cost``, ``poincare_cost`` and ``integral_cost`` in
+``distinction``), and the run exits 2 before any starts when the most
+of one over them is over ``weyl.ENUM_CAP``, ``weyl.SLOT_CAP`` or
+``DIGIT_CAP``.
 """
 
 from __future__ import annotations
@@ -35,10 +31,10 @@ from fractions import Fraction
 from . import distinction as dst
 from . import gelfand as gf
 from . import weyl
-from .hecke import verify_presentation
+from .hecke import presentation_cost, verify_presentation
 from .scalars import format_rational, parse_rational
 from .spherical import verify_eigen
-from .tensor import verify_coefficient
+from .tensor import coefficient_cost, verify_coefficient
 from .weyl import EnumerationCapExceeded
 
 __all__ = ["build_parser", "run"]
@@ -54,6 +50,16 @@ Q0_LIMIT = 3_317_044_064_679_887_385_961_981
 # the most decimal digits of a printed integer: Python's default limit on
 # int-to-str conversion
 DIGIT_CAP = 4300
+
+# Each section's cost function and the flags it reads; gelfand's fixed catalog has none
+COSTS = {
+    "presentation": (presentation_cost, "e"),
+    "eigen": (weyl.enumeration_cost, "e", "L"),
+    "coefficient": (coefficient_cost, "e", "L"),
+    "growth": (dst.growth_cost, "e", "L"),
+    "poincare": (dst.poincare_cost, "e", "points"),
+    "distinction": (dst.integral_cost, "e", "f", "q0", "L"),
+}
 
 
 # One parent parser per flag, built once at import.  argparse shares a
@@ -153,95 +159,27 @@ def _validate(args) -> None:
         args.expect_closed_form = _parse_flag("--expect-closed-form", args.expect_closed_form)
     if args.command == "distinction" and args.e % 2 == 0:
         raise ValueError("distinction requires odd --e")
-    if "L" in given:
-        # every subcommand with --L enumerates W0 to length L, and each
-        # element holds a window of e ints: count both first
-        cap, slot_cap = weyl.ENUM_CAP, weyl.SLOT_CAP
-        count = dst.w0_count(args.e, args.L, min(cap, slot_cap // args.e))
-        if count > cap:
+    # the sections run one after another, each releasing what it holds
+    costs = []
+    for name in _sections(args):
+        fn, *dests = COSTS.get(name, (dict,))
+        costs.append((name, dests, fn(*[given[d] for d in dests])))
+    for quantity, cap in (("elements", weyl.ENUM_CAP), ("slots", weyl.SLOT_CAP), ("digits", DIGIT_CAP)):
+        name, dests, cost = max(costs, key=lambda c: c[2].get(quantity, 0))
+        if cost.get(quantity, 0) > cap:
+            # a list of points may be long: only its flag is named
+            flags = " ".join(f"--{d} {given[d]}" if d != "points" else "--points"
+                             for d in dests if given[d] is not None)
             raise ValueError(
-                f"--e {args.e} --L {args.L} would enumerate at least {count} elements of W0, "
-                f"over the cap of {cap} elements"
-            )
-        if count * args.e > slot_cap:
-            raise ValueError(
-                f"--e {args.e} --L {args.L} would hold at least {count * args.e} window slots "
-                f"({count} elements of W0, {args.e} slots each), over the cap of {slot_cap} slots"
-            )
-    if args.command in ("presentation", "all"):
-        # family (vi) of the presentation has (e-2)(e-3)/2 commutation
-        # cases, and each multiplies windows of e slots: count those first
-        slot_cap = weyl.SLOT_CAP
-        cases = (args.e - 2) * (args.e - 3) // 2
-        if cases * args.e > slot_cap:
-            raise ValueError(
-                f"--e {args.e}: presentation family (vi) would multiply windows of {args.e} slots "
-                f"in {cases} cases, {cases * args.e} slots in all, over the cap of {slot_cap} slots"
-            )
-    if args.command == "coefficient" and args.e * args.e > weyl.SLOT_CAP:
-        # the operator check holds e transpositions and up to e Gamma
-        # powers, perms of e slots each, whatever --L is; all meets the
-        # presentation budget at a far lower rank
-        raise ValueError(
-            f"--e {args.e}: coefficient would hold {args.e * args.e} operator slots "
-            f"({args.e} slots in each of {args.e} operators), over the cap of {weyl.SLOT_CAP} slots"
-        )
-    if args.command in ("poincare", "growth", "all"):
-        # growth expands the closed form's denominator (1 - X)**e, whose
-        # binomials are below 2**e: the Poincare bound at x = 0
-        points = [Fraction(0)] if args.command == "growth" else _poincare_points(args)
-        digits = _poincare_digits(args.e, points)
-        if digits > DIGIT_CAP:
-            flags = f"--e {args.e}" + (" with the given --points" if given.get("points") else "")
-            what = "a coefficient of (1 - X)**e" if args.command == "growth" else "a Poincare value"
-            raise ValueError(
-                f"{flags}: {what} could have up to {digits} digits, "
-                f"over the cap of {DIGIT_CAP} digits"
-            )
-    if args.command == "distinction" or (args.command == "all" and args.e % 2):
-        digits = _distinction_digits(args.e, args.f, args.q0, args.L)
-        if digits > DIGIT_CAP:
-            raise ValueError(
-                f"--e {args.e} --f {args.f} --q0 {args.q0} --L {args.L}: a distinction value could "
-                f"have up to {digits} digits, over the cap of {DIGIT_CAP} digits"
+                f"{flags}: {name} could need {cost[quantity]} {quantity}, over the cap of {cap} {quantity}"
             )
 
 
-def _poincare_digits(e: int, points: list[Fraction]) -> int:
-    """A bound on the decimal digits of the exact Poincare values at points.
-
-    At x = a/b the value is (b**e - a**e) / (b - a)**e, and |a| < b, so
-    its numerator is below 2 * b**e and its denominator is (b - a)**e,
-    even before reduction.  An integer of n bits has at most
-    floor(n * log10(2)) + 1 digits, and log10(2) < 0.30103.  Only bit
-    lengths are multiplied, so the bound is cheap for any e.
-    """
-    bits = 0
-    for x in points:
-        a, b = x.numerator, x.denominator
-        bits = max(bits, e * b.bit_length() + 1, e * (b - a).bit_length())
-    return bits * 30103 // 100000 + 1
-
-
-def _distinction_digits(e: int, f: int, q0: int, L: int) -> int:
-    """A bound on the decimal digits of the exact values ``distinction``
-    prints: partial_sum, closed_form, abs_error and tail_bound.
-
-    With Q = q0**f >= 2, each value is at most 2 * e * 2**e in size (e
-    times a series at +-1/Q, at most (1 - 1/Q)**-e), and its denominator
-    divides Q**L * (Q + 1)**e or Q**L * (Q - 1)**e.  As Q <= 2**m and
-    Q + 1 <= 2**c for the bit lengths m of Q - 1 and c of Q, numerator
-    and denominator are below 2**(1 + b + e + m*L + c*e), b the bit
-    length of e, and digits follow as in ``_poincare_digits``.  Q itself
-    is computed only below 2**16 bits; past that, f times the bit length
-    of q0 stands for m and c, a bound of over 29,000 digits either way.
-    """
-    m = c = f * q0.bit_length()
-    if c < 1 << 16:
-        q = q0**f
-        m, c = (q - 1).bit_length(), q.bit_length()
-    bits = 1 + e.bit_length() + e + m * L + c * e
-    return bits * 30103 // 100000 + 1
+def _sections(args) -> list[str]:
+    """The subcommands args.command runs: all runs the others, distinction at odd e only."""
+    if args.command != "all":
+        return [args.command]
+    return [name for name in COMMANDS if name != "all" and (name != "distinction" or args.e % 2)]
 
 
 def _parse_flag(flag: str, text: str) -> Fraction:
@@ -329,18 +267,8 @@ def cmd_growth(args) -> tuple[bool, dict]:
     return ok, {"e": args.e, "L": args.L, "rows": rows, "ok": ok}
 
 
-def _poincare_points(args) -> list[Fraction]:
-    if args.points is not None:
-        return args.points
-    points = [Fraction(0)]
-    for q0 in (2, 3, 4, 5):
-        for f in (1, 2):
-            points.append(Fraction(-1, q0**f))
-    return sorted(set(points))
-
-
 def cmd_poincare(args) -> tuple[bool, dict]:
-    report = dst.nonvanishing_scan(args.e, _poincare_points(args))
+    report = dst.nonvanishing_scan(args.e, args.points)
     return report["all_positive"], report
 
 
@@ -362,10 +290,8 @@ def cmd_gelfand(args) -> tuple[bool, dict]:
 def cmd_all(args) -> tuple[bool, dict]:
     sections = {}
     ok = True
-    for name, fn in COMMANDS.items():
-        if name == "all" or (name == "distinction" and args.e % 2 == 0):
-            continue
-        section_ok, sections[name] = fn(args)
+    for name in _sections(args):
+        section_ok, sections[name] = COMMANDS[name](args)
         ok = ok and section_ok
     sections["ok"] = ok
     return ok, sections

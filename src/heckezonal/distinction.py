@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import comb
 
 from .scalars import LaurentPoly, _as_fraction, format_rational
 from .spherical import SphericalParams, exact_q0, matrix_coefficient_scalar
-from .weyl import AffinePermutation, enumerate_by_length
+from .weyl import AffinePermutation, enumeration_cost, enumerate_by_length
 
 __all__ = [
     "IntegralReport",
@@ -52,9 +51,11 @@ __all__ = [
     "poincare_closed_form",
     "poincare_series_coefficients",
     "poincare_value",
-    "w0_count",
     "distinction_integral",
     "nonvanishing_scan",
+    "growth_cost",
+    "integral_cost",
+    "poincare_cost",
 ]
 
 
@@ -135,6 +136,12 @@ def growth_closed_form(e: int, max_length: int) -> tuple[int, ...]:
     return tuple(poincare_series_coefficients(e, max_length))
 
 
+def growth_cost(e: int, L: int) -> dict:
+    """What the growth check holds: the BFS of ``growth_bfs``, and the
+    closed form's (1 - X)**e, whose binomials are the Poincare bound at 0."""
+    return {**enumeration_cost(e, L), **poincare_cost(e, [Fraction(0)])}
+
+
 def poincare_value(e: int, x) -> Fraction:
     """Exact value of the closed form at a rational point of (-1, 1).
 
@@ -146,21 +153,6 @@ def poincare_value(e: int, x) -> Fraction:
         raise ValueError("evaluation point must lie in the open interval (-1, 1)")
     num, den = poincare_closed_form(e)
     return num.evaluate(x) / den.evaluate(x)
-
-
-def w0_count(e: int, L: int, cap: int) -> int:
-    """N(0) + ... + N(L) = C(L+e, e) - C(L, e), the elements of W0 of
-    length at most L; when the lower bound 1 + e*L exceeds cap, that
-    bound instead.
-
-    N(l) >= N(1) = e for l >= 1, so the bound holds, and it keeps the
-    count cheap far over the cap: the binomials are computed only when
-    e*L < cap.
-    """
-    bound = 1 + e * L
-    if bound > cap:
-        return bound
-    return comb(L + e, e) - comb(L, e)
 
 
 class IntegralReport:
@@ -197,6 +189,23 @@ class IntegralReport:
             "per_term_ok": self.per_term_ok,
             "ok": self.ok,
         }
+
+
+def integral_cost(e: int, f: int, q0: int, L: int) -> dict:
+    """What ``distinction_integral(e, f, q0, L)`` holds: its BFS, and the
+    digits of its values.  With Q = q0**f, each is at most 2e * 2**e in
+    size (e times a series at +-1/Q, at most (1 - 1/Q)**-e), with a
+    denominator dividing Q**L (Q + 1)**e or Q**L (Q - 1)**e, so numerator
+    and denominator are below 2**(1 + b + e + m*L + c*e) for the bit
+    lengths b of e, m of Q - 1 and c of Q.  Past 2**16 bits, f times the
+    bit length of q0 stands for m and c, Q unbuilt: over 29,000 digits.
+    """
+    m = c = f * q0.bit_length()
+    if c < 1 << 16:
+        q = q0**f
+        m, c = (q - 1).bit_length(), q.bit_length()
+    bits = 1 + e.bit_length() + e + m * L + c * e
+    return {**enumeration_cost(e, L), "digits": bits * 30103 // 100000 + 1}
 
 
 def distinction_integral(e: int, f: int, q0, L: int) -> IntegralReport:
@@ -247,13 +256,30 @@ def distinction_integral(e: int, f: int, q0, L: int) -> IntegralReport:
     )
 
 
-def nonvanishing_scan(e: int, samples) -> dict:
-    """Exact positivity of the closed form at rational points of (-1, 1)."""
+# nonvanishing_scan's default points: 0 and -1/q0**f for q0 in 2..5, f in 1..2
+POINTS = tuple(sorted({Fraction(0)} | {Fraction(-1, q0**f) for q0 in (2, 3, 4, 5) for f in (1, 2)}))
+
+
+def nonvanishing_scan(e: int, samples=None) -> dict:
+    """Exact positivity of the closed form at rational points of (-1, 1),
+    by default at ``POINTS``."""
     rows = []
     all_positive = True
-    for x in samples:
+    for x in POINTS if samples is None else samples:
         value = poincare_value(e, x)
         positive = value > 0
         all_positive = all_positive and positive
         rows.append({"x": format_rational(x), "value": format_rational(value), "positive": positive})
     return {"e": e, "all_positive": all_positive, "samples": rows}
+
+
+def poincare_cost(e: int, points=None) -> dict:
+    """The digits of the exact values ``nonvanishing_scan(e, points)``
+    reports: at x = a/b, |a| < b, (b**e - a**e) / (b - a)**e has a
+    numerator below 2 * b**e and a denominator (b - a)**e, and an integer
+    below 2**n has at most n * log10(2) + 1 < 0.30103 n + 1 digits."""
+    bits = 0
+    for x in POINTS if points is None else points:
+        b = x.denominator
+        bits = max(bits, e * b.bit_length() + 1, e * (b - x.numerator).bit_length())
+    return {"digits": bits * 30103 // 100000 + 1}

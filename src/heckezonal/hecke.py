@@ -42,6 +42,7 @@ from .weyl import (
     AffinePermutation,
     ExtendedWeylElement,
     _left_step,
+    _steps_slots,
     generator,
     pi_element,
     random_element,
@@ -53,6 +54,7 @@ __all__ = [
     "chi",
     "PresentationReport",
     "verify_presentation",
+    "presentation_cost",
 ]
 
 
@@ -332,3 +334,9 @@ def verify_presentation(e: int, samples: int = 0, seed: int | None = None) -> Pr
         if (h[0] * h[1]) * h[2] != h[0] * (h[1] * h[2]):
             assoc_ok = False
     return PresentationReport(e, checks, seed, samples, assoc_ok)
+
+
+def presentation_cost(e: int) -> dict:
+    """What ``verify_presentation(e)`` holds: family (vi)'s (e-2)(e-3)/2
+    cases of e slots, and ``weyl._right_steps(e)``, built by the generators."""
+    return {"slots": (e - 2) * (e - 3) // 2 * e + _steps_slots(e)}

@@ -41,8 +41,8 @@ from fractions import Fraction
 from .scalars import ExactScalar, Value, scalar_power
 from .spherical import SphericalParams, matrix_coefficient_scalar
 from .weyl import (
-    ExtendedWeylElement, _right_steps, all_reduced_words, conjugate_by_pi, enumerate_by_length,
-    perm_compose, random_element,
+    ExtendedWeylElement, _right_steps, _steps_slots, all_reduced_words, conjugate_by_pi,
+    enumerate_by_length, enumeration_cost, perm_compose, random_element,
 )
 
 __all__ = [
@@ -52,6 +52,7 @@ __all__ = [
     "word_perm",
     "ev",
     "verify_coefficient",
+    "coefficient_cost",
 ]
 
 
@@ -267,3 +268,12 @@ def verify_coefficient(e: int, f: int, q0: int, L: int, seed: int, samples: int)
         "sampled_k_invariance_ok": sampled_ok,
         "ok": mismatches == 0 and failed is None and sampled_ok,
     }
+
+
+def coefficient_cost(e: int, L: int) -> dict:
+    """What ``verify_coefficient(e, f, q0, L, ...)`` holds: for its n BFS
+    elements n windows, n of ev's words and at most n kept operators, the
+    e transpositions ts and ev's e Gamma powers, all of e slots, and
+    ``weyl._right_steps(e)``, built at every L."""
+    n = enumeration_cost(e, L)["elements"]
+    return {"elements": n, "slots": 3 * n * e + 2 * e * e + _steps_slots(e)}

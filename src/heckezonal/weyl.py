@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from math import comb
 
 from .scalars import Value
 
@@ -56,14 +57,15 @@ __all__ = [
     "conjugate_by_pi",
     "perm_compose",
     "random_element",
+    "w0_count",
+    "enumeration_cost",
 ]
 
-# the most elements of W0 one run may enumerate: the command line checks
-# its binomial budget against it first, and enumerate_by_length stops at it
+# the most elements of W0 one run may hold: the command line compares each
+# entry's declared cost with it first, and enumerate_by_length stops at it
 ENUM_CAP = 1_000_000
-# the most window slots, e per element, one run may hold: the command line
-# checks e times the same binomial count against it, so a large rank is
-# capped by memory and not by the element count alone
+# the most slots (window entries, perm entries, table entries) one run may
+# hold, so a large rank is capped by memory and not by the element count
 SLOT_CAP = 10 * ENUM_CAP
 
 
@@ -187,6 +189,11 @@ def _right_steps(e: int) -> tuple:
         slots[j - 1], slots[j] = j, j - 1
         swaps.append(operator.itemgetter(*slots))
     return (wrap, *swaps)
+
+
+def _steps_slots(e: int) -> int:
+    # what _right_steps(e) holds for the process's life; each builder counts it
+    return e * (e - 1)
 
 
 def _left_step(w: tuple[int, ...], j: int, e: int) -> tuple[tuple[int, ...], bool]:
@@ -372,6 +379,28 @@ def enumerate_by_length(e: int, max_length: int) -> list[list[AffinePermutation]
         layers.append(sorted(frontier))
     wrap = AffinePermutation._raw
     return [[wrap(e, w) for w in layer] for layer in layers]
+
+
+def w0_count(e: int, L: int, cap: int) -> int:
+    """N(0) + ... + N(L) = C(L+e, e) - C(L, e), the elements of W0 of
+    length at most L; when the lower bound 1 + e*L exceeds cap, that
+    bound instead.
+
+    N(l) >= N(1) = e for l >= 1, so the bound holds, and it keeps the
+    count cheap far over the cap: the binomials are computed only when
+    e*L < cap.
+    """
+    bound = 1 + e * L
+    if bound > cap:
+        return bound
+    return comb(L + e, e) - comb(L, e)
+
+
+def enumeration_cost(e: int, L: int) -> dict:
+    """What ``enumerate_by_length(e, L)`` holds: ``w0_count`` elements, a
+    window of e slots each, and from L >= 1 the table ``_right_steps(e)``."""
+    n = w0_count(e, L, min(ENUM_CAP, SLOT_CAP // e))
+    return {"elements": n, "slots": n * e + (_steps_slots(e) if L else 0)}
 
 
 def perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -218,7 +219,7 @@ def test_enumeration_cap_env(monkeypatch, capsys):
 def test_enumeration_backstop_exits_2(monkeypatch, capsys):
     # with the count understated, _validate passes and the search itself
     # stops at the cap: that backstop is still bad input
-    monkeypatch.setattr(dst, "w0_count", lambda e, L, cap: 1)
+    monkeypatch.setattr(weyl, "w0_count", lambda e, L, cap: 1)
     monkeypatch.setattr(weyl, "ENUM_CAP", 10)
     assert cli.run(["growth", "--e", "4", "--L", "8"]) == 2
     captured = capsys.readouterr()
@@ -259,7 +260,9 @@ def test_budget_is_exact_for_every_enumerating_command(command, monkeypatch, cap
     argv = [command, "--e", "3", "--L", "3"]
     monkeypatch.setattr(weyl, "ENUM_CAP", 18)
     assert cli.run(argv) == 2
-    assert "--e 3 --L 3" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    for part in ("--e 3 ", "--L 3:", "could need 19 elements", "cap of 18 elements"):
+        assert part in err, part
     assert called == []
     monkeypatch.setattr(weyl, "ENUM_CAP", 19)
     assert cli.run(argv) == 0
@@ -268,29 +271,35 @@ def test_budget_is_exact_for_every_enumerating_command(command, monkeypatch, cap
 
 def test_over_slot_budget_run_exits_2_before_enumerating(capsys):
     # N(0..2) = 501,501 at e = 1000 is under the element cap, but each
-    # element holds 1000 window slots: some 5 * 10**8 in all
+    # element holds 1000 window slots, and the step table 999,000 more:
+    # some 5 * 10**8 in all
     start = time.perf_counter()
     assert cli.run(["growth", "--e", "1000", "--L", "2"]) == 2
     assert time.perf_counter() - start < 0.5
     captured = capsys.readouterr()
     assert captured.out == ""
-    for part in ("--e 1000 --L 2", "501501000 window slots", "cap of 10000000 slots"):
+    for part in ("--e 1000 --L 2", "502500000 slots", "cap of 10000000 slots"):
         assert part in captured.err, part
 
 
 @pytest.mark.parametrize("command", ["eigen", "coefficient", "growth", "distinction", "all"])
 def test_slot_budget_is_exact_for_every_enumerating_command(command, monkeypatch, capsys):
-    # N(0..3) = 19 elements at e = 3 hold 57 window slots: a cap of 57
-    # runs, 56 is rejected before any suite starts
+    # N(0..3) = 19 elements at e = 3 hold 57 window slots, and the step
+    # table 3 * 2 more: 63.  coefficient, which all runs too, also holds
+    # ev's words and two layers' operators, 19 perms of 3 slots each at
+    # most, and ts and ev's Gamma powers, 3 of each: 3 * 57 + 18 + 6 = 195.
+    # A cap of that many runs, one less is rejected before any suite starts
+    slots = 195 if command in ("coefficient", "all") else 63
     called = []
     fn = cli.COMMANDS[command]
     monkeypatch.setitem(cli.COMMANDS, command, lambda args: called.append(command) or fn(args))
     argv = [command, "--e", "3", "--L", "3"]
-    monkeypatch.setattr(weyl, "SLOT_CAP", 56)
+    monkeypatch.setattr(weyl, "SLOT_CAP", slots - 1)
     assert cli.run(argv) == 2
-    assert "--e 3 --L 3 would hold at least 57 window slots" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--e 3 " in err and "--L 3:" in err and f"could need {slots} slots" in err
     assert called == []
-    monkeypatch.setattr(weyl, "SLOT_CAP", 57)
+    monkeypatch.setattr(weyl, "SLOT_CAP", slots)
     assert cli.run(argv) == 0
     assert called == [command]
 
@@ -309,38 +318,79 @@ def test_over_presentation_budget_exits_2_at_once(command, capsys):
 
 
 def test_presentation_budget_at_the_default_cap():
-    # e (e-2)(e-3)/2 is 9,987,705 at e = 273 and 10,098,544 at e = 274
+    # e (e-2)(e-3)/2 + e (e-1) is 9,951,392 at e = 272 and 10,061,961 at
+    # e = 273
     parser = cli.build_parser()
-    cli._validate(parser.parse_args(["presentation", "--e", "273"]))
-    with pytest.raises(ValueError, match="--e 274: presentation family"):
-        cli._validate(parser.parse_args(["presentation", "--e", "274"]))
+    cli._validate(parser.parse_args(["presentation", "--e", "272"]))
+    with pytest.raises(ValueError, match="--e 273: presentation could need 10061961 slots"):
+        cli._validate(parser.parse_args(["presentation", "--e", "273"]))
 
 
 def test_coefficient_budget_at_the_default_cap(capsys):
-    # e operators of e slots each: 9,998,244 slots at e = 3162 and
-    # 10,004,569 at e = 3163, whatever --L is
+    # at L = 0, one window, ev's word and one kept operator, e slots each,
+    # ts and ev's Gamma powers, e perms of e slots each, and the step
+    # table's e (e-1) slots: 9,995,525 at e = 1825 and 10,006,480 at
+    # e = 1826
     parser = cli.build_parser()
-    cli._validate(parser.parse_args(["coefficient", "--e", "3162", "--L", "0"]))
+    cli._validate(parser.parse_args(["coefficient", "--e", "1825", "--L", "0"]))
     start = time.perf_counter()
-    assert cli.run(["coefficient", "--e", "3163", "--L", "0"]) == 2
+    assert cli.run(["coefficient", "--e", "1826", "--L", "0"]) == 2
     assert time.perf_counter() - start < 0.5
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--e 3163: coefficient would hold 10004569 operator slots" in captured.err
+    assert "--e 1826 --L 0: coefficient could need 10006480 slots" in captured.err
 
 
-@pytest.mark.parametrize("argv", [["presentation", "--e", "6", "--samples", "0"], ["all", "--e", "7", "--L", "1"]])
+# A declared element or slot stands for at most this many traced bytes:
+# a slot is a pointer, and a perm or window entry above 256 may be an int
+# object of its own
+BYTES_PER_UNIT = 24
+# what a run traces whatever it holds: the report, its text, the parser
+BASELINE = 1 << 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["growth", "--e", "400", "--L", "1"],
+    ["coefficient", "--e", "400", "--L", "0"],
+    ["eigen", "--e", "40", "--L", "2"],
+    ["distinction", "--e", "41", "--L", "2"],
+    ["presentation", "--e", "60", "--samples", "5"],
+])
+def test_declared_costs_bound_traced_memory(argv):
+    # the traced peak of a run stays within one multiple of the elements
+    # and slots its cost function declares, at ranks where windows and
+    # perms of e slots outweigh the objects that hold them.  The step
+    # table and the generators are cached per rank, so the caches are
+    # emptied first and the run pays for what it builds
+    args = cli.build_parser().parse_args(argv)
+    cli._validate(args)
+    fn, *dests = cli.COSTS[argv[0]]
+    cost = fn(*[vars(args)[d] for d in dests])
+    for cached in (weyl._right_steps, weyl._simple, weyl._identity, dst.poincare_closed_form):
+        cached.cache_clear()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= BYTES_PER_UNIT * (cost.get("elements", 0) + cost["slots"]) + BASELINE, (peak, cost)
+
+
+@pytest.mark.parametrize("argv", [["presentation", "--e", "6", "--samples", "0"], ["all", "--e", "16", "--L", "1"]])
 def test_presentation_budget_is_exact(argv, monkeypatch, capsys):
-    # 6 * 3 = 18 slots at e = 6 and 7 * 10 = 70 at e = 7, where the --L
-    # budget of all, 8 elements of 7 slots, stays under the cap
+    # 6 * 3 + 6 * 5 = 48 slots at e = 6 and 16 * 91 + 16 * 15 = 1,696 at
+    # e = 16, where all's largest other section, coefficient at L = 1,
+    # holds 1,568
     e = int(argv[2])
-    slots = e * (e - 2) * (e - 3) // 2
+    slots = e * (e - 2) * (e - 3) // 2 + e * (e - 1)
     called = []
     fn = cli.COMMANDS[argv[0]]
     monkeypatch.setitem(cli.COMMANDS, argv[0], lambda args: called.append(argv[0]) or fn(args))
     monkeypatch.setattr(weyl, "SLOT_CAP", slots - 1)
     assert cli.run(argv) == 2
-    assert f"--e {e}: presentation family (vi) would multiply windows of {e} slots" in capsys.readouterr().err
+    assert f"--e {e}: presentation could need {slots} slots" in capsys.readouterr().err
     assert called == []
     monkeypatch.setattr(weyl, "SLOT_CAP", slots)
     assert cli.run(argv) == 0
@@ -364,11 +414,10 @@ def test_over_digit_budget_poincare_exits_2_at_once(extra, capsys):
                                   ["all", "--e", "3", "--L", "3"]])
 def test_digit_budget_is_exact(argv, monkeypatch, capsys):
     e = int(argv[2])
-    points = [Fraction(argv[4])] if "--points" in argv else cli._poincare_points(argparse.Namespace(points=None))
-    digits = cli._poincare_digits(e, points)
+    digits = dst.poincare_cost(e, [Fraction(argv[4])] if "--points" in argv else None)["digits"]
     monkeypatch.setattr(cli, "DIGIT_CAP", digits - 1)
     assert cli.run(argv) == 2
-    assert f"up to {digits} digits" in capsys.readouterr().err
+    assert f"could need {digits} digits" in capsys.readouterr().err
     monkeypatch.setattr(cli, "DIGIT_CAP", digits)
     assert cli.run(argv) == 0
 
@@ -377,10 +426,9 @@ def test_digit_bound_holds():
     # the bound from bit lengths is never below the printed digits, for
     # the default grid and for points near the ends of (-1, 1)
     rng = random.Random(23)
-    grid = cli._poincare_points(argparse.Namespace(points=None))
     for e in range(2, 80):
-        points = grid + [Fraction(rng.randrange(-n + 1, n), n) for n in (7, 97, 1009)]
-        bound = cli._poincare_digits(e, points)
+        points = [*dst.POINTS] + [Fraction(rng.randrange(-n + 1, n), n) for n in (7, 97, 1009)]
+        bound = dst.poincare_cost(e, points)["digits"]
         for x in points:
             value = dst.poincare_value(e, x)
             assert max(len(str(value.numerator)), len(str(value.denominator))) <= bound, (e, x)
@@ -395,7 +443,7 @@ def test_over_digit_budget_distinction_exits_2_at_once(command, capsys):
     assert time.perf_counter() - start < 0.5
     captured = capsys.readouterr()
     assert captured.out == ""
-    for part in ("--f 30", "--q0 7", "--L 180", "up to 4685 digits", "cap of 4300 digits"):
+    for part in ("--f 30", "--q0 7", "--L 180", "could need 4685 digits", "cap of 4300 digits"):
         assert part in captured.err, part
 
 
@@ -403,11 +451,11 @@ def test_over_digit_budget_distinction_exits_2_at_once(command, capsys):
                                   ["all", "--e", "3", "--f", "2", "--q0", "3", "--L", "4"]])
 def test_distinction_digit_budget_is_exact(argv, monkeypatch, capsys):
     e, f, q0, L = (int(argv[n]) for n in (2, 4, 6, 8))
-    digits = cli._distinction_digits(e, f, q0, L)
-    assert digits > cli._poincare_digits(e, cli._poincare_points(argparse.Namespace(points=None)))
+    digits = dst.integral_cost(e, f, q0, L)["digits"]
+    assert digits > dst.poincare_cost(e)["digits"]
     monkeypatch.setattr(cli, "DIGIT_CAP", digits - 1)
     assert cli.run(argv) == 2
-    assert f"a distinction value could have up to {digits} digits" in capsys.readouterr().err
+    assert f"distinction could need {digits} digits" in capsys.readouterr().err
     monkeypatch.setattr(cli, "DIGIT_CAP", digits)
     assert cli.run(argv) == 0
 
@@ -422,7 +470,7 @@ def test_distinction_digit_bound_holds():
             report = dst.distinction_integral(e, f, q0, L)
             values = (report.partial_sum, report.closed_form, report.abs_error, report.tail_bound)
             printed = max(len(str(abs(n))) for x in values for n in (x.numerator, x.denominator))
-            assert printed <= cli._distinction_digits(e, f, q0, L), (e, f, q0, L)
+            assert printed <= dst.integral_cost(e, f, q0, L)["digits"], (e, f, q0, L)
 
 
 def test_golden_and_benchmark_argvs_validate():
@@ -444,11 +492,11 @@ def test_w0_count_matches_the_closed_form():
     for e in range(2, 9):
         for L in range(0, 16):
             total = sum(dst.growth_closed_form(e, L))
-            assert dst.w0_count(e, L, 10**30) == total, (e, L)
+            assert weyl.w0_count(e, L, 10**30) == total, (e, L)
             if e <= 5:
                 assert sum(dst.growth_bfs(e, L)) == total, (e, L)
             # below the cap the count is exact; over it, a sum over the cap
-            count = dst.w0_count(e, L, 500)
+            count = weyl.w0_count(e, L, 500)
             assert count == total if total <= 500 else 500 < count <= total, (e, L)
 
 

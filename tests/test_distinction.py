@@ -9,6 +9,7 @@ from math import comb
 import pytest
 
 from heckezonal import cli
+from heckezonal import distinction as dst
 from heckezonal.distinction import (
     IntegralReport,
     RequiresOddE,
@@ -21,13 +22,13 @@ from heckezonal.distinction import (
     poincare_closed_form,
     poincare_series_coefficients,
     poincare_value,
-    w0_count,
 )
 from heckezonal.scalars import LaurentPoly
 from heckezonal.spherical import SphericalParams, matrix_coefficient_scalar
-from heckezonal.weyl import AffinePermutation, enumerate_by_length, generator, multiply
+from heckezonal.weyl import AffinePermutation, enumerate_by_length, generator, multiply, w0_count
 
 from oracles import bott_product_series
+from test_hecke import mutate
 
 
 def element_of_length(e, word):
@@ -218,6 +219,19 @@ def test_wrong_length_on_one_element_fails(monkeypatch, capsys, position):
     assert not distinction_integral(3, 1, 2, 5).per_term_ok
     assert cli.run(["distinction", "--e", "3", "--L", "5"]) == 1
     assert '"per_term_ok": false' in capsys.readouterr().out
+
+
+def test_per_term_check_catches_a_wrong_term_past_length_1(monkeypatch):
+    # a term off by a factor of 2 from length 2 on: layers 0 and 1 pass,
+    # and the per-term collapse fails at the first layer that does not
+    assert distinction_integral(3, 1, 2, 4).per_term_ok
+    mutate(monkeypatch, dst.per_term_value, [
+        ("* matrix_coefficient_scalar(w0, p)", "* matrix_coefficient_scalar(w0, p) * (1 + (w0.length() >= 2))"),
+    ], dst)
+    layers = enumerate_by_length(3, 2)
+    assert dst.per_term_value(layers[1][0], 1, 2) == Fraction(-1, 2)
+    assert dst.per_term_value(layers[2][0], 1, 2) == 2 * Fraction(1, 4)
+    assert not distinction_integral(3, 1, 2, 4).per_term_ok
 
 
 # each library entry that takes a rational, called with a float: 0.1 would

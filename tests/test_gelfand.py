@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 from oracles import commutant_dimension, inverse_by_search, mat_vec, sign_by_inversions
+from test_hecke import mutate
 
 from heckezonal import cli
 from heckezonal import gelfand as gf
@@ -169,6 +170,20 @@ def test_gelfand_fails_on_a_flipped_sign(monkeypatch, capsys):
     failing = {entry["name"]: entry.get("not_a_homomorphism") for entry in examples if not entry["ok"]}
     assert failing == {"s3_sign_vs_s2": "S3-sign"}
     assert sum("not_a_homomorphism" in entry for entry in examples) == 1
+
+
+def test_gelfand_fails_on_a_reducible_rep_with_the_expected_dimensions(monkeypatch, capsys):
+    # sign + sign of S3 is a homomorphism with no vector fixed by S2, as
+    # the sign entry expects, so only the irreducibility conjunct fails it
+    mutate(monkeypatch, gf.symmetric_group_sign_rep, [("_matrix([[-1]])", "_matrix([[-1, 0], [0, -1]])")], gf)
+    rep = gf.symmetric_group_sign_rep(3)
+    assert rep.validate_closure() and not is_irreducible(rep)
+    assert cli.run(["gelfand"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failing = [entry for entry in report["examples"] if not entry["ok"]]
+    assert [entry["name"] for entry in failing] == ["s3_sign_vs_s2"]
+    assert (failing[0]["dim_fixed"], failing[0]["dim_fixed_dual"]) == (0, 0)
+    assert "not_a_homomorphism" not in failing[0]
 
 
 def test_validate_closure_rejects_generators_breaking_a_relation():

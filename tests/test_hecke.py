@@ -1,6 +1,7 @@
 """Hecke algebra: basis products, defining relations, the character."""
 
 import inspect
+import json
 import random
 import textwrap
 import tracemalloc
@@ -10,6 +11,7 @@ import pytest
 from oracles import right_peeling_product, specialize
 
 import heckezonal.hecke as hecke
+from heckezonal import cli
 import heckezonal.weyl as weyl
 from heckezonal.hecke import HeckeAlgebra, chi, verify_presentation
 from heckezonal.scalars import LaurentPoly
@@ -214,6 +216,20 @@ def test_presentation_catches_flipped_conjugation(monkeypatch):
     assert verify_presentation(4).ok
     mutate(monkeypatch, HeckeAlgebra._left_generator, [("(i + k) % e", "(i - k) % e")], HeckeAlgebra)
     assert not verify_presentation(4).ok
+
+
+def test_associativity_samples_catch_an_unreversed_product(monkeypatch, capsys):
+    # peeling the left factor's reduced word front to back multiplies its
+    # generators in reverse order; every relation family has a left factor
+    # of length at most 1 and still passes, so only the associativity
+    # samples see the fault
+    mutate(monkeypatch, HeckeAlgebra.product, [
+        ("reversed(AffinePermutation._raw(e, win).reduced_word())", "AffinePermutation._raw(e, win).reduced_word()"),
+    ], HeckeAlgebra)
+    assert cli.run(["presentation", "--e", "3", "--seed", "3", "--samples", "5"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["associativity_ok"] is False
+    assert len(report["checks"]) == 7 and all(c["ok"] for c in report["checks"])
 
 
 BROKEN_STEPS = {

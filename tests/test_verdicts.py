@@ -45,8 +45,8 @@ def library_report(argv) -> dict:
         ]
         return {"e": args.e, "L": args.L, "rows": rows, "ok": bfs == closed}
     if args.command == "poincare":
-        # the default grid of points is the CLI's, so it is read from there
-        return dst.nonvanishing_scan(args.e, cli._poincare_points(args))
+        # None selects the library's default grid of points
+        return dst.nonvanishing_scan(args.e, args.points)
     if args.command == "distinction":
         integral = dst.distinction_integral(args.e, args.f, args.q0, args.L)
         report = integral.to_json()
