@@ -1,22 +1,23 @@
 """heckezonal: exact-arithmetic verification of affine Hecke algebra
 identities at desk scale.
 
-The modules cover exact scalars (rationals, Laurent polynomials), the
-extended affine Weyl group in window notation, the generic Hecke algebra
-and its one-dimensional character, the spherical eigenvector and its
-explicit matrix-coefficient values, the place-permutation operator model
-of those values, growth and Poincare series with double-coset sums, and
-exact pairings of fixed vectors for finite groups.  The ``heckezonal``
-command runs each of them as a verification suite; the names imported
-here are the library API.  Reference models that only the tests compare
-against (dense tensor vectors, the residue projection mod e,
-specialization of q1, a right-peeling Hecke product) are kept with the
-tests, not shipped.
+The modules cover exact scalars (rationals, signed powers of q0, Laurent
+polynomials), the extended affine Weyl group in window notation, the
+generic Hecke algebra and its one-dimensional character, the spherical
+eigenvector and its explicit matrix-coefficient values, the
+place-permutation operator model of those values, growth and Poincare
+series with double-coset sums, and exact pairings of fixed vectors for
+finite groups.  The ``heckezonal`` command runs each of them as a
+verification suite; the names imported here are the library API.
+Reference models that only the tests compare against (dense tensor
+vectors, the residue projection mod e, specialization of q1, a
+right-peeling Hecke product) are kept with the tests, not shipped.
 """
 
 from .scalars import (
     ExactScalar,
     LaurentPoly,
+    Monomial,
     NonInvertibleError,
     format_rational,
     parse_rational,

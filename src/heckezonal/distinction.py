@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .scalars import LaurentPoly, _as_fraction, format_rational
+from .scalars import LaurentPoly, Monomial, _as_fraction, format_rational
 from .spherical import SphericalParams, exact_q0, matrix_coefficient_scalar
 from .weyl import AffinePermutation, enumeration_cost, enumerate_by_length
 
@@ -63,19 +63,20 @@ class RequiresOddE(ValueError):
     """The distinction sum is computed in the odd-rank regime only."""
 
 
-def coset_measure(w0: AffinePermutation, f: int, q0) -> Fraction:
+def coset_measure(w0: AffinePermutation, f: int, q0) -> Monomial:
     """Volume q0**(f**2 * l(w0)) of the double coset at w0 * pi**k, for every k."""
     q0 = exact_q0(q0)
     if f < 1:
         raise ValueError("f must be a positive integer")
-    return q0 ** (f * f * w0.length())
+    return Monomial(q0.numerator, 1, f * f * w0.length())
 
 
-def per_term_value(w0: AffinePermutation, f: int, q0) -> Fraction:
+def per_term_value(w0: AffinePermutation, f: int, q0) -> Monomial:
     """Volume times normalized coefficient value for one coset.
 
-    Computed as the product of the two independent factors; it must
-    collapse to (-1/q0**f)**l(w0) by the exponent cancellation.
+    Computed as the product of the two independent factors, each a
+    signed power of q0; it must collapse to (-1/q0**f)**l(w0) by the
+    exponent cancellation.
     """
     p = SphericalParams.numeric(w0.e, f, q0)
     return coset_measure(w0, f, q0) * matrix_coefficient_scalar(w0, p)
@@ -218,16 +219,17 @@ def distinction_integral(e: int, f: int, q0, L: int) -> IntegralReport:
     is taken per BFS layer: every element's inversion count is checked
     against its layer index, and the layer adds len(layer) copies of
     the term of its first element, itself checked against
-    (-1/q0**f)**l.  closed_form = e * P(-1/q0**f).  The exact tail
-    bound dominates |partial_sum - closed_form| and shrinks
-    geometrically with L.
+    (-1/q0**f)**l as a signed power of q0: their signs and exponents must
+    agree, and no term is built as a rational to be compared.
+    closed_form = e * P(-1/q0**f).  The exact tail bound dominates
+    |partial_sum - closed_form| and shrinks geometrically with L.
     """
     if e % 2 == 0:
         raise RequiresOddE("RequiresOddE: the coset sum is derived for odd e")
     q0 = exact_q0(q0)
     if L < 0:
         raise ValueError("truncation L must be nonnegative")
-    y = Fraction(1) / q0**f
+    y = Monomial(q0.numerator, 1, -f)
     layers = enumerate_by_length(e, L)
     inner = Fraction(0)
     tail_partial = Fraction(0)

@@ -2,15 +2,20 @@
 
 Two interchangeable coefficient modes:
 
-* numeric mode: plain `fractions.Fraction` values (arbitrary precision,
-  always reduced, positive denominator);
+* numeric mode: exact rationals.  A sum is a plain `fractions.Fraction`
+  (arbitrary precision, always reduced, positive denominator); a signed
+  power of q0, the form of every q-power, volume and coefficient value,
+  is a :class:`Monomial`, which multiplies by adding exponents and never
+  builds the integer it stands for;
 * generic mode: :class:`LaurentPoly`, a one-variable Laurent polynomial
   with integer or rational coefficients, for verifying identities at a
   formal unit parameter.
 
-Both modes support ``+``, ``-``, ``*``, integer ``**`` and exact equality,
+All forms support ``+``, ``-``, ``*``, integer ``**`` and exact equality,
 so the algebra modules are written against ordinary Python arithmetic and
-stay agnostic of the mode.  No floating point is used anywhere.
+stay agnostic of the mode.  A monomial mixed with an int, a Fraction or a
+monomial of another base computes on exact Fractions.  No floating point
+is used anywhere.
 
 A Laurent coefficient has one canonical form: an ``int`` when its value
 is integral, else a ``Fraction`` with denominator > 1.  At generic q1 the
@@ -28,6 +33,8 @@ True
 Fraction(5, 1)
 >>> (2 * q.inverse()).inverse().coefficients()
 {1: Fraction(1, 2)}
+>>> -Monomial(2, 1, 3) / Monomial(2, 1, 5) == Fraction(-1, 4)
+True
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from fractions import Fraction
 __all__ = [
     "ExactScalar",
     "LaurentPoly",
+    "Monomial",
     "NonInvertibleError",
     "scalar_inverse",
     "scalar_power",
@@ -53,6 +61,8 @@ def _as_fraction(x) -> Fraction:
         return x
     if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, Monomial):
+        return x.fraction()
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
@@ -296,7 +306,116 @@ class LaurentPoly(Value):
 
 _set_coeffs = LaurentPoly._coeffs.__set__
 
-ExactScalar = Fraction | LaurentPoly
+
+def _exact(x):
+    """x as an int or a Fraction, a monomial as its Fraction, and None for
+    any other type."""
+    if isinstance(x, Monomial):
+        return x.fraction()
+    return x if isinstance(x, (int, Fraction)) else None
+
+
+class Monomial(Value):
+    """The numeric-mode unit ``sign * base**exp``, for an int base >= 2, a
+    sign of 1 or -1 and any int exp.
+
+    Two monomials of one base multiply and divide by adding and
+    subtracting exponents, and are equal exactly when their (sign, exp)
+    pairs are, since base >= 2.  With an int, a Fraction or a monomial of
+    another base, every operation runs on :meth:`fraction`, the exact
+    value, so a mixed result is the exact Fraction and never a rounded
+    one; the product with 1 is the monomial itself.  Equality and hash
+    agree with that Fraction.
+    """
+
+    __slots__ = _fields = ("base", "sign", "exp")
+
+    def __init__(self, base: int, sign: int = 1, exp: int = 1):
+        if type(base) is not int or type(exp) is not int:
+            raise TypeError("a monomial has an int base and an int exponent")
+        if base < 2 or sign not in (1, -1):
+            raise ValueError("a monomial is +1 or -1 times a power of an int base >= 2")
+        _set_base(self, base)
+        _set_sign(self, sign)
+        _set_exp(self, exp)
+
+    def fraction(self) -> Fraction:
+        """The exact value, built only for printing and mixed arithmetic."""
+        if self.exp >= 0:
+            return Fraction(self.sign * self.base**self.exp)
+        return Fraction(self.sign, self.base**-self.exp)
+
+    def __mul__(self, other):
+        if type(other) is Monomial and other.base == self.base:
+            return _monomial(self.base, self.sign * other.sign, self.exp + other.exp)
+        other = _exact(other)
+        if other is None:
+            return NotImplemented
+        return self if other == 1 else self.fraction() * other
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if type(other) is Monomial and other.base == self.base:
+            return _monomial(self.base, self.sign * other.sign, self.exp - other.exp)
+        other = _exact(other)
+        return NotImplemented if other is None else self.fraction() / other
+
+    def __rtruediv__(self, other):
+        other = _exact(other)
+        return NotImplemented if other is None else other / self.fraction()
+
+    def __pow__(self, n: int):
+        if type(n) is not int:
+            return NotImplemented
+        return _monomial(self.base, -1 if self.sign < 0 and n & 1 else 1, self.exp * n)
+
+    def __neg__(self):
+        return _monomial(self.base, -self.sign, self.exp)
+
+    def inverse(self) -> "Monomial":
+        return _monomial(self.base, self.sign, -self.exp)
+
+    def __add__(self, other):
+        other = _exact(other)
+        return NotImplemented if other is None else self.fraction() + other
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _exact(other)
+        return NotImplemented if other is None else self.fraction() - other
+
+    def __rsub__(self, other):
+        other = _exact(other)
+        return NotImplemented if other is None else other - self.fraction()
+
+    def __eq__(self, other):
+        if type(other) is Monomial and other.base == self.base:
+            return self.sign == other.sign and self.exp == other.exp
+        other = _exact(other)
+        return NotImplemented if other is None else self.fraction() == other
+
+    def __hash__(self):
+        return hash(self.fraction())
+
+
+_set_base = Monomial.base.__set__
+_set_sign = Monomial.sign.__set__
+_set_exp = Monomial.exp.__set__
+
+
+def _monomial(base: int, sign: int, exp: int) -> Monomial:
+    """A monomial of fields already known to be valid, unchecked."""
+    m = object.__new__(Monomial)
+    _set_base(m, base)
+    _set_sign(m, sign)
+    _set_exp(m, exp)
+    return m
+
+
+# numeric mode's two forms and generic mode's one
+ExactScalar = Fraction | Monomial | LaurentPoly
 
 
 # -- mode-agnostic helpers --------------------------------------------
@@ -304,7 +423,7 @@ ExactScalar = Fraction | LaurentPoly
 
 def scalar_inverse(a):
     """Inverse of a unit; raises :class:`NonInvertibleError` otherwise."""
-    if isinstance(a, LaurentPoly):
+    if isinstance(a, (LaurentPoly, Monomial)):
         return a.inverse()
     a = _as_fraction(a)
     if a == 0:
@@ -316,7 +435,7 @@ def scalar_power(a, n: int):
     """``a ** n`` for any integer n, negative powers through the inverse."""
     if n < 0:
         return scalar_inverse(a) ** (-n)
-    if not isinstance(a, LaurentPoly):
+    if not isinstance(a, (LaurentPoly, Monomial)):
         a = _as_fraction(a)
     return a**n
 

@@ -40,7 +40,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .hecke import HeckeAlgebra, HeckeElement
-from .scalars import ExactScalar, LaurentPoly, Value, _as_fraction, format_rational, scalar_inverse, scalar_power
+from .scalars import (
+    ExactScalar, LaurentPoly, Monomial, Value, _as_fraction, format_rational, scalar_inverse, scalar_power,
+)
 from .weyl import (
     AffinePermutation,
     ExtendedWeylElement,
@@ -83,8 +85,11 @@ def exact_q0(q0) -> Fraction:
 class SphericalParams(Value):
     """Parameters (e, f, q0) with q = q0**2 and q1 = q**f = q0**(2f).
 
-    q0 is an integer prime power in numeric mode.  Generic mode is
-    q0 = None and f = 1: q1 = q is then a formal Laurent variable.
+    q0 is an integer prime power in numeric mode, where q1 and each
+    q-power are :class:`~heckezonal.scalars.Monomial` powers of q0, so a
+    value built from them by products, quotients and powers is a signed
+    power of q0 too, computed and compared by its exponent.  Generic mode
+    is q0 = None and f = 1: q1 = q is then a formal Laurent variable.
 
     A :class:`Value` by its four inputs.  The instance dict holds them,
     and ``cached_property`` keeps the derived values and tables there.
@@ -114,15 +119,15 @@ class SphericalParams(Value):
 
     @cached_property
     def q1(self) -> ExactScalar:
-        return LaurentPoly.variable() if self.q0 is None else self.q0 ** (2 * self.f)
+        return LaurentPoly.variable() if self.q0 is None else Monomial(self.q0.numerator, 1, 2 * self.f)
 
     def q_power(self, m: int) -> ExactScalar:
         """q**m for integer m, with q = q0**2 (q = q1 in generic mode)."""
+        if self.q0 is not None:
+            return Monomial(self.q0.numerator, 1, 2 * m)
         if m == 0:
             return Fraction(1)
-        if self.q0 is None:
-            return scalar_power(self.q1, m)
-        return self.q0 ** (2 * m)
+        return scalar_power(self.q1, m)
 
     @cached_property
     def _neg_inv_q1(self) -> ExactScalar:

@@ -4,7 +4,12 @@ model of the matrix-coefficient values.
 Operators are stored symbolically as (permutation, scalar) pairs: the
 permutation is in destination one-line form (the content of slot i moves
 to slot perm[i-1]), so composition of operators is ordinary composition
-of permutations and the scalar multiplies along.
+of permutations and the scalar multiplies along.  A bare place
+permutation (``t_operator``, ``gamma_operator``, the identity) has the
+int 1 as its scale, and ``ev``'s scales are signed powers of q0
+(:class:`~heckezonal.scalars.Monomial`), so composing with a t_i returns
+the other scale unchanged and composing two of ``ev``'s operators adds
+exponents.
 
 The evaluation map sends a group element w0 * pi**k to
 
@@ -36,7 +41,6 @@ length, the only thing about the word it depends on.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .scalars import ExactScalar, Value, scalar_power
 from .spherical import SphericalParams, matrix_coefficient_scalar
@@ -61,7 +65,7 @@ class PlaceOperator(Value):
 
     __slots__ = _fields = ("e", "perm", "scale")
 
-    def __init__(self, e: int, perm: tuple[int, ...], scale: ExactScalar = Fraction(1)):
+    def __init__(self, e: int, perm: tuple[int, ...], scale: ExactScalar = 1):
         _set_e(self, e)
         _set_perm(self, perm)
         _set_scale(self, scale)

@@ -46,6 +46,11 @@ the code it checks:
   integers factor by factor.  test_distinction.py checks the closed
   form (1 - X**e) / (1 - X)**e, its binomial coefficients, ``w0_count``
   and the BFS layer sizes against it.
+- ``coset_sums``: the distinction sum's partial sum, closed value and
+  tail bound as integer sums over the counts of ``bott_product_series``
+  and the closed form written in Fractions, never through
+  ``per_term_value``.  test_distinction.py checks
+  ``distinction_integral``'s three values against it, at large f too.
 - ``mat_vec``: a matrix times a vector.  test_gelfand.py checks that the
   computed fixed vectors are fixed with it.
 - ``inverse_by_search``: the index j with rho(i) rho(j) = 1, found by
@@ -272,6 +277,25 @@ def bott_product_series(e: int, max_degree: int) -> list[int]:
             for n in range(step, len(series)):
                 series[n] += series[n - step]
     return series
+
+
+def coset_sums(e: int, f: int, q0: int, L: int) -> tuple[Fraction, Fraction, Fraction]:
+    """e * sum_{l <= L} N(l) (-1/Q)**l, e * P(-1/Q) and
+    e * sum_{l > L} N(l) (1/Q)**l for Q = q0**f, with N(l) from
+    ``bott_product_series`` and P(X) = (1 - X**e) / (1 - X)**e.
+
+    Each partial sum is one integer over Q**L, summed by Horner's rule.
+    """
+    Q = q0**f
+    counts = bott_product_series(e, L)
+    signed = unsigned = 0
+    for l, n in enumerate(counts):
+        signed = signed * Q + (-1) ** l * n
+        unsigned = unsigned * Q + n
+    y = Fraction(1, Q)
+    closed = e * (1 - (-y) ** e) / (1 + y) ** e
+    tail = e * ((1 - y**e) / (1 - y) ** e - Fraction(unsigned, Q**L))
+    return e * Fraction(signed, Q**L), closed, tail
 
 
 # -- the Hecke algebra -----------------------------------------------------

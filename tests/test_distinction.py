@@ -23,11 +23,11 @@ from heckezonal.distinction import (
     poincare_series_coefficients,
     poincare_value,
 )
-from heckezonal.scalars import LaurentPoly
+from heckezonal.scalars import LaurentPoly, Monomial
 from heckezonal.spherical import SphericalParams, matrix_coefficient_scalar
 from heckezonal.weyl import AffinePermutation, enumerate_by_length, generator, multiply, w0_count
 
-from oracles import bott_product_series
+from oracles import bott_product_series, coset_sums
 from test_hecke import mutate
 
 
@@ -49,6 +49,17 @@ def test_coset_measure_examples():
     assert coset_measure(w2, 2, 3) == 6561
     with pytest.raises(ValueError):
         coset_measure(w2, 1, 1)
+
+
+def test_volumes_and_terms_are_q0_monomials():
+    # the volume, the closed coefficient and their product are signed
+    # powers of q0, compared by (sign, exponent): 3**(4*2), (-1/q1)**2 *
+    # q**-2 = 3**-12 and 3**-4 = (-1/3**2)**2 at f = 2, q0 = 3
+    w2 = element_of_length(3, [1, 2])
+    p = SphericalParams.numeric(3, 2, 3)
+    values = (coset_measure(w2, 2, 3), matrix_coefficient_scalar(w2, p), per_term_value(w2, 2, 3))
+    assert all(type(v) is Monomial for v in values)
+    assert [(v.base, v.sign, v.exp) for v in values] == [(3, 1, 8), (3, 1, -12), (3, 1, -4)]
 
 
 def test_per_term_value_exponent_cancellation():
@@ -232,6 +243,33 @@ def test_per_term_check_catches_a_wrong_term_past_length_1(monkeypatch):
     assert dst.per_term_value(layers[1][0], 1, 2) == Fraction(-1, 2)
     assert dst.per_term_value(layers[2][0], 1, 2) == 2 * Fraction(1, 4)
     assert not distinction_integral(3, 1, 2, 4).per_term_ok
+
+
+def test_per_term_check_catches_a_volume_one_exponent_off(monkeypatch, capsys):
+    # the volume one q0-exponent off from length 2 on: each term is still a
+    # monomial, and the (sign, exponent) comparison with (-1/q0**f)**l fails
+    # at the first layer past length 1
+    argv = ["distinction", "--e", "3", "--f", "2", "--q0", "3", "--L", "4"]
+    assert distinction_integral(3, 2, 3, 4).per_term_ok
+    mutate(monkeypatch, dst.coset_measure, [
+        ("f * f * w0.length())", "f * f * w0.length() + (w0.length() >= 2))"),
+    ], dst)
+    layers = enumerate_by_length(3, 2)
+    assert dst.per_term_value(layers[1][0], 2, 3) == Monomial(3, -1, -2)
+    assert dst.per_term_value(layers[2][0], 2, 3) == Monomial(3, 1, -3) != Monomial(3, 1, -4)
+    assert not distinction_integral(3, 2, 3, 4).per_term_ok
+    assert cli.run(argv) == 1
+    assert '"per_term_ok": false' in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("e, f, q0, L", [(3, 1, 2, 40), (5, 2, 3, 8), (3, 30, 7, 150), (3, 200, 2, 65)])
+def test_sums_match_the_bott_series(e, f, q0, L):
+    # the last two run within the digit budget at f = 30 and f = 200, where
+    # each term stands for a rational of thousands of bits that is never
+    # built
+    report = distinction_integral(e, f, q0, L)
+    assert (report.partial_sum, report.closed_form, report.tail_bound) == coset_sums(e, f, q0, L)
+    assert report.per_term_ok and report.ok
 
 
 # each library entry that takes a rational, called with a float: 0.1 would

@@ -12,6 +12,7 @@ from oracles import FractionLaurentPoly
 import heckezonal.scalars
 from heckezonal.scalars import (
     LaurentPoly,
+    Monomial,
     NonInvertibleError,
     format_rational,
     parse_rational,
@@ -297,3 +298,81 @@ def test_constructor_rejects_floats_and_stores_bools_as_ints():
     _assert_invariant(p)
     assert p.coefficients() == {0: 1, 1: 2}
     _assert_invariant(LaurentPoly.variable() * True)
+
+
+# -- numeric-mode monomials against Fraction ---------------------------------
+
+# 4 = 2**2, so monomials of two bases can still be equal
+MONOMIAL_ARGS = st.tuples(st.sampled_from([2, 3, 4]), st.sampled_from([1, -1]), st.integers(-6, 6))
+
+
+@PROPERTY
+@given(MONOMIAL_ARGS, MONOMIAL_ARGS, st.integers(-5, 5))
+@example((3, -1, 2), (3, 1, -5), -3)  # one base: exponents add, signs multiply
+@example((2, 1, 2), (4, 1, 1), 0)  # 2**2 == 4**1 across bases
+def test_monomial_arithmetic_matches_fraction(a, b, n):
+    ma, mb = Monomial(*a), Monomial(*b)
+    fa, fb = (Fraction(sign) * Fraction(base) ** exp for base, sign, exp in (a, b))
+    results = [(ma * mb, fa * fb), (ma / mb, fa / fb), (ma**n, fa**n), (-ma, -fa),
+               (ma.inverse(), 1 / fa), (scalar_power(ma, n), fa**n), (scalar_inverse(ma), 1 / fa)]
+    # one base: every result is again a monomial of that base; two bases:
+    # the quotient is the exact Fraction, and so is the product unless
+    # its factor mb is 1
+    mixed = 0 if a[0] == b[0] else 2
+    if mixed:
+        assert type(ma / mb) is Fraction
+        assert ma * mb is ma if fb == 1 else type(ma * mb) is Fraction
+    assert all(type(m) is Monomial and m.base == a[0] for m, _ in results[mixed:])
+    for m, f in results:
+        exact = m.fraction() if type(m) is Monomial else m
+        assert m == f and f == m and exact == f and hash(m) == hash(f), (m, f)
+        assert len({m, f}) == 1
+    assert (ma == mb) == (fa == fb) and (ma != mb) == (fa != fb)
+    assert (hash(ma) == hash(mb)) >= (ma == mb)
+    assert format_rational(ma) == format_rational(fa)
+
+
+@PROPERTY
+@given(MONOMIAL_ARGS, SCALARS)
+@example((2, 1, -2), 2)  # the per-term mutant's factor 2: the exact Fraction, never the monomial
+@example((3, -1, 4), Fraction(3, 1))  # an integral Fraction
+@example((5, 1, 3), 1)  # the unit: the monomial itself
+def test_monomial_mixed_arithmetic_is_exact(a, c):
+    m = Monomial(*a)
+    f = m.fraction()
+    for got, want in ((m * c, f * c), (c * m, c * f)):
+        if c == 1:
+            assert got is m
+        else:
+            assert type(got) is Fraction and got == want, (m, c)
+    for got, want in ((m + c, f + c), (c + m, c + f), (m - c, f - c), (c - m, c - f)):
+        assert type(got) is Fraction and got == want, (m, c)
+    if c:
+        assert type(m / c) is Fraction and m / c == f / c
+    assert type(c / m) is Fraction and c / m == c / f
+    assert (m == c) == (f == c) == (c == m)
+
+
+def test_monomial_rejects_non_integers_and_bad_fields():
+    for args in ((2.0, 1, 1), (2, 1, 1.0), (Fraction(2), 1, 1), (True, 1, 1)):
+        with pytest.raises(TypeError):
+            Monomial(*args)
+    for args in ((1, 1, 1), (0, 1, 1), (-2, 1, 1), (2, 0, 1), (2, 2, 1)):
+        with pytest.raises(ValueError):
+            Monomial(*args)
+    m = Monomial(2, -1, 3)
+    with pytest.raises(AttributeError):
+        m.exp = 4
+    with pytest.raises(TypeError):
+        m * 0.5
+    with pytest.raises(TypeError):
+        m * LaurentPoly.variable()
+    assert m != LaurentPoly.constant(-8) and m != "-8" and repr(m) == "Monomial(base=2, sign=-1, exp=3)"
+
+
+def test_monomial_exponents_never_build_the_value():
+    # 7**(10**9) has over 8 * 10**8 digits: sign and exponent arithmetic
+    # and the same-base comparison answer at once
+    big = Monomial(7, -1, 10**9)
+    assert big * big.inverse() == Monomial(7, 1, 0) == 1
+    assert (-big) ** 3 / big**2 == -big != big

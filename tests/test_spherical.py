@@ -11,7 +11,7 @@ from test_verdicts import wrong_pi_power
 import heckezonal.spherical as spherical
 from heckezonal import cli
 from heckezonal.hecke import HeckeAlgebra
-from heckezonal.scalars import LaurentPoly, scalar_inverse, scalar_power
+from heckezonal.scalars import LaurentPoly, Monomial, scalar_inverse, scalar_power
 from heckezonal.spherical import (
     RequiresTrivialChiPi,
     SphericalParams,
@@ -526,6 +526,22 @@ def test_params_derive_q1():
         assert p.q_power(m) == p.q1**m
     for e, f, q0 in ((3, 1, 2), (3, 2, 3), (5, 3, 5)):
         assert SphericalParams.numeric(e, f, q0).q1 == Fraction(q0) ** (2 * f)
+
+
+def test_numeric_q_powers_are_q0_monomials():
+    # q1 = q0**(2f), q**m = q0**(2m) and -1/q1 are signed powers of q0,
+    # and so is the closed coefficient built from them
+    p = SphericalParams.numeric(3, 2, 3)
+    s1 = generator(3, 1).w0
+    values = {
+        "q1": (p.q1, (3, 1, 4)),
+        "q_power(-3)": (p.q_power(-3), (3, 1, -6)),
+        "q_power(0)": (p.q_power(0), (3, 1, 0)),
+        "neg_inv_q1": (p.neg_inv_q1(), (3, -1, -4)),
+        "coefficient at s1": (matrix_coefficient_scalar(s1, p), (3, -1, -6)),
+    }
+    for name, (value, fields) in values.items():
+        assert type(value) is Monomial and (value.base, value.sign, value.exp) == fields, name
 
 
 def test_stored_fields_are_the_inputs():

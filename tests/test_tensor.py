@@ -9,9 +9,10 @@ from oracles import (
     TensorVector, apply_operator, ev_reference, pair, project_to_finite,
     reduced_word_independence_reference,
 )
+from test_hecke import mutate
 
 from heckezonal import cli, tensor
-from heckezonal.scalars import scalar_inverse, scalar_power
+from heckezonal.scalars import Monomial, scalar_inverse, scalar_power
 from heckezonal.spherical import SphericalParams, matrix_coefficient_scalar
 from heckezonal.tensor import (
     PlaceOperator,
@@ -75,7 +76,7 @@ def test_trusted_operators_match_validated():
 
 
 def test_operators_print_their_fields():
-    assert repr(t_operator(1, 3)) == "PlaceOperator(e=3, perm=(2, 1, 3), scale=Fraction(1, 1))"
+    assert repr(t_operator(1, 3)) == "PlaceOperator(e=3, perm=(2, 1, 3), scale=1)"
     with pytest.raises(AttributeError, match="^PlaceOperator is immutable$"):
         t_operator(1, 3).perm = (1, 2, 3)
 
@@ -260,6 +261,38 @@ def test_coefficient_fails_on_wrong_conjugate(monkeypatch):
     assert (report["checked"], report["mismatches"]) == (276, 69)
     assert report["sampled_k_invariance_ok"] is False
     assert report["ok"] is False
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_coefficient_fails_on_a_scale_one_q_exponent_off(monkeypatch, capsys, f):
+    # ev's scale at layer 2 alone is one power of q too high: the monomial
+    # comparison op.scale != expected fails for every (w0, k) of that layer
+    # and nowhere else, while the word check and the samples, which do not
+    # read the scale against the closed form, still pass
+    argv = ["coefficient", "--e", "3", "--f", str(f), "--q0", "3", "--L", "4", "--samples", "5"]
+    assert cli.run(argv) == 0
+    capsys.readouterr()
+    mutate(monkeypatch, tensor.ev, [
+        ("p.q_power(-(p.f * (p.f - 1) // 2) * ell)", "p.q_power(-(p.f * (p.f - 1) // 2) * ell + (ell == 2))"),
+    ], tensor)
+    assert cli.run(argv) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["mismatches"] == 3 * len(enumerate_by_length(3, 2)[2]) == 18
+    assert report["reduced_word_independence"]["ok"] and report["sampled_k_invariance_ok"]
+
+
+def test_scales_are_q0_monomials_and_the_unit_is_1():
+    # ev's scale q**(-f(f-1)/2 * l) is the monomial q0**(-f(f-1) * l); a bare
+    # place permutation has the int scale 1, so composing with t_j hands
+    # the other scale back unchanged
+    p = SphericalParams.numeric(3, 3, 2)
+    op = ev(ExtendedWeylElement(1, enumerate_by_length(3, 2)[2][0]), p)
+    assert type(op.scale) is Monomial and (op.scale.base, op.scale.sign, op.scale.exp) == (2, 1, -12)
+    t = t_operator(1, 3)
+    assert type(t.scale) is int and t.scale == 1 and PlaceOperator.identity(3).scale == 1
+    assert op.compose(t).scale is op.scale and t.compose(op).scale is op.scale
+    twice = op.compose(op).scale
+    assert type(twice) is Monomial and (twice.sign, twice.exp) == (1, -24)
 
 
 @pytest.mark.parametrize("e", range(2, 8))
