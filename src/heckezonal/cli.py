@@ -11,7 +11,7 @@ output.
 The arguments are the only input, and one rule bounds a run: the cost
 function beside each library entry a subcommand runs declares the
 elements, slots and digits it holds (``hecke.presentation_cost``,
-``weyl.enumeration_cost`` for eigen, ``tensor.coefficient_cost``, and
+``spherical.eigen_cost``, ``tensor.coefficient_cost``, and
 ``growth_cost``, ``poincare_cost`` and ``integral_cost`` in
 ``distinction``), and the run exits 2 before any starts when the most
 of one over them is over ``weyl.ENUM_CAP``, ``weyl.SLOT_CAP`` or
@@ -33,7 +33,7 @@ from . import gelfand as gf
 from . import weyl
 from .hecke import presentation_cost, verify_presentation
 from .scalars import format_rational, parse_rational
-from .spherical import verify_eigen
+from .spherical import eigen_cost, verify_eigen
 from .tensor import coefficient_cost, verify_coefficient
 from .weyl import EnumerationCapExceeded
 
@@ -54,7 +54,7 @@ DIGIT_CAP = 4300
 # Each section's cost function and the flags it reads; gelfand's fixed catalog has none
 COSTS = {
     "presentation": (presentation_cost, "e"),
-    "eigen": (weyl.enumeration_cost, "e", "L"),
+    "eigen": (eigen_cost, "e", "L"),
     "coefficient": (coefficient_cost, "e", "L"),
     "growth": (dst.growth_cost, "e", "L"),
     "poincare": (dst.poincare_cost, "e", "points"),

@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .scalars import LaurentPoly, Monomial, _as_fraction, format_rational
+from .scalars import LaurentPoly, Monomial, Value, _as_fraction, format_rational
 from .spherical import SphericalParams, exact_q0, matrix_coefficient_scalar
 from .weyl import AffinePermutation, enumeration_cost, enumerate_by_length
 
@@ -156,20 +156,10 @@ def poincare_value(e: int, x) -> Fraction:
     return num.evaluate(x) / den.evaluate(x)
 
 
-class IntegralReport:
+class IntegralReport(Value):
     """Exact truncated double-coset sum against its closed-form value."""
 
-    def __init__(self, e: int, f: int, q0: Fraction, L: int, partial_sum: Fraction,
-                 closed_form: Fraction, abs_error: Fraction, tail_bound: Fraction, per_term_ok: bool):
-        self.e = e
-        self.f = f
-        self.q0 = q0
-        self.L = L
-        self.partial_sum = partial_sum
-        self.closed_form = closed_form
-        self.abs_error = abs_error
-        self.tail_bound = tail_bound
-        self.per_term_ok = per_term_ok
+    _fields = ("e", "f", "q0", "L", "partial_sum", "closed_form", "abs_error", "tail_bound", "per_term_ok")
 
     @property
     def ok(self) -> bool:

@@ -28,7 +28,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .scalars import format_rational
+from .scalars import Value, format_rational
 from .weyl import perm_compose
 
 __all__ = [
@@ -123,7 +123,7 @@ def nullspace(a: Matrix) -> list[Vector]:
 # -- finite representations ---------------------------------------------
 
 
-class FiniteRep:
+class FiniteRep(Value):
     """A representation rho of a permutation group G, element by element.
 
     ``elements`` are the permutations of G in one-line notation, sorted
@@ -132,13 +132,10 @@ class FiniteRep:
     index of elements[a] o elements[b] (elements[b] applied first).
     """
 
-    def __init__(self, name: str, elements: tuple[Perm, ...], matrices: tuple[Matrix, ...],
-                 generators: tuple[int, ...], table: tuple[tuple[int, ...], ...]):
-        self.name = name
-        self.elements = elements
-        self.matrices = matrices
-        self.generators = generators
-        self.table = table
+    _fields = ("name", "elements", "matrices", "generators", "table")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.__post_init__()
 
     def __post_init__(self):
@@ -220,13 +217,8 @@ def fixed_space(matrices, subgroup: list[int]) -> list[Vector]:
     return nullspace(shifted)
 
 
-class GelfandReport:
-    def __init__(self, dim_fixed: int, dim_fixed_dual: int, pairing: Fraction | None,
-                 gelfand_multiplicity_ok: bool):
-        self.dim_fixed = dim_fixed
-        self.dim_fixed_dual = dim_fixed_dual
-        self.pairing = pairing
-        self.gelfand_multiplicity_ok = gelfand_multiplicity_ok
+class GelfandReport(Value):
+    _fields = ("dim_fixed", "dim_fixed_dual", "pairing", "gelfand_multiplicity_ok")
 
     def to_json(self) -> dict:
         return {
@@ -246,16 +238,12 @@ def check_pairing(rep: FiniteRep, subgroup: list[int]) -> GelfandReport:
     """
     fixed = fixed_space(rep.matrices, subgroup)
     fixed_dual = fixed_space(rep.dual_matrices(), subgroup)
+    lines = len(fixed) == 1 and len(fixed_dual) == 1
     pairing = None
-    if len(fixed) == 1 and len(fixed_dual) == 1:
+    if lines:
         v, vt = fixed[0], fixed_dual[0]
         pairing = sum((a * b for a, b in zip(v, vt)), Fraction(0))
-    return GelfandReport(
-        dim_fixed=len(fixed),
-        dim_fixed_dual=len(fixed_dual),
-        pairing=pairing,
-        gelfand_multiplicity_ok=len(fixed) == 1 and len(fixed_dual) == 1,
-    )
+    return GelfandReport(len(fixed), len(fixed_dual), pairing, lines)
 
 
 def is_irreducible(rep: FiniteRep) -> bool:

@@ -1,7 +1,7 @@
 """The generic affine Hecke algebra H(e, q1) on the extended Weyl group.
 
 Elements are finite formal sums sum c_w [w] over canonical-form group
-elements with exact coefficients (Fraction or LaurentPoly).  At generic
+elements with exact coefficients (see ``scalars.ExactScalar``).  At generic
 q1 the structure constants lie in Z[q, q**-1], so products of elements
 with integer Laurent coefficients stay there, and their coefficient
 arithmetic is on ints; only chi(pi) brings in a rational.  Products are
@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import random
 
-from .scalars import ExactScalar, LaurentPoly, scalar_power
+from .scalars import ExactScalar, LaurentPoly, Value, scalar_power
 from .weyl import (
     AffinePermutation,
     ExtendedWeylElement,
@@ -61,9 +61,10 @@ __all__ = [
 class HeckeAlgebra:
     """The Hecke algebra of rank e with deformation parameter q1.
 
-    q1 may be a LaurentPoly variable (generic mode) or a Fraction
-    (numeric mode); elements of algebras with different (e, q1) never
-    mix.
+    q1 may be a LaurentPoly variable (generic mode) or an exact rational
+    (numeric mode): a Fraction, or the :class:`~heckezonal.scalars.Monomial`
+    power of q0 that ``SphericalParams.numeric(...).algebra()`` passes.
+    Elements of algebras with different (e, q1) never mix.
     """
 
     def __init__(self, e: int, q1: ExactScalar):
@@ -228,13 +229,8 @@ def chi(h: HeckeElement, chi_pi: ExactScalar = 1) -> ExactScalar:
 # -- presentation verification -------------------------------------------
 
 
-class PresentationReport:
-    def __init__(self, e: int, checks: list, seed: int | None, samples: int, associativity_ok: bool):
-        self.e = e
-        self.checks = checks
-        self.seed = seed
-        self.samples = samples
-        self.associativity_ok = associativity_ok
+class PresentationReport(Value):
+    _fields = ("e", "checks", "seed", "samples", "associativity_ok")
 
     @property
     def ok(self) -> bool:
@@ -259,6 +255,8 @@ def verify_presentation(e: int, samples: int = 0, seed: int | None = None) -> Pr
     h a sum of two basis elements drawn by ``weyl.random_element`` from
     random.Random(seed); the default 0 checks the relations only.
     """
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     A = HeckeAlgebra(e, LaurentPoly.variable())
     q1 = A.q1
     one = A.one()

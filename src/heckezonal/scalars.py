@@ -77,12 +77,24 @@ class Value:
 
     Values are equal when their types and fields are, hash as the tuple
     of their fields and print as ``Class(field=value, ...)``.  Every
-    write raises, so a constructor writes its slots through their member
-    descriptors, bound once below the class, or fills the instance dict.
+    write raises: a slotted value's constructor writes its slots through
+    their member descriptors, bound once below the class, and
+    :meth:`__init__` alone writes the fields of a value with an instance
+    dict, where ``cached_property`` may add derived entries later.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs):
+        """Fill the instance dict with ``_fields`` in order, the first ones
+        by position and the rest by name; a missing, extra or repeated
+        field raises ``TypeError``."""
+        rest = self._fields[len(args):]
+        if len(args) > len(self._fields) or kwargs.keys() != set(rest):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+        vars(self).update(zip(self._fields, args))
+        vars(self).update([(name, kwargs[name]) for name in rest])
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -48,6 +48,7 @@ from .weyl import (
     ExtendedWeylElement,
     _simple,
     enumerate_by_length,
+    enumeration_cost,
     pi_element,
 )
 
@@ -60,6 +61,7 @@ __all__ = [
     "verify_eigen_generator",
     "verify_eigen_pi",
     "verify_eigen",
+    "eigen_cost",
     "matrix_coefficient_scalar",
 ]
 
@@ -83,7 +85,8 @@ def exact_q0(q0) -> Fraction:
 
 
 class SphericalParams(Value):
-    """Parameters (e, f, q0) with q = q0**2 and q1 = q**f = q0**(2f).
+    """Parameters (e, f, q0) with q = q0**2 and q1 = q**f = q0**(2f), and
+    the value chi_pi of the character at [pi], a nonzero exact rational.
 
     q0 is an integer prime power in numeric mode, where q1 and each
     q-power are :class:`~heckezonal.scalars.Monomial` powers of q0, so a
@@ -97,7 +100,7 @@ class SphericalParams(Value):
 
     _fields = ("e", "f", "q0", "chi_pi")
 
-    def __init__(self, e: int, f: int, q0: Fraction | None, chi_pi: ExactScalar = 1):
+    def __init__(self, e: int, f: int, q0: Fraction | None, chi_pi: Fraction = 1):
         if e < 2:
             raise ValueError("rank e must be at least 2")
         if f < 1:
@@ -107,7 +110,9 @@ class SphericalParams(Value):
                 raise ValueError("generic mode has f = 1")
         else:
             q0 = exact_q0(q0)
-        vars(self).update(e=e, f=f, q0=q0, chi_pi=chi_pi)
+        if _as_fraction(chi_pi) == 0:
+            raise ValueError("chi_pi must be a unit")
+        super().__init__(e, f, q0, chi_pi)
 
     @classmethod
     def numeric(cls, e: int, f: int, q0) -> "SphericalParams":
@@ -195,7 +200,7 @@ def _walk(p: SphericalParams, L: int) -> tuple[list, list, list, dict]:
     return entry
 
 
-class SphericalTruncation:
+class SphericalTruncation(Value):
     """The eigenvector restricted to {pi**k w0 : |k| <= K, l(w0) <= L},
     for the module constant K.
 
@@ -204,8 +209,7 @@ class SphericalTruncation:
     one per (layer, k), and builds no group element per term.
     """
 
-    def __init__(self, element: HeckeElement):
-        self.element = element
+    _fields = ("element",)
 
     @classmethod
     def build(cls, L: int, p: SphericalParams) -> "SphericalTruncation":
@@ -221,30 +225,20 @@ class SphericalTruncation:
         return cls(HeckeElement(p.algebra(), coeffs))
 
 
-class EigenReport:
-    """Outcome of one truncated eigen-equation check."""
+class EigenReport(Value):
+    """Outcome of one truncated eigen-equation check: the cases checked,
+    the boundary indices skipped, and a ``{"k", "window"}`` witness of
+    each failing case, the index pi**k w0 by the window of w0."""
 
-    def __init__(self, kind: str):
-        self.kind = kind
-        self.checked = 0
-        self.passed = 0
-        self.boundary_skipped = 0
-        self.failures: list = []
+    _fields = ("kind", "checked", "boundary_skipped", "failures")
+
+    @property
+    def passed(self) -> int:
+        return self.checked - len(self.failures)
 
     @property
     def ok(self) -> bool:
-        return not self.failures and self.passed == self.checked
-
-    def record(self, ok: bool, k: int, window: tuple[int, ...]) -> None:
-        """Count one case at the index pi**k w0, w0 of this window.
-
-        The witness dict is built only for a failing case.
-        """
-        self.checked += 1
-        if ok:
-            self.passed += 1
-        else:
-            self.failures.append({"k": k, "window": list(window)})
+        return not self.failures
 
     def to_json(self) -> dict:
         return {
@@ -285,13 +279,15 @@ def verify_eigen_generator(i: int, L: int, p: SphericalParams) -> EigenReport:
     e = p.e
     if not 0 <= i <= e - 1:
         raise ValueError(f"generator index {i} out of range 0..{e - 1}")
-    report = EigenReport(kind=f"generator s_{i}")
     q1 = p.q1
     q1_minus_1 = q1 - 1
     # s_i * pi**k = pi**k * s_j with j = i + k mod e
     shifted = [(k, (i + k) % e) for k in range(1 - K, K)]
     layers, values, facts, verdicts = _walk(p, L)
+    checked = 0
+    failures = []
     for ell, (layer, (lengths, steps)) in enumerate(zip(layers, facts)):
+        checked += len(layer) * len(shifted)
         for n, (w0, length_ok) in enumerate(zip(layer, lengths)):
             for k, j in shifted:
                 up, ell_su = steps[n * e + j]
@@ -306,9 +302,9 @@ def verify_eigen_generator(i: int, L: int, p: SphericalParams) -> EigenReport:
                         lhs = q1 * csu if up else csu + q1_minus_1 * cu
                         ok = lhs == -cu
                     verdicts[key] = ok
-                report.record(ok and length_ok, k, w0.window)
-    report.boundary_skipped = len(shifted) * len(layers[L])
-    return report
+                if not (ok and length_ok):
+                    failures.append({"k": k, "window": list(w0.window)})
+    return EigenReport(f"generator s_{i}", checked, len(shifted) * len(layers[L]), failures)
 
 
 def verify_eigen_pi(L: int, p: SphericalParams) -> EigenReport:
@@ -327,15 +323,16 @@ def verify_eigen_pi(L: int, p: SphericalParams) -> EigenReport:
     algebra = truncation.algebra
     lhs = algebra.product(algebra.basis(pi_element(p.e)), truncation).coeffs
     layers, values = _walk(p, L)[:2]
-    report = EigenReport(kind="pi")
+    failures = []
     for layer, row in zip(layers, values):
         expected = [(k, p.chi_pi * row[k + K]) for k in range(1 - K, K)]
         for w0 in layer:
             for k, rhs in expected:
-                report.record(lhs.get((k, w0.window), 0) == rhs, k, w0.window)
-    # the shells k = -K and k = K, each a copy of the layers
-    report.boundary_skipped = 2 * sum(map(len, layers))
-    return report
+                if lhs.get((k, w0.window), 0) != rhs:
+                    failures.append({"k": k, "window": list(w0.window)})
+    size = sum(map(len, layers))
+    # the shells k = -K and k = K, each a copy of the layers, are boundary
+    return EigenReport("pi", (2 * K - 1) * size, 2 * size, failures)
 
 
 def verify_eigen(e: int, L: int, chi_pi) -> dict:
@@ -349,6 +346,18 @@ def verify_eigen(e: int, L: int, chi_pi) -> dict:
         "reports": [r.to_json() for r in reports],
         "ok": all(r.ok for r in reports),
     }
+
+
+def eigen_cost(e: int, L: int) -> dict:
+    """What ``verify_eigen(e, L, chi_pi)`` holds: its BFS of n elements;
+    per element, the walk's length flag and e steps, and the 2(2K+1)
+    Hecke terms of the truncation and the pi product, each a key tuple of
+    two slots and a dict entry of three; and the walk's (L+1)(2K+1) psi0
+    values, each a Laurent monomial and its one-term dict, 12 slots."""
+    cost = enumeration_cost(e, L)
+    n = cost["elements"]
+    slots = (e + 1 + 2 * (2 * K + 1) * 5) * n + 12 * (2 * K + 1) * (L + 1)
+    return {"elements": n, "slots": cost["slots"] + slots}
 
 
 def matrix_coefficient_scalar(w0: AffinePermutation, p: SphericalParams) -> ExactScalar:

@@ -203,6 +203,8 @@ def verify_coefficient(e: int, f: int, q0: int, L: int, seed: int, samples: int)
     lists for it.  A failing check adds ``"witness"``, the window of the
     first failing element in layer order.
     """
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     p = SphericalParams.numeric(e, f, q0)
     neg_inv_q1 = p.neg_inv_q1()
     layers = enumerate_by_length(e, L)

@@ -415,14 +415,15 @@ def eigen_generator_reference(i: int, L: int, p: SphericalParams) -> EigenReport
     and q1 * c(s_i u) or c(s_i u) + (q1 - 1) c(u) is compared with -c(u).
     Indices with l(w0) = L are counted as boundary.
     """
-    report = EigenReport(kind=f"generator s_{i}")
+    checked = boundary_skipped = 0
+    failures = []
     q1 = p.q1
     s = generator(p.e, i)
     for ell, layer in enumerate(enumerate_by_length(p.e, L)):
         for w0 in layer:
             for k in (-1, 0, 1):
                 if ell >= L:
-                    report.boundary_skipped += 1
+                    boundary_skipped += 1
                     continue
                 u = ExtendedWeylElement(k, w0)
                 su = multiply(s, u)
@@ -432,8 +433,10 @@ def eigen_generator_reference(i: int, L: int, p: SphericalParams) -> EigenReport
                     lhs = q1 * csu
                 else:
                     lhs = csu + (q1 - 1) * cu
-                report.record(lhs == -cu, u.k, u.w0.window)
-    return report
+                checked += 1
+                if lhs != -cu:
+                    failures.append({"k": u.k, "window": list(u.w0.window)})
+    return EigenReport(f"generator s_{i}", checked, boundary_skipped, failures)
 
 
 # -- exact linear algebra --------------------------------------------------

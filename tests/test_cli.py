@@ -285,11 +285,14 @@ def test_over_slot_budget_run_exits_2_before_enumerating(capsys):
 @pytest.mark.parametrize("command", ["eigen", "coefficient", "growth", "distinction", "all"])
 def test_slot_budget_is_exact_for_every_enumerating_command(command, monkeypatch, capsys):
     # N(0..3) = 19 elements at e = 3 hold 57 window slots, and the step
-    # table 3 * 2 more: 63.  coefficient, which all runs too, also holds
-    # ev's words and two layers' operators, 19 perms of 3 slots each at
-    # most, and ts and ev's Gamma powers, 3 of each: 3 * 57 + 18 + 6 = 195.
-    # A cap of that many runs, one less is rejected before any suite starts
-    slots = 195 if command in ("coefficient", "all") else 63
+    # table 3 * 2 more: 63.  coefficient also holds ev's words and two
+    # layers' operators, 19 perms of 3 slots each at most, and ts and ev's
+    # Gamma powers, 3 of each: 3 * 57 + 18 + 6 = 195.  eigen, which all
+    # runs too, holds per element the walk's length flag and 3 steps and
+    # 10 Hecke terms of 5 slots, and 4 * 5 psi0 values of 12 slots:
+    # 63 + 19 * 54 + 240 = 1,329.  A cap of that many runs, one less is
+    # rejected before any suite starts
+    slots = {"coefficient": 195, "eigen": 1329, "all": 1329}.get(command, 63)
     called = []
     fn = cli.COMMANDS[command]
     monkeypatch.setitem(cli.COMMANDS, command, lambda args: called.append(command) or fn(args))
@@ -341,6 +344,21 @@ def test_coefficient_budget_at_the_default_cap(capsys):
     assert "--e 1826 --L 0: coefficient could need 10006480 slots" in captured.err
 
 
+def test_eigen_budget_at_the_default_cap():
+    # at L = 1, e + 1 elements of 2e + 51 slots each (a window, the walk's
+    # length flag and e steps, 10 Hecke terms of 5 slots), the step
+    # table's e (e-1) slots and 2 * 5 psi0 values of 12 slots: 9,999,122
+    # at e = 1817 and 10,010,079 at e = 1818.  At e = 2 the BFS has
+    # 2L + 1 elements, and the cap falls between L = 58,822 and 58,823
+    parser = cli.build_parser()
+    for last in (["--e", "1817", "--L", "1"], ["--e", "2", "--L", "58822"]):
+        cli._validate(parser.parse_args(["eigen", *last]))
+    with pytest.raises(ValueError, match="--e 1818 --L 1: eigen could need 10010079 slots"):
+        cli._validate(parser.parse_args(["eigen", "--e", "1818", "--L", "1"]))
+    with pytest.raises(ValueError, match="--e 2 --L 58823: eigen could need 10000027 slots"):
+        cli._validate(parser.parse_args(["eigen", "--e", "2", "--L", "58823"]))
+
+
 # A declared element or slot stands for at most this many traced bytes:
 # a slot is a pointer, and a perm or window entry above 256 may be an int
 # object of its own
@@ -353,15 +371,19 @@ BASELINE = 1 << 20
     ["growth", "--e", "400", "--L", "1"],
     ["coefficient", "--e", "400", "--L", "0"],
     ["eigen", "--e", "40", "--L", "2"],
+    ["eigen", "--e", "20", "--L", "3"],
+    ["eigen", "--e", "3", "--L", "40"],
+    ["eigen", "--e", "2", "--L", "400"],
     ["distinction", "--e", "41", "--L", "2"],
     ["presentation", "--e", "60", "--samples", "5"],
 ])
 def test_declared_costs_bound_traced_memory(argv):
     # the traced peak of a run stays within one multiple of the elements
     # and slots its cost function declares, at ranks where windows and
-    # perms of e slots outweigh the objects that hold them.  The step
-    # table and the generators are cached per rank, so the caches are
-    # emptied first and the run pays for what it builds
+    # perms of e slots outweigh the objects that hold them, and for eigen,
+    # which declares its Hecke terms and psi0 values, at small ranks too.
+    # The step table and the generators are cached per rank, so the caches
+    # are emptied first and the run pays for what it builds
     args = cli.build_parser().parse_args(argv)
     cli._validate(args)
     fn, *dests = cli.COSTS[argv[0]]
@@ -378,11 +400,11 @@ def test_declared_costs_bound_traced_memory(argv):
     assert peak <= BYTES_PER_UNIT * (cost.get("elements", 0) + cost["slots"]) + BASELINE, (peak, cost)
 
 
-@pytest.mark.parametrize("argv", [["presentation", "--e", "6", "--samples", "0"], ["all", "--e", "16", "--L", "1"]])
+@pytest.mark.parametrize("argv", [["presentation", "--e", "6", "--samples", "0"], ["all", "--e", "17", "--L", "1"]])
 def test_presentation_budget_is_exact(argv, monkeypatch, capsys):
-    # 6 * 3 + 6 * 5 = 48 slots at e = 6 and 16 * 91 + 16 * 15 = 1,696 at
-    # e = 16, where all's largest other section, coefficient at L = 1,
-    # holds 1,568
+    # 6 * 3 + 6 * 5 = 48 slots at e = 6 and 17 * 105 + 17 * 16 = 2,057 at
+    # e = 17, where all's largest other section, eigen at L = 1, holds
+    # 1,922 (at e = 16 eigen's 1,771 is over presentation's 1,696)
     e = int(argv[2])
     slots = e * (e - 2) * (e - 3) // 2 + e * (e - 1)
     called = []

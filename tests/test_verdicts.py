@@ -16,10 +16,11 @@ from test_gelfand import flipped_s3_sign
 from test_reach import MATRIX
 
 from heckezonal import cli, tensor
+from heckezonal import spherical as sph
 from heckezonal import distinction as dst
 from heckezonal import gelfand as gf
 from heckezonal.hecke import HeckeAlgebra, PresentationReport, verify_presentation
-from heckezonal.scalars import format_rational
+from heckezonal.scalars import Value, format_rational
 from heckezonal.spherical import verify_eigen
 from heckezonal.tensor import verify_coefficient
 from heckezonal.weyl import AffinePermutation, enumerate_by_length
@@ -194,3 +195,51 @@ def test_presentation_ok_includes_associativity():
     # the library default checks the relations only
     relations = verify_presentation(3).to_json()
     assert (relations["associativity_samples"], relations["seed"]) == (0, None)
+
+
+@pytest.mark.parametrize("check", [
+    lambda: verify_presentation(3, samples=-1, seed=1),
+    lambda: verify_coefficient(3, 1, 2, 2, 1, -1),
+], ids=["presentation", "coefficient"])
+def test_library_rejects_negative_samples(check):
+    # a negative count draws no sample, so it would pass as if checked;
+    # the entry point refuses it as the command line does
+    with pytest.raises(ValueError, match="samples must be nonnegative"):
+        check()
+
+
+# One record of each report and holder class, as the library builds it
+RECORDS = {
+    "PresentationReport": lambda: verify_presentation(3),
+    "EigenReport": lambda: sph.verify_eigen_pi(1, sph.SphericalParams.generic(2)),
+    "IntegralReport": lambda: dst.distinction_integral(3, 1, 2, 2),
+    "GelfandReport": lambda: gf.check_pairing(gf.symmetric_group_standard_rep(3), [0, 1]),
+    "SphericalTruncation": lambda: sph.SphericalTruncation.build(1, sph.SphericalParams.generic(2)),
+    "FiniteRep": lambda: gf.symmetric_group_sign_rep(3),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_built_from_their_fields(name):
+    record = RECORDS[name]()
+    cls = type(record)
+    assert cls.__name__ == name and isinstance(record, Value)
+    # the instance dict holds exactly the fields, in order, so a record
+    # rebuilt from it by name or by position is equal to it
+    assert list(vars(record)) == list(cls._fields)
+    assert cls(**vars(record)) == record == cls(*vars(record).values())
+    first, *rest = cls._fields
+    given = dict(vars(record))
+    with pytest.raises(TypeError):
+        cls(**{field: given[field] for field in rest})  # a field missing
+    with pytest.raises(TypeError):
+        cls(**given, extra=None)  # a field the record does not have
+    with pytest.raises(TypeError):
+        cls(*given.values(), None)  # one positional value too many
+    with pytest.raises(TypeError):
+        cls(given[first], **given)  # the first field twice
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        setattr(record, first, given[first])
+    with pytest.raises(AttributeError):
+        delattr(record, rest[-1] if rest else first)
+    assert list(vars(record)) == list(cls._fields)
