@@ -32,7 +32,7 @@ from . import distinction as dst
 from . import gelfand as gf
 from . import weyl
 from .hecke import presentation_cost, verify_presentation
-from .scalars import format_rational, parse_rational
+from .scalars import json_value, parse_rational
 from .spherical import eigen_cost, verify_eigen
 from .tensor import coefficient_cost, verify_coefficient
 from .weyl import EnumerationCapExceeded
@@ -62,26 +62,20 @@ COSTS = {
 }
 
 
-# One parent parser per flag, built once at import.  argparse shares a
-# parent's actions with every subparser that lists it, so build_parser
-# only registers them.  No subparser may call set_defaults with one of
-# these dests: that would write into the shared action.
-FLAG_PARSERS = {}
-for _flag, _spec in (
-    ("--e", dict(type=int, default=3, help="rank (number of tensor places)")),
-    ("--f", dict(type=int, default=1, help="block size parameter")),
-    ("--q0", dict(type=int, default=2, help="residue field size, a prime power below 3.3e24")),
-    ("--L", dict(type=int, default=8, help="length truncation")),
-    ("--chi-pi", dict(default="1", help="rational unit value for chi(pi)")),
-    ("--seed", dict(type=int, default=DEFAULT_SEED, help="seed for sampled checks")),
-    ("--samples", dict(type=int, default=25, help="number of sampled checks")),
-    ("--points", dict(help="comma-separated rationals in (-1,1); default is the fixed grid 0 "
-                      "and -1/q0**f for q0 in 2..5 and f in 1..2")),
-    ("--expect-closed-form", dict(help="optional rational the closed form must equal (for CI pinning)")),
-    ("--output", dict(choices=("json", "csv", "text"), default="json", help="report format")),
-):
-    FLAG_PARSERS[_flag] = argparse.ArgumentParser(add_help=False)
-    FLAG_PARSERS[_flag].add_argument(_flag, **_spec)
+# Each flag's argparse spec; every subcommand that reads a flag gets its own action
+FLAGS = {
+    "--e": dict(type=int, default=3, help="rank (number of tensor places)"),
+    "--f": dict(type=int, default=1, help="block size parameter"),
+    "--q0": dict(type=int, default=2, help="residue field size, a prime power below 3.3e24"),
+    "--L": dict(type=int, default=8, help="length truncation"),
+    "--chi-pi": dict(default="1", help="rational unit value for chi(pi)"),
+    "--seed": dict(type=int, default=DEFAULT_SEED, help="seed for sampled checks"),
+    "--samples": dict(type=int, default=25, help="number of sampled checks"),
+    "--points": dict(help="comma-separated rationals in (-1,1); default is the fixed grid 0 "
+                     "and -1/q0**f for q0 in 2..5 and f in 1..2"),
+    "--expect-closed-form": dict(help="optional rational the closed form must equal (for CI pinning)"),
+    "--output": dict(choices=("json", "csv", "text"), default="json", help="report format"),
+}
 
 # Each subcommand's help line and the flags it reads besides --output;
 # all reads the flags of its sections except the two optional ones.
@@ -117,7 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, *flags) in SUBCOMMANDS.items():
-        sub.add_parser(name, help=text, parents=[FLAG_PARSERS[flag] for flag in (*flags, "--output")])
+        command = sub.add_parser(name, help=text)
+        for flag in (*flags, "--output"):
+            command.add_argument(flag, **FLAGS[flag])
     sub.choices["coefficient"].description = (
         "Operator model vs closed coefficient form on every w0 with "
         "l(w0) <= L; the reduced-word independence check covers l(w0) <= min(L, 6)."
@@ -255,8 +251,7 @@ def growth_rows(e: int, L: int) -> list[dict]:
     BFS that stops short fails its missing rows; a Fraction prints as num/den."""
     bfs, closed = dst.growth_bfs(e, L), dst.growth_closed_form(e, L)
     return [
-        {"length": ell, "count_bfs": b, "equal": b == c,
-         "count_closed_form": format_rational(c) if isinstance(c, Fraction) else c}
+        {"length": ell, "count_bfs": b, "equal": b == c, "count_closed_form": json_value(c)}
         for ell, (b, c) in enumerate(itertools.zip_longest(bfs, closed))
     ]
 
@@ -277,7 +272,7 @@ def cmd_distinction(args) -> tuple[bool, dict]:
     out = report.to_json()
     if args.expect_closed_form is not None:
         # a CI pin of the closed value, not part of the library's verdict
-        out["expected_closed_form"] = format_rational(args.expect_closed_form)
+        out["expected_closed_form"] = json_value(args.expect_closed_form)
         out["ok"] = report.ok and report.closed_form == args.expect_closed_form
     return out["ok"], out
 

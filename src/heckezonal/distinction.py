@@ -68,7 +68,7 @@ def coset_measure(w0: AffinePermutation, f: int, q0) -> Monomial:
     q0 = exact_q0(q0)
     if f < 1:
         raise ValueError("f must be a positive integer")
-    return Monomial(q0.numerator, 1, f * f * w0.length())
+    return Monomial(q0, 1, f * f * w0.length())
 
 
 def per_term_value(w0: AffinePermutation, f: int, q0) -> Monomial:
@@ -160,6 +160,8 @@ class IntegralReport(Value):
     """Exact truncated double-coset sum against its closed-form value."""
 
     _fields = ("e", "f", "q0", "L", "partial_sum", "closed_form", "abs_error", "tail_bound", "per_term_ok")
+    # the sum is derived for the trivial chi_pi only
+    chi_pi = Fraction(1)
 
     @property
     def ok(self) -> bool:
@@ -167,19 +169,7 @@ class IntegralReport(Value):
         return self.per_term_ok and self.abs_error <= self.tail_bound
 
     def to_json(self) -> dict:
-        return {
-            "e": self.e,
-            "f": self.f,
-            "q0": int(self.q0),
-            "L": self.L,
-            "chi_pi": "1/1",  # the sum is derived for the trivial chi_pi only
-            "partial_sum": format_rational(self.partial_sum),
-            "closed_form": format_rational(self.closed_form),
-            "abs_error": format_rational(self.abs_error),
-            "tail_bound": format_rational(self.tail_bound),
-            "per_term_ok": self.per_term_ok,
-            "ok": self.ok,
-        }
+        return self._json(*self._fields, "chi_pi", "ok")
 
 
 def integral_cost(e: int, f: int, q0: int, L: int) -> dict:
@@ -219,7 +209,7 @@ def distinction_integral(e: int, f: int, q0, L: int) -> IntegralReport:
     q0 = exact_q0(q0)
     if L < 0:
         raise ValueError("truncation L must be nonnegative")
-    y = Monomial(q0.numerator, 1, -f)
+    y = Monomial(q0, 1, -f)
     layers = enumerate_by_length(e, L)
     inner = Fraction(0)
     tail_partial = Fraction(0)
@@ -252,12 +242,12 @@ def distinction_integral(e: int, f: int, q0, L: int) -> IntegralReport:
 POINTS = tuple(sorted({Fraction(0)} | {Fraction(-1, q0**f) for q0 in (2, 3, 4, 5) for f in (1, 2)}))
 
 
-def nonvanishing_scan(e: int, samples=None) -> dict:
+def nonvanishing_scan(e: int, points=None) -> dict:
     """Exact positivity of the closed form at rational points of (-1, 1),
     by default at ``POINTS``."""
     rows = []
     all_positive = True
-    for x in POINTS if samples is None else samples:
+    for x in POINTS if points is None else points:
         value = poincare_value(e, x)
         positive = value > 0
         all_positive = all_positive and positive

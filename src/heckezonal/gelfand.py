@@ -28,7 +28,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .scalars import Value, format_rational
+from .scalars import Value
 from .weyl import perm_compose
 
 __all__ = [
@@ -221,12 +221,7 @@ class GelfandReport(Value):
     _fields = ("dim_fixed", "dim_fixed_dual", "pairing", "gelfand_multiplicity_ok")
 
     def to_json(self) -> dict:
-        return {
-            "dim_fixed": self.dim_fixed,
-            "dim_fixed_dual": self.dim_fixed_dual,
-            "pairing": None if self.pairing is None else format_rational(self.pairing),
-            "gelfand_multiplicity_ok": self.gelfand_multiplicity_ok,
-        }
+        return self._json(*self._fields)
 
 
 def check_pairing(rep: FiniteRep, subgroup: list[int]) -> GelfandReport:

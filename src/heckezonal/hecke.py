@@ -230,18 +230,14 @@ def chi(h: HeckeElement, chi_pi: ExactScalar = 1) -> ExactScalar:
 
 
 class PresentationReport(Value):
-    _fields = ("e", "checks", "seed", "samples", "associativity_ok")
+    _fields = ("e", "checks", "seed", "associativity_samples", "associativity_ok")
 
     @property
     def ok(self) -> bool:
         return self.associativity_ok and all(c["ok"] for c in self.checks)
 
     def to_json(self) -> dict:
-        return {
-            "e": self.e, "seed": self.seed, "ok": self.ok,
-            "checks": self.checks,
-            "associativity_samples": self.samples, "associativity_ok": self.associativity_ok,
-        }
+        return self._json(*self._fields, "ok")
 
 
 def verify_presentation(e: int, samples: int = 0, seed: int | None = None) -> PresentationReport:

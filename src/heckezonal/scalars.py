@@ -49,6 +49,7 @@ __all__ = [
     "scalar_inverse",
     "scalar_power",
     "format_rational",
+    "json_value",
     "parse_rational",
 ]
 
@@ -116,6 +117,11 @@ class Value:
     def __repr__(self):
         args = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{type(self).__name__}({args})"
+
+    def _json(self, *names) -> dict:
+        """The attributes ``names`` as a JSON-ready dict, each through
+        :func:`json_value`."""
+        return {name: json_value(getattr(self, name)) for name in names}
 
 
 class LaurentPoly(Value):
@@ -459,6 +465,12 @@ def format_rational(x) -> str:
     """Render as "num/den", always including the denominator."""
     x = _as_fraction(x)
     return f"{x.numerator}/{x.denominator}"
+
+
+def json_value(x):
+    """x as a report prints it: a Fraction as "num/den", any other value
+    (an int, a bool, None, a list or a dict) unchanged."""
+    return format_rational(x) if isinstance(x, Fraction) else x
 
 
 def parse_rational(s: str) -> Fraction:

@@ -75,13 +75,13 @@ class RequiresTrivialChiPi(ValueError):
     """The closed matrix-coefficient form needs chi_pi = 1."""
 
 
-def exact_q0(q0) -> Fraction:
-    """q0 as a Fraction, for every library entry that takes q0: an
-    integer of at least 2, where a float raises ``TypeError``."""
-    q0 = _as_fraction(q0)
-    if q0.denominator != 1 or q0 < 2:
+def exact_q0(q0) -> int:
+    """q0 as an int, for every library entry that takes q0: an integer of
+    at least 2, where a float raises ``TypeError``."""
+    x = _as_fraction(q0)
+    if x.denominator != 1 or x < 2:
         raise ValueError("q0 must be an integer of at least 2")
-    return q0
+    return x.numerator
 
 
 class SphericalParams(Value):
@@ -100,7 +100,7 @@ class SphericalParams(Value):
 
     _fields = ("e", "f", "q0", "chi_pi")
 
-    def __init__(self, e: int, f: int, q0: Fraction | None, chi_pi: Fraction = 1):
+    def __init__(self, e: int, f: int, q0: int | None, chi_pi: Fraction = 1):
         if e < 2:
             raise ValueError("rank e must be at least 2")
         if f < 1:
@@ -124,12 +124,12 @@ class SphericalParams(Value):
 
     @cached_property
     def q1(self) -> ExactScalar:
-        return LaurentPoly.variable() if self.q0 is None else Monomial(self.q0.numerator, 1, 2 * self.f)
+        return LaurentPoly.variable() if self.q0 is None else Monomial(self.q0, 1, 2 * self.f)
 
     def q_power(self, m: int) -> ExactScalar:
         """q**m for integer m, with q = q0**2 (q = q1 in generic mode)."""
         if self.q0 is not None:
-            return Monomial(self.q0.numerator, 1, 2 * m)
+            return Monomial(self.q0, 1, 2 * m)
         if m == 0:
             return Fraction(1)
         return scalar_power(self.q1, m)
@@ -241,14 +241,7 @@ class EigenReport(Value):
         return not self.failures
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "checked": self.checked,
-            "passed": self.passed,
-            "boundary_skipped": self.boundary_skipped,
-            "failures": self.failures,
-            "ok": self.ok,
-        }
+        return self._json(*self._fields, "passed", "ok")
 
 
 def verify_eigen_generator(i: int, L: int, p: SphericalParams) -> EigenReport:
@@ -352,11 +345,21 @@ def eigen_cost(e: int, L: int) -> dict:
     """What ``verify_eigen(e, L, chi_pi)`` holds: its BFS of n elements;
     per element, the walk's length flag and e steps, and the 2(2K+1)
     Hecke terms of the truncation and the pi product, each a key tuple of
-    two slots and a dict entry of three; and the walk's (L+1)(2K+1) psi0
-    values, each a Laurent monomial and its one-term dict, 12 slots."""
+    two slots and a dict entry of three; per length 0..L, the walk's 2K+1
+    psi0 values, each a Laurent monomial and its one-term dict, 12 slots,
+    and their row list of four; and per length 1..L, at most 2(2K-1)
+    verdicts (a 4-tuple key and a dict entry, six slots each), the layer,
+    flag and step lists (four each), the fact pair and two interned steps
+    (three each), two ints for the length (two each), and two slots more
+    per Hecke term of the two elements every such length has at least:
+    the pi product also holds its shifted table, and a table that grows
+    holds its old and new arrays at once.  At e = 2 these outweigh what
+    the two elements' own slots leave room for."""
     cost = enumeration_cost(e, L)
     n = cost["elements"]
-    slots = (e + 1 + 2 * (2 * K + 1) * 5) * n + 12 * (2 * K + 1) * (L + 1)
+    terms = 2 * (2 * K + 1)
+    per_length = 2 * (2 * K - 1) * 6 + 3 * 4 + 3 * 3 + 2 * 2 + 2 * terms * 2
+    slots = (e + 1 + terms * 5) * n + (12 * (2 * K + 1) + 4) * (L + 1) + per_length * L
     return {"elements": n, "slots": cost["slots"] + slots}
 
 

@@ -62,11 +62,17 @@ the code it checks:
   commute with the generator images, by elimination.  test_gelfand.py
   checks that ``is_irreducible``, a character norm read from traces and
   the group table, is true exactly when it is 1.
+
+One helper is test tooling, not a model: ``mutate`` patches a package
+function with its own source, edited, so a test can show that a check
+fails when the code it guards is broken.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
+import textwrap
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -481,3 +487,20 @@ def commutant_dimension(rep) -> int:
                 rows.append(row)
     _, pivots = rref(rows)
     return d * d - len(pivots)
+
+
+def mutate(monkeypatch, fn, edits, *homes):
+    """Patch fn with its own source, edited, in each of homes.
+
+    Each (old, new) pair must occur exactly once in the source, so a
+    test fails if the text it mutates moves.  The edited function reads
+    the globals of fn's own module.
+    """
+    source = textwrap.dedent(inspect.getsource(fn))
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = {}
+    exec(source, fn.__globals__, namespace)
+    for home in homes:
+        monkeypatch.setattr(home, fn.__name__, namespace[fn.__name__])

@@ -289,10 +289,11 @@ def test_slot_budget_is_exact_for_every_enumerating_command(command, monkeypatch
     # layers' operators, 19 perms of 3 slots each at most, and ts and ev's
     # Gamma powers, 3 of each: 3 * 57 + 18 + 6 = 195.  eigen, which all
     # runs too, holds per element the walk's length flag and 3 steps and
-    # 10 Hecke terms of 5 slots, and 4 * 5 psi0 values of 12 slots:
-    # 63 + 19 * 54 + 240 = 1,329.  A cap of that many runs, one less is
-    # rejected before any suite starts
-    slots = {"coefficient": 195, "eigen": 1329, "all": 1329}.get(command, 63)
+    # 10 Hecke terms of 5 slots, 4 rows of 5 psi0 values of 12 slots and
+    # their lists of 4, and per length 1..3 101 slots of verdicts, lists
+    # and product slack: 63 + 19 * 54 + 4 * 64 + 3 * 101 = 1,648.  A cap
+    # of that many runs, one less is rejected before any suite starts
+    slots = {"coefficient": 195, "eigen": 1648, "all": 1648}.get(command, 63)
     called = []
     fn = cli.COMMANDS[command]
     monkeypatch.setitem(cli.COMMANDS, command, lambda args: called.append(command) or fn(args))
@@ -347,16 +348,18 @@ def test_coefficient_budget_at_the_default_cap(capsys):
 def test_eigen_budget_at_the_default_cap():
     # at L = 1, e + 1 elements of 2e + 51 slots each (a window, the walk's
     # length flag and e steps, 10 Hecke terms of 5 slots), the step
-    # table's e (e-1) slots and 2 * 5 psi0 values of 12 slots: 9,999,122
-    # at e = 1817 and 10,010,079 at e = 1818.  At e = 2 the BFS has
-    # 2L + 1 elements, and the cap falls between L = 58,822 and 58,823
+    # table's e (e-1) slots, 2 rows of 5 psi0 values of 12 slots and
+    # their list of 4, and one length's 101 slots of verdicts, lists and
+    # product slack: 9,999,231 at e = 1817 and 10,010,188 at e = 1818.
+    # At e = 2 the BFS has 2L + 1 elements, and the cap falls between
+    # L = 36,363 and 36,364
     parser = cli.build_parser()
-    for last in (["--e", "1817", "--L", "1"], ["--e", "2", "--L", "58822"]):
+    for last in (["--e", "1817", "--L", "1"], ["--e", "2", "--L", "36363"]):
         cli._validate(parser.parse_args(["eigen", *last]))
-    with pytest.raises(ValueError, match="--e 1818 --L 1: eigen could need 10010079 slots"):
+    with pytest.raises(ValueError, match="--e 1818 --L 1: eigen could need 10010188 slots"):
         cli._validate(parser.parse_args(["eigen", "--e", "1818", "--L", "1"]))
-    with pytest.raises(ValueError, match="--e 2 --L 58823: eigen could need 10000027 slots"):
-        cli._validate(parser.parse_args(["eigen", "--e", "2", "--L", "58823"]))
+    with pytest.raises(ValueError, match="--e 2 --L 36364: eigen could need 10000221 slots"):
+        cli._validate(parser.parse_args(["eigen", "--e", "2", "--L", "36364"]))
 
 
 # A declared element or slot stands for at most this many traced bytes:
@@ -376,12 +379,16 @@ BASELINE = 1 << 20
     ["eigen", "--e", "2", "--L", "400"],
     ["distinction", "--e", "41", "--L", "2"],
     ["presentation", "--e", "60", "--samples", "5"],
+    ["eigen", "--e", "2", "--L", "1000"],
+    # just after the Hecke tables of the pi product grow
+    ["eigen", "--e", "2", "--L", "2200"],
 ])
 def test_declared_costs_bound_traced_memory(argv):
     # the traced peak of a run stays within one multiple of the elements
     # and slots its cost function declares, at ranks where windows and
     # perms of e slots outweigh the objects that hold them, and for eigen,
-    # which declares its Hecke terms and psi0 values, at small ranks too.
+    # which declares its Hecke terms, psi0 values and per-length tables,
+    # at small ranks too, down to e = 2, where a length has two elements.
     # The step table and the generators are cached per rank, so the caches
     # are emptied first and the run pays for what it builds
     args = cli.build_parser().parse_args(argv)
@@ -404,7 +411,7 @@ def test_declared_costs_bound_traced_memory(argv):
 def test_presentation_budget_is_exact(argv, monkeypatch, capsys):
     # 6 * 3 + 6 * 5 = 48 slots at e = 6 and 17 * 105 + 17 * 16 = 2,057 at
     # e = 17, where all's largest other section, eigen at L = 1, holds
-    # 1,922 (at e = 16 eigen's 1,771 is over presentation's 1,696)
+    # 2,031 (at e = 16 eigen's 1,880 is over presentation's 1,696)
     e = int(argv[2])
     slots = e * (e - 2) * (e - 3) // 2 + e * (e - 1)
     called = []

@@ -26,8 +26,7 @@ from heckezonal.scalars import LaurentPoly, Monomial
 from heckezonal.spherical import SphericalParams, matrix_coefficient_scalar
 from heckezonal.weyl import AffinePermutation, enumerate_by_length, generator, multiply, w0_count
 
-from oracles import bott_product_series, coset_sums
-from test_hecke import mutate
+from oracles import bott_product_series, coset_sums, mutate
 
 
 def element_of_length(e, word):

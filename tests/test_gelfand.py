@@ -8,8 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from oracles import commutant_dimension, inverse_by_search, mat_vec, sign_by_inversions
-from test_hecke import mutate
+from oracles import commutant_dimension, inverse_by_search, mat_vec, mutate, sign_by_inversions
 
 from heckezonal import cli
 from heckezonal import gelfand as gf

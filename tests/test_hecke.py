@@ -1,14 +1,12 @@
 """Hecke algebra: basis products, defining relations, the character."""
 
-import inspect
 import json
 import random
-import textwrap
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from oracles import right_peeling_product, specialize
+from oracles import mutate, right_peeling_product, specialize
 
 import heckezonal.hecke as hecke
 from heckezonal import cli
@@ -187,23 +185,6 @@ def test_product_matches_right_peeling(e):
             for _ in range(2)
         )
         assert A.product(h1, h2) == right_peeling_product(h1, h2), (h1, h2)
-
-
-def mutate(monkeypatch, fn, edits, *homes):
-    """Patch fn with its own source, edited, in each of homes.
-
-    Each (old, new) pair must occur exactly once in the source, so a
-    test fails if the text it mutates moves.  The edited function reads
-    the globals of fn's own module.
-    """
-    source = textwrap.dedent(inspect.getsource(fn))
-    for old, new in edits:
-        assert source.count(old) == 1, old
-        source = source.replace(old, new)
-    namespace = {}
-    exec(source, fn.__globals__, namespace)
-    for home in homes:
-        monkeypatch.setattr(home, fn.__name__, namespace[fn.__name__])
 
 
 def test_presentation_catches_flipped_conjugation(monkeypatch):

@@ -15,6 +15,7 @@ from heckezonal.scalars import (
     Monomial,
     NonInvertibleError,
     format_rational,
+    json_value,
     parse_rational,
     scalar_inverse,
     scalar_power,
@@ -39,6 +40,16 @@ def test_rational_canonical_form():
     assert format_rational(x) == "-2/3"
     assert parse_rational("-2/3") == x
     assert parse_rational("5") == Fraction(5)
+
+
+def test_json_value_prints_only_fractions():
+    # a Fraction prints as num/den, even when integral; a count, a flag,
+    # an absent value and a list of witnesses pass through as they are
+    assert json_value(Fraction(3)) == "3/1" and json_value(Fraction(-2, 3)) == "-2/3"
+    assert json_value(3) == 3 and type(json_value(3)) is int
+    assert json_value(True) is True and json_value(None) is None
+    witnesses = [{"k": 0, "window": [2, 1]}]
+    assert json_value(witnesses) is witnesses
 
 
 def test_evaluate_examples():

@@ -7,9 +7,8 @@ from fractions import Fraction
 import pytest
 from oracles import (
     TensorVector, apply_operator, ev_reference, pair, project_to_finite,
-    reduced_word_independence_reference,
+    mutate, reduced_word_independence_reference,
 )
-from test_hecke import mutate
 
 from heckezonal import cli, tensor
 from heckezonal.scalars import Monomial, scalar_inverse, scalar_power

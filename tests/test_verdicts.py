@@ -243,3 +243,11 @@ def test_records_are_built_from_their_fields(name):
     with pytest.raises(AttributeError):
         delattr(record, rest[-1] if rest else first)
     assert list(vars(record)) == list(cls._fields)
+
+
+@pytest.mark.parametrize("name", [name for name in RECORDS if name.endswith("Report")])
+def test_report_json_survives_a_round_trip(name):
+    # every value a report prints is plain JSON already: a Fraction left
+    # unprinted would not dump, and a tuple would come back a list
+    report = RECORDS[name]().to_json()
+    assert json.loads(json.dumps(report)) == report
