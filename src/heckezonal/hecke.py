@@ -21,14 +21,17 @@ mod e; ``weyl._left_step`` gives the window of s_j w0 and the case, the
 left-descent test of w0 at j, so no length is computed.
 q1 - 1 is computed once per algebra, not once per descending term.  A
 term of the left factor with coefficient 1 (every term of [pi] or of a
-sum of basis elements) adds its peeled terms unscaled.
+sum of basis elements) adds its peeled terms unscaled, and the first
+term's peeled table, a new dict, becomes the result, so [pi] * h copies
+h's table once.
 
 Group elements are converted only at the boundary: ``element`` and
 ``basis`` take ``ExtendedWeylElement``s, check their rank and store their
 keys; ``coefficient`` looks an element's key up; ``support`` wraps each
 key back into an element.  ``product`` checks only that both factors
-belong to its algebra, since every term it adds has rank e and
-``_accumulate`` drops each sum that cancels.  This recursion is the
+belong to its algebra, since every term it adds has rank e, a nonzero
+coefficient times a nonzero one is nonzero, and ``_accumulate`` drops
+each sum that cancels.  This recursion is the
 ground truth; verify_presentation() replays the defining relations
 through it as exact identities.
 """
@@ -130,7 +133,8 @@ class HeckeAlgebra:
 
     def product(self, h1: "HeckeElement", h2: "HeckeElement") -> "HeckeElement":
         """h1 * h2; its table is wrapped unchecked (see the module docstring)."""
-        if h1.algebra != self or h2.algebra != self:
+        a1, a2 = h1.algebra, h2.algebra
+        if (a1 is not self and a1 != self) or (a2 is not self and a2 != self):
             raise ValueError("rank/mode mismatch: operands from different algebras")
         e = self.e
         result: dict = {}
@@ -140,8 +144,12 @@ class HeckeAlgebra:
                 acc = self._left_generator(i, acc)
             acc = self._left_pi_power(k, acc)
             unit = cu == 1
-            for w, c in acc.items():
-                _accumulate(result, w, c if unit else cu * c)
+            if not result:
+                # acc is a new table, never an operand's
+                result = acc if unit else {w: cu * c for w, c in acc.items()}
+            else:
+                for w, c in acc.items():
+                    _accumulate(result, w, c if unit else cu * c)
         return HeckeElement(self, result)
 
 
@@ -176,7 +184,7 @@ class HeckeElement:
     def __add__(self, other):
         if not isinstance(other, HeckeElement):
             return NotImplemented
-        if other.algebra != self.algebra:
+        if other.algebra is not self.algebra and other.algebra != self.algebra:
             raise ValueError("rank/mode mismatch")
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():

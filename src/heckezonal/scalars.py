@@ -226,13 +226,15 @@ class LaurentPoly(Value):
         return LaurentPoly._raw({n: -c for n, c in self._coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        # the exact type first: a polynomial would pay Fraction's ABC
+        # instance check on every product
+        if type(other) is not LaurentPoly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if not other:
                 return LaurentPoly._raw({})
             other = _canonical(other)  # an integral Fraction multiplies as an int
             return LaurentPoly._raw({n: _canonical(c * other) for n, c in self._coeffs.items()})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
         coeffs: dict[int, int | Fraction] = {}
         for n1, c1 in self._coeffs.items():
             for n2, c2 in other._coeffs.items():
@@ -270,12 +272,12 @@ class LaurentPoly(Value):
     # -- comparison / hashing -----------------------------------------
 
     def __eq__(self, other):
+        if type(other) is LaurentPoly:
+            return self._coeffs == other._coeffs
         if isinstance(other, (int, Fraction)):
             # dicts compare values, and 3 == Fraction(3): no need to normalise
             return self._coeffs == ({0: other} if other else {})
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self._coeffs == other._coeffs
+        return NotImplemented
 
     def __bool__(self):
         """False exactly for the zero polynomial, the empty dict."""

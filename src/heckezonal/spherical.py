@@ -24,7 +24,8 @@ reads the walk and lists a failing witness in (layer, window, k) order.
 The facts are each element's inversion count against its layer, and per
 generator s_j the case and the layer of s_j w0, still from ``length()``,
 the descent test and the BFS, so the BFS distance and ``length()`` stay
-independent witnesses of each other.
+independent witnesses of each other.  The layer of s_j w0 is read at its
+inverse w0**-1 s_j, a right step from w0's inverse window.
 
 In the trivial-chi_pi regime the normalized matrix coefficient at
 w0 * pi**k is the closed form
@@ -46,7 +47,7 @@ from .scalars import (
 from .weyl import (
     AffinePermutation,
     ExtendedWeylElement,
-    _simple,
+    _right_steps,
     enumerate_by_length,
     enumeration_cost,
     pi_element,
@@ -175,8 +176,10 @@ def _walk(p: SphericalParams, L: int) -> tuple[list, list, list, dict]:
       whether the n-th element w0 has inversion count ell
       (``ExtendedWeylElement.length``), and steps[n*e + j] is the
       interned pair (up, l(s_j w0)): up negates the left-descent test of
-      w0 at j, and l(s_j w0) is read, after one ``compose``, from a
-      window -> layer map local to the walk (None outside the layers);
+      w0 at j, and l(s_j w0) = l(w0**-1 s_j) is read from a window ->
+      layer map local to the walk (None outside the layers) at the step
+      ``_right_steps(e)[j]`` of w0's inverse window, one ``inverse`` per
+      w0;
     - verdicts, the table the e generator checks share.
     """
     entry = p._eigen_table.get(L)
@@ -185,15 +188,16 @@ def _walk(p: SphericalParams, L: int) -> tuple[list, list, list, dict]:
         layers = enumerate_by_length(e, L)
         values = [[psi0_coefficient(ell, k, p) for k in range(-K, K + 1)] for ell in range(L + 1)]
         layer_of = {w0.window: ell for ell, layer in enumerate(layers) for w0 in layer}
-        simple = [_simple(e, j) for j in range(e)]
+        right = list(enumerate(_right_steps(e)))
         interned: dict = {}
         facts = []
         for ell, layer in enumerate(layers[:L]):
             lengths = [ExtendedWeylElement(0, w0).length() == ell for w0 in layer]
             steps = []
             for w0 in layer:
-                for j, s in enumerate(simple):
-                    pair = (not w0.has_left_descent(j), layer_of.get(s.compose(w0).window))
+                inv = w0.inverse().window
+                for j, step in right:
+                    pair = (not w0.has_left_descent(j), layer_of.get(step(inv)))
                     steps.append(interned.setdefault(pair, pair))
             facts.append((lengths, steps))
         entry = p._eigen_table[L] = (layers, values, facts, {})
@@ -352,9 +356,9 @@ def eigen_cost(e: int, L: int) -> dict:
     flag and step lists (four each), the fact pair and two interned steps
     (three each), two ints for the length (two each), and two slots more
     per Hecke term of the two elements every such length has at least:
-    the pi product also holds its shifted table, and a table that grows
-    holds its old and new arrays at once.  At e = 2 these outweigh what
-    the two elements' own slots leave room for."""
+    a table that grows, the truncation's or the pi product's (its one
+    shifted copy), holds its old and new arrays at once.  At e = 2 these
+    outweigh what the two elements' own slots leave room for."""
     cost = enumeration_cost(e, L)
     n = cost["elements"]
     terms = 2 * (2 * K + 1)

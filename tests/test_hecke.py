@@ -187,6 +187,35 @@ def test_product_matches_right_peeling(e):
         assert A.product(h1, h2) == right_peeling_product(h1, h2), (h1, h2)
 
 
+def test_product_never_returns_an_operand_table():
+    # the first left term's table becomes the product's, so it must be a
+    # new dict even when that term is the identity with coefficient 1
+    A = generic_algebra(3)
+    rng = random.Random(35)
+    h = random_element(A, rng, terms=3)
+    before = dict(h.coeffs)
+    assert before
+    for product in (A.one() * h, h * A.one()):
+        assert product.coeffs is not h.coeffs and product == h
+        product.coeffs.clear()
+        assert h.coeffs == before
+
+
+@pytest.mark.parametrize("e", [2, 3, 4])
+def test_product_scales_its_first_term(e):
+    # a left factor whose first term has a coefficient other than 1, a
+    # plain int or a Laurent one, against right peeling
+    A = generic_algebra(e)
+    q = A.q1
+    rng = random.Random(350 + e)
+    s1, p = generator(e, 1), pi_element(e)
+    for h1 in (A.element({s1: 3, p: q}), A.element({p: q, s1: 3})):
+        assert next(iter(h1.coeffs.values())) != 1
+        for _ in range(20):
+            h2 = random_element(A, rng, max_len=5, terms=3, max_k=2)
+            assert A.product(h1, h2) == right_peeling_product(h1, h2), (h1, h2)
+
+
 def test_presentation_catches_flipped_conjugation(monkeypatch):
     # s_i pi**k = pi**k s_{i+k mod e}; the product's generator step with
     # its shift flipped to i - k sends [s_i][pi**k w0] to the wrong

@@ -250,12 +250,23 @@ def test_ring_operations_match_fraction_reference(a, b):
 @given(DICTS, SCALARS)
 @example({0: Fraction(1, 3)}, 3)  # a Fraction times an int turns integral
 @example({2: 2}, Fraction(1, 2))
+@example({0: Fraction(1, 3), 1: 2}, Fraction(6, 2))  # an integral Fraction multiplies as an int
+@example({0: 3}, Fraction(6, 2))  # and equals the constant it is
 def test_scalar_operations_match_fraction_reference(a, c):
     pa, ra = _pair(a)
     for p, ref in ((pa * c, ra * c), (c * pa, c * ra), (pa + c, ra + c), (c + pa, c + ra),
                    (pa - c, ra - c), (c - pa, c - ra)):
         _assert_agrees(p, ref)
-    assert (pa == c) == (ra == c) == (ra == FractionLaurentPoly({0: c}))
+    assert (pa == c) == (c == pa) == (ra == c) == (ra == FractionLaurentPoly({0: c}))
+
+
+def test_other_operands_are_not_implemented():
+    # == and * take a polynomial by its exact type, then an int or a
+    # Fraction; any other operand, the reference polynomial included, is
+    # left to the other side
+    q = LaurentPoly.variable()
+    for other in (0.5, "q", FractionLaurentPoly({1: 1}), Monomial(2)):
+        assert q.__eq__(other) is NotImplemented and q.__mul__(other) is NotImplemented, other
 
 
 @PROPERTY

@@ -180,31 +180,48 @@ def test_eigen_checks_catch_a_wrong_length(e, monkeypatch):
 def test_eigen_checks_catch_a_wrong_boundary_layer(monkeypatch):
     # x has l(x) = L, so x itself is boundary and its layer is read only
     # as l(s_i u) for u = s_i x one layer down: a check that skipped that
-    # lookup for some u would pass for some x.  Each x of layer L is in
-    # turn replaced, wherever the walk composes s_j u = x, by an element
-    # one layer too low or by one outside the layers.  The walk is built
-    # once per parameters, so each wrong step gets fresh parameters
+    # lookup for some u would pass for some x.  The walk reads l(s_j u) at
+    # (s_j u)**-1 = u**-1 s_j, the right step of u's inverse window, so
+    # each x of layer L is in turn replaced, wherever a step lands on x's
+    # inverse window, by the inverse window of an element one layer too
+    # low or of one outside the layers.  The walk is built once per
+    # parameters, so each wrong step gets fresh parameters
     e, L = 3, 3
     layers = enumerate_by_length(e, L + 1)
     boundary = layers[L]
     assert len(boundary) > 1
-    honest = AffinePermutation.compose
+    honest = spherical._right_steps(e)
     for w0 in boundary:
         x = ExtendedWeylElement(0, w0)
         below = [(i, multiply(generator(e, i), x)) for i in range(e)]
         below = [(i, u) for i, u in below if u.length() == L - 1]
         assert below, w0
+        target = w0.inverse().window
         for wrong in (layers[L - 1][0], layers[L + 1][0]):
-            monkeypatch.setattr(
-                AffinePermutation, "compose",
-                lambda s, w, wrong=wrong, target=w0: wrong if honest(s, w) == target else honest(s, w),
+            landing = wrong.inverse().window
+            steps = tuple(
+                lambda w, step=step, landing=landing, target=target:
+                    landing if step(w) == target else step(w)
+                for step in honest
             )
+            monkeypatch.setattr(spherical, "_right_steps", lambda e, steps=steps: steps)
             p = SphericalParams.generic(e, chi_pi=Fraction(2))
             for i, u in below:
                 report = verify_eigen_generator(i, L, p)
                 assert not report.ok, (w0, wrong, i)
                 witness = {"k": 0, "window": list(u.w0.window)}
                 assert witness in report.failures, (w0, wrong, i)
+
+
+def test_eigen_checks_fail_when_the_walk_reads_the_wrong_side(monkeypatch):
+    # with inverse() the identity map, the walk reads the layer of w0 s_j
+    # where it needs that of s_j w0: every generator check fails, so the
+    # lookup through the inverse window reaches the verdict
+    monkeypatch.setattr(AffinePermutation, "inverse", lambda w0: w0)
+    for e in (2, 3, 4):
+        p = SphericalParams.generic(e, chi_pi=Fraction(2))
+        for i in range(e):
+            assert not verify_eigen_generator(i, 4, p).ok, (e, i)
 
 
 def test_eigen_checks_catch_a_flipped_case(monkeypatch):
@@ -242,10 +259,11 @@ def test_flipped_case_fails_every_generator_case_on_the_command_line(monkeypatch
 
 def test_generator_checks_compute_each_step_once(monkeypatch):
     # the e generator checks of one job share one step table: each
-    # (w0, s_j) is composed and descent-tested once, and each w0 has its
-    # inversion count taken once, over the N(0..L-1) interior elements
+    # (w0, s_j) is descent-tested once, each w0 is inverted once for the
+    # layers of its e steps and has its inversion count taken once, over
+    # the N(0..L-1) interior elements, and nothing is composed
     e, L = 4, 4
-    calls = {"has_left_descent": 0, "compose": 0, "length": 0}
+    calls = {"has_left_descent": 0, "compose": 0, "inverse": 0, "length": 0}
     inside = []
 
     def counted(cls, name, key):
@@ -260,6 +278,7 @@ def test_generator_checks_compute_each_step_once(monkeypatch):
 
     counted(AffinePermutation, "has_left_descent", "has_left_descent")
     counted(AffinePermutation, "compose", "compose")
+    counted(AffinePermutation, "inverse", "inverse")
     counted(ExtendedWeylElement, "length", "length")
     honest_check = spherical.verify_eigen_generator
 
@@ -274,7 +293,7 @@ def test_generator_checks_compute_each_step_once(monkeypatch):
     assert verify_eigen(e, L, Fraction(2))["ok"]
     interior = sum(map(len, enumerate_by_length(e, L - 1)))
     assert interior == 35
-    assert calls == {"has_left_descent": e * interior, "compose": e * interior, "length": interior}
+    assert calls == {"has_left_descent": e * interior, "compose": 0, "inverse": interior, "length": interior}
 
 
 def test_eigen_job_walks_once(monkeypatch):
