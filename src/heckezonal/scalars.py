@@ -131,10 +131,11 @@ class LaurentPoly(Value):
     Invariant: ``_coeffs`` maps ``int`` exponents to nonzero coefficients
     in canonical form (an ``int``, or a ``Fraction`` with denominator > 1),
     so the zero polynomial is the empty dict and equal polynomials have
-    identical dicts.  The public constructor establishes it from
-    int/Fraction input and rejects anything else, floats included; the
-    arithmetic results keep it through ``_canonical`` and are built
-    through :meth:`_raw`, which trusts it.  Division happens only on a
+    identical dicts.  The public constructor establishes it from int
+    exponents and int/Fraction coefficients (a bool is stored as its int)
+    and rejects anything else, floats included; the arithmetic results
+    keep it through ``_canonical`` and are built through :meth:`_raw`,
+    which trusts it.  Division happens only on a
     ``Fraction`` (``inverse``, negative monomial powers), so no float is
     ever formed.
 
@@ -148,6 +149,8 @@ class LaurentPoly(Value):
     def __init__(self, coeffs=None):
         clean: dict[int, int | Fraction] = {}
         for n, c in (coeffs or {}).items():
+            if not isinstance(n, int):
+                raise TypeError(f"a Laurent exponent is an int, got {type(n).__name__}")
             c = _canonical(_as_fraction(c))
             if c:
                 clean[int(n)] = c
@@ -351,8 +354,8 @@ class Monomial(Value):
     __slots__ = _fields = ("base", "sign", "exp")
 
     def __init__(self, base: int, sign: int = 1, exp: int = 1):
-        if type(base) is not int or type(exp) is not int:
-            raise TypeError("a monomial has an int base and an int exponent")
+        if type(base) is not int or type(sign) is not int or type(exp) is not int:
+            raise TypeError("a monomial has an int base, sign and exponent")
         if base < 2 or sign not in (1, -1):
             raise ValueError("a monomial is +1 or -1 times a power of an int base >= 2")
         _set_base(self, base)

@@ -354,15 +354,14 @@ def eigen_cost(e: int, L: int) -> dict:
     and their row list of four; and per length 1..L, at most 2(2K-1)
     verdicts (a 4-tuple key and a dict entry, six slots each), the layer,
     flag and step lists (four each), the fact pair and two interned steps
-    (three each), two ints for the length (two each), and two slots more
-    per Hecke term of the two elements every such length has at least:
-    a table that grows, the truncation's or the pi product's (its one
-    shifted copy), holds its old and new arrays at once.  At e = 2 these
-    outweigh what the two elements' own slots leave room for."""
+    (three each), two ints for the length (two each), and one slot more
+    per Hecke term of the two elements every such length has at least: a
+    table that grows holds its old and new arrays at once.  At e = 2
+    these outweigh what the two elements' own slots leave room for."""
     cost = enumeration_cost(e, L)
     n = cost["elements"]
     terms = 2 * (2 * K + 1)
-    per_length = 2 * (2 * K - 1) * 6 + 3 * 4 + 3 * 3 + 2 * 2 + 2 * terms * 2
+    per_length = 2 * (2 * K - 1) * 6 + 3 * 4 + 3 * 3 + 2 * 2 + 2 * terms
     slots = (e + 1 + terms * 5) * n + (12 * (2 * K + 1) + 4) * (L + 1) + per_length * L
     return {"elements": n, "slots": cost["slots"] + slots}
 

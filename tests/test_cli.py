@@ -23,6 +23,8 @@ from heckezonal import distinction as dst
 from heckezonal.scalars import format_rational
 from heckezonal.weyl import AffinePermutation, enumerate_by_length
 
+from boundaries import EXACT, ROWS
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -238,128 +240,40 @@ def test_error_inside_a_check_propagates(monkeypatch):
         cli.run(["eigen", "--e", "3", "--L", "2"])
 
 
-def test_over_budget_run_exits_2_before_enumerating(capsys):
-    # N(0..22) = 1,390,236 at e = 7, over the cap of 1,000,000; the BFS
-    # would run for seconds and build every element first
+@pytest.mark.parametrize("row", [r for r in ROWS if r["code"] == 2], ids=lambda r: r["argv"])
+def test_refused_boundary_exits_2_at_once(row, capsys):
+    # the budgets are arithmetic on the arguments: the run exits 2 before
+    # it enumerates, expands or prints anything
     start = time.perf_counter()
-    assert cli.run(["growth", "--e", "7", "--L", "22"]) == 2
+    assert cli.run(row["argv"].split()) == 2
     assert time.perf_counter() - start < 0.5
     captured = capsys.readouterr()
     assert captured.out == ""
-    for part in ("--e 7", "--L 22", "1390236", "cap of 1000000 elements"):
+    for part in row["err"]:
         assert part in captured.err, part
 
 
-@pytest.mark.parametrize("command", ["eigen", "coefficient", "growth", "distinction", "all"])
-def test_budget_is_exact_for_every_enumerating_command(command, monkeypatch, capsys):
-    # N(0..3) = 1 + 3 + 6 + 9 = 19 at e = 3: a cap of 19 runs, 18 is
-    # rejected before any suite starts
+@pytest.mark.parametrize("row", [r for r in ROWS if r["code"] == 0], ids=lambda r: r["argv"])
+def test_accepted_boundary_validates(row):
+    # running these takes seconds and hundreds of MB: CI runs them
+    cli._validate(cli.build_parser().parse_args(row["argv"].split()))
+
+
+@pytest.mark.parametrize("argv, cap, quantity, count, names", EXACT, ids=[f"{r[0]} {r[1]}" for r in EXACT])
+def test_budget_is_exact(argv, cap, quantity, count, names, monkeypatch, capsys):
+    command = argv.split()[0]
     called = []
     fn = cli.COMMANDS[command]
     monkeypatch.setitem(cli.COMMANDS, command, lambda args: called.append(command) or fn(args))
-    argv = [command, "--e", "3", "--L", "3"]
-    monkeypatch.setattr(weyl, "ENUM_CAP", 18)
-    assert cli.run(argv) == 2
-    err = capsys.readouterr().err
-    for part in ("--e 3 ", "--L 3:", "could need 19 elements", "cap of 18 elements"):
-        assert part in err, part
+    monkeypatch.setattr(f"heckezonal.{cap}", count - 1)
+    assert cli.run(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{names} could need {count} {quantity}, over the cap of {count - 1} {quantity}" in captured.err
     assert called == []
-    monkeypatch.setattr(weyl, "ENUM_CAP", 19)
-    assert cli.run(argv) == 0
+    monkeypatch.setattr(f"heckezonal.{cap}", count)
+    assert cli.run(argv.split()) == 0
     assert called == [command]
-
-
-def test_over_slot_budget_run_exits_2_before_enumerating(capsys):
-    # N(0..2) = 501,501 at e = 1000 is under the element cap, but each
-    # element holds 1000 window slots, and the step table 999,000 more:
-    # some 5 * 10**8 in all
-    start = time.perf_counter()
-    assert cli.run(["growth", "--e", "1000", "--L", "2"]) == 2
-    assert time.perf_counter() - start < 0.5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    for part in ("--e 1000 --L 2", "502500000 slots", "cap of 10000000 slots"):
-        assert part in captured.err, part
-
-
-@pytest.mark.parametrize("command", ["eigen", "coefficient", "growth", "distinction", "all"])
-def test_slot_budget_is_exact_for_every_enumerating_command(command, monkeypatch, capsys):
-    # N(0..3) = 19 elements at e = 3 hold 57 window slots, and the step
-    # table 3 * 2 more: 63.  coefficient also holds ev's words and two
-    # layers' operators, 19 perms of 3 slots each at most, and ts and ev's
-    # Gamma powers, 3 of each: 3 * 57 + 18 + 6 = 195.  eigen, which all
-    # runs too, holds per element the walk's length flag and 3 steps and
-    # 10 Hecke terms of 5 slots, 4 rows of 5 psi0 values of 12 slots and
-    # their lists of 4, and per length 1..3 101 slots of verdicts, lists
-    # and product slack: 63 + 19 * 54 + 4 * 64 + 3 * 101 = 1,648.  A cap
-    # of that many runs, one less is rejected before any suite starts
-    slots = {"coefficient": 195, "eigen": 1648, "all": 1648}.get(command, 63)
-    called = []
-    fn = cli.COMMANDS[command]
-    monkeypatch.setitem(cli.COMMANDS, command, lambda args: called.append(command) or fn(args))
-    argv = [command, "--e", "3", "--L", "3"]
-    monkeypatch.setattr(weyl, "SLOT_CAP", slots - 1)
-    assert cli.run(argv) == 2
-    err = capsys.readouterr().err
-    assert "--e 3 " in err and "--L 3:" in err and f"could need {slots} slots" in err
-    assert called == []
-    monkeypatch.setattr(weyl, "SLOT_CAP", slots)
-    assert cli.run(argv) == 0
-    assert called == [command]
-
-
-@pytest.mark.parametrize("command", ["presentation", "all"])
-def test_over_presentation_budget_exits_2_at_once(command, capsys):
-    # family (vi) at e = 2000 has 1,995,003 commutation cases of windows of
-    # 2000 slots; presentation alone would run for hours.  all at this
-    # rank meets the --L window-slot budget first, which names --e too
-    start = time.perf_counter()
-    assert cli.run([command, "--e", "2000"]) == 2
-    assert time.perf_counter() - start < 0.5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--e 2000" in captured.err and "cap of 10000000 slots" in captured.err
-
-
-def test_presentation_budget_at_the_default_cap():
-    # e (e-2)(e-3)/2 + e (e-1) is 9,951,392 at e = 272 and 10,061,961 at
-    # e = 273
-    parser = cli.build_parser()
-    cli._validate(parser.parse_args(["presentation", "--e", "272"]))
-    with pytest.raises(ValueError, match="--e 273: presentation could need 10061961 slots"):
-        cli._validate(parser.parse_args(["presentation", "--e", "273"]))
-
-
-def test_coefficient_budget_at_the_default_cap(capsys):
-    # at L = 0, one window, ev's word and one kept operator, e slots each,
-    # ts and ev's Gamma powers, e perms of e slots each, and the step
-    # table's e (e-1) slots: 9,995,525 at e = 1825 and 10,006,480 at
-    # e = 1826
-    parser = cli.build_parser()
-    cli._validate(parser.parse_args(["coefficient", "--e", "1825", "--L", "0"]))
-    start = time.perf_counter()
-    assert cli.run(["coefficient", "--e", "1826", "--L", "0"]) == 2
-    assert time.perf_counter() - start < 0.5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--e 1826 --L 0: coefficient could need 10006480 slots" in captured.err
-
-
-def test_eigen_budget_at_the_default_cap():
-    # at L = 1, e + 1 elements of 2e + 51 slots each (a window, the walk's
-    # length flag and e steps, 10 Hecke terms of 5 slots), the step
-    # table's e (e-1) slots, 2 rows of 5 psi0 values of 12 slots and
-    # their list of 4, and one length's 101 slots of verdicts, lists and
-    # product slack: 9,999,231 at e = 1817 and 10,010,188 at e = 1818.
-    # At e = 2 the BFS has 2L + 1 elements, and the cap falls between
-    # L = 36,363 and 36,364
-    parser = cli.build_parser()
-    for last in (["--e", "1817", "--L", "1"], ["--e", "2", "--L", "36363"]):
-        cli._validate(parser.parse_args(["eigen", *last]))
-    with pytest.raises(ValueError, match="--e 1818 --L 1: eigen could need 10010188 slots"):
-        cli._validate(parser.parse_args(["eigen", "--e", "1818", "--L", "1"]))
-    with pytest.raises(ValueError, match="--e 2 --L 36364: eigen could need 10000221 slots"):
-        cli._validate(parser.parse_args(["eigen", "--e", "2", "--L", "36364"]))
 
 
 # A declared element or slot stands for at most this many traced bytes:
@@ -407,50 +321,6 @@ def test_declared_costs_bound_traced_memory(argv):
     assert peak <= BYTES_PER_UNIT * (cost.get("elements", 0) + cost["slots"]) + BASELINE, (peak, cost)
 
 
-@pytest.mark.parametrize("argv", [["presentation", "--e", "6", "--samples", "0"], ["all", "--e", "17", "--L", "1"]])
-def test_presentation_budget_is_exact(argv, monkeypatch, capsys):
-    # 6 * 3 + 6 * 5 = 48 slots at e = 6 and 17 * 105 + 17 * 16 = 2,057 at
-    # e = 17, where all's largest other section, eigen at L = 1, holds
-    # 2,031 (at e = 16 eigen's 1,880 is over presentation's 1,696)
-    e = int(argv[2])
-    slots = e * (e - 2) * (e - 3) // 2 + e * (e - 1)
-    called = []
-    fn = cli.COMMANDS[argv[0]]
-    monkeypatch.setitem(cli.COMMANDS, argv[0], lambda args: called.append(argv[0]) or fn(args))
-    monkeypatch.setattr(weyl, "SLOT_CAP", slots - 1)
-    assert cli.run(argv) == 2
-    assert f"--e {e}: presentation could need {slots} slots" in capsys.readouterr().err
-    assert called == []
-    monkeypatch.setattr(weyl, "SLOT_CAP", slots)
-    assert cli.run(argv) == 0
-    assert called == [argv[0]]
-
-
-@pytest.mark.parametrize("extra", [[], ["--points=-1/25,1/3"]])
-def test_over_digit_budget_poincare_exits_2_at_once(extra, capsys):
-    # the exact values at e = 4000 have more digits than Python prints by
-    # default; the bound is checked before any value is computed
-    start = time.perf_counter()
-    assert cli.run(["poincare", "--e", "4000", *extra]) == 2
-    assert time.perf_counter() - start < 0.5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--e 4000" in captured.err and "cap of 4300 digits" in captured.err
-    assert ("--points" in captured.err) == bool(extra)
-
-
-@pytest.mark.parametrize("argv", [["poincare", "--e", "7"], ["poincare", "--e", "9", "--points", "1/7"],
-                                  ["all", "--e", "3", "--L", "3"]])
-def test_digit_budget_is_exact(argv, monkeypatch, capsys):
-    e = int(argv[2])
-    digits = dst.poincare_cost(e, [Fraction(argv[4])] if "--points" in argv else None)["digits"]
-    monkeypatch.setattr(cli, "DIGIT_CAP", digits - 1)
-    assert cli.run(argv) == 2
-    assert f"could need {digits} digits" in capsys.readouterr().err
-    monkeypatch.setattr(cli, "DIGIT_CAP", digits)
-    assert cli.run(argv) == 0
-
-
 def test_digit_bound_holds():
     # the bound from bit lengths is never below the printed digits, for
     # the default grid and for points near the ends of (-1, 1)
@@ -461,32 +331,6 @@ def test_digit_bound_holds():
         for x in points:
             value = dst.poincare_value(e, x)
             assert max(len(str(value.numerator)), len(str(value.denominator))) <= bound, (e, x)
-
-
-@pytest.mark.parametrize("command", ["distinction", "all"])
-def test_over_digit_budget_distinction_exits_2_at_once(command, capsys):
-    # the denominator Q**L of the partial sum, Q = 7**30, alone has some
-    # 4,560 digits; the run would enumerate W0 first and then fail to print
-    start = time.perf_counter()
-    assert cli.run([command, "--e", "3", "--f", "30", "--q0", "7", "--L", "180"]) == 2
-    assert time.perf_counter() - start < 0.5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    for part in ("--f 30", "--q0 7", "--L 180", "could need 4685 digits", "cap of 4300 digits"):
-        assert part in captured.err, part
-
-
-@pytest.mark.parametrize("argv", [["distinction", "--e", "3", "--f", "2", "--q0", "3", "--L", "20"],
-                                  ["all", "--e", "3", "--f", "2", "--q0", "3", "--L", "4"]])
-def test_distinction_digit_budget_is_exact(argv, monkeypatch, capsys):
-    e, f, q0, L = (int(argv[n]) for n in (2, 4, 6, 8))
-    digits = dst.integral_cost(e, f, q0, L)["digits"]
-    assert digits > dst.poincare_cost(e)["digits"]
-    monkeypatch.setattr(cli, "DIGIT_CAP", digits - 1)
-    assert cli.run(argv) == 2
-    assert f"distinction could need {digits} digits" in capsys.readouterr().err
-    monkeypatch.setattr(cli, "DIGIT_CAP", digits)
-    assert cli.run(argv) == 0
 
 
 def test_distinction_digit_bound_holds():
@@ -534,31 +378,6 @@ def test_growth_at_large_rank_exits_0(capsys):
     assert cli.run(["growth", "--e", "120", "--L", "1"]) == 0
     rows = json.loads(capsys.readouterr().out)["rows"]
     assert [(r["count_bfs"], r["count_closed_form"]) for r in rows] == [(1, 1), (120, 120)]
-
-
-def test_far_over_budget_run_exits_2_at_once(capsys):
-    # the binomials C(2e, e) here would run for most of a minute; the
-    # bound 1 + e*L already passes the cap
-    start = time.perf_counter()
-    assert cli.run(["growth", "--e", "1000000", "--L", "1000000"]) == 2
-    assert time.perf_counter() - start < 0.5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    for part in ("--e 1000000 --L 1000000", "cap of 1000000 elements"):
-        assert part in captured.err, part
-
-
-def test_growth_digit_budget_at_small_L(capsys):
-    # at L = 0 the element and slot budgets count one element, but the
-    # closed form still expands (1 - X)**e: past e = 14283 its binomials
-    # could print more than 4300 digits, and the run exits 2 at once
-    start = time.perf_counter()
-    assert cli.run(["growth", "--e", "14284", "--L", "0"]) == 2
-    assert time.perf_counter() - start < 0.5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--e 14284" in captured.err and "cap of 4300 digits" in captured.err
-    cli._validate(cli.build_parser().parse_args(["growth", "--e", "14283", "--L", "0"]))
 
 
 def test_text_output():

@@ -243,6 +243,15 @@ def test_per_term_check_catches_a_wrong_term_past_length_1(monkeypatch):
     assert not distinction_integral(3, 1, 2, 4).per_term_ok
 
 
+def test_per_term_check_reaches_the_last_layer(monkeypatch):
+    # a term off by a factor of 2 at length 4 alone: the truncation at
+    # L = 3 never meets it, and L = 4 compares its last layer too
+    honest = dst.per_term_value
+    monkeypatch.setattr(dst, "per_term_value", lambda w0, f, q0: honest(w0, f, q0) * (1 + (w0.length() == 4)))
+    assert distinction_integral(3, 1, 2, 3).per_term_ok
+    assert not distinction_integral(3, 1, 2, 4).per_term_ok
+
+
 def test_per_term_check_catches_a_volume_one_exponent_off(monkeypatch, capsys):
     # the volume one q0-exponent off from length 2 on: each term is still a
     # monomial, and the (sign, exponent) comparison with (-1/q0**f)**l fails

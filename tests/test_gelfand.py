@@ -323,6 +323,29 @@ def test_catalog_expectations_hold():
         assert nonzero == expected["nonzero_pairing"]
 
 
+def test_catalog_fails_an_entry_with_another_expected_outcome(monkeypatch):
+    # s3_standard_vs_s2 pairs to a nonzero value; expecting a zero one
+    # fails that entry alone
+    catalog = load_catalog()
+    catalog[0]["expected"] = {**catalog[0]["expected"], "nonzero_pairing": False}
+    monkeypatch.setattr(gf, "load_catalog", lambda: catalog)
+    report = gf.check_catalog()
+    assert [entry["ok"] for entry in report["examples"]] == [False, True, True, True]
+    assert report["ok"] is False
+
+
+def test_pairing_needs_fixed_lines():
+    # S3 acting by 2 x 2 identity matrices fixes a plane on both sides:
+    # no line to pair, so no value and no multiplicity one
+    ident = mat_identity(2)
+    rep = FiniteRep.generated("S3-trivial-plane", [((2, 1, 3), ident), ((1, 3, 2), ident)])
+    assert rep.validate_closure()
+    report = check_pairing(rep, point_stabilizer(rep, 3))
+    assert (report.dim_fixed, report.dim_fixed_dual) == (2, 2)
+    assert report.pairing is None
+    assert report.gelfand_multiplicity_ok is False
+
+
 def test_mat_mul_matches_fraction_triple_loop():
     rng = random.Random(41)
 

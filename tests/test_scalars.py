@@ -316,9 +316,15 @@ def test_constructor_rejects_floats_and_stores_bools_as_ints():
         LaurentPoly({0: 0.5})
     with pytest.raises(TypeError):
         LaurentPoly.variable() * 0.5
+    # an exponent is an int too: int(1.5) and int("2") would make q, q**2
+    for exponent in (1.5, "2", Fraction(2)):
+        with pytest.raises(TypeError):
+            LaurentPoly({exponent: 1})
     p = LaurentPoly({0: True, 1: Fraction(4, 2)})
     _assert_invariant(p)
     assert p.coefficients() == {0: 1, 1: 2}
+    _assert_invariant(LaurentPoly({True: 3}))
+    assert LaurentPoly({True: 3}) == 3 * LaurentPoly.variable()
     _assert_invariant(LaurentPoly.variable() * True)
 
 
@@ -376,7 +382,9 @@ def test_monomial_mixed_arithmetic_is_exact(a, c):
 
 
 def test_monomial_rejects_non_integers_and_bad_fields():
-    for args in ((2.0, 1, 1), (2, 1, 1.0), (Fraction(2), 1, 1), (True, 1, 1)):
+    # a float sign would spread through products to fraction()
+    for args in ((2.0, 1, 1), (2, 1, 1.0), (Fraction(2), 1, 1), (True, 1, 1), (2, 1.0, 3), (2, -1.0, 3),
+                 (2, True, 3), (2, Fraction(-1), 3)):
         with pytest.raises(TypeError):
             Monomial(*args)
     for args in ((1, 1, 1), (0, 1, 1), (-2, 1, 1), (2, 0, 1), (2, 2, 1)):
