@@ -5,25 +5,46 @@ elements with exact coefficients (see ``scalars.ExactScalar``).  At generic
 q1 the structure constants lie in Z[q, q**-1], so products of elements
 with integer Laurent coefficients stay there, and their coefficient
 arithmetic is on ints; only chi(pi) brings in a rational.  Products are
-computed by peeling a reduced word of the left factor and applying the
-two-case generator rule
+computed by peeling the reduced words of one factor through a two-case
+generator rule.  By default the left factor is peeled, by
 
     [s_i][w] = [s_i w]                     if l(s_i w) = l(w) + 1
     [s_i][w] = q1 [s_i w] + (q1 - 1) [w]   if l(s_i w) = l(w) - 1
 
-together with [pi]**k acting by relabeling ([pi][w] = [pi w]).
+together with [pi]**k acting by relabeling ([pi][w] = [pi w]).  When the
+right factor has strictly fewer terms, it is peeled instead: a term
+[pi**m v0] first relabels each [pi**k w0] of the left factor to
+[pi**(k + m) (pi**-m w0 pi**m)], then applies the letters of v0's word,
+left to right, by
+
+    [w][s_j] = [w s_j]                     if l(w s_j) = l(w) + 1
+    [w][s_j] = q1 [w s_j] + (q1 - 1) [w]   if l(w s_j) = l(w) - 1
+
+Every term of the peeled factor runs its word over the other factor's
+whole table, so peeling the factor with fewer terms makes fewer passes;
+on a tie the left factor is peeled.
 
 An element's table is keyed by plain ``(k, window)`` int tuples, the k
 and W0 window of [pi**k w0], so products hash and compare tuples and
 build no group element per term.  As s_i pi**k = pi**k s_{i+k mod e},
-each peeled letter maps a term [pi**k w0] to [pi**k s_j w0], j = i + k
+each left letter maps a term [pi**k w0] to [pi**k s_j w0], j = i + k
 mod e; ``weyl._left_step`` gives the window of s_j w0 and the case, the
-left-descent test of w0 at j, so no length is computed.
+left-descent test of w0 at j, so no length is computed.  A right letter
+maps [pi**k w0] to [pi**k w0 s_j] with no shift; ``weyl._right_step``
+gives the window of w0 s_j and the right-descent test, read from two
+slots, and ``weyl._conjugate_window`` the relabeled window.
 q1 - 1 is computed once per algebra, not once per descending term.  A
-term of the left factor with coefficient 1 (every term of [pi] or of a
+term of the peeled factor with coefficient 1 (every term of [pi] or of a
 sum of basis elements) adds its peeled terms unscaled, and the first
 term's peeled table, a new dict, becomes the result, so [pi] * h copies
-h's table once.
+h's table once.  The same table comes out on either path:
+
+>>> A = HeckeAlgebra(3, LaurentPoly.variable())
+>>> one, s1 = A.one(), A.generator_basis(1)
+>>> ((one + s1) * s1).coeffs  # [s_1] has fewer terms: peeled on the right
+{(0, (2, 1, 3)): q, (0, (1, 2, 3)): q}
+>>> (one * s1 + s1 * s1).coeffs  # one term each: peeled on the left
+{(0, (2, 1, 3)): q, (0, (1, 2, 3)): q}
 
 Group elements are converted only at the boundary: ``element`` and
 ``basis`` take ``ExtendedWeylElement``s, check their rank and store their
@@ -44,7 +65,9 @@ from .scalars import ExactScalar, LaurentPoly, Value, scalar_power
 from .weyl import (
     AffinePermutation,
     ExtendedWeylElement,
+    _conjugate_window,
     _left_step,
+    _right_step,
     _steps_slots,
     generator,
     pi_element,
@@ -131,18 +154,47 @@ class HeckeAlgebra:
         # pi**k * (pi**j w0) = pi**(j + k) w0
         return {(j + k, win): c for (j, win), c in coeffs.items()}
 
+    def _right_generator(self, j: int, coeffs: dict) -> dict:
+        """Right-multiply a coefficient table by [s_j] via the two-case rule."""
+        e, q1, q1_minus_1 = self.e, self.q1, self._q1_minus_1
+        out: dict = {}
+        for key, c in coeffs.items():
+            k, win = key
+            edited, descent = _right_step(win, j, e)
+            if descent:
+                _accumulate(out, (k, edited), q1 * c)
+                _accumulate(out, key, q1_minus_1 * c)
+            else:
+                _accumulate(out, (k, edited), c)
+        return out
+
+    def _right_pi_power(self, m: int, coeffs: dict) -> dict:
+        # (pi**k w0) * pi**m = pi**(k + m) (pi**-m w0 pi**m)
+        e = self.e
+        return {(k + m, _conjugate_window(win, -m, e)): c for (k, win), c in coeffs.items()}
+
     def product(self, h1: "HeckeElement", h2: "HeckeElement") -> "HeckeElement":
-        """h1 * h2; its table is wrapped unchecked (see the module docstring)."""
+        """h1 * h2.  The left factor's words are peeled on the left, unless
+        h2 has strictly fewer terms than h1: then h2's are peeled on the
+        right, after its pi power relabels h1's terms (see the module
+        docstring).  The table is wrapped unchecked."""
         a1, a2 = h1.algebra, h2.algebra
         if (a1 is not self and a1 != self) or (a2 is not self and a2 != self):
             raise ValueError("rank/mode mismatch: operands from different algebras")
         e = self.e
+        right = len(h2.coeffs) < len(h1.coeffs)
         result: dict = {}
-        for (k, win), cu in h1.coeffs.items():
-            acc = h2.coeffs
-            for i in reversed(AffinePermutation._raw(e, win).reduced_word()):
-                acc = self._left_generator(i, acc)
-            acc = self._left_pi_power(k, acc)
+        for (k, win), cu in (h2 if right else h1).coeffs.items():
+            if right:
+                # [x][pi**k v0]: relabel x to x pi**k, then peel v0's word
+                acc = self._right_pi_power(k, h1.coeffs)
+                for j in AffinePermutation._raw(e, win).reduced_word():
+                    acc = self._right_generator(j, acc)
+            else:
+                acc = h2.coeffs
+                for i in reversed(AffinePermutation._raw(e, win).reduced_word()):
+                    acc = self._left_generator(i, acc)
+                acc = self._left_pi_power(k, acc)
             unit = cu == 1
             if not result:
                 # acc is a new table, never an operand's
@@ -339,6 +391,9 @@ def verify_presentation(e: int, samples: int = 0, seed: int | None = None) -> Pr
 
 
 def presentation_cost(e: int) -> dict:
-    """What ``verify_presentation(e)`` holds: family (vi)'s (e-2)(e-3)/2
-    cases of e slots, and ``weyl._right_steps(e)``, built by the generators."""
+    """What ``verify_presentation(e)`` declares: family (vi)'s (e-2)(e-3)/2
+    cases of e slots, and ``weyl._right_steps(e)``, built by the generators.
+
+    The cases are built one at a time, not held together, so this count,
+    about e**3 / 2, bounds the run's time rather than its memory."""
     return {"slots": (e - 2) * (e - 3) // 2 * e + _steps_slots(e)}

@@ -24,9 +24,11 @@ So is the extended ``multiply``, which builds its canonical form from one
 
 Only this module edits windows, and each step by a simple reflection is
 written once: ``_right_steps(e)[j]`` maps the window of w to that of
-w * s_j, and ``_left_step`` gives the window of s_j * w with the
-left-descent test.  ``reduced_word`` alone edits an inverse window in
-place, as it is the hot path of every Hecke product.
+w * s_j, ``_right_step`` gives it with the right-descent test, and
+``_left_step`` gives the window of s_j * w with the left-descent test.
+``_conjugate_window`` gives the window of pi**k w pi**-k, which
+``conjugate_by_pi`` wraps.  ``reduced_word`` alone edits an inverse
+window in place, as it is the hot path of every Hecke product.
 
 >>> s1 = generator(3, 1)
 >>> s1.w0.window
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from itertools import combinations
 from math import comb
 
 from .scalars import Value
@@ -122,11 +125,9 @@ class AffinePermutation(Value):
 
     def length(self) -> int:
         """Coxeter length, via the affine inversion count."""
-        e, win = self.e, self.window
-        total = 0
-        for i in range(e):
-            for j in range(i + 1, e):
-                total += abs((win[j] - win[i]) // e)
+        e, total = self.e, 0
+        for a, b in combinations(self.window, 2):
+            total += abs((b - a) // e)
         return total
 
     def has_left_descent(self, i: int) -> bool:
@@ -210,6 +211,16 @@ def _left_step(w: tuple[int, ...], j: int, e: int) -> tuple[tuple[int, ...], boo
     edited[a] += 1
     edited[b] -= 1
     return tuple(edited), a - w[a] > b - w[b] + 1
+
+
+def _right_step(w: tuple[int, ...], j: int, e: int) -> tuple[tuple[int, ...], bool]:
+    """The window of w * s_j for the window w, and whether l(w s_j) = l(w) - 1.
+
+    The descent test is w(j) > w(j + 1), read from two slots; at j = 0 it
+    is w(0) = w(e) - e > w(1).
+    """
+    descent = w[-1] - e > w[0] if j == 0 else w[j - 1] > w[j]
+    return _right_steps(e)[j](w), descent
 
 
 @functools.lru_cache(maxsize=None)
@@ -409,15 +420,21 @@ def perm_compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def conjugate_by_pi(w0: AffinePermutation, k: int) -> AffinePermutation:
-    """pi**k * w0 * pi**-k, again in W0; preserves length.
+    """pi**k * w0 * pi**-k, again in W0; preserves length.  At k = 0 mod e
+    it is w0 itself."""
+    win = w0.window
+    out = _conjugate_window(win, k, w0.e)
+    return w0 if out is win else AffinePermutation._raw(w0.e, out)
 
-    Its window is w0(i + k) - k for i = 1..e: with r = k mod e, the window
-    of w0 rotated left by r slots, the r wrapped values raised by e, and
-    every value lowered by r.  At r = 0 it is w0 itself.
+
+def _conjugate_window(win: tuple[int, ...], k: int, e: int) -> tuple[int, ...]:
+    """The window of pi**k * w * pi**-k for the window win of w in W0.
+
+    It is w(i + k) - k for i = 1..e: with r = k mod e, win rotated left
+    by r slots, the r wrapped values raised by e, and every value lowered
+    by r.  At r = 0 it is win itself.
     """
-    e, win = w0.e, w0.window
     r = k % e
     if not r:
-        return w0
-    out = [v - r for v in win[r:]] + [v + e - r for v in win[:r]]
-    return AffinePermutation._raw(e, tuple(out))
+        return win
+    return tuple([v - r for v in win[r:]] + [v + e - r for v in win[:r]])

@@ -25,8 +25,12 @@ the code it checks:
 - ``evaluate`` and ``specialize``: substitution of q1 by a rational.
   test_hecke.py checks that specialization commutes with the product.
 - ``right_peeling_product``: the Hecke product by the right two-case
-  rule along the right factor's reduced word.  test_hecke.py compares
-  ``HeckeAlgebra.product``, which peels the left factor, with it.
+  rule along the right factor's reduced word, whatever the factors'
+  sizes, with every element built by ``multiply`` and each case read
+  from its own ``_has_right_descent``.  ``HeckeAlgebra.product`` peels
+  the right factor too when it has strictly fewer terms, but on window
+  tables through ``weyl._right_step``; test_hecke.py compares the two
+  on pairs that take each of the library's paths.
 - ``ev_reference``: the evaluation map with a fresh conjugate, reduced
   word, Gamma power and scale on every call, no table.  test_tensor.py
   compares ``ev``, which keeps each conjugate's word in a per-params
@@ -331,6 +335,10 @@ def _has_right_descent(x: ExtendedWeylElement, j: int) -> bool:
 
 def right_peeling_product(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
     """h1 * h2 from the right two-case rule, peeling the right factor.
+
+    The library peels the right factor too when it has fewer terms, on
+    window tables; this model builds every element by ``multiply`` and
+    reads each case from ``_has_right_descent``, whatever the sizes.
 
     For a term [pi**k v0] of h2, every [x] of h1 is first relabeled to
     [x pi**k]; then, along a reduced word j_1 ... j_l of v0,

@@ -13,7 +13,7 @@ from heckezonal import cli
 import heckezonal.weyl as weyl
 from heckezonal.hecke import HeckeAlgebra, chi, verify_presentation
 from heckezonal.scalars import LaurentPoly
-from heckezonal.spherical import SphericalParams, SphericalTruncation
+from heckezonal.spherical import SphericalParams, SphericalTruncation, verify_eigen_pi
 from heckezonal.weyl import (
     AffinePermutation,
     ExtendedWeylElement,
@@ -122,17 +122,38 @@ def test_generator_step_matches_compose_and_descent(e):
                     assert A._left_generator((j - k) % e, {w: 1}) == expect, (w0, j, k)
 
 
+@pytest.mark.parametrize("e", range(2, 9))
+def test_right_generator_step_matches_compose_and_length(e):
+    # the right step and its descent test against the group's own compose
+    # and length, on the one-term table [pi**k w0]: [pi**k w0][s_j] is
+    # [pi**k w0 s_j], with no shift of j
+    A = generic_algebra(e)
+    q1 = A.q1
+    for layer in enumerate_by_length(e, 5):
+        for w0 in layer:
+            for j in range(e):
+                w0s = w0.compose(_simple(e, j))
+                descent = w0s.length() == w0.length() - 1
+                assert descent or w0s.length() == w0.length() + 1
+                for k in (-1, 0, 2):
+                    w, ws = (k, w0.window), (k, w0s.window)
+                    expect = {ws: q1, w: q1 - 1} if descent else {ws: 1}
+                    assert A._right_generator(j, {w: 1}) == expect, (w0, j, k)
+
+
 def test_product_builds_no_group_element_per_term(constructions):
-    # one AffinePermutation per left-factor term, for its reduced word,
-    # and none per term of the right factor
+    # one AffinePermutation per term of the peeled factor, for its reduced
+    # word, and none per term of the other factor: [s_i] * trunc peels
+    # [s_i] on the left, trunc * [s_i] on the right
     p = SphericalParams.generic(3)
     trunc = SphericalTruncation.build(4, p).element
     A = trunc.algebra
     for i in range(3):
-        left = A.basis(generator(3, i))
-        constructions.clear()
-        assert (left * trunc).coeffs
-        assert len(constructions) <= len(left.coeffs) == 1, constructions
+        s = A.basis(generator(3, i))
+        for product in (lambda: s * trunc, lambda: trunc * s):
+            constructions.clear()
+            assert product().coeffs
+            assert len(constructions) <= len(s.coeffs) == 1, constructions
     assert len(trunc.coeffs) == 155
 
 
@@ -173,10 +194,38 @@ def test_left_generator_matches_length_rule():
                 assert got == length_rule_left_generator(A, i, h), (e, i)
 
 
+@pytest.fixture
+def peeled(monkeypatch) -> dict:
+    """The products from here on, counted by the side they peel: a left
+    peel relabels by ``_left_pi_power``, a right one by ``_right_pi_power``."""
+    counts = {"left": 0, "right": 0}
+    sides: list[set] = []
+    honest_product = HeckeAlgebra.product
+
+    def product(self, h1, h2):
+        sides.append(set())
+        try:
+            return honest_product(self, h1, h2)
+        finally:
+            for side in sides.pop():
+                counts[side] += 1
+
+    monkeypatch.setattr(HeckeAlgebra, "product", product)
+    for side in counts:
+        honest = getattr(HeckeAlgebra, f"_{side}_pi_power")
+
+        def relabel(self, k, coeffs, side=side, honest=honest):
+            sides[-1].add(side)
+            return honest(self, k, coeffs)
+
+        monkeypatch.setattr(HeckeAlgebra, f"_{side}_pi_power", relabel)
+    return counts
+
+
 @pytest.mark.parametrize("e", range(2, 9))
-def test_product_matches_right_peeling(e):
-    # left peeling of h1's words against right peeling of h2's words, on
-    # 2-3-term elements with |k| <= 2 and generic q1
+def test_product_matches_right_peeling(e, peeled):
+    # the library's product, on either path, against the oracle's right
+    # peeling of h2's words, on 2-3-term elements with |k| <= 2 and generic q1
     rng = random.Random(160 + e)
     A = generic_algebra(e)
     for _ in range(40):
@@ -185,6 +234,21 @@ def test_product_matches_right_peeling(e):
             for _ in range(2)
         )
         assert A.product(h1, h2) == right_peeling_product(h1, h2), (h1, h2)
+    assert peeled["left"] and peeled["right"], peeled
+
+
+def test_right_peeling_is_taken_where_the_right_factor_is_smaller(peeled):
+    # every relation family compares 1 term with 1 or 2 terms with 2, and
+    # eigen's [pi] * truncation has 1 term against many, so all peel on the
+    # left; the associativity samples' (h0 h1) h2 mostly peel h2 on the right
+    for e in range(2, 9):
+        assert verify_presentation(e, 0, 1).ok
+    assert peeled["right"] == 0 and peeled["left"] == 351, peeled
+    assert verify_eigen_pi(4, SphericalParams.generic(3)).ok
+    assert peeled == {"left": 352, "right": 0}
+    peeled.update(left=0)
+    assert verify_presentation(5, 25, 3).ok
+    assert peeled == {"left": 120, "right": 27}
 
 
 def test_product_never_returns_an_operand_table():
@@ -236,6 +300,19 @@ def test_associativity_samples_catch_an_unreversed_product(monkeypatch, capsys):
     mutate(monkeypatch, HeckeAlgebra.product, [
         ("reversed(AffinePermutation._raw(e, win).reduced_word())", "AffinePermutation._raw(e, win).reduced_word()"),
     ], HeckeAlgebra)
+    assert cli.run(["presentation", "--e", "3", "--seed", "3", "--samples", "5"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["associativity_ok"] is False
+    assert len(report["checks"]) == 7 and all(c["ok"] for c in report["checks"])
+
+
+def test_associativity_samples_catch_a_flipped_right_descent(monkeypatch, capsys):
+    # every relation family peels on the left, so only the associativity
+    # samples' right peels, (h0 h1) h2 with h2 the smaller, see the fault
+    assert verify_presentation(3, 5, 3).ok
+    mutate(monkeypatch, weyl._right_step, [
+        ("_right_steps(e)[j](w), descent", "_right_steps(e)[j](w), not descent"),
+    ], weyl, hecke)
     assert cli.run(["presentation", "--e", "3", "--seed", "3", "--samples", "5"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["associativity_ok"] is False
