@@ -30,12 +30,31 @@ conjugation by pi lowers s-indices, so t_0 = Gamma**-1 o t_1 o Gamma.
 ``word_perm`` builds the t-factor permutation by swapping slots of one
 list per letter.  ``ev`` fills three tables, kept together as
 ``SphericalParams._ev_tables`` so they live and die with the parameters:
-by the window of each conjugate w_left it has met, that conjugate's
-reduced-word permutation and length (every conjugate of a BFS layer
-element is another element of that layer, so a sweep over k computes
-one word per distinct window, not one per call); Gamma**k by k mod e,
-as Gamma**e is the identity with scale 1; and the q-power scale by word
-length, the only thing about the word it depends on.
+by the window of each conjugate w_left it has met, ev's operator at
+k = 0, the reduced-word permutation with its q-power scale (every
+conjugate of a BFS layer element is another element of that layer, so a
+sweep over k computes one word per distinct window, not one per call);
+Gamma**r for r = k mod e in 1..e-1; and the q-power scale by word length,
+the only thing about the word it depends on.  ev computes w_left's
+window with ``weyl._conjugate_window`` on every call and builds a group
+element only for a window the word table does not hold; at k = 0 mod e,
+as Gamma**e is the identity with scale 1, it returns the table's
+operator itself.
+
+>>> from heckezonal.weyl import generator
+>>> p = SphericalParams.numeric(3, 2, 2)
+>>> s1 = generator(3, 1).w0
+>>> op = ev(ExtendedWeylElement(0, s1), p)
+>>> op
+PlaceOperator(e=3, perm=(2, 1, 3), scale=Monomial(base=2, sign=1, exp=-2))
+>>> ev(ExtendedWeylElement(3, s1), p) is op
+True
+>>> ev(ExtendedWeylElement(1, AffinePermutation.identity(3)), p).perm
+(2, 3, 1)
+>>> s0 = generator(3, 0).w0  # pi s1 pi**-1
+>>> rotated = ev(ExtendedWeylElement(1, s1), p)
+>>> rotated == ev(ExtendedWeylElement(0, s0), p).compose(gamma_operator(3))
+True
 """
 
 from __future__ import annotations
@@ -45,8 +64,8 @@ import random
 from .scalars import ExactScalar, Value, scalar_power
 from .spherical import SphericalParams, matrix_coefficient_scalar
 from .weyl import (
-    ExtendedWeylElement, _right_steps, _steps_slots, all_reduced_words, conjugate_by_pi,
-    enumerate_by_length, enumeration_cost, perm_compose, random_element,
+    AffinePermutation, ExtendedWeylElement, _conjugate_window, _right_steps, _steps_slots,
+    all_reduced_words, enumerate_by_length, enumeration_cost, perm_compose, random_element,
 )
 
 __all__ = [
@@ -157,32 +176,37 @@ def ev(w: ExtendedWeylElement, p: SphericalParams) -> PlaceOperator:
     with w_left = pi**k w0 pi**-k (same length), whose reduced word
     supplies the t-factors; Gamma**k composes on the right.  Scale and
     all pairings against rotation-invariant vectors are identical for
-    either bracketing.  Gamma**(k mod e) and the q-power of each word
-    length come from tables on ``p``; Gamma has scale 1, so that q-power
-    is the whole scale.
+    either bracketing.  Gamma has scale 1, so the q-power of the word
+    length is the whole scale.
 
-    w_left is computed on every call.  Its reduced word's permutation and
-    length are kept on ``p`` by w_left's window, so a word is computed
-    once per distinct conjugate, and a wrong conjugate still reaches the
-    word and the scale.
+    w_left's window is computed on every call, and ``p``'s word table
+    maps it to ev's operator at k = 0: the word's permutation and its
+    q-power.  Only a window the table does not hold is wrapped as an
+    element, for its reduced word; so a word is computed once per
+    distinct conjugate, and a wrong conjugate still reaches the word and
+    the scale.  At k = 0 mod e that operator is returned itself; at
+    r = k mod e != 0 it composes with Gamma**r from the Gamma table.
     """
-    if w.e != p.e:
+    e = p.e
+    if w.e != e:
         raise ValueError("rank mismatch")
-    w_left = conjugate_by_pi(w.w0, w.k)
     words, gammas, scales = p._ev_tables
-    entry = words.get(w_left.window)
-    if entry is None:
-        word = w_left.reduced_word()
-        entry = words[w_left.window] = (word_perm(word, p.e), len(word))
-    perm, ell = entry
-    r = w.k % p.e
-    gamma_k = gammas.get(r)
-    if gamma_k is None:
-        gamma_k = gammas[r] = gamma_operator(p.e).power(r)
-    scale = scales.get(ell)
-    if scale is None:
-        scale = scales[ell] = p.q_power(-(p.f * (p.f - 1) // 2) * ell)
-    return PlaceOperator._raw(p.e, perm_compose(perm, gamma_k.perm), scale)
+    window = _conjugate_window(w.w0.window, w.k, e)
+    op = words.get(window)
+    if op is None:
+        word = AffinePermutation._raw(e, window).reduced_word()
+        ell = len(word)
+        scale = scales.get(ell)
+        if scale is None:
+            scale = scales[ell] = p.q_power(-(p.f * (p.f - 1) // 2) * ell)
+        op = words[window] = PlaceOperator._raw(e, word_perm(word, e), scale)
+    r = w.k % e
+    if not r:
+        return op
+    gamma_r = gammas.get(r)
+    if gamma_r is None:
+        gamma_r = gammas[r] = gamma_operator(e).power(r)
+    return PlaceOperator._raw(e, perm_compose(op.perm, gamma_r.perm), op.scale)
 
 
 def verify_coefficient(e: int, f: int, q0: int, L: int, seed: int, samples: int) -> dict:
@@ -228,16 +252,16 @@ def verify_coefficient(e: int, f: int, q0: int, L: int, seed: int, samples: int)
         expected = closed / scalar_power(neg_inv_q1, ell)
         if ell <= top:
             below, kept = kept, {}
+        checked += e * len(layer)
         for w0 in layer:
             if w0.length() != ell:
                 mismatches += 1
-            for k in range(e):
-                checked += 1
-                op = ev(ExtendedWeylElement(k, w0), p)
-                if op.scale != expected:
+            first = ev(ExtendedWeylElement(0, w0), p)
+            if first.scale != expected:
+                mismatches += 1
+            for k in range(1, e):
+                if ev(ExtendedWeylElement(k, w0), p).scale != expected:
                     mismatches += 1
-                if k == 0:
-                    first = op
             if ell > top:
                 continue
             w = w0.window
@@ -279,7 +303,7 @@ def verify_coefficient(e: int, f: int, q0: int, L: int, seed: int, samples: int)
 def coefficient_cost(e: int, L: int) -> dict:
     """What ``verify_coefficient(e, f, q0, L, ...)`` holds: for its n BFS
     elements n windows, n of ev's words and at most n kept operators, the
-    e transpositions ts and ev's e Gamma powers, all of e slots, and
-    ``weyl._right_steps(e)``, built at every L."""
+    e transpositions ts and at most e - 1 Gamma powers of ev, all of e
+    slots, and ``weyl._right_steps(e)``, built at every L."""
     n = enumeration_cost(e, L)["elements"]
     return {"elements": n, "slots": 3 * n * e + 2 * e * e + _steps_slots(e)}

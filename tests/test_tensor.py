@@ -1,5 +1,6 @@
 """Place operators, the evaluation map, and the operator-model oracle."""
 
+import doctest
 import json
 import random
 from fractions import Fraction
@@ -23,6 +24,7 @@ from heckezonal.tensor import (
 from heckezonal.weyl import (
     AffinePermutation,
     ExtendedWeylElement,
+    _left_step,
     _simple,
     all_reduced_words,
     conjugate_by_pi,
@@ -60,6 +62,11 @@ def assert_matches_validated(op):
         op.scale = checked.scale
     with pytest.raises(AttributeError):
         del op.scale
+
+
+def test_doctests():
+    failures, attempted = doctest.testmod(tensor)
+    assert failures == 0 and attempted > 0
 
 
 def test_trusted_operators_match_validated():
@@ -202,8 +209,6 @@ def test_ev_matches_compose_fold_over_k_range():
 
 
 def test_ev_tables_once_per_params(monkeypatch):
-    import heckezonal.tensor as tensor
-
     calls = []
     real_gamma = tensor.gamma_operator
     monkeypatch.setattr(tensor, "gamma_operator", lambda e: calls.append(e) or real_gamma(e))
@@ -212,16 +217,56 @@ def test_ev_tables_once_per_params(monkeypatch):
     w0 = multiply(generator(e, 0), multiply(generator(e, 2), generator(e, 1))).w0
     for k in range(-3 * e, 3 * e + 1):
         ev(ExtendedWeylElement(k, w0), p)
-    # one Gamma power per residue k mod e, not one per k
-    assert calls == [e] * e
-    _, gammas, _ = p._ev_tables
-    assert sorted(gammas) == list(range(e))
+    # one Gamma power per nonzero residue k mod e, not one per k
+    assert calls == [e] * (e - 1)
+    words, gammas, _ = p._ev_tables
+    assert sorted(gammas) == list(range(1, e))
+    # a word entry is ev's k = 0 operator, returned itself at k = e
+    first = ev(ExtendedWeylElement(0, w0), p)
+    assert words[w0.window] is first and ev(ExtendedWeylElement(e, w0), p) is first
+    assert first == PlaceOperator(e, word_perm(w0.reduced_word(), e), Fraction(1, 3**6))
     # parameters differing only in f keep their own tables and scales
     p1 = SphericalParams.numeric(e, 1, 3)
     assert ev(ExtendedWeylElement(0, w0), p1).scale == 1
     assert ev(ExtendedWeylElement(0, w0), p).scale == Fraction(1, 3**6)
     assert p1._ev_tables[2] == {3: 1}  # the scales by word length
     assert p._ev_tables[2] == {3: Fraction(1, 3**6)}
+
+
+def test_ev_table_hit_builds_no_group_element(constructions, monkeypatch):
+    # the first sweep wraps one element per distinct conjugate window, for
+    # its reduced word; a second sweep over the same (w0, k) finds every
+    # window in the table and builds no element and no word
+    words_taken = []
+    honest = AffinePermutation.reduced_word
+    monkeypatch.setattr(AffinePermutation, "reduced_word", lambda self: words_taken.append(self) or honest(self))
+    e = 4
+    p = SphericalParams.numeric(e, 2, 3)
+    cases = [ExtendedWeylElement(k, w0) for layer in enumerate_by_length(e, 4)
+             for w0 in layer for k in range(-e, 2 * e)]
+    constructions.clear()
+    first = [ev(w, p) for w in cases]
+    windows = len(p._ev_tables[0])
+    assert len(constructions) == len(words_taken) == windows == 69
+    constructions.clear()
+    words_taken.clear()
+    second = [ev(w, p) for w in cases]
+    assert constructions == [] and words_taken == []
+    assert second == first and len(p._ev_tables[0]) == windows
+
+
+def test_ev_rank_mismatch_raises():
+    p = SphericalParams.numeric(4, 2, 3)
+    with pytest.raises(ValueError, match="^rank mismatch$"):
+        ev(ExtendedWeylElement.identity(3), p)
+    assert ev(ExtendedWeylElement.identity(4), p) == PlaceOperator.identity(4)
+
+
+def test_compose_rank_mismatch_raises():
+    with pytest.raises(ValueError, match="^rank mismatch$"):
+        t_operator(1, 3).compose(t_operator(1, 4))
+    with pytest.raises(ValueError, match="^rank mismatch$"):
+        t_operator(1, 4).compose(t_operator(1, 3))
 
 
 def test_ev_matches_reference_over_layers():
@@ -245,17 +290,17 @@ def test_ev_matches_reference_over_layers():
 
 
 def test_coefficient_fails_on_wrong_conjugate(monkeypatch):
-    # a conjugate off by s_1 for k = 1 mod e: ev must read the conjugate,
-    # not a word derived from w0 alone, so the k = 1 closed-form checks
-    # and the sampled k-invariance both fail
+    # a conjugate window off by s_1 for k = 1 mod e: ev must read the
+    # conjugate, not a word derived from w0 alone, so the k = 1
+    # closed-form checks and the sampled k-invariance both fail
     assert tensor.verify_coefficient(4, 2, 3, 4, 1, 25)["ok"] is True
-    honest = tensor.conjugate_by_pi
+    honest = tensor._conjugate_window
 
-    def patched(w0, k):
-        conj = honest(w0, k)
-        return _simple(w0.e, 1).compose(conj) if k % w0.e == 1 else conj
+    def patched(win, k, e):
+        conj = honest(win, k, e)
+        return _left_step(conj, 1, e)[0] if k % e == 1 else conj
 
-    monkeypatch.setattr(tensor, "conjugate_by_pi", patched)
+    monkeypatch.setattr(tensor, "_conjugate_window", patched)
     report = tensor.verify_coefficient(4, 2, 3, 4, 1, 25)
     assert (report["checked"], report["mismatches"]) == (276, 69)
     assert report["sampled_k_invariance_ok"] is False
