@@ -5,34 +5,35 @@ elements with exact coefficients (see ``scalars.ExactScalar``).  At generic
 q1 the structure constants lie in Z[q, q**-1], so products of elements
 with integer Laurent coefficients stay there, and their coefficient
 arithmetic is on ints; only chi(pi) brings in a rational.  Products are
-computed by peeling the reduced words of one factor through a two-case
-generator rule.  By default the left factor is peeled, by
+computed by peeling the reduced words of one factor, letter by letter,
+through the two-case generator rule, on the left
 
     [s_i][w] = [s_i w]                     if l(s_i w) = l(w) + 1
     [s_i][w] = q1 [s_i w] + (q1 - 1) [w]   if l(s_i w) = l(w) - 1
 
-together with [pi]**k acting by relabeling ([pi][w] = [pi w]).  When the
-right factor has strictly fewer terms, it is peeled instead: a term
-[pi**m v0] first relabels each [pi**k w0] of the left factor to
-[pi**(k + m) (pi**-m w0 pi**m)], then applies the letters of v0's word,
-left to right, by
+or on the right
 
     [w][s_j] = [w s_j]                     if l(w s_j) = l(w) + 1
     [w][s_j] = q1 [w s_j] + (q1 - 1) [w]   if l(w s_j) = l(w) - 1
 
-Every term of the peeled factor runs its word over the other factor's
-whole table, so peeling the factor with fewer terms makes fewer passes;
-on a tie the left factor is peeled.
+together with [pi]**k acting by relabeling.  By default the left factor
+is peeled: a term [pi**m u0] applies the letters of u0's word to the
+right factor, last letter first, then relabels each [pi**k w0] to
+[pi**(k + m) w0].  When the right factor has strictly fewer terms, it is
+peeled instead: a term [pi**m v0] first relabels each [pi**k w0] of the
+left factor to [pi**(k + m) (pi**-m w0 pi**m)], then applies the letters
+of v0's word, first letter first.  Every term of the peeled factor runs
+its word over the other factor's whole table, so peeling the factor with
+fewer terms makes fewer passes; on a tie the left factor is peeled.
 
 An element's table is keyed by plain ``(k, window)`` int tuples, the k
 and W0 window of [pi**k w0], so products hash and compare tuples and
-build no group element per term.  As s_i pi**k = pi**k s_{i+k mod e},
-each left letter maps a term [pi**k w0] to [pi**k s_j w0], j = i + k
-mod e; ``weyl._left_step`` gives the window of s_j w0 and the case, the
-left-descent test of w0 at j, so no length is computed.  A right letter
-maps [pi**k w0] to [pi**k w0 s_j] with no shift; ``weyl._right_step``
-gives the window of w0 s_j and the right-descent test, read from two
-slots, and ``weyl._conjugate_window`` the relabeled window.
+build no group element per term.  ``HeckeAlgebra._peel`` applies the
+rule on either side.  As s_i pi**k = pi**k s_{i+k mod e}, a left letter i
+maps [pi**k w0] to [pi**k s_j w0], j = i + k mod e, and a right letter
+to [pi**k w0 s_i], with no shift; ``weyl._left_step`` and
+``weyl._right_step`` give the edited window and the case, a descent test
+read from two slots, so no length is computed.
 q1 - 1 is computed once per algebra, not once per descending term.  A
 term of the peeled factor with coefficient 1 (every term of [pi] or of a
 sum of basis elements) adds its peeled terms unscaled, and the first
@@ -136,65 +137,48 @@ class HeckeAlgebra:
 
     # -- multiplication ---------------------------------------------------
 
-    def _left_generator(self, i: int, coeffs: dict) -> dict:
-        """Left-multiply a coefficient table by [s_i] via the two-case rule."""
+    def _peel(self, letters, coeffs: dict, step, shift: int) -> dict:
+        """Apply [s_i] for each letter i in turn to a coefficient table by
+        the two-case rule.  A term [pi**k w0] is edited at
+        j = i + shift * k mod e by ``step(win, j, e)``, which gives the
+        edited window and the descent test: ``weyl._left_step`` with
+        shift 1 multiplies on the left, ``weyl._right_step`` with shift 0
+        on the right."""
         e, q1, q1_minus_1 = self.e, self.q1, self._q1_minus_1
-        out: dict = {}
-        for key, c in coeffs.items():
-            k, win = key
-            edited, descent = _left_step(win, (i + k) % e, e)
-            if descent:
-                _accumulate(out, (k, edited), q1 * c)
-                _accumulate(out, key, q1_minus_1 * c)
-            else:
-                _accumulate(out, (k, edited), c)
-        return out
-
-    def _left_pi_power(self, k: int, coeffs: dict) -> dict:
-        # pi**k * (pi**j w0) = pi**(j + k) w0
-        return {(j + k, win): c for (j, win), c in coeffs.items()}
-
-    def _right_generator(self, j: int, coeffs: dict) -> dict:
-        """Right-multiply a coefficient table by [s_j] via the two-case rule."""
-        e, q1, q1_minus_1 = self.e, self.q1, self._q1_minus_1
-        out: dict = {}
-        for key, c in coeffs.items():
-            k, win = key
-            edited, descent = _right_step(win, j, e)
-            if descent:
-                _accumulate(out, (k, edited), q1 * c)
-                _accumulate(out, key, q1_minus_1 * c)
-            else:
-                _accumulate(out, (k, edited), c)
-        return out
-
-    def _right_pi_power(self, m: int, coeffs: dict) -> dict:
-        # (pi**k w0) * pi**m = pi**(k + m) (pi**-m w0 pi**m)
-        e = self.e
-        return {(k + m, _conjugate_window(win, -m, e)): c for (k, win), c in coeffs.items()}
+        for i in letters:
+            out: dict = {}
+            for key, c in coeffs.items():
+                k, win = key
+                edited, descent = step(win, (i + shift * k) % e, e)
+                if descent:
+                    _accumulate(out, (k, edited), q1 * c)
+                    _accumulate(out, key, q1_minus_1 * c)
+                else:
+                    _accumulate(out, (k, edited), c)
+            coeffs = out
+        return coeffs
 
     def product(self, h1: "HeckeElement", h2: "HeckeElement") -> "HeckeElement":
-        """h1 * h2.  The left factor's words are peeled on the left, unless
-        h2 has strictly fewer terms than h1: then h2's are peeled on the
-        right, after its pi power relabels h1's terms (see the module
-        docstring).  The table is wrapped unchecked."""
+        """h1 * h2, by one ``_peel`` per term of the peeled factor: h1's
+        words on the left, unless h2 has strictly fewer terms than h1, then
+        h2's on the right, after its pi power relabels h1's terms (see the
+        module docstring).  The table is wrapped unchecked."""
         a1, a2 = h1.algebra, h2.algebra
         if (a1 is not self and a1 != self) or (a2 is not self and a2 != self):
             raise ValueError("rank/mode mismatch: operands from different algebras")
         e = self.e
         right = len(h2.coeffs) < len(h1.coeffs)
         result: dict = {}
-        for (k, win), cu in (h2 if right else h1).coeffs.items():
+        for (m, win), cu in (h2 if right else h1).coeffs.items():
+            word = AffinePermutation._raw(e, win).reduced_word()
             if right:
-                # [x][pi**k v0]: relabel x to x pi**k, then peel v0's word
-                acc = self._right_pi_power(k, h1.coeffs)
-                for j in AffinePermutation._raw(e, win).reduced_word():
-                    acc = self._right_generator(j, acc)
+                # [x][pi**m v0]: relabel x to x pi**m, then peel v0's word
+                acc = {(k + m, _conjugate_window(w, -m, e)): c for (k, w), c in h1.coeffs.items()}
+                acc = self._peel(word, acc, _right_step, 0)
             else:
-                acc = h2.coeffs
-                for i in reversed(AffinePermutation._raw(e, win).reduced_word()):
-                    acc = self._left_generator(i, acc)
-                acc = self._left_pi_power(k, acc)
+                # [pi**m u0][x]: peel u0's word, last letter first, then relabel
+                acc = self._peel(reversed(word), h2.coeffs, _left_step, 1)
+                acc = {(k + m, w): c for (k, w), c in acc.items()}
             unit = cu == 1
             if not result:
                 # acc is a new table, never an operand's

@@ -302,8 +302,9 @@ def verify_coefficient(e: int, f: int, q0: int, L: int, seed: int, samples: int)
 
 def coefficient_cost(e: int, L: int) -> dict:
     """What ``verify_coefficient(e, f, q0, L, ...)`` holds: for its n BFS
-    elements n windows, n of ev's words and at most n kept operators, the
-    e transpositions ts and at most e - 1 Gamma powers of ev, all of e
-    slots, and ``weyl._right_steps(e)``, built at every L."""
+    elements n windows and n of ev's words, the e transpositions ts and at
+    most e - 1 Gamma powers of ev, all of e slots, and
+    ``weyl._right_steps(e)``, built at every L.  The operators it keeps
+    are ev's own table entries, counted with their words."""
     n = enumeration_cost(e, L)["elements"]
-    return {"elements": n, "slots": 3 * n * e + 2 * e * e + _steps_slots(e)}
+    return {"elements": n, "slots": 2 * n * e + 2 * e * e + _steps_slots(e)}

@@ -139,7 +139,9 @@ class AffinePermutation(Value):
 
         Each letter is the lowest-index left descent of what is left.  As
         (s_i w)**-1 = w**-1 s_i, the inverse window is built once and each
-        letter swaps two of its slots; no other element is built.
+        letter swaps two of its slots; no other element is built.  The
+        tests and swaps are ``_right_step``'s, written in place, as this
+        is the product's hot path.
         """
         e = self.e
         inv = _inverse_window(e, self.window)
@@ -300,15 +302,13 @@ def multiply(a: ExtendedWeylElement, b: ExtendedWeylElement) -> ExtendedWeylElem
 def all_reduced_words(w0: AffinePermutation) -> list[list[int]]:
     """Every reduced word of w0, by exhaustive descent recursion.
 
-    The recursion runs on inverse windows and reads each node's left
-    descents from its window with the tests of ``reduced_word``: a descent
-    at i >= 1 iff w**-1(i) > w**-1(i+1), at 0 iff w**-1(e) - e > w**-1(1).
-    As (s_i w)**-1 = w**-1 s_i, the inverse window of s_i w is the right
-    step ``_right_steps(e)[i]`` of that of w.  Words are listed by first
-    letter, lowest first, then recursively by the rest.
+    The recursion runs on inverse windows.  As (s_i w)**-1 = w**-1 s_i,
+    w has a left descent at i iff its inverse has a right one, and the
+    inverse window of s_i w is the right step of that of w: both come
+    from ``_right_step``.  Words are listed by first letter, lowest
+    first, then recursively by the rest.
     """
     e = w0.e
-    steps = _right_steps(e)
     cache: dict[tuple[int, ...], list[list[int]]] = {tuple(range(1, e + 1)): [[]]}
 
     def walk(inv: tuple[int, ...]) -> list[list[int]]:
@@ -316,11 +316,10 @@ def all_reduced_words(w0: AffinePermutation) -> list[list[int]]:
         if words is not None:
             return words
         words = []
-        if inv[e - 1] - e > inv[0]:
-            words.extend([0] + tail for tail in walk(steps[0](inv)))
-        for i in range(1, e):
-            if inv[i - 1] > inv[i]:
-                words.extend([i] + tail for tail in walk(steps[i](inv)))
+        for i in range(e):
+            stepped, descent = _right_step(inv, i, e)
+            if descent:
+                words.extend([i] + tail for tail in walk(stepped))
         cache[inv] = words
         return words
 

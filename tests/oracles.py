@@ -29,8 +29,9 @@ the code it checks:
   sizes, with every element built by ``multiply`` and each case read
   from its own ``_has_right_descent``.  ``HeckeAlgebra.product`` peels
   the right factor too when it has strictly fewer terms, but on window
-  tables through ``weyl._right_step``; test_hecke.py compares the two
-  on pairs that take each of the library's paths.
+  tables through ``HeckeAlgebra._peel`` and ``weyl._right_step``;
+  test_hecke.py compares the two on pairs that take each of the
+  library's paths.
 - ``ev_reference``: the evaluation map with a fresh conjugate, reduced
   word, Gamma power and scale on every call, no table.  test_tensor.py
   compares ``ev``, which keeps each conjugate's word in a per-params
@@ -67,9 +68,10 @@ the code it checks:
   checks that ``is_irreducible``, a character norm read from traces and
   the group table, is true exactly when it is 1.
 
-One helper is test tooling, not a model: ``mutate`` patches a package
+Two helpers are test tooling, not models: ``mutate`` patches a package
 function with its own source, edited, so a test can show that a check
-fails when the code it guards is broken.
+fails when the code it guards is broken, and ``wrong_pi_power`` is the
+one such fault that several test files share.
 """
 
 from __future__ import annotations
@@ -512,3 +514,9 @@ def mutate(monkeypatch, fn, edits, *homes):
     exec(source, fn.__globals__, namespace)
     for home in homes:
         monkeypatch.setattr(home, fn.__name__, namespace[fn.__name__])
+
+
+def wrong_pi_power(monkeypatch):
+    """Make ``HeckeAlgebra.product`` relabel a left peel's pi**m x as
+    pi**-m x, a fault that breaks the pi relations."""
+    mutate(monkeypatch, HeckeAlgebra.product, [("(k + m, w)", "(k - m, w)")], HeckeAlgebra)

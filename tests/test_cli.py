@@ -24,6 +24,7 @@ from heckezonal.scalars import format_rational
 from heckezonal.weyl import AffinePermutation, enumerate_by_length
 
 from boundaries import EXACT, ROWS
+from oracles import wrong_pi_power
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -404,10 +405,7 @@ def test_coefficient_wrong_length_on_one_element_exits_1(monkeypatch, capsys):
 def test_failing_presentation_names_its_cases(monkeypatch, capsys):
     # pi**k applied as pi**-k breaks the pi relations; the report names
     # each failing family's case labels, and passing families carry none
-    from heckezonal.hecke import HeckeAlgebra
-
-    honest = HeckeAlgebra._left_pi_power
-    monkeypatch.setattr(HeckeAlgebra, "_left_pi_power", lambda self, k, c: honest(self, -k, c))
+    wrong_pi_power(monkeypatch)
     assert cli.run(["presentation", "--e", "4"]) == 1
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
     assert checks["iv"]["ok"] is False

@@ -1,5 +1,6 @@
 """Hecke algebra: basis products, defining relations, the character."""
 
+import doctest
 import json
 import random
 import tracemalloc
@@ -40,6 +41,11 @@ def random_element(algebra, rng, max_len=4, terms=2, max_k=1):
         w = multiply(ExtendedWeylElement(k, AffinePermutation.identity(e)), w)
         coeffs[w] = coeffs.get(w, 0) + rng.randrange(-3, 4)
     return algebra.element(coeffs)
+
+
+def test_doctests():
+    failures, attempted = doctest.testmod(hecke)
+    assert failures == 0 and attempted > 0
 
 
 def test_basis_identity_and_pi_units():
@@ -88,7 +94,8 @@ def test_pi_relabels_generators():
 
 
 def test_left_pi_power_shortcut_matches_multiply():
-    # pi**k * (pi**j w0) = pi**(j + k) w0, checked against full-window multiply
+    # [pi**k] * h relabels each [pi**j w0] of h to [pi**(j + k) w0], with
+    # no letter to peel, checked against full-window multiply
     e = 4
     A = generic_algebra(e)
     coeffs = {
@@ -98,20 +105,22 @@ def test_left_pi_power_shortcut_matches_multiply():
         for j in range(-3, 4)
     }
     assert len(coeffs) == 483
-    table = {(w.k, w.w0.window): c for w, c in coeffs.items()}
+    h = A.element(coeffs)
     for k in (-2, -1, 1, 3):
         pk = ExtendedWeylElement(k, AffinePermutation.identity(e))
         expect = {multiply(pk, w): c for w, c in coeffs.items()}
-        assert A._left_pi_power(k, table) == {(w.k, w.w0.window): c for w, c in expect.items()}
+        assert (A.basis(pk) * h).coeffs == {(w.k, w.w0.window): c for w, c in expect.items()}
 
 
 @pytest.mark.parametrize("e", range(2, 9))
 def test_generator_step_matches_compose_and_descent(e):
     # the two-slot edit and its descent test against the group's own
-    # compose and has_left_descent, on the one-term table [pi**k w0]:
-    # s_i pi**k = pi**k s_j, so the letter i = j - k edits w0 at j
+    # compose and has_left_descent, on [s_i][pi**k w0], one term against
+    # one, so peeled on the left: s_i pi**k = pi**k s_j, so the letter
+    # i = j - k edits w0 at j
     A = generic_algebra(e)
     q1 = A.q1
+    gens = [A.generator_basis(i) for i in range(e)]
     for layer in enumerate_by_length(e, 5):
         for w0 in layer:
             for j in range(e):
@@ -119,16 +128,19 @@ def test_generator_step_matches_compose_and_descent(e):
                 for k in (-1, 0, 2):
                     w, sw = (k, w0.window), (k, sw0)
                     expect = {sw: q1, w: q1 - 1} if w0.has_left_descent(j) else {sw: 1}
-                    assert A._left_generator((j - k) % e, {w: 1}) == expect, (w0, j, k)
+                    got = gens[(j - k) % e] * A.basis(ExtendedWeylElement(k, w0))
+                    assert got.coeffs == expect, (w0, j, k)
 
 
 @pytest.mark.parametrize("e", range(2, 9))
 def test_right_generator_step_matches_compose_and_length(e):
     # the right step and its descent test against the group's own compose
-    # and length, on the one-term table [pi**k w0]: [pi**k w0][s_j] is
-    # [pi**k w0 s_j], with no shift of j
+    # and length, on ([pi**k w0] + [pi**(k+1) w0])[s_j], two terms against
+    # one, so peeled on the right: [pi**m w0][s_j] is [pi**m w0 s_j], with
+    # no shift of j
     A = generic_algebra(e)
     q1 = A.q1
+    gens = [A.generator_basis(j) for j in range(e)]
     for layer in enumerate_by_length(e, 5):
         for w0 in layer:
             for j in range(e):
@@ -136,9 +148,12 @@ def test_right_generator_step_matches_compose_and_length(e):
                 descent = w0s.length() == w0.length() - 1
                 assert descent or w0s.length() == w0.length() + 1
                 for k in (-1, 0, 2):
-                    w, ws = (k, w0.window), (k, w0s.window)
-                    expect = {ws: q1, w: q1 - 1} if descent else {ws: 1}
-                    assert A._right_generator(j, {w: 1}) == expect, (w0, j, k)
+                    expect = {}
+                    for m in (k, k + 1):
+                        w, ws = (m, w0.window), (m, w0s.window)
+                        expect.update({ws: q1, w: q1 - 1} if descent else {ws: 1})
+                    h = A.basis(ExtendedWeylElement(k, w0)) + A.basis(ExtendedWeylElement(k + 1, w0))
+                    assert (h * gens[j]).coeffs == expect, (w0, j, k)
 
 
 def test_product_builds_no_group_element_per_term(constructions):
@@ -185,7 +200,8 @@ def test_left_generator_matches_length_rule():
                 coeffs[w] = rng.randrange(1, 5)
             h = A.element(coeffs)
             for i in range(e):
-                table = A._left_generator(i, h.coeffs)
+                # one term against six: [s_i] is peeled on the left
+                table = (A.generator_basis(i) * h).coeffs
                 # the keys enter through the validating constructor
                 got = A.element({
                     ExtendedWeylElement(k, AffinePermutation(e, win)): c
@@ -196,11 +212,11 @@ def test_left_generator_matches_length_rule():
 
 @pytest.fixture
 def peeled(monkeypatch) -> dict:
-    """The products from here on, counted by the side they peel: a left
-    peel relabels by ``_left_pi_power``, a right one by ``_right_pi_power``."""
+    """The products from here on, counted by the side they peel, read from
+    the step each ``_peel`` is given: ``_left_step`` or ``_right_step``."""
     counts = {"left": 0, "right": 0}
     sides: list[set] = []
-    honest_product = HeckeAlgebra.product
+    honest_product, honest_peel = HeckeAlgebra.product, HeckeAlgebra._peel
 
     def product(self, h1, h2):
         sides.append(set())
@@ -210,15 +226,12 @@ def peeled(monkeypatch) -> dict:
             for side in sides.pop():
                 counts[side] += 1
 
+    def peel(self, letters, coeffs, step, shift):
+        sides[-1].add({"_left_step": "left", "_right_step": "right"}[step.__name__])
+        return honest_peel(self, letters, coeffs, step, shift)
+
     monkeypatch.setattr(HeckeAlgebra, "product", product)
-    for side in counts:
-        honest = getattr(HeckeAlgebra, f"_{side}_pi_power")
-
-        def relabel(self, k, coeffs, side=side, honest=honest):
-            sides[-1].add(side)
-            return honest(self, k, coeffs)
-
-        monkeypatch.setattr(HeckeAlgebra, f"_{side}_pi_power", relabel)
+    monkeypatch.setattr(HeckeAlgebra, "_peel", peel)
     return counts
 
 
@@ -281,14 +294,14 @@ def test_product_scales_its_first_term(e):
 
 
 def test_presentation_catches_flipped_conjugation(monkeypatch):
-    # s_i pi**k = pi**k s_{i+k mod e}; the product's generator step with
-    # its shift flipped to i - k sends [s_i][pi**k w0] to the wrong
-    # generator whenever 2k != 0 mod e.  The flip is made in the source of
-    # _left_generator itself, so the test fails if that shift moves
+    # s_i pi**k = pi**k s_{i+k mod e}; the peel with its left shift
+    # flipped to i - k sends [s_i][pi**k w0] to the wrong generator
+    # whenever 2k != 0 mod e.  The flip is made in the source of _peel
+    # itself, so the test fails if that shift moves
     # (ExtendedWeylElement.multiply is covered by the full-window
     # reference in test_weyl.py)
     assert verify_presentation(4).ok
-    mutate(monkeypatch, HeckeAlgebra._left_generator, [("(i + k) % e", "(i - k) % e")], HeckeAlgebra)
+    mutate(monkeypatch, HeckeAlgebra._peel, [("(i + shift * k) % e", "(i - shift * k) % e")], HeckeAlgebra)
     assert not verify_presentation(4).ok
 
 
@@ -297,9 +310,7 @@ def test_associativity_samples_catch_an_unreversed_product(monkeypatch, capsys):
     # generators in reverse order; every relation family has a left factor
     # of length at most 1 and still passes, so only the associativity
     # samples see the fault
-    mutate(monkeypatch, HeckeAlgebra.product, [
-        ("reversed(AffinePermutation._raw(e, win).reduced_word())", "AffinePermutation._raw(e, win).reduced_word()"),
-    ], HeckeAlgebra)
+    mutate(monkeypatch, HeckeAlgebra.product, [("reversed(word)", "word")], HeckeAlgebra)
     assert cli.run(["presentation", "--e", "3", "--seed", "3", "--samples", "5"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["associativity_ok"] is False
@@ -319,6 +330,22 @@ def test_associativity_samples_catch_a_flipped_right_descent(monkeypatch, capsys
     assert len(report["checks"]) == 7 and all(c["ok"] for c in report["checks"])
 
 
+def test_one_fault_in_the_peel_breaks_both_sides(monkeypatch):
+    # the two-case rule is written once, in _peel, so dropping its
+    # (q1 - 1) term breaks a left-peeled and a right-peeled product alike;
+    # each pair takes the descent case
+    A = generic_algebra(3)
+    s1, s2 = A.generator_basis(1), A.generator_basis(2)
+    # one term against one: s1 peeled on the left; two against one: s2
+    # peeled on the right
+    pairs = [(s1, s1 * s2), (s1 * s2 + s2, s2)]
+    for h1, h2 in pairs:
+        assert A.product(h1, h2) == right_peeling_product(h1, h2)
+    mutate(monkeypatch, HeckeAlgebra._peel, [("_accumulate(out, key, q1_minus_1 * c)", "pass")], HeckeAlgebra)
+    for h1, h2 in pairs:
+        assert A.product(h1, h2) != right_peeling_product(h1, h2), (h1, h2)
+
+
 BROKEN_STEPS = {
     # s_j w0 with the value = j mod e lowered and the one = j + 1 raised
     "swapped-edit": [("edited[a] += 1", "edited[a] -= 1"), ("edited[b] -= 1", "edited[b] += 1")],
@@ -330,7 +357,7 @@ BROKEN_STEPS = {
 @pytest.mark.parametrize("edits", BROKEN_STEPS.values(), ids=BROKEN_STEPS)
 def test_presentation_catches_a_broken_generator_step(edits, monkeypatch):
     # the edit and the descent test of s_j w0 live in weyl._left_step,
-    # which the product's generator step calls
+    # which the product's left peel calls
     assert verify_presentation(4).ok
     mutate(monkeypatch, weyl._left_step, edits, weyl, hecke)
     try:

@@ -4,8 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import eigen_generator_reference
-from test_verdicts import wrong_pi_power
+from oracles import eigen_generator_reference, mutate, wrong_pi_power
 
 import heckezonal.spherical as spherical
 from heckezonal import cli
@@ -397,15 +396,13 @@ def test_eigen_pi_lists_witnesses_in_layer_window_k_order(monkeypatch):
 
 
 def test_eigen_pi_catches_a_lost_term(monkeypatch):
-    # a product that drops every pi**k x fails exactly x's cases: a key
-    # missing from the left side reads as coefficient 0, never as a pass
+    # a product whose left relabel drops every pi**k x fails exactly x's
+    # cases: a key missing from the left side reads as coefficient 0,
+    # never as a pass
     x = enumerate_by_length(3, 3)[2][0]
-    honest = HeckeAlgebra._left_pi_power
-
-    def losing(self, k, coeffs):
-        return {key: c for key, c in honest(self, k, coeffs).items() if key[1] != x.window}
-
-    monkeypatch.setattr(HeckeAlgebra, "_left_pi_power", losing)
+    mutate(monkeypatch, HeckeAlgebra.product, [
+        ("(k, w), c in acc.items()}", f"(k, w), c in acc.items() if w != {x.window!r}}}"),
+    ], HeckeAlgebra)
     report = verify_eigen_pi(3, SphericalParams.generic(3, chi_pi=Fraction(2)))
     assert report.failures == [{"k": k, "window": list(x.window)} for k in (-1, 0, 1)]
 

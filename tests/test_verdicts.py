@@ -12,6 +12,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from oracles import wrong_pi_power
 from test_gelfand import flipped_s3_sign
 from test_reach import MATRIX
 
@@ -19,7 +20,7 @@ from heckezonal import cli, tensor
 from heckezonal import spherical as sph
 from heckezonal import distinction as dst
 from heckezonal import gelfand as gf
-from heckezonal.hecke import HeckeAlgebra, PresentationReport, verify_presentation
+from heckezonal.hecke import PresentationReport, verify_presentation
 from heckezonal.scalars import Value, format_rational
 from heckezonal.spherical import verify_eigen
 from heckezonal.tensor import verify_coefficient
@@ -80,11 +81,6 @@ def test_every_suite_is_covered():
 @pytest.mark.parametrize("argv", SINGLE_SUITE, ids=lambda argv: argv[0])
 def test_cli_emits_the_library_report(argv, capsys):
     assert cli_verdict(argv, capsys) is True
-
-
-def wrong_pi_power(monkeypatch):
-    honest = HeckeAlgebra._left_pi_power
-    monkeypatch.setattr(HeckeAlgebra, "_left_pi_power", lambda self, k, c: honest(self, -k, c))
 
 
 def flipped_descent(monkeypatch):
