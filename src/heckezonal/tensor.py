@@ -34,12 +34,13 @@ by the window of each conjugate w_left it has met, ev's operator at
 k = 0, the reduced-word permutation with its q-power scale (every
 conjugate of a BFS layer element is another element of that layer, so a
 sweep over k computes one word per distinct window, not one per call);
-Gamma**r for r = k mod e in 1..e-1; and the q-power scale by word length,
-the only thing about the word it depends on.  ev computes w_left's
-window with ``weyl._conjugate_window`` on every call and builds a group
-element only for a window the word table does not hold; at k = 0 mod e,
-as Gamma**e is the identity with scale 1, it returns the table's
-operator itself.
+for r = k mod e in 1..e-1, an ``operator.itemgetter`` of the slots of
+``gamma_operator(e).power(r)``, which composes a perm with Gamma**r in
+one C call; and the q-power scale by word length, the only thing about
+the word it depends on.  ev computes w_left's window with
+``weyl._conjugate_window`` on every call and builds a group element only
+for a window the word table does not hold; at k = 0 mod e, as Gamma**e
+is the identity with scale 1, it returns the table's operator itself.
 
 >>> from heckezonal.weyl import generator
 >>> p = SphericalParams.numeric(3, 2, 2)
@@ -59,6 +60,7 @@ True
 
 from __future__ import annotations
 
+import operator
 import random
 
 from .scalars import ExactScalar, Value, scalar_power
@@ -185,13 +187,14 @@ def ev(w: ExtendedWeylElement, p: SphericalParams) -> PlaceOperator:
     element, for its reduced word; so a word is computed once per
     distinct conjugate, and a wrong conjugate still reaches the word and
     the scale.  At k = 0 mod e that operator is returned itself; at
-    r = k mod e != 0 it composes with Gamma**r from the Gamma table.
+    r = k mod e != 0 its perm is read through the Gamma table's getter
+    for r, built once from the perm of ``gamma_operator(e).power(r)``.
     """
-    e = p.e
-    if w.e != e:
+    e, w0, k = p.e, w.w0, w.k
+    if w0.e != e:
         raise ValueError("rank mismatch")
     words, gammas, scales = p._ev_tables
-    window = _conjugate_window(w.w0.window, w.k, e)
+    window = _conjugate_window(w0.window, k, e)
     op = words.get(window)
     if op is None:
         word = AffinePermutation._raw(e, window).reduced_word()
@@ -200,13 +203,14 @@ def ev(w: ExtendedWeylElement, p: SphericalParams) -> PlaceOperator:
         if scale is None:
             scale = scales[ell] = p.q_power(-(p.f * (p.f - 1) // 2) * ell)
         op = words[window] = PlaceOperator._raw(e, word_perm(word, e), scale)
-    r = w.k % e
+    r = k % e
     if not r:
         return op
     gamma_r = gammas.get(r)
     if gamma_r is None:
-        gamma_r = gammas[r] = gamma_operator(e).power(r)
-    return PlaceOperator._raw(e, perm_compose(op.perm, gamma_r.perm), op.scale)
+        perm = gamma_operator(e).power(r).perm
+        gamma_r = gammas[r] = operator.itemgetter(*[i - 1 for i in perm])
+    return PlaceOperator._raw(e, gamma_r(op.perm), op.scale)
 
 
 def verify_coefficient(e: int, f: int, q0: int, L: int, seed: int, samples: int) -> dict:
@@ -259,8 +263,14 @@ def verify_coefficient(e: int, f: int, q0: int, L: int, seed: int, samples: int)
             first = ev(ExtendedWeylElement(0, w0), p)
             if first.scale != expected:
                 mismatches += 1
+            else:
+                # ev keeps one scale object per word length, so an honest
+                # scale is this object and passes by identity; any other
+                # object still meets !=
+                expected = first.scale
             for k in range(1, e):
-                if ev(ExtendedWeylElement(k, w0), p).scale != expected:
+                scale = ev(ExtendedWeylElement(k, w0), p).scale
+                if scale is not expected and scale != expected:
                     mismatches += 1
             if ell > top:
                 continue
@@ -303,8 +313,10 @@ def verify_coefficient(e: int, f: int, q0: int, L: int, seed: int, samples: int)
 def coefficient_cost(e: int, L: int) -> dict:
     """What ``verify_coefficient(e, f, q0, L, ...)`` holds: for its n BFS
     elements n windows and n of ev's words, the e transpositions ts and at
-    most e - 1 Gamma powers of ev, all of e slots, and
+    most e - 1 Gamma getters of ev, all of e slots, and
     ``weyl._right_steps(e)``, built at every L.  The operators it keeps
-    are ev's own table entries, counted with their words."""
+    are ev's own table entries, counted with their words.  Each entry of
+    ts and of the getters counts twice, as past 256 it is an int object
+    of its own; the step table's getters share one tuple's ints."""
     n = enumeration_cost(e, L)["elements"]
-    return {"elements": n, "slots": 2 * n * e + 2 * e * e + _steps_slots(e)}
+    return {"elements": n, "slots": 2 * n * e + 4 * e * e + _steps_slots(e)}

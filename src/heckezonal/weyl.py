@@ -94,7 +94,7 @@ class AffinePermutation(Value):
             raise ValueError("rank e must be at least 2 (W0 is trivial below)")
         if len(self.window) != e:
             raise ValueError("window must have exactly e entries")
-        residues = sorted(((v - 1) % e) + 1 for v in self.window)
+        residues = sorted([((v - 1) % e) + 1 for v in self.window])
         if residues != list(range(1, e + 1)):
             raise ValueError("window residues mod e must permute 1..e")
         if sum(self.window) != e * (e + 1) // 2:
@@ -257,11 +257,11 @@ class ExtendedWeylElement(Value):
         if rem:
             raise ValueError("window shift sum must be a multiple of e")
         k = -shift
-        return cls(k, AffinePermutation(e, tuple(v + k for v in full)))
+        return cls(k, AffinePermutation(e, tuple([v + k for v in full])))
 
     def full_window(self) -> tuple[int, ...]:
         """Window of the underlying bijection, (pi**k w0)(x) = w0(x) - k."""
-        return tuple(v - self.k for v in self.w0.window)
+        return tuple([v - self.k for v in self.w0.window])
 
     def length(self) -> int:
         """Length of the W0 part; the pi power does not contribute."""
@@ -340,7 +340,7 @@ def random_element(e: int, rng) -> ExtendedWeylElement:
     # pi**k w is x -> w(x) - k; it enters through the validating constructor,
     # so an invalid window from the trusted product raises here, not in a check
     k = rng.randrange(-1, 2)
-    return ExtendedWeylElement.from_full_window(e, tuple(v - k for v in w.full_window()))
+    return ExtendedWeylElement.from_full_window(e, tuple([v - k for v in w.full_window()]))
 
 
 def enumerate_by_length(e: int, max_length: int) -> list[list[AffinePermutation]]:
@@ -431,9 +431,9 @@ def _conjugate_window(win: tuple[int, ...], k: int, e: int) -> tuple[int, ...]:
 
     It is w(i + k) - k for i = 1..e: with r = k mod e, win rotated left
     by r slots, the r wrapped values raised by e, and every value lowered
-    by r.  At r = 0 it is win itself.
+    by r, added slot by slot in one ``map``.  At r = 0 it is win itself.
     """
     r = k % e
     if not r:
         return win
-    return tuple([v - r for v in win[r:]] + [v + e - r for v in win[:r]])
+    return tuple(map(operator.add, win[r:] + win[:r], (-r,) * (e - r) + (e - r,) * r))

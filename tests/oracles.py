@@ -22,6 +22,10 @@ the code it checks:
 - ``apply``: an (extended) affine permutation evaluated at any integer.
   test_weyl.py checks ``compose``, ``multiply``, ``conjugate_by_pi`` and
   the reduced-word reference against it.
+- ``random_element_reference``: the sampled element as a product of
+  generators and pi**k through ``multiply``.  test_weyl.py checks that
+  ``random_element``, which shifts and validates one window at the end,
+  draws the same elements and leaves the rng in the same state.
 - ``evaluate`` and ``specialize``: substitution of q1 by a rational.
   test_hecke.py checks that specialization commutes with the product.
 - ``right_peeling_product``: the Hecke product by the right two-case
@@ -277,6 +281,17 @@ def project_to_finite(a: ExtendedWeylElement) -> tuple[int, ...]:
     """
     e = a.e
     return tuple(((v - 1) % e) + 1 for v in a.full_window())
+
+
+def random_element_reference(e: int, rng) -> ExtendedWeylElement:
+    """The draw of ``weyl.random_element`` made in the group: 0..4
+    generators, each multiplied on the left with ``multiply``, then pi**k
+    for k in -1..1 multiplied on the left too, reading rng in the same
+    order."""
+    w = ExtendedWeylElement.identity(e)
+    for _ in range(rng.randrange(0, 5)):
+        w = multiply(generator(e, rng.randrange(e)), w)
+    return multiply(ExtendedWeylElement(rng.randrange(-1, 2), AffinePermutation.identity(e)), w)
 
 
 def bott_product_series(e: int, max_degree: int) -> list[int]:

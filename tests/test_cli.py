@@ -279,7 +279,7 @@ def test_budget_is_exact(argv, cap, quantity, count, names, monkeypatch, capsys)
 
 # A declared element or slot stands for at most this many traced bytes:
 # a slot is a pointer, and a perm or window entry above 256 may be an int
-# object of its own
+# object of its own, which coefficient_cost declares as a second slot
 BYTES_PER_UNIT = 24
 # what a run traces whatever it holds: the report, its text, the parser
 BASELINE = 1 << 20
@@ -297,6 +297,8 @@ BASELINE = 1 << 20
     ["eigen", "--e", "2", "--L", "1000"],
     # just after the Hecke tables of the pi product grow
     ["eigen", "--e", "2", "--L", "2200"],
+    # where most perm and getter entries are int objects of their own
+    ["coefficient", "--e", "1000", "--L", "0"],
 ])
 def test_declared_costs_bound_traced_memory(argv):
     # the traced peak of a run stays within one multiple of the elements

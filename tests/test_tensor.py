@@ -221,6 +221,9 @@ def test_ev_tables_once_per_params(monkeypatch):
     assert calls == [e] * (e - 1)
     words, gammas, _ = p._ev_tables
     assert sorted(gammas) == list(range(1, e))
+    # each entry reads the slots of Gamma**r: applied to the identity, it is that perm
+    identity = PlaceOperator.identity(e).perm
+    assert all(gammas[r](identity) == real_gamma(e).power(r).perm for r in gammas)
     # a word entry is ev's k = 0 operator, returned itself at k = e
     first = ev(ExtendedWeylElement(0, w0), p)
     assert words[w0.window] is first and ev(ExtendedWeylElement(e, w0), p) is first
@@ -231,6 +234,23 @@ def test_ev_tables_once_per_params(monkeypatch):
     assert ev(ExtendedWeylElement(0, w0), p).scale == Fraction(1, 3**6)
     assert p1._ev_tables[2] == {3: 1}  # the scales by word length
     assert p._ev_tables[2] == {3: Fraction(1, 3**6)}
+
+
+def test_ev_reads_its_gamma_power(monkeypatch):
+    # ev's Gamma table is read from PlaceOperator.power, not derived beside
+    # it: a power that advances each cycle n + 1 steps changes ev's perm
+    # at every k != 0 mod e and leaves k = 0 mod e, the table's word, alone
+    e = 4
+    cases = [ExtendedWeylElement(k, w0) for layer in enumerate_by_length(e, 3)
+             for w0 in layer for k in range(-e, 2 * e)]
+    honest = SphericalParams.numeric(e, 2, 3)
+    want = [fold_ev(w, honest) for w in cases]
+    advanced = [("cycle[(j + n) % m]", "cycle[(j + n + 1) % m]")]
+    mutate(monkeypatch, PlaceOperator.power, advanced, PlaceOperator)
+    p = SphericalParams.numeric(e, 2, 3)
+    for w, op in zip(cases, want):
+        got = ev(w, p)
+        assert got.scale == op.scale and (got.perm == op.perm) is (w.k % e == 0), w
 
 
 def test_ev_table_hit_builds_no_group_element(constructions, monkeypatch):
@@ -304,6 +324,25 @@ def test_coefficient_fails_on_wrong_conjugate(monkeypatch):
     report = tensor.verify_coefficient(4, 2, 3, 4, 1, 25)
     assert (report["checked"], report["mismatches"]) == (276, 69)
     assert report["sampled_k_invariance_ok"] is False
+    assert report["ok"] is False
+
+
+def test_coefficient_counts_every_k_of_a_layer_with_a_wrong_scale(monkeypatch):
+    # q_power one power of q too high at the exponent of word length 2
+    # (f = 2: q**-2), with the closed form kept from before the fault:
+    # ev's one scale object for length 2 is wrong, and each of the e
+    # values of k at every element of layer 2 counts once, the k != 0
+    # ones too, though they share the k = 0 scale object
+    e = 4
+    layers = enumerate_by_length(e, 4)
+    p = SphericalParams.numeric(e, 2, 3)
+    closed = [matrix_coefficient_scalar(layer[0], p) for layer in layers]
+    monkeypatch.setattr(tensor, "matrix_coefficient_scalar", lambda w0, p: closed[w0.length()])
+    honest = SphericalParams.q_power
+    monkeypatch.setattr(SphericalParams, "q_power", lambda self, m: honest(self, m + (m == -2)))
+    report = tensor.verify_coefficient(e, 2, 3, 4, 1, 25)
+    assert (report["checked"], report["mismatches"]) == (276, e * len(layers[2])) == (276, 40)
+    assert report["reduced_word_independence"]["ok"] and report["sampled_k_invariance_ok"]
     assert report["ok"] is False
 
 

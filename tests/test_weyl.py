@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import apply, project_to_finite
+from oracles import apply, project_to_finite, random_element_reference
 
 import heckezonal.weyl
 from heckezonal.scalars import Value
@@ -70,6 +70,33 @@ def test_generator_examples():
         ExtendedWeylElement.identity(1)
     with pytest.raises(ValueError):
         heckezonal.weyl.random_element(1, random.Random(0))
+
+
+def test_random_element_matches_reference():
+    # every (k, window) drawn, and the rng state after the draws
+    for e in range(2, 7):
+        for seed in range(8):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(30):
+                got = heckezonal.weyl.random_element(e, rng)
+                want = random_element_reference(e, ref)
+                assert (got.k, got.w0.window) == (want.k, want.w0.window), (e, seed)
+            assert rng.getstate() == ref.getstate(), (e, seed)
+
+
+def test_random_element_validates_its_window(monkeypatch):
+    # a product window pushed off W0 by one reaches the validating
+    # constructor at the end of the draw; seed 1 draws one generator first
+    honest = AffinePermutation.compose
+
+    def off_by_one(self, other):
+        first, *rest = honest(self, other).window
+        return AffinePermutation._raw(self.e, (first + 1, *rest))
+
+    monkeypatch.setattr(AffinePermutation, "compose", off_by_one)
+    assert random.Random(1).randrange(0, 5) == 1
+    with pytest.raises(ValueError, match="^window shift sum must be a multiple of e$"):
+        heckezonal.weyl.random_element(3, random.Random(1))
 
 
 def test_pi_element_relations():
