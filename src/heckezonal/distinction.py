@@ -189,6 +189,14 @@ def integral_cost(e: int, f: int, q0: int, L: int) -> dict:
     return {**enumeration_cost(e, L), "digits": bits * 30103 // 100000 + 1}
 
 
+def _over_q0(numerators: dict, q0: int) -> Fraction:
+    """sum c * q0**x over the items (x, c), as one Fraction: int terms
+    over the lowest power of q0, reduced once."""
+    low = min(numerators, default=0)
+    total = sum(c * q0 ** (x - low) for x, c in numerators.items())
+    return Fraction(total, q0**-low) if low < 0 else Fraction(total * q0**low)
+
+
 def distinction_integral(e: int, f: int, q0, L: int) -> IntegralReport:
     """Truncated coset expansion of the invariant-pairing integral.
 
@@ -200,9 +208,13 @@ def distinction_integral(e: int, f: int, q0, L: int) -> IntegralReport:
     against its layer index, and the layer adds len(layer) copies of
     the term of its first element, itself checked against
     (-1/q0**f)**l as a signed power of q0: their signs and exponents must
-    agree, and no term is built as a rational to be compared.
-    closed_form = e * P(-1/q0**f).  The exact tail bound dominates
-    |partial_sum - closed_form| and shrinks geometrically with L.
+    agree, and no term is built as a rational to be compared.  Nor is
+    one built to be added: the layers' counts, signed, are summed as int
+    numerators by the exponent of their term, over one power of q0, and
+    each sum becomes one Fraction at the end (a term that is not a power
+    of q0 is added as its exact value).  closed_form = e * P(-1/q0**f).
+    The exact tail bound dominates |partial_sum - closed_form| and
+    shrinks geometrically with L.
     """
     if e % 2 == 0:
         raise RequiresOddE("RequiresOddE: the coset sum is derived for odd e")
@@ -211,8 +223,9 @@ def distinction_integral(e: int, f: int, q0, L: int) -> IntegralReport:
         raise ValueError("truncation L must be nonnegative")
     y = Monomial(q0, 1, -f)
     layers = enumerate_by_length(e, L)
-    inner = Fraction(0)
-    tail_partial = Fraction(0)
+    # int numerators by q0-exponent: sum of count * sign * q0**exponent
+    inner, tail = {}, {}
+    rest = 0  # terms that are not powers of q0, summed exactly
     per_term_ok = True
     for ell, layer in enumerate(layers):
         if any(w0.length() != ell for w0 in layer):
@@ -220,11 +233,14 @@ def distinction_integral(e: int, f: int, q0, L: int) -> IntegralReport:
         term = per_term_value(layer[0], f, q0)
         if term != (-y) ** ell:
             per_term_ok = False
-        inner += len(layer) * term
-        tail_partial += len(layer) * y**ell
-    partial = e * inner
+        if type(term) is Monomial and term.base == q0:
+            inner[term.exp] = inner.get(term.exp, 0) + term.sign * len(layer)
+        else:
+            rest += len(layer) * term
+        tail[-f * ell] = len(layer)  # y**ell
+    partial = e * (_over_q0(inner, q0) + rest)
     closed = e * poincare_value(e, -y)
-    tail_bound = e * (poincare_value(e, y) - tail_partial)
+    tail_bound = e * (poincare_value(e, y) - _over_q0(tail, q0))
     return IntegralReport(
         e=e,
         f=f,

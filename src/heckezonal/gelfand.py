@@ -1,14 +1,18 @@
-"""Finite-group pairings of invariant vectors, over exact rationals.
+"""Finite-group pairings of invariant vectors, in exact arithmetic.
 
-A representation rho of a finite permutation group G is one rational
-matrix per element plus one multiplication table of G, built together by
-``FiniteRep.generated``.  The table gives the identity and inverses;
-``validate_closure`` checks rho(g) rho(s) = rho(g s) on element-generator
-pairs, and ``is_irreducible`` computes the character norm from traces
-and the table's inverses.
+A representation rho of a finite permutation group G is one matrix per
+element plus one multiplication table of G, built together by
+``FiniteRep.generated``.  The shipped matrices are integral and hold
+``int`` entries, so their products are int matrices; a matrix with a
+``Fraction`` entry is taken as well, and its products are Fractions.
+The table gives the identity and inverses; ``validate_closure`` checks
+rho(g) rho(s) = rho(g s) on element-generator pairs, and
+``is_irreducible`` computes the character norm from traces and the
+table's inverses.
 
 For a subgroup K the K-fixed subspace is cut out by the averaging
-idempotent (1/|K|) sum rho(k); the dual representation acts by
+idempotent (1/|K|) sum rho(k), a matrix of Fractions, and found by
+row reduction over the rationals; the dual representation acts by
 transpose-inverse matrices.  When both fixed spaces are lines, the value
 of the natural coordinate pairing on chosen generators is reported: for
 a Gelfand pair with the representation distinguished on both sides that
@@ -24,7 +28,6 @@ catalog metadata, not something verified here.
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
 
@@ -45,7 +48,7 @@ __all__ = [
     "check_catalog",
 ]
 
-Matrix = tuple[tuple[Fraction, ...], ...]
+Matrix = tuple[tuple[int | Fraction, ...], ...]
 Perm = tuple[int, ...]
 Vector = tuple[Fraction, ...]
 
@@ -54,25 +57,14 @@ Vector = tuple[Fraction, ...]
 
 
 def mat_identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    # every Fraction product and sum reduces by a gcd; scaling each factor
-    # to an integer matrix by the lcm of its denominators leaves integer
-    # dot products and one reduction per output entry
-    da = math.lcm(*(x.denominator for row in a for x in row))
-    db = math.lcm(*(x.denominator for row in b for x in row))
-    ia = [[x.numerator * (da // x.denominator) for x in row] for row in a]
-    ib = [[x.numerator * (db // x.denominator) for x in row] for row in b]
-    cols = list(zip(*ib))
-    den = da * db
-    return tuple(
-        tuple(Fraction(sum(map(operator.mul, row, col)), den) for col in cols)
-        for row in ia
-    )
+    # one dot product per entry: int factors give int entries with no
+    # gcd at all, and a Fraction entry in either factor gives Fractions
+    cols = list(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in a)
 
 
 def mat_transpose(a: Matrix) -> Matrix:
@@ -202,9 +194,10 @@ def averaging_projector(matrices, subgroup: list[int]) -> Matrix:
     if not subgroup:
         raise ValueError("subgroup must be nonempty")
     size = len(subgroup)
-    # rows: the i-th rows of the subgroup's matrices; cells: one entry of each
+    # rows: the i-th rows of the subgroup's matrices; cells: one entry of
+    # each, summed exactly (as ints for int matrices) and divided once
     return tuple(
-        tuple(sum(cells, Fraction(0)) / size for cells in zip(*rows))
+        tuple(Fraction(sum(cells), size) for cells in zip(*rows))
         for rows in zip(*(matrices[idx] for idx in subgroup))
     )
 
@@ -257,7 +250,8 @@ def is_irreducible(rep: FiniteRep) -> bool:
 
 
 def _matrix(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    # the shipped matrices are integral; operator.index refuses any other entry
+    return tuple(tuple(map(operator.index, row)) for row in rows)
 
 
 def _adjacent_transpositions(n: int) -> list[Perm]:

@@ -60,6 +60,7 @@ True
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
 
@@ -140,11 +141,19 @@ _set_perm = PlaceOperator.perm.__set__
 _set_scale = PlaceOperator.scale.__set__
 
 
+@functools.lru_cache(maxsize=None)
+def _indices(e: int) -> tuple[int, ...]:
+    """0..e, one tuple per rank.  The perms of ``t_operator`` and ev's
+    Gamma getters read their entries from it, so past 256, where each
+    int is an object of its own, their e**2 entries share its ints."""
+    return tuple(range(e + 1))
+
+
 def t_operator(i: int, e: int) -> PlaceOperator:
     """The slot transposition t_i: (i, i+1) for i >= 1, (1, e) for i = 0."""
     if not 0 <= i <= e - 1:
         raise ValueError(f"operator index {i} out of range 0..{e - 1}")
-    perm = list(range(1, e + 1))
+    perm = list(_indices(e)[1:])
     if i >= 1:
         perm[i - 1], perm[i] = perm[i], perm[i - 1]
     else:
@@ -208,8 +217,8 @@ def ev(w: ExtendedWeylElement, p: SphericalParams) -> PlaceOperator:
         return op
     gamma_r = gammas.get(r)
     if gamma_r is None:
-        perm = gamma_operator(e).power(r).perm
-        gamma_r = gammas[r] = operator.itemgetter(*[i - 1 for i in perm])
+        perm, index = gamma_operator(e).power(r).perm, _indices(e)
+        gamma_r = gammas[r] = operator.itemgetter(*[index[i - 1] for i in perm])
     return PlaceOperator._raw(e, gamma_r(op.perm), op.scale)
 
 
@@ -315,8 +324,9 @@ def coefficient_cost(e: int, L: int) -> dict:
     elements n windows and n of ev's words, the e transpositions ts and at
     most e - 1 Gamma getters of ev, all of e slots, and
     ``weyl._right_steps(e)``, built at every L.  The operators it keeps
-    are ev's own table entries, counted with their words.  Each entry of
-    ts and of the getters counts twice, as past 256 it is an int object
-    of its own; the step table's getters share one tuple's ints."""
+    are ev's own table entries, counted with their words.  The entries
+    of ts and of the getters share the ints of ``_indices(e)``, as the
+    step table's getters share one tuple's, so each counts once: 3e**2 + e
+    slots at L = 0."""
     n = enumeration_cost(e, L)["elements"]
-    return {"elements": n, "slots": 2 * n * e + 4 * e * e + _steps_slots(e)}
+    return {"elements": n, "slots": 2 * n * e + 2 * e * e + _steps_slots(e)}

@@ -56,12 +56,12 @@ ROWS = [
     {"argv": "eigen --e 2 --L 39216", "code": 2, "timeout": 5,
      "err": ("--e 2 --L 39216: eigen", "could need 10000201 slots", "cap of 10000000 slots")},
     # coefficient at L = 0: one window and ev's word, e slots each, 2e
-    # perms of e slots whose entries count twice and the step table; the
-    # last accepted run peaks at about 176 MB of address space (Python
-    # 3.11), so 400,000 KiB leaves a 2x margin
-    {"argv": "coefficient --e 1414 --L 0", "code": 0, "timeout": 10, "ulimit": 400000},
-    {"argv": "coefficient --e 1415 --L 0", "code": 2, "timeout": 5,
-     "err": ("--e 1415 --L 0: coefficient", "could need 10012540 slots", "cap of 10000000 slots")},
+    # perms of e slots that share one tuple's ints and the step table,
+    # 3e**2 + e; the last accepted run peaks at about 106 MB of address
+    # space (Python 3.11), so 250,000 KiB leaves a 2x margin
+    {"argv": "coefficient --e 1825 --L 0", "code": 0, "timeout": 10, "ulimit": 250000},
+    {"argv": "coefficient --e 1826 --L 0", "code": 2, "timeout": 5,
+     "err": ("--e 1826 --L 0: coefficient", "could need 10004654 slots", "cap of 10000000 slots")},
     # the digits of exact values, bounded from bit lengths before any is
     # computed; a list of points is named by its flag only
     {"argv": "poincare --e 200", "code": 0, "timeout": 10},
@@ -90,10 +90,10 @@ EXACT = [
     ("distinction --e 3 --L 3", "weyl.ENUM_CAP", "elements", 19, "--e 3 --f 1 --q0 2 --L 3: distinction"),
     ("all --e 3 --L 3", "weyl.ENUM_CAP", "elements", 19, "--e 3 --L 3: eigen"),
     # 19 windows of 3 slots and the step table's 6: 63.  coefficient
-    # holds 2 * 57 + 36 + 6 = 156.  eigen, which all runs too, holds 63 +
+    # holds 2 * 57 + 18 + 6 = 138.  eigen, which all runs too, holds 63 +
     # 19 * 54 per element, 4 * 64 per psi0 row and 3 * 81 per length
     ("eigen --e 3 --L 3", "weyl.SLOT_CAP", "slots", 1588, "--e 3 --L 3: eigen"),
-    ("coefficient --e 3 --L 3", "weyl.SLOT_CAP", "slots", 156, "--e 3 --L 3: coefficient"),
+    ("coefficient --e 3 --L 3", "weyl.SLOT_CAP", "slots", 138, "--e 3 --L 3: coefficient"),
     ("growth --e 3 --L 3", "weyl.SLOT_CAP", "slots", 63, "--e 3 --L 3: growth"),
     ("distinction --e 3 --L 3", "weyl.SLOT_CAP", "slots", 63, "--e 3 --f 1 --q0 2 --L 3: distinction"),
     ("all --e 3 --L 3", "weyl.SLOT_CAP", "slots", 1588, "--e 3 --L 3: eigen"),

@@ -278,8 +278,9 @@ def test_budget_is_exact(argv, cap, quantity, count, names, monkeypatch, capsys)
 
 
 # A declared element or slot stands for at most this many traced bytes:
-# a slot is a pointer, and a perm or window entry above 256 may be an int
-# object of its own, which coefficient_cost declares as a second slot
+# a slot is a pointer, and the e**2 entries of the step table, ts and
+# ev's Gamma getters share one tuple's ints, so past 256 they are not
+# int objects of their own
 BYTES_PER_UNIT = 24
 # what a run traces whatever it holds: the report, its text, the parser
 BASELINE = 1 << 20
@@ -306,13 +307,15 @@ def test_declared_costs_bound_traced_memory(argv):
     # perms of e slots outweigh the objects that hold them, and for eigen,
     # which declares its Hecke terms, psi0 values and per-length tables,
     # at small ranks too, down to e = 2, where a length has two elements.
-    # The step table and the generators are cached per rank, so the caches
-    # are emptied first and the run pays for what it builds
+    # The step table, the index tuple and the generators are cached per
+    # rank, so the caches are emptied first and the run pays for what it
+    # builds
     args = cli.build_parser().parse_args(argv)
     cli._validate(args)
     fn, *dests = cli.COSTS[argv[0]]
     cost = fn(*[vars(args)[d] for d in dests])
-    for cached in (weyl._right_steps, weyl._simple, weyl._identity, dst.poincare_closed_form):
+    caches = (weyl._right_steps, weyl._simple, weyl._identity, tensor._indices, dst.poincare_closed_form)
+    for cached in caches:
         cached.cache_clear()
     tracemalloc.start()
     try:

@@ -22,7 +22,7 @@ from heckezonal.distinction import (
     poincare_series_coefficients,
     poincare_value,
 )
-from heckezonal.scalars import LaurentPoly, Monomial
+from heckezonal.scalars import LaurentPoly, Monomial, _as_fraction
 from heckezonal.spherical import SphericalParams, matrix_coefficient_scalar
 from heckezonal.weyl import AffinePermutation, enumerate_by_length, generator, multiply, w0_count
 
@@ -213,6 +213,45 @@ def test_layer_sum_matches_per_element_sum():
         report = distinction_integral(e, f, q0, L)
         assert report.partial_sum == e * inner, (e, f, q0, L)
         assert report.per_term_ok is ok is True
+
+
+def _layer_sums(e, f, q0, L):
+    """e * sum N(l) t(l) and e * (P(y) - sum N(l) y**l), y = 1/q0**f,
+    one Fraction addition per layer, t(l) as per_term_value gives it."""
+    y = Fraction(1, q0**f)
+    inner = tail = Fraction(0)
+    for ell, layer in enumerate(enumerate_by_length(e, L)):
+        inner += len(layer) * _as_fraction(dst.per_term_value(layer[0], f, q0))
+        tail += len(layer) * y**ell
+    return e * inner, e * (poincare_value(e, y) - tail)
+
+
+# the term as the library builds it, as a Fraction, and as a monomial of
+# base 2 at q0 = 4: equal values, only the first a power of q0
+TERMS = {
+    "monomial": None,
+    "fraction": lambda t, q0: t.fraction(),
+    "other_base": lambda t, q0: Monomial(2, t.sign, 2 * t.exp) if q0 == 4 else t,
+}
+
+
+@pytest.mark.parametrize("form", TERMS)
+def test_integer_numerators_match_the_layer_fraction_sums(form, monkeypatch):
+    # the sums kept as int numerators by q0-exponent against one Fraction
+    # addition per layer, down to L = 0; a term that is not a power of q0
+    # is added as its exact value
+    if TERMS[form]:
+        honest = dst.per_term_value
+        monkeypatch.setattr(dst, "per_term_value", lambda w0, f, q0: TERMS[form](honest(w0, f, q0), q0))
+    for e, L_max in ((3, 9), (5, 3), (7, 2)):
+        for f in (1, 2, 3):
+            for q0 in (2, 4, 9):
+                for L in range(L_max + 1):
+                    report = distinction_integral(e, f, q0, L)
+                    assert (report.partial_sum, report.tail_bound) == _layer_sums(e, f, q0, L), (e, f, q0, L)
+                    assert report.per_term_ok
+                    values = (report.partial_sum, report.closed_form, report.abs_error, report.tail_bound)
+                    assert all(type(v) is Fraction for v in values)
 
 
 @pytest.mark.parametrize("position", [0, -1])

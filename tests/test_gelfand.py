@@ -3,6 +3,7 @@
 import collections
 import itertools
 import json
+import pathlib
 import random
 import sys
 from fractions import Fraction
@@ -364,3 +365,77 @@ def test_mat_mul_matches_fraction_triple_loop():
         )
         assert mat_mul(a, b) == naive
         assert all(type(x) is Fraction for row in mat_mul(a, b) for x in row)
+
+
+def test_rep_validation_names_each_fault():
+    std = symmetric_group_standard_rep(3)
+    fields = vars(std)
+    # a 2 x 3 matrix in a 2-dimensional representation
+    wide = std.matrices[:1] + (((1, 0, 0), (0, 1, 0)),) + std.matrices[2:]
+    with pytest.raises(ValueError, match="^matrix shape mismatch$"):
+        FiniteRep(**dict(fields, matrices=wide))
+    # the identity element acting by -1
+    minus = (((-1, 0), (0, -1)),) + std.matrices[1:]
+    with pytest.raises(ValueError, match="^the identity element must act by the identity matrix$"):
+        FiniteRep(**dict(fields, matrices=minus))
+    # the identity matrix passes with int entries and with Fraction entries
+    assert std.matrices[0] == mat_identity(2) and type(std.matrices[0][0][0]) is int
+    fraction_identity = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    FiniteRep(**dict(fields, matrices=(fraction_identity,) + std.matrices[1:]))
+
+
+def test_averaging_projector_needs_a_subgroup():
+    with pytest.raises(ValueError, match="^subgroup must be nonempty$"):
+        averaging_projector(symmetric_group_standard_rep(3).matrices, [])
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_symmetric_groups_shipped_for_2_to_5_points(n):
+    with pytest.raises(ValueError, match=r"^symmetric group representations shipped for 2 <= n <= 5$"):
+        gf._adjacent_transpositions(n)
+    with pytest.raises(ValueError, match="shipped for 2 <= n <= 5"):
+        symmetric_group_standard_rep(n)
+
+
+def test_rational_change_of_basis_keeps_the_verdicts():
+    # S3's standard representation conjugated by P = [[1, 1/2], [1/3, 1]]:
+    # every matrix is P M P**-1, with Fraction entries, and a
+    # representation equivalent to the integral one
+    std = symmetric_group_standard_rep(3)
+    p = ((Fraction(1), Fraction(1, 2)), (Fraction(1, 3), Fraction(1)))
+    det = Fraction(5, 6)
+    p_inv = ((1 / det, Fraction(-1, 2) / det), (Fraction(-1, 3) / det, 1 / det))
+    assert mat_mul(p, p_inv) == mat_identity(2)
+    gens = [(std.elements[i], mat_mul(mat_mul(p, std.matrices[i]), p_inv)) for i in std.generators]
+    rep = FiniteRep.generated("S3-standard-conjugated", gens)
+    assert rep.elements == std.elements
+    for m, m_std in zip(rep.matrices, std.matrices):
+        assert m == mat_mul(mat_mul(p, m_std), p_inv)
+    assert all(type(x) is Fraction for m in rep.matrices[1:] for row in m for x in row)
+    assert any(x.denominator > 1 for m in rep.matrices for row in m for x in row)
+    assert rep.validate_closure()
+    assert is_irreducible(rep)
+    report = check_pairing(rep, point_stabilizer(rep, 3))
+    assert (report.dim_fixed, report.dim_fixed_dual) == (1, 1)
+    assert type(report.pairing) is Fraction and report.pairing != 0
+    assert report.gelfand_multiplicity_ok
+
+
+def test_gelfand_run_multiplies_int_matrices_only(monkeypatch, capsys):
+    # the shipped matrices are integral, so every product of the run is
+    # one of int matrices, and so is its result
+    kinds = collections.Counter()
+    mat_mul_ = gf.mat_mul
+
+    def recording_mat_mul(a, b):
+        out = mat_mul_(a, b)
+        kinds.update(type(x) for m in (a, b, out) for row in m for x in row)
+        return out
+
+    monkeypatch.setattr(gf, "mat_mul", recording_mat_mul)
+    assert cli.run(["gelfand"]) == 0
+    assert set(kinds) == {int}
+    # and the report is the golden one, byte for byte
+    golden = pathlib.Path(__file__).resolve().parent / "golden" / "gelfand.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+

@@ -388,6 +388,16 @@ def test_associativity_generic():
             assert (h1 * h2) * h3 == h1 * (h2 * h3)
 
 
+def test_element_and_basis_reject_another_rank():
+    A = HeckeAlgebra(3, Fraction(4))
+    w = ExtendedWeylElement.identity(2)
+    with pytest.raises(ValueError, match="^rank mismatch between element and algebra$"):
+        A.element({ExtendedWeylElement.identity(3): 1, w: 1})
+    with pytest.raises(ValueError, match="^rank mismatch$"):
+        A.basis(w)
+    assert A.element({ExtendedWeylElement.identity(3): 1}) == A.one()
+
+
 def test_mode_and_rank_mismatch():
     A = generic_algebra(3)
     B = HeckeAlgebra(3, Fraction(4))

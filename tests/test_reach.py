@@ -43,6 +43,7 @@ UNREACHED = {
     "scalars.Value.__delattr__": "enforces immutability: no field is removed after construction",
     "scalars.Value.__eq__": "value equality by the fields; the CLI compares windows, keys and scales, not values",
     "scalars.Value.__repr__": "readable values in assertion messages and interactive use",
+    "scalars.Monomial.__add__": "monomial + rational, ring API that the scalar forms share; the coset sum adds int numerators",
     "scalars.Monomial.__hash__": "equal monomials and Fractions hash equal; no CLI path hashes a scalar",
     "scalars.Monomial.__sub__": "monomial - rational, for numeric-mode Hecke algebras (q1 - 1); no subcommand builds one",
     "scalars.Monomial.__rsub__": "rational - monomial, completing the mixed arithmetic with Fractions",

@@ -508,6 +508,16 @@ def test_params_validation():
         SphericalParams(3, 2, None)  # generic mode has f = 1
 
 
+def test_eigen_generator_validation_names_each_fault():
+    p = SphericalParams.numeric(3, 1, 2)
+    with pytest.raises(ValueError, match="^truncation L must be at least 1$"):
+        verify_eigen_generator(0, 0, p)
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match=rf"^generator index {i} out of range 0\.\.2$"):
+            verify_eigen_generator(i, 2, p)
+    assert verify_eigen_generator(2, 1, p).ok
+
+
 def test_params_are_immutable_values():
     p = SphericalParams.numeric(3, 2, 3)
     assert p == SphericalParams(3, 2, Fraction(3), chi_pi=1) and hash(p) == hash(SphericalParams(3, 2, 3))

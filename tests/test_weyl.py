@@ -566,3 +566,18 @@ def test_project_to_finite():
         assert project_to_finite(multiply(a, b)) == perm_compose(
             project_to_finite(a), project_to_finite(b)
         )
+
+
+@pytest.mark.parametrize("window, message", [
+    ((1, 2), "^window must have exactly e entries$"),
+    ((1, 2, 3, 4), "^window must have exactly e entries$"),
+    # residues 1, 1, 1 mod 3, with the shift sum of W0
+    ((4, 1, 1), r"^window residues mod e must permute 1\.\.e$"),
+    # residues 1, 2, 3, but the sum 4 + 2 + 3 = 9 is not 1 + 2 + 3
+    ((4, 2, 3), r"^window shift sum must be zero \(not in W0\)$"),
+])
+def test_window_checks_name_each_fault(window, message):
+    with pytest.raises(ValueError, match=message):
+        AffinePermutation(3, window)
+    # each faulty window breaks one rule; a window of W0 passes
+    assert AffinePermutation(3, (3, 1, 2)).window == (3, 1, 2)
