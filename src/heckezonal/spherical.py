@@ -17,15 +17,16 @@ truncation also holds the shells |k| = K, as boundary.
 The coefficient depends on [pi**k w0] only through (l(w0), k), so
 ``psi0_coefficient`` takes exactly that pair.  One eigen job walks W0
 once (``_walk``): the BFS layers, one psi0 value per (layer, k), and the
-generator checks' group facts, kept on the SphericalParams instance by
-L.  Whichever check comes first builds all of it, so the truncation or
-the pi check called alone also builds the generator facts.  Each check
-reads the walk and lists a failing witness in (layer, window, k) order.
-The facts are each element's inversion count against its layer, and per
-generator s_j the case and the layer of s_j w0, still from ``length()``,
-the descent test and the BFS, so the BFS distance and ``length()`` stay
+failing generator cases, kept on the SphericalParams instance by L.
+Whichever check comes first builds all of it, so the truncation or the
+pi check called alone also decides the generator cases.  Since s_i *
+pi**k = pi**k * s_{i+k mod e}, each generator case (w0, s_j, k) belongs
+to exactly one generator check, and the walk decides it once, from
+w0's inversion count against its layer, the descent test of w0 at j and
+the BFS layer of s_j w0, so the BFS distance and ``length()`` stay
 independent witnesses of each other.  The layer of s_j w0 is read at its
-inverse w0**-1 s_j, a right step from w0's inverse window.
+inverse w0**-1 s_j, a right step from w0's inverse window.  Each check
+lists a failing witness in (layer, window, k) order.
 
 In the trivial-chi_pi regime the normalized matrix coefficient at
 w0 * pi**k is the closed form
@@ -164,23 +165,26 @@ def psi0_coefficient(ell: int, k: int, p: SphericalParams) -> ExactScalar:
     return scalar_power(p.neg_inv_q1(), ell) * scalar_power(p.chi_pi, -k)
 
 
-def _walk(p: SphericalParams, L: int) -> tuple[list, list, list, dict]:
+def _walk(p: SphericalParams, L: int) -> tuple[list, list, list]:
     """The walk of an eigen job over W0 of length at most L, built once per
     (p, L) by the first check that asks, so ``build`` or the pi check
-    called alone also builds the generator facts.  It holds:
+    called alone also decides the generator cases.  It holds:
 
     - layers, the BFS layers;
     - values[ell][k + K] = psi0_coefficient(ell, k, p), for ell <= L and
       |k| <= K;
-    - facts, per layer ell < L the pair (lengths, steps): lengths[n] says
-      whether the n-th element w0 has inversion count ell
-      (``ExtendedWeylElement.length``), and steps[n*e + j] is the
-      interned pair (up, l(s_j w0)): up negates the left-descent test of
-      w0 at j, and l(s_j w0) = l(w0**-1 s_j) is read from a window ->
-      layer map local to the walk (None outside the layers) at the step
-      ``_right_steps(e)[j]`` of w0's inverse window, one ``inverse`` per
-      w0;
-    - verdicts, the table the e generator checks share.
+    - failures, the generator cases (w0, s_j, k) with l(w0) < L and |k| <=
+      K - 1 that fail, each as (j, k, window of w0), in (layer, window, k)
+      order.
+
+    Each case is decided once.  up negates the left-descent test of w0 at
+    j, and l(s_j w0) = l(w0**-1 s_j) is read from a window -> layer map
+    (None outside the layers) at the step ``_right_steps(e)[j]`` of w0's
+    inverse window, one ``inverse`` per w0.  The rule's verdict depends
+    only on (up, l(w0), l(s_j w0), k), so it is computed once per such
+    key; a case passes only when its verdict holds and w0's inversion
+    count (``ExtendedWeylElement.length``) is its layer.  The map and the
+    verdicts are local to the walk.
     """
     entry = p._eigen_table.get(L)
     if entry is None:
@@ -189,18 +193,30 @@ def _walk(p: SphericalParams, L: int) -> tuple[list, list, list, dict]:
         values = [[psi0_coefficient(ell, k, p) for k in range(-K, K + 1)] for ell in range(L + 1)]
         layer_of = {w0.window: ell for ell, layer in enumerate(layers) for w0 in layer}
         right = list(enumerate(_right_steps(e)))
-        interned: dict = {}
-        facts = []
+        q1 = p.q1
+        q1_minus_1 = q1 - 1
+        verdicts: dict = {}
+        failures = []
         for ell, layer in enumerate(layers[:L]):
-            lengths = [ExtendedWeylElement(0, w0).length() == ell for w0 in layer]
-            steps = []
             for w0 in layer:
+                length_ok = ExtendedWeylElement(0, w0).length() == ell
                 inv = w0.inverse().window
-                for j, step in right:
-                    pair = (not w0.has_left_descent(j), layer_of.get(step(inv)))
-                    steps.append(interned.setdefault(pair, pair))
-            facts.append((lengths, steps))
-        entry = p._eigen_table[L] = (layers, values, facts, {})
+                steps = [(j, not w0.has_left_descent(j), layer_of.get(step(inv))) for j, step in right]
+                for k in range(1 - K, K):
+                    for j, up, ell_su in steps:
+                        key = (up, ell, ell_su, k)
+                        ok = verdicts.get(key)
+                        if ok is None:
+                            if ell_su is None:
+                                ok = False
+                            else:
+                                cu = values[ell][k + K]
+                                csu = values[ell_su][k + K]
+                                ok = (q1 * csu if up else csu + q1_minus_1 * cu) == -cu
+                            verdicts[key] = ok
+                        if not (ok and length_ok):
+                            failures.append((j, k, w0.window))
+        entry = p._eigen_table[L] = (layers, values, failures)
     return entry
 
 
@@ -262,46 +278,25 @@ def verify_eigen_generator(i: int, L: int, p: SphericalParams) -> EigenReport:
     as skipped.  Both sides carry the same chi_pi**(-k) factor, so the
     verdict is independent of the value of chi_pi.
 
-    The indices, the values and the facts of each case come from the
-    walk of ``_walk``: u' is pi**k * s_{i+k mod e} * w0, its layer comes
-    from the BFS, and the case from a left-descent test of w0 at
-    i + k mod e, not from the two layers, so a wrong case choice still
-    breaks the identity.  A case passes only when w0's inversion count is
-    its layer too; a u' outside the layers fails its case.  The verdict
-    depends only on the integers (case, l(u), l(u'), k), not on i, so it
-    is computed once per distinct key and (p, L).
+    With u = pi**k w0, u' is pi**k * s_j * w0 for j = i + k mod e.  As i
+    runs over the generators, j runs over them too, so each case of this
+    check is one case (w0, s_j, k) of ``_walk``, which decides them all
+    once per (p, L): the case from a left-descent test of w0 at j, not
+    from the two layers, so a wrong case choice still breaks the
+    identity, and the layer of u' from the BFS.  This check keeps the
+    walk's failures with (j - k) mod e = i, in the walk's (layer, window,
+    k) order, and counts its cases from the layer sizes.
     """
     if L < 1:
         raise ValueError("truncation L must be at least 1")
     e = p.e
     if not 0 <= i <= e - 1:
         raise ValueError(f"generator index {i} out of range 0..{e - 1}")
-    q1 = p.q1
-    q1_minus_1 = q1 - 1
+    layers, _, failing = _walk(p, L)
     # s_i * pi**k = pi**k * s_j with j = i + k mod e
-    shifted = [(k, (i + k) % e) for k in range(1 - K, K)]
-    layers, values, facts, verdicts = _walk(p, L)
-    checked = 0
-    failures = []
-    for ell, (layer, (lengths, steps)) in enumerate(zip(layers, facts)):
-        checked += len(layer) * len(shifted)
-        for n, (w0, length_ok) in enumerate(zip(layer, lengths)):
-            for k, j in shifted:
-                up, ell_su = steps[n * e + j]
-                key = (up, ell, ell_su, k)
-                ok = verdicts.get(key)
-                if ok is None:
-                    if ell_su is None:
-                        ok = False
-                    else:
-                        cu = values[ell][k + K]
-                        csu = values[ell_su][k + K]
-                        lhs = q1 * csu if up else csu + q1_minus_1 * cu
-                        ok = lhs == -cu
-                    verdicts[key] = ok
-                if not (ok and length_ok):
-                    failures.append({"k": k, "window": list(w0.window)})
-    return EigenReport(f"generator s_{i}", checked, len(shifted) * len(layers[L]), failures)
+    failures = [{"k": k, "window": list(window)} for j, k, window in failing if (j - k) % e == i]
+    interior = sum(map(len, layers[:L]))
+    return EigenReport(f"generator s_{i}", (2 * K - 1) * interior, (2 * K - 1) * len(layers[L]), failures)
 
 
 def verify_eigen_pi(L: int, p: SphericalParams) -> EigenReport:
@@ -346,23 +341,21 @@ def verify_eigen(e: int, L: int, chi_pi) -> dict:
 
 
 def eigen_cost(e: int, L: int) -> dict:
-    """What ``verify_eigen(e, L, chi_pi)`` holds: its BFS of n elements;
-    per element, the walk's length flag and e steps, and the 2(2K+1)
-    Hecke terms of the truncation and the pi product, each a key tuple of
-    two slots and a dict entry of three; per length 0..L, the walk's 2K+1
-    psi0 values, each a Laurent monomial and its one-term dict, 12 slots,
-    and their row list of four; and per length 1..L, at most 2(2K-1)
-    verdicts (a 4-tuple key and a dict entry, six slots each), the layer,
-    flag and step lists (four each), the fact pair and two interned steps
-    (three each), two ints for the length (two each), and one slot more
-    per Hecke term of the two elements every such length has at least: a
-    table that grows holds its old and new arrays at once.  At e = 2
-    these outweigh what the two elements' own slots leave room for."""
+    """What ``verify_eigen(e, L, chi_pi)`` holds at its peak, the pi
+    product: its BFS of n elements; per element, the 2(2K+1) Hecke terms
+    of the truncation and the product, each a key tuple of two slots and a
+    dict entry of three; per length 0..L, the walk's 2K+1 psi0 values,
+    each a Laurent monomial and its one-term dict, 12 slots, and their row
+    list of four; and per length 1..L, the layer list (four) and one slot
+    more per Hecke term of the two elements every such length has at
+    least: a table that grows holds its old and new arrays at once.  At
+    e = 2 these outweigh what the two elements' own slots leave room for.
+    The walk keeps only failing cases, none on a passing run, and drops
+    its window -> layer map and verdicts before the truncation is built."""
     cost = enumeration_cost(e, L)
     n = cost["elements"]
     terms = 2 * (2 * K + 1)
-    per_length = 2 * (2 * K - 1) * 6 + 3 * 4 + 3 * 3 + 2 * 2 + 2 * terms
-    slots = (e + 1 + terms * 5) * n + (12 * (2 * K + 1) + 4) * (L + 1) + per_length * L
+    slots = terms * 5 * n + (12 * (2 * K + 1) + 4) * (L + 1) + (4 + 2 * terms) * L
     return {"elements": n, "slots": cost["slots"] + slots}
 
 

@@ -143,9 +143,9 @@ _set_scale = PlaceOperator.scale.__set__
 
 @functools.lru_cache(maxsize=None)
 def _indices(e: int) -> tuple[int, ...]:
-    """0..e, one tuple per rank.  The perms of ``t_operator`` and ev's
-    Gamma getters read their entries from it, so past 256, where each
-    int is an object of its own, their e**2 entries share its ints."""
+    """0..e, one tuple per rank.  ``t_operator``, ev's Gamma getters and
+    ``word_perm`` read their entries from it, so past 256, where each int
+    is an object of its own, their perms share its ints."""
     return tuple(range(e + 1))
 
 
@@ -173,7 +173,7 @@ def word_perm(word, e: int) -> tuple[int, ...]:
 
     Right-composing with t_i swaps slots (i, i+1), or (1, e) for i = 0.
     """
-    perm = list(range(1, e + 1))
+    perm = list(_indices(e)[1:])
     for idx in word:
         a = idx - 1 if idx else e - 1
         perm[a], perm[idx] = perm[idx], perm[a]

@@ -44,17 +44,17 @@ ROWS = [
      "err": ("--e 2000: presentation", "could need 3994004000 slots", "cap of 10000000 slots")},
     {"argv": "all --e 2000", "code": 2, "timeout": 5,
      "err": ("--e 2000: presentation", "could need 3994004000 slots", "cap of 10000000 slots")},
-    # eigen at L = 1: e + 1 elements of 2e + 51 slots, the step table, 2
-    # rows of psi0 values and one length's 81 slots.  At e = 2 the BFS has
-    # 2L + 1 elements; the last accepted run peaks at about 245 MB of
-    # address space (Python 3.11, 6 s), so 500,000 KiB is about a 1.9x
+    # eigen at L = 1: e + 1 elements of e + 50 slots, the step table, 2
+    # rows of psi0 values and one length's 24 slots.  At e = 2 the BFS has
+    # 2L + 1 elements; the last accepted run peaks at about 253 MB of
+    # address space (Python 3.11, 5 s), so 500,000 KiB is about a 1.9x
     # margin
-    {"argv": "eigen --e 1817 --L 1", "code": 0, "timeout": 10},
-    {"argv": "eigen --e 1818 --L 1", "code": 2, "timeout": 5,
-     "err": ("--e 1818 --L 1: eigen", "could need 10010168 slots", "cap of 10000000 slots")},
-    {"argv": "eigen --e 2 --L 39215", "code": 0, "timeout": 20, "ulimit": 500000},
-    {"argv": "eigen --e 2 --L 39216", "code": 2, "timeout": 5,
-     "err": ("--e 2 --L 39216: eigen", "could need 10000201 slots", "cap of 10000000 slots")},
+    {"argv": "eigen --e 2223 --L 1", "code": 0, "timeout": 10},
+    {"argv": "eigen --e 2224 --L 1", "code": 2, "timeout": 5,
+     "err": ("--e 2224 --L 1: eigen", "could need 10003754 slots", "cap of 10000000 slots")},
+    {"argv": "eigen --e 2 --L 52082", "code": 0, "timeout": 20, "ulimit": 500000},
+    {"argv": "eigen --e 2 --L 52083", "code": 2, "timeout": 5,
+     "err": ("--e 2 --L 52083: eigen", "could need 10000054 slots", "cap of 10000000 slots")},
     # coefficient at L = 0: one window and ev's word, e slots each, 2e
     # perms of e slots that share one tuple's ints and the step table,
     # 3e**2 + e; the last accepted run peaks at about 106 MB of address
@@ -91,13 +91,13 @@ EXACT = [
     ("all --e 3 --L 3", "weyl.ENUM_CAP", "elements", 19, "--e 3 --L 3: eigen"),
     # 19 windows of 3 slots and the step table's 6: 63.  coefficient
     # holds 2 * 57 + 18 + 6 = 138.  eigen, which all runs too, holds 63 +
-    # 19 * 54 per element, 4 * 64 per psi0 row and 3 * 81 per length
-    ("eigen --e 3 --L 3", "weyl.SLOT_CAP", "slots", 1588, "--e 3 --L 3: eigen"),
+    # 19 * 50 per element, 4 * 64 per psi0 row and 3 * 24 per length
+    ("eigen --e 3 --L 3", "weyl.SLOT_CAP", "slots", 1341, "--e 3 --L 3: eigen"),
     ("coefficient --e 3 --L 3", "weyl.SLOT_CAP", "slots", 138, "--e 3 --L 3: coefficient"),
     ("growth --e 3 --L 3", "weyl.SLOT_CAP", "slots", 63, "--e 3 --L 3: growth"),
     ("distinction --e 3 --L 3", "weyl.SLOT_CAP", "slots", 63, "--e 3 --f 1 --q0 2 --L 3: distinction"),
-    ("all --e 3 --L 3", "weyl.SLOT_CAP", "slots", 1588, "--e 3 --L 3: eigen"),
-    # at e = 17 presentation's 2,057 is over eigen's 2,011 at L = 1
+    ("all --e 3 --L 3", "weyl.SLOT_CAP", "slots", 1341, "--e 3 --L 3: eigen"),
+    # at e = 17 presentation's 2,057 is over eigen's 1,630 at L = 1
     ("presentation --e 6 --samples 0", "weyl.SLOT_CAP", "slots", 66, "--e 6: presentation"),
     ("all --e 17 --L 1", "weyl.SLOT_CAP", "slots", 2057, "--e 17: presentation"),
     ("poincare --e 7", "cli.DIGIT_CAP", "digits", 11, "--e 7: poincare"),

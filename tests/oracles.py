@@ -39,7 +39,11 @@ the code it checks:
 - ``ev_reference``: the evaluation map with a fresh conjugate, reduced
   word, Gamma power and scale on every call, no table.  test_tensor.py
   compares ``ev``, which keeps each conjugate's word in a per-params
-  table, with it.
+  table, with it.  It calls ``_conjugate_window`` (through
+  ``conjugate_by_pi``), ``reduced_word``, ``word_perm``,
+  ``gamma_operator``, ``PlaceOperator.power`` and ``q_power``, as ``ev``
+  does, so it checks ``ev``'s tables, not its formula: a fault in one of
+  those helpers reaches both sides alike.
 - ``reduced_word_independence_reference``: the reduced-word check with
   every reduced word of every element enumerated.  test_tensor.py checks
   that ``verify_coefficient``, which composes ``ev``'s operator of each
@@ -48,8 +52,9 @@ the code it checks:
 - ``eigen_generator_reference``: the check [s_i] * Psi0 = -Psi0 by a
   fresh BFS, both lengths compared for every case and the generator
   rule evaluated for every case.  test_spherical.py compares
-  ``verify_eigen_generator``, which shares its layers, reads the case
-  from a descent test and memoises verdicts, with it.
+  ``verify_eigen_generator``, which reads the failing cases of s_i from
+  the walk that decides every case (w0, s_j, k) of one job once, the
+  case from a descent test, with it.
 - ``bott_product_series``: the growth series of W0 as Bott's product
   prod_{i=1}^{e-1} (1 - X**(i+1)) / ((1 - X)(1 - X**i)), expanded in
   integers factor by factor.  test_distinction.py checks the closed

@@ -49,6 +49,15 @@ def test_coset_measure_examples():
         coset_measure(w2, 1, 1)
 
 
+def test_validation_raises_name_each_fault():
+    with pytest.raises(ValueError, match="^f must be a positive integer$"):
+        coset_measure(AffinePermutation.identity(3), 0, 2)
+    with pytest.raises(ValueError, match="^rank e must be at least 2$"):
+        poincare_closed_form(1)
+    with pytest.raises(ValueError, match="^truncation L must be nonnegative$"):
+        distinction_integral(3, 1, 2, -1)
+
+
 def test_volumes_and_terms_are_q0_monomials():
     # the volume, the closed coefficient and their product are signed
     # powers of q0, compared by (sign, exponent): 3**(4*2), (-1/q1)**2 *

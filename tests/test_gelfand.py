@@ -35,6 +35,11 @@ def test_trivial_representation_fixed_space():
     assert len(basis) == 3
 
 
+def test_nullspace_of_no_rows_is_empty():
+    # with no rows there is no column count to span
+    assert gf.nullspace(()) == []
+
+
 def test_s3_standard_fixed_line():
     rep = symmetric_group_standard_rep(3)
     K = point_stabilizer(rep, 3)

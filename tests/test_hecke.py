@@ -398,6 +398,18 @@ def test_element_and_basis_reject_another_rank():
     assert A.element({ExtendedWeylElement.identity(3): 1}) == A.one()
 
 
+def test_algebra_needs_rank_two():
+    with pytest.raises(ValueError, match="^rank e must be at least 2$"):
+        HeckeAlgebra(1, LaurentPoly.variable())
+
+
+def test_a_scalar_multiplies_on_either_side():
+    A = generic_algebra(3)
+    h = A.generator_basis(1) + A.basis(pi_element(3))
+    for c in (Fraction(-2, 3), 5, LaurentPoly.variable() - 1):
+        assert h * c == c * h == h.scale(c), c
+
+
 def test_mode_and_rank_mismatch():
     A = generic_algebra(3)
     B = HeckeAlgebra(3, Fraction(4))
@@ -406,6 +418,9 @@ def test_mode_and_rank_mismatch():
         A.product(A.one(), B.one())
     with pytest.raises(ValueError):
         A.product(A.one(), C.one())
+    for other in (B, C):
+        with pytest.raises(ValueError, match="^rank/mode mismatch$"):
+            A.one() + other.one()
 
 
 @pytest.mark.parametrize("e", [2, 3, 4])

@@ -74,6 +74,15 @@ def test_non_invertible_errors():
         (LaurentPoly.variable() + 1).inverse()
     with pytest.raises(NonInvertibleError):
         scalar_power(LaurentPoly.variable() + 1, -2)
+    with pytest.raises(NonInvertibleError, match="^NonInvertible: only monomials are units"):
+        (LaurentPoly.variable() + 1) ** -1
+
+
+def test_repr_of_zero_and_constants():
+    q = LaurentPoly.variable()
+    assert repr(LaurentPoly.constant(0)) == repr(q - q) == "0"
+    assert repr(LaurentPoly.constant(Fraction(-3, 2))) == "-3/2"
+    assert repr(q**2 - 3 * q.inverse() + 1) == "q^2 + 1 - 3*q^-1"
 
 
 def test_scalar_power_rejects_a_float():

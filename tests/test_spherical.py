@@ -256,6 +256,33 @@ def test_flipped_case_fails_every_generator_case_on_the_command_line(monkeypatch
     assert capsys.readouterr().out == cli.emit("eigen", expected, "json")
 
 
+@pytest.mark.parametrize("e", [2, 3, 4, 5])
+def test_one_flipped_step_fails_one_case_per_pi_power(e, monkeypatch):
+    # the descent test flipped at one pair (x, j) only: s_i pi**k = pi**k
+    # s_j puts x's case at k in the check of s_i for i + k = j mod e, so
+    # the e checks list x once per k in all, each in k order, and nothing
+    # else.  j = 0 and j = e - 1 make i wrap around; at e = 2 the check of
+    # s_{j+1} lists x at k = -1 and at k = 1
+    L = 3
+    x = enumerate_by_length(e, L)[L - 1][-1]
+    honest = AffinePermutation.has_left_descent
+    for j in (0, e - 1):
+        monkeypatch.setattr(
+            AffinePermutation, "has_left_descent",
+            lambda w0, i, j=j: honest(w0, i) != (w0 == x and i == j),
+        )
+        p = SphericalParams.generic(e, chi_pi=Fraction(2))
+        got = [verify_eigen_generator(i, L, p).failures for i in range(e)]
+        want = [
+            [{"k": k, "window": list(x.window)} for k in (-1, 0, 1) if (i + k) % e == j]
+            for i in range(e)
+        ]
+        assert got == want, (e, j)
+        assert sum(map(len, got)) == 3, (e, j)
+        if e == 2:
+            assert [w["k"] for w in got[(j + 1) % e]] == [-1, 1]
+
+
 def test_generator_checks_compute_each_step_once(monkeypatch):
     # the e generator checks of one job share one step table: each
     # (w0, s_j) is descent-tested once, each w0 is inverted once for the
@@ -506,6 +533,8 @@ def test_params_validation():
         SphericalParams.numeric(1, 1, 2)
     with pytest.raises(ValueError):
         SphericalParams(3, 2, None)  # generic mode has f = 1
+    with pytest.raises(ValueError, match="^f must be a positive integer$"):
+        SphericalParams.numeric(3, 0, 2)
 
 
 def test_eigen_generator_validation_names_each_fault():

@@ -103,6 +103,16 @@ def test_t_operator_slots():
         t_operator(3, 3)
 
 
+def test_operator_constructors_check_their_input():
+    with pytest.raises(ValueError, match="^perm must be a permutation of 1..e in one-line form$"):
+        PlaceOperator(3, (1, 1, 3))
+    with pytest.raises(ValueError, match="^perm must be a permutation of 1..e in one-line form$"):
+        PlaceOperator(3, (0, 1, 2))
+    with pytest.raises(ValueError, match="^rank e must be at least 2$"):
+        gamma_operator(1)
+    assert PlaceOperator(3, (3, 1, 2)).perm == (3, 1, 2)
+
+
 def test_gamma_rotation():
     v = TensorVector.pure([[1, 0], [0, 1], [2, 3]])
     rotated = apply_operator(gamma_operator(3), v)

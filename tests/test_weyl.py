@@ -465,6 +465,8 @@ def test_enumerate_by_length_examples():
         layers = enumerate_by_length(e, 1)
         assert layers[0] == [AffinePermutation.identity(e)]
         assert len(layers[1]) == e
+    with pytest.raises(ValueError, match="^max_length must be nonnegative$"):
+        enumerate_by_length(3, -1)
 
 
 def test_enumerate_layers_visit_order_independent():
