@@ -39,7 +39,7 @@ from fractions import Fraction
 
 from .scalars import LaurentPoly, Monomial, Value, _as_fraction, format_rational
 from .spherical import SphericalParams, exact_q0, matrix_coefficient_scalar
-from .weyl import AffinePermutation, enumeration_cost, enumerate_by_length
+from .weyl import AffinePermutation, _inversions, enumeration_cost, iter_layers
 
 __all__ = [
     "IntegralReport",
@@ -85,10 +85,12 @@ def per_term_value(w0: AffinePermutation, f: int, q0) -> Monomial:
 def growth_bfs(e: int, max_length: int) -> tuple[int, ...]:
     """Counts N(0..max_length) of W0 elements by length, from the BFS layers.
 
-    They are reported as found: a count that disagrees with the closed
-    form is a failing row of the ``growth`` check, not an error here.
+    The raw layers of ``iter_layers`` are counted as they come, so the
+    count holds about three layers of windows, not the ball.  They are
+    reported as found: a count that disagrees with the closed form is a
+    failing row of the ``growth`` check, not an error here.
     """
-    return tuple(len(layer) for layer in enumerate_by_length(e, max_length))
+    return tuple(len(layer) for layer in iter_layers(e, max_length))
 
 
 @functools.lru_cache(maxsize=None)
@@ -204,9 +206,11 @@ def distinction_integral(e: int, f: int, q0, L: int) -> IntegralReport:
     normalized by the vector pairing; the k-sum over the e rotation
     classes contributes the factor e because every term is
     k-independent.  A term depends on w0 only through l(w0), so the sum
-    is taken per BFS layer: every element's inversion count is checked
-    against its layer index, and the layer adds len(layer) copies of
-    the term of its first element, itself checked against
+    is taken per BFS layer, over the raw layers of ``iter_layers`` as
+    they come, about three layers held at once: every window's
+    inversion count (``_inversions``) is checked against its layer
+    index, and the layer adds len(layer) copies of the term of its
+    first element, the one element built, itself checked against
     (-1/q0**f)**l as a signed power of q0: their signs and exponents must
     agree, and no term is built as a rational to be compared.  Nor is
     one built to be added: the layers' counts, signed, are summed as int
@@ -222,15 +226,14 @@ def distinction_integral(e: int, f: int, q0, L: int) -> IntegralReport:
     if L < 0:
         raise ValueError("truncation L must be nonnegative")
     y = Monomial(q0, 1, -f)
-    layers = enumerate_by_length(e, L)
     # int numerators by q0-exponent: sum of count * sign * q0**exponent
     inner, tail = {}, {}
     rest = 0  # terms that are not powers of q0, summed exactly
     per_term_ok = True
-    for ell, layer in enumerate(layers):
-        if any(w0.length() != ell for w0 in layer):
+    for ell, layer in enumerate(iter_layers(e, L)):
+        if any(_inversions(w, e) != ell for w in layer):
             per_term_ok = False
-        term = per_term_value(layer[0], f, q0)
+        term = per_term_value(AffinePermutation._raw(e, layer[0]), f, q0)
         if term != (-y) ** ell:
             per_term_ok = False
         if type(term) is Monomial and term.base == q0:

@@ -7,7 +7,7 @@ W0, a Coxeter group on the generators s_0, ..., s_{e-1}, where s_i for
 i >= 1 swaps the values i, i+1 (mod e) and s_0 = pi * s_1 * pi**-1 for the
 rotation element pi : x -> x - 1.  Every element of the extended group
 W = <pi> x| W0 has the canonical form pi**k * w0, and the length of w0 is
-counted by affine inversions:
+counted by affine inversions, in ``_inversions`` alone:
 
     l(w) = sum over 1 <= i < j <= e of |floor((w(j) - w(i)) / e)|
 
@@ -19,7 +19,8 @@ Windows are validated where they enter (``AffinePermutation(e, window)``,
 simple reflections skip the checks through ``AffinePermutation._raw``.
 So is the extended ``multiply``, which builds its canonical form from one
 ``conjugate_by_pi`` and one ``compose``, and so are the layers of
-``enumerate_by_length``.  Both element types are slotted
+``enumerate_by_length``: the window layers that ``iter_layers`` yields
+one at a time, wrapped.  Both element types are slotted
 :class:`~heckezonal.scalars.Value` types.
 
 Only this module edits windows, and each step by a simple reflection is
@@ -57,6 +58,7 @@ __all__ = [
     "multiply",
     "all_reduced_words",
     "enumerate_by_length",
+    "iter_layers",
     "conjugate_by_pi",
     "perm_compose",
     "random_element",
@@ -124,11 +126,8 @@ class AffinePermutation(Value):
         return AffinePermutation._raw(self.e, tuple(_inverse_window(self.e, self.window)))
 
     def length(self) -> int:
-        """Coxeter length, via the affine inversion count."""
-        e, total = self.e, 0
-        for a, b in combinations(self.window, 2):
-            total += abs((b - a) // e)
-        return total
+        """Coxeter length, via the affine inversion count ``_inversions``."""
+        return _inversions(self.window, self.e)
 
     def has_left_descent(self, i: int) -> bool:
         """True iff l(s_i * self) = l(self) - 1: the flag of ``_left_step``."""
@@ -162,6 +161,15 @@ class AffinePermutation(Value):
 
 _set_e = AffinePermutation.e.__set__
 _set_window = AffinePermutation.window.__set__
+
+
+def _inversions(window: tuple[int, ...], e: int) -> int:
+    """The affine inversion count of the W0 element with this window, its
+    Coxeter length: the sum of |floor((w(j) - w(i)) / e)| over i < j."""
+    total = 0
+    for a, b in combinations(window, 2):
+        total += abs((b - a) // e)
+    return total
 
 
 def _inverse_window(e: int, window: tuple[int, ...]) -> list[int]:
@@ -343,39 +351,43 @@ def random_element(e: int, rng) -> ExtendedWeylElement:
     return ExtendedWeylElement.from_full_window(e, tuple([v - k for v in w.full_window()]))
 
 
-def enumerate_by_length(e: int, max_length: int) -> list[list[AffinePermutation]]:
-    """Layers of W0 grouped by length, from a breadth-first search.
+def iter_layers(e: int, max_length: int):
+    """The layers of W0 by length, from a breadth-first search, each
+    yielded as a sorted list of window tuples as soon as it is complete.
 
-    Layer l holds every w0 of length exactly l, each once, sorted by
-    window, so the output is independent of hash or visit order.  The
-    search multiplies by generators only and never consults length(),
+    Layer l holds the window of every w0 of length exactly l, each once,
+    sorted, so the output is independent of hash or visit order.  The
+    search multiplies by generators only and never counts inversions,
     which keeps it usable as an independent distance oracle.
 
-    It runs on raw window tuples and steps by right multiplication,
-    w -> w s_i, through the table ``_right_steps(e)``.  As
-    l(w s) = l(w) +- 1, the Cayley graph is bipartite: a
-    neighbour of layer l lies in layer l - 1 or l + 1, so each candidate
-    is tested against the layer below and the growing frontier only.
-    The cap is the module constant ``ENUM_CAP``, read at call time, and
-    counts every element enumerated as it joins; it is a backstop, as
-    the command line counts the elements before it enumerates.  The
-    sorted layers are wrapped through ``AffinePermutation._raw`` at the
-    end.
+    It steps by right multiplication, w -> w s_i, through the table
+    ``_right_steps(e)``.  As l(w s) = l(w) +- 1, the Cayley graph is
+    bipartite: a neighbour of layer l lies in layer l - 1 or l + 1, so
+    each candidate is tested against the layer below and the growing
+    frontier only, and the search holds those two and the layer it
+    steps from.  The cap is the module constant ``ENUM_CAP`` and counts
+    every element enumerated as it joins; it is a backstop, as the
+    command line counts the elements before it enumerates.  Being a
+    generator, it reads the cap and checks its arguments when the first
+    layer is drawn, not at the call.
 
-    >>> [len(layer) for layer in enumerate_by_length(3, 4)]
+    >>> [len(layer) for layer in iter_layers(3, 4)]
     [1, 3, 6, 9, 12]
+    >>> next(iter_layers(3, 0))
+    [(1, 2, 3)]
     """
     if max_length < 0:
         raise ValueError("max_length must be nonnegative")
     cap = ENUM_CAP
     identity = AffinePermutation.identity(e).window
     below, here = set(), {identity}
-    layers = [[identity]]
+    layer = [identity]
+    yield layer
     total = 1
     for _ in range(max_length):
         # fetched per layer, so L = 0 builds no table at a large rank
         steps, frontier = _right_steps(e), set()
-        for w in layers[-1]:
+        for w in layer:
             for step in steps:
                 u = step(w)
                 if u not in below and u not in frontier:
@@ -386,9 +398,19 @@ def enumerate_by_length(e: int, max_length: int) -> list[list[AffinePermutation]
                         )
         total += len(frontier)
         below, here = here, frontier
-        layers.append(sorted(frontier))
+        layer = sorted(frontier)
+        yield layer
+
+
+def enumerate_by_length(e: int, max_length: int) -> list[list[AffinePermutation]]:
+    """The layers of ``iter_layers(e, max_length)``, all of them, each
+    window wrapped as an element through ``AffinePermutation._raw``.
+
+    >>> [len(layer) for layer in enumerate_by_length(3, 4)]
+    [1, 3, 6, 9, 12]
+    """
     wrap = AffinePermutation._raw
-    return [[wrap(e, w) for w in layer] for layer in layers]
+    return [[wrap(e, w) for w in layer] for layer in iter_layers(e, max_length)]
 
 
 def w0_count(e: int, L: int, cap: int) -> int:

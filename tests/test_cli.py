@@ -58,8 +58,8 @@ def test_growth_csv_rows():
 
 
 def test_growth_fails_a_missing_last_layer(monkeypatch, capsys):
-    honest = dst.enumerate_by_length
-    monkeypatch.setattr(dst, "enumerate_by_length", lambda e, L: honest(e, L)[:-1])
+    honest = dst.iter_layers
+    monkeypatch.setattr(dst, "iter_layers", lambda e, L: list(honest(e, L))[:-1])
     assert cli.run(["growth", "--e", "3", "--L", "4"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is False
@@ -104,6 +104,23 @@ def test_usage_errors_exit_2():
     assert run_cli("nonsense").returncode == 2
     proc = run_cli("distinction", "--e", "2")
     assert b"odd" in proc.stderr
+
+
+# one argv per flag bound of _validate, with its message
+FLAG_BOUNDS = {
+    "growth --e 1": "--e must be at least 2",
+    "coefficient --f 0": "--f must be at least 1",
+    "growth --L -1": "--L must be nonnegative",
+    "presentation --samples -1": "--samples must be nonnegative",
+}
+
+
+@pytest.mark.parametrize("argv, message", FLAG_BOUNDS.items(), ids=list(FLAG_BOUNDS))
+def test_each_flag_bound_exits_2_in_process(argv, message, capsys):
+    assert cli.run(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_q0_must_be_prime_power():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -24,7 +25,7 @@ from heckezonal.distinction import (
 )
 from heckezonal.scalars import LaurentPoly, Monomial, _as_fraction
 from heckezonal.spherical import SphericalParams, matrix_coefficient_scalar
-from heckezonal.weyl import AffinePermutation, enumerate_by_length, generator, multiply, w0_count
+from heckezonal.weyl import AffinePermutation, enumerate_by_length, generator, iter_layers, multiply, w0_count
 
 from oracles import bott_product_series, coset_sums, mutate
 
@@ -265,17 +266,46 @@ def test_integer_numerators_match_the_layer_fraction_sums(form, monkeypatch):
 
 @pytest.mark.parametrize("position", [0, -1])
 def test_wrong_length_on_one_element_fails(monkeypatch, capsys, position):
-    # off by one on a single element of layer 3, first or last
-    target = enumerate_by_length(3, 3)[3][position]
-    length = AffinePermutation.length
-
-    def patched(self):
-        return length(self) + (self == target)
-
-    monkeypatch.setattr(AffinePermutation, "length", patched)
+    # off by one on a single window of layer 3, first or last, in the
+    # inversion count the per-element check reads; the layer's term is
+    # built from the true length, so only that check can see it
+    target = enumerate_by_length(3, 3)[3][position].window
+    honest = dst._inversions
+    monkeypatch.setattr(dst, "_inversions", lambda w, e: honest(w, e) + (w == target))
     assert not distinction_integral(3, 1, 2, 5).per_term_ok
     assert cli.run(["distinction", "--e", "3", "--L", "5"]) == 1
     assert '"per_term_ok": false' in capsys.readouterr().out
+
+
+def test_coset_sweep_builds_one_element_per_layer(constructions):
+    # the per-element check and the counts read raw windows; the one
+    # element built per layer is the first, for its term, after the
+    # identity that checks the rank
+    firsts = [layer[0] for layer in iter_layers(3, 6)]
+    constructions.clear()
+    distinction_integral(3, 1, 2, 6)
+    assert constructions == [(1, 2, 3), *firsts]
+    constructions.clear()
+    growth_bfs(3, 6)
+    assert constructions == [(1, 2, 3)]
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_coset_sweep_streams_its_layers():
+    # distinction and growth hold about three layers of windows, not the
+    # ball: at e = 3, L = 300 (135,451 elements) each traced peak is under
+    # a tenth of enumerate_by_length's
+    ball = traced_peak(enumerate_by_length, 3, 300)
+    assert traced_peak(distinction_integral, 3, 1, 2, 300) < ball / 10
+    assert traced_peak(growth_bfs, 3, 300) < ball / 10
 
 
 def test_per_term_check_catches_a_wrong_term_past_length_1(monkeypatch):

@@ -1,6 +1,5 @@
 """Hecke algebra: basis products, defining relations, the character."""
 
-import doctest
 import json
 import random
 import tracemalloc
@@ -41,11 +40,6 @@ def random_element(algebra, rng, max_len=4, terms=2, max_k=1):
         w = multiply(ExtendedWeylElement(k, AffinePermutation.identity(e)), w)
         coeffs[w] = coeffs.get(w, 0) + rng.randrange(-3, 4)
     return algebra.element(coeffs)
-
-
-def test_doctests():
-    failures, attempted = doctest.testmod(hecke)
-    assert failures == 0 and attempted > 0
 
 
 def test_basis_identity_and_pi_units():

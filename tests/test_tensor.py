@@ -1,6 +1,5 @@
 """Place operators, the evaluation map, and the operator-model oracle."""
 
-import doctest
 import json
 import random
 from fractions import Fraction
@@ -62,11 +61,6 @@ def assert_matches_validated(op):
         op.scale = checked.scale
     with pytest.raises(AttributeError):
         del op.scale
-
-
-def test_doctests():
-    failures, attempted = doctest.testmod(tensor)
-    assert failures == 0 and attempted > 0
 
 
 def test_trusted_operators_match_validated():

@@ -94,24 +94,24 @@ def wrong_t0(monkeypatch):
 
 
 def lost_element(monkeypatch):
-    honest = dst.enumerate_by_length
+    honest = dst.iter_layers
 
     def patched(e, L):
-        layers = honest(e, L)
+        layers = list(honest(e, L))
         return layers[:-1] + [layers[-1][:-1]]
 
-    monkeypatch.setattr(dst, "enumerate_by_length", patched)
+    monkeypatch.setattr(dst, "iter_layers", patched)
 
 
 def lost_length_one_element(monkeypatch):
     # N(1) = e is no input check: the loss is a failing row like any other
-    honest = dst.enumerate_by_length
+    honest = dst.iter_layers
 
     def patched(e, L):
-        layers = honest(e, L)
+        layers = list(honest(e, L))
         return [layers[0], layers[1][1:], *layers[2:]]
 
-    monkeypatch.setattr(dst, "enumerate_by_length", patched)
+    monkeypatch.setattr(dst, "iter_layers", patched)
 
 
 def fractional_coefficient(monkeypatch):
@@ -128,8 +128,8 @@ def fractional_coefficient(monkeypatch):
 
 
 def lost_last_layer(monkeypatch):
-    honest = dst.enumerate_by_length
-    monkeypatch.setattr(dst, "enumerate_by_length", lambda e, L: honest(e, L)[:-1])
+    honest = dst.iter_layers
+    monkeypatch.setattr(dst, "iter_layers", lambda e, L: list(honest(e, L))[:-1])
 
 
 def negative_value(monkeypatch):
@@ -138,9 +138,11 @@ def negative_value(monkeypatch):
 
 
 def wrong_length(monkeypatch):
-    target = enumerate_by_length(3, 3)[3][0]
-    honest = AffinePermutation.length
-    monkeypatch.setattr(AffinePermutation, "length", lambda self: honest(self) + (self == target))
+    # off by one in the inversion count of the first window of layer 3, as
+    # the per-element check reads it; the layer's term keeps the true length
+    target = enumerate_by_length(3, 3)[3][0].window
+    honest = dst._inversions
+    monkeypatch.setattr(dst, "_inversions", lambda w, e: honest(w, e) + (w == target))
 
 
 def flipped_sign(monkeypatch):

