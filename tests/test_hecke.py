@@ -1,5 +1,6 @@
 """Hecke algebra: basis products, defining relations, the character."""
 
+import doctest
 import json
 import random
 import tracemalloc
@@ -40,6 +41,13 @@ def random_element(algebra, rng, max_len=4, terms=2, max_k=1):
         w = multiply(ExtendedWeylElement(k, AffinePermutation.identity(e)), w)
         coeffs[w] = coeffs.get(w, 0) + rng.randrange(-3, 4)
     return algebra.element(coeffs)
+
+
+def test_doctests(pytestconfig):
+    # --doctest-modules runs the module's examples; here they are only
+    # found, so a deleted or mistyped >>> block cannot pass as zero run
+    assert pytestconfig.getoption("doctestmodules")
+    assert any(t.examples for t in doctest.DocTestFinder().find(hecke))
 
 
 def test_basis_identity_and_pi_units():

@@ -1,5 +1,6 @@
 """Exact scalar arithmetic: ring operations, units, evaluation."""
 
+import doctest
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import FractionLaurentPoly
 
+import heckezonal.scalars
 from heckezonal.scalars import (
     LaurentPoly,
     Monomial,
@@ -18,6 +20,13 @@ from heckezonal.scalars import (
     scalar_inverse,
     scalar_power,
 )
+
+
+def test_doctests(pytestconfig):
+    # --doctest-modules runs the module's examples; here they are only
+    # found, so a deleted or mistyped >>> block cannot pass as zero run
+    assert pytestconfig.getoption("doctestmodules")
+    assert any(t.examples for t in doctest.DocTestFinder().find(heckezonal.scalars))
 
 
 def test_rational_arithmetic_examples():

@@ -1,5 +1,6 @@
 """Place operators, the evaluation map, and the operator-model oracle."""
 
+import doctest
 import json
 import random
 from fractions import Fraction
@@ -61,6 +62,13 @@ def assert_matches_validated(op):
         op.scale = checked.scale
     with pytest.raises(AttributeError):
         del op.scale
+
+
+def test_doctests(pytestconfig):
+    # --doctest-modules runs the module's examples; here they are only
+    # found, so a deleted or mistyped >>> block cannot pass as zero run
+    assert pytestconfig.getoption("doctestmodules")
+    assert any(t.examples for t in doctest.DocTestFinder().find(tensor))
 
 
 def test_trusted_operators_match_validated():

@@ -1,5 +1,6 @@
 """Extended affine Weyl group: windows, lengths, words, enumeration."""
 
+import doctest
 import random
 
 import pytest
@@ -46,6 +47,13 @@ def bfs_distance(target: ExtendedWeylElement) -> int:
         dist += 1
         assert dist < 50, "runaway BFS"
     return dist
+
+
+def test_doctests(pytestconfig):
+    # --doctest-modules runs the module's examples; here they are only
+    # found, so a deleted or mistyped >>> block cannot pass as zero run
+    assert pytestconfig.getoption("doctestmodules")
+    assert any(t.examples for t in doctest.DocTestFinder().find(heckezonal.weyl))
 
 
 def test_generator_examples():
