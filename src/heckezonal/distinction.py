@@ -85,10 +85,11 @@ def per_term_value(w0: AffinePermutation, f: int, q0) -> Monomial:
 def growth_bfs(e: int, max_length: int) -> tuple[int, ...]:
     """Counts N(0..max_length) of W0 elements by length, from the BFS layers.
 
-    The raw layers of ``iter_layers`` are counted as they come, so the
-    count holds about three layers of windows, not the ball.  They are
-    reported as found: a count that disagrees with the closed form is a
-    failing row of the ``growth`` check, not an error here.
+    The raw layers of ``iter_layers`` are counted as they come, unsorted,
+    so the count holds about three layers of windows and the columns of
+    one, not the ball.  They are reported as found: a count that
+    disagrees with the closed form is a failing row of the ``growth``
+    check, not an error here.
     """
     return tuple(len(layer) for layer in iter_layers(e, max_length))
 
@@ -139,10 +140,18 @@ def growth_closed_form(e: int, max_length: int) -> tuple[int, ...]:
     return tuple(poincare_series_coefficients(e, max_length))
 
 
+# a growth report row in slots: its dict and ints and, as the report is
+# printed, its JSON chunks and text, which trace about 1,060 B a row at
+# e = 2 (Python 3.11), under 45 slots of 24 B
+ROW_SLOTS = 45
+
+
 def growth_cost(e: int, L: int) -> dict:
-    """What the growth check holds: the BFS of ``growth_bfs``, and the
-    closed form's (1 - X)**e, whose binomials are the Poincare bound at 0."""
-    return {**enumeration_cost(e, L), **poincare_cost(e, [Fraction(0)])}
+    """What the growth check holds: the BFS of ``growth_bfs``, a report row
+    per length 0..L, which outweigh the BFS at e = 2, and the closed
+    form's (1 - X)**e, whose binomials are the Poincare bound at 0."""
+    cost = enumeration_cost(e, L)
+    return {**cost, "slots": cost["slots"] + ROW_SLOTS * (L + 1), **poincare_cost(e, [Fraction(0)])}
 
 
 def poincare_value(e: int, x) -> Fraction:
@@ -207,10 +216,11 @@ def distinction_integral(e: int, f: int, q0, L: int) -> IntegralReport:
     classes contributes the factor e because every term is
     k-independent.  A term depends on w0 only through l(w0), so the sum
     is taken per BFS layer, over the raw layers of ``iter_layers`` as
-    they come, about three layers held at once: every window's
+    they come, unsorted, about three layers held at once: every window's
     inversion count (``_inversions``) is checked against its layer
     index, and the layer adds len(layer) copies of the term of its
-    first element, the one element built, itself checked against
+    first element in the search's order, which no sum reads, the one
+    element built, itself checked against
     (-1/q0**f)**l as a signed power of q0: their signs and exponents must
     agree, and no term is built as a rational to be compared.  Nor is
     one built to be added: the layers' counts, signed, are summed as int

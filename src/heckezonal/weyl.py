@@ -20,13 +20,16 @@ simple reflections skip the checks through ``AffinePermutation._raw``.
 So is the extended ``multiply``, which builds its canonical form from one
 ``conjugate_by_pi`` and one ``compose``, and so are the layers of
 ``enumerate_by_length``: the window layers that ``iter_layers`` yields
-one at a time, wrapped.  Both element types are slotted
+one at a time, sorted and wrapped.  Both element types are slotted
 :class:`~heckezonal.scalars.Value` types.
 
 Only this module edits windows, and each step by a simple reflection is
-written once: ``_right_steps(e)[j]`` maps the window of w to that of
-w * s_j, ``_right_step`` gives it with the right-descent test, and
-``_left_step`` gives the window of s_j * w with the left-descent test.
+written once for each form it takes: ``_right_steps(e)[j]`` maps the
+window of w to that of w * s_j, ``_right_step`` gives it with the
+right-descent test, ``_column_steps`` gives it for every window of a
+layer at once, as one ``zip`` over the layer's columns (the tests hold
+it to the table, window for window), and ``_left_step`` gives the
+window of s_j * w with the left-descent test.
 ``_conjugate_window`` gives the window of pi**k w pi**-k, which
 ``conjugate_by_pi`` wraps.  ``reduced_word`` alone edits an inverse
 window in place, as it is the hot path of every Hecke product.
@@ -351,25 +354,43 @@ def random_element(e: int, rng) -> ExtendedWeylElement:
     return ExtendedWeylElement.from_full_window(e, tuple([v - k for v in w.full_window()]))
 
 
+def _column_steps(columns: list, e: int):
+    """The windows of w * s_j for every window w of a layer, j = 0..e-1:
+    each is one ``zip`` over the layer's e columns (``columns[i]`` holds
+    slot i + 1), built as it is drawn, so that one step's iterators are
+    held at a time.  As ``_right_steps(e)[j]`` does to one window, s_j
+    for j >= 1 swaps columns j and j + 1, and s_0 swaps the outer two,
+    lowers the new first by e and raises the new last by e."""
+    first, *inner, last = columns
+    yield zip(map((-e).__add__, last), *inner, map(e.__add__, first))
+    for j in range(1, e):
+        yield zip(*columns[:j - 1], columns[j], columns[j - 1], *columns[j + 1:])
+
+
 def iter_layers(e: int, max_length: int):
     """The layers of W0 by length, from a breadth-first search, each
-    yielded as a sorted list of window tuples as soon as it is complete.
+    yielded as a list of window tuples as soon as it is complete.
 
     Layer l holds the window of every w0 of length exactly l, each once,
-    sorted, so the output is independent of hash or visit order.  The
+    in the search's own set order.  That order is deterministic, as a
+    window is a tuple of ints, whose hash does not depend on
+    ``PYTHONHASHSEED``, but it is not sorted: ``enumerate_by_length``
+    sorts, for the checks that list witnesses in window order.  The
     search multiplies by generators only and never counts inversions,
     which keeps it usable as an independent distance oracle.
 
-    It steps by right multiplication, w -> w s_i, through the table
-    ``_right_steps(e)``.  As l(w s) = l(w) +- 1, the Cayley graph is
-    bipartite: a neighbour of layer l lies in layer l - 1 or l + 1, so
-    each candidate is tested against the layer below and the growing
-    frontier only, and the search holds those two and the layer it
-    steps from.  The cap is the module constant ``ENUM_CAP`` and counts
-    every element enumerated as it joins; it is a backstop, as the
-    command line counts the elements before it enumerates.  Being a
-    generator, it reads the cap and checks its arguments when the first
-    layer is drawn, not at the call.
+    It steps by right multiplication, w -> w s_j, a whole layer at a
+    time: the layer is transposed once into its e columns, and each
+    step is one ``zip`` over them (``_column_steps``).  As
+    l(w s) = l(w) +- 1, the Cayley graph is bipartite: a neighbour of
+    layer l lies in layer l - 1 or l + 1, so each candidate is tested
+    against the layer below and the growing frontier only, and the
+    search holds those two, the layer it steps from and its columns.
+    The cap is the module constant ``ENUM_CAP`` and counts every element
+    enumerated as it joins; it is a backstop, as the command line counts
+    the elements before it enumerates.  Being a generator, it reads the
+    cap and checks its arguments when the first layer is drawn, not at
+    the call.
 
     >>> [len(layer) for layer in iter_layers(3, 4)]
     [1, 3, 6, 9, 12]
@@ -385,11 +406,9 @@ def iter_layers(e: int, max_length: int):
     yield layer
     total = 1
     for _ in range(max_length):
-        # fetched per layer, so L = 0 builds no table at a large rank
-        steps, frontier = _right_steps(e), set()
-        for w in layer:
-            for step in steps:
-                u = step(w)
+        frontier = set()
+        for step in _column_steps(list(zip(*layer)), e):
+            for u in step:
                 if u not in below and u not in frontier:
                     frontier.add(u)
                     if total + len(frontier) > cap:
@@ -398,19 +417,21 @@ def iter_layers(e: int, max_length: int):
                         )
         total += len(frontier)
         below, here = here, frontier
-        layer = sorted(frontier)
+        layer = list(frontier)
         yield layer
 
 
 def enumerate_by_length(e: int, max_length: int) -> list[list[AffinePermutation]]:
     """The layers of ``iter_layers(e, max_length)``, all of them, each
-    window wrapped as an element through ``AffinePermutation._raw``.
+    sorted by window and each window wrapped as an element through
+    ``AffinePermutation._raw``, so eigen and coefficient list their
+    witnesses in window order.
 
     >>> [len(layer) for layer in enumerate_by_length(3, 4)]
     [1, 3, 6, 9, 12]
     """
     wrap = AffinePermutation._raw
-    return [[wrap(e, w) for w in layer] for layer in iter_layers(e, max_length)]
+    return [[wrap(e, w) for w in sorted(layer)] for layer in iter_layers(e, max_length)]
 
 
 def w0_count(e: int, L: int, cap: int) -> int:
@@ -430,7 +451,11 @@ def w0_count(e: int, L: int, cap: int) -> int:
 
 def enumeration_cost(e: int, L: int) -> dict:
     """What ``enumerate_by_length(e, L)`` holds: ``w0_count`` elements, a
-    window of e slots each, and from L >= 1 the table ``_right_steps(e)``."""
+    window of e slots each, and from L >= 1 the e(e-1) slots of the table
+    ``_right_steps(e)``.  The search steps through the columns of its
+    layers and fetches no table; the term stays as the table the eigen
+    walk reads beside its layers, and, like the whole ball, as an upper
+    bound for growth and distinction, which stream the layers."""
     n = w0_count(e, L, min(ENUM_CAP, SLOT_CAP // e))
     return {"elements": n, "slots": n * e + (_steps_slots(e) if L else 0)}
 

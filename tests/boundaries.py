@@ -25,13 +25,21 @@ ROWS = [
      "err": ("--e 7 --L 22: growth", "could need 1390236 elements", "cap of 1000000 elements")},
     {"argv": "growth --e 1000000 --L 1000000", "code": 2, "timeout": 5,
      "err": ("--e 1000000 --L 1000000: growth", "could need 1000000000001 elements", "cap of 1000000 elements")},
-    # each element holds e window slots and the step table e(e-1) more:
-    # N(0..2) = 501,501 at e = 1000 is under the element cap
+    # each element holds e window slots, the step table e(e-1) more and
+    # each length a report row of 45: N(0..2) = 501,501 at e = 1000 is
+    # under the element cap
     {"argv": "growth --e 1000 --L 2", "code": 2, "timeout": 5,
-     "err": ("--e 1000 --L 2: growth", "could need 502500000 slots", "cap of 10000000 slots")},
+     "err": ("--e 1000 --L 2: growth", "could need 502500135 slots", "cap of 10000000 slots")},
     {"argv": "growth --e 2236 --L 1", "code": 0, "timeout": 10},
     {"argv": "growth --e 2237 --L 1", "code": 2, "timeout": 5,
-     "err": ("--e 2237 --L 1: growth", "could need 10008338 slots", "cap of 10000000 slots")},
+     "err": ("--e 2237 --L 1: growth", "could need 10008428 slots", "cap of 10000000 slots")},
+    # at e = 2 the rows outweigh the 2L + 1 elements: 4L + 4 slots of
+    # windows and table and 45 (L + 1) of rows.  The last accepted run
+    # peaks at about 256 MB of address space (Python 3.11, 3 s), so
+    # 500,000 KiB is about a 1.9x margin
+    {"argv": "growth --e 2 --L 204080", "code": 0, "timeout": 20, "ulimit": 500000},
+    {"argv": "growth --e 2 --L 204081", "code": 2, "timeout": 5,
+     "err": ("--e 2 --L 204081: growth", "could need 10000018 slots", "cap of 10000000 slots")},
     # the growth series has degree e, not about e**2 / 2: a quadratic
     # expansion would not finish in time at e = 200
     {"argv": "growth --e 200 --L 1", "code": 0, "timeout": 10},
@@ -89,12 +97,12 @@ EXACT = [
     ("growth --e 3 --L 3", "weyl.ENUM_CAP", "elements", 19, "--e 3 --L 3: growth"),
     ("distinction --e 3 --L 3", "weyl.ENUM_CAP", "elements", 19, "--e 3 --f 1 --q0 2 --L 3: distinction"),
     ("all --e 3 --L 3", "weyl.ENUM_CAP", "elements", 19, "--e 3 --L 3: eigen"),
-    # 19 windows of 3 slots and the step table's 6: 63.  coefficient
-    # holds 2 * 57 + 18 + 6 = 138.  eigen, which all runs too, holds 63 +
+    # 19 windows of 3 slots and the step table's 6: 63; growth adds 4
+    # report rows of 45, 243.  coefficient holds 2 * 57 + 18 + 6 = 138.  eigen, which all runs too, holds 63 +
     # 19 * 50 per element, 4 * 64 per psi0 row and 3 * 24 per length
     ("eigen --e 3 --L 3", "weyl.SLOT_CAP", "slots", 1341, "--e 3 --L 3: eigen"),
     ("coefficient --e 3 --L 3", "weyl.SLOT_CAP", "slots", 138, "--e 3 --L 3: coefficient"),
-    ("growth --e 3 --L 3", "weyl.SLOT_CAP", "slots", 63, "--e 3 --L 3: growth"),
+    ("growth --e 3 --L 3", "weyl.SLOT_CAP", "slots", 243, "--e 3 --L 3: growth"),
     ("distinction --e 3 --L 3", "weyl.SLOT_CAP", "slots", 63, "--e 3 --f 1 --q0 2 --L 3: distinction"),
     ("all --e 3 --L 3", "weyl.SLOT_CAP", "slots", 1341, "--e 3 --L 3: eigen"),
     # at e = 17 presentation's 2,057 is over eigen's 1,630 at L = 1

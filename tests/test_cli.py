@@ -57,6 +57,34 @@ def test_growth_csv_rows():
     assert all(line.endswith("True") for line in lines[1:])
 
 
+@pytest.mark.parametrize("order", ["reversed", "shuffled"])
+def test_layer_order_reaches_no_report(order, monkeypatch, capsys):
+    # iter_layers yields each layer in its search's set order, unsorted:
+    # distinction and growth count and sum, so no order reaches their output
+    ranks = ((3, 12), (5, 5), (7, 4))
+    argvs = [["distinction", "--e", str(e), "--f", "2", "--q0", "3", "--L", str(L)] for e, L in ranks]
+    argvs.append(["growth", "--e", "4", "--L", "6"])
+
+    def outputs():
+        printed = []
+        for argv in argvs:
+            assert cli.run(argv) == 0
+            printed.append(capsys.readouterr().out)
+        return printed
+
+    honest, layers, rng = outputs(), dst.iter_layers, random.Random(11)
+    firsts = {layer[0] for e, L in ranks for layer in layers(e, L)}
+
+    def reordered(e, L):
+        for layer in layers(e, L):
+            yield layer[::-1] if order == "reversed" else rng.sample(layer, len(layer))
+
+    monkeypatch.setattr(dst, "iter_layers", reordered)
+    assert outputs() == honest
+    # the term distinction builds from a layer's first window saw other windows
+    assert {layer[0] for e, L in ranks for layer in reordered(e, L)} != firsts
+
+
 def test_growth_fails_a_missing_last_layer(monkeypatch, capsys):
     honest = dst.iter_layers
     monkeypatch.setattr(dst, "iter_layers", lambda e, L: list(honest(e, L))[:-1])
@@ -317,13 +345,17 @@ BASELINE = 1 << 20
     ["eigen", "--e", "2", "--L", "2200"],
     # where most perm and getter entries are int objects of their own
     ["coefficient", "--e", "1000", "--L", "0"],
+    # at e = 2 growth's report rows outweigh its BFS
+    ["growth", "--e", "2", "--L", "5000"],
+    ["growth", "--e", "2", "--L", "20000"],
 ])
 def test_declared_costs_bound_traced_memory(argv):
     # the traced peak of a run stays within one multiple of the elements
     # and slots its cost function declares, at ranks where windows and
     # perms of e slots outweigh the objects that hold them, and for eigen,
     # which declares its Hecke terms, psi0 values and per-length tables,
-    # at small ranks too, down to e = 2, where a length has two elements.
+    # and growth, which declares its report rows, at small ranks too, down
+    # to e = 2, where a length has two elements.
     # The step table, the index tuple and the generators are cached per
     # rank, so the caches are emptied first and the run pays for what it
     # builds

@@ -327,18 +327,22 @@ def test_has_left_descent_matches_length():
                 assert a.w0.has_left_descent(i) == shorter, (a.w0.window, i)
 
 
-@pytest.mark.parametrize("e", range(2, 8))
+@pytest.mark.parametrize("e", range(2, 9))
 def test_window_steps_match_apply(e):
     # s_j on the integers, written out here: it raises x = j mod e by 1
     # and lowers x = j + 1 mod e by 1, for j = 0 as for j >= 1.  The
     # generators are not used, as _simple reads the step table, and
-    # neither is compose; each step is checked against apply.
+    # neither is compose; each step is checked against apply.  The BFS's
+    # column form steps every window of a layer as the table does.
     def s(j, x):
         return x + 1 if (x - j) % e == 0 else x - 1 if (x - j - 1) % e == 0 else x
 
     steps = heckezonal.weyl._right_steps(e)
     assert len(steps) == e
     for layer in enumerate_by_length(e, 4):
+        windows = [w0.window for w0 in layer]
+        columns = heckezonal.weyl._column_steps(list(zip(*windows)), e)
+        assert [list(step) for step in columns] == [[steps[j](w) for w in windows] for j in range(e)]
         for w0 in layer:
             win, ell = w0.window, w0.length()
             for j in range(e):
@@ -560,10 +564,13 @@ def test_enumerate_cap(monkeypatch):
 
 @pytest.mark.parametrize("e", range(2, 9))
 def test_iter_layers_are_the_enumerated_windows(e):
+    # the same windows, layer for layer; only enumerate_by_length sorts
     L = {2: 12, 3: 9, 4: 6, 5: 5, 6: 4, 7: 3, 8: 3}[e]
     layers = iter_layers(e, L)
     for layer in enumerate_by_length(e, L):
-        assert next(layers) == [w.window for w in layer]
+        windows = [w.window for w in layer]
+        assert windows == sorted(windows)
+        assert sorted(next(layers)) == windows
     assert next(layers, None) is None
 
 
